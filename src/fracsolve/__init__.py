@@ -6,104 +6,4 @@ thermoporomechanical model problems, and solves them with a Newton method
 whose globalization tracks contact-state transitions instead of the residual.
 """
 
-from .contact import (
-    CellContactState,
-    ContactParameters,
-    ContactRegime,
-    classify_regime,
-    contact_generalized_derivative,
-    friction_bound,
-    gap,
-    normal_complementarity,
-    tangential_complementarity,
-)
-from .indicators import (
-    IndicatorField,
-    evaluate_field,
-    normal_indicator,
-    reference_mask,
-    tangential_indicator,
-    transition_indicator,
-    transition_values,
-)
-from .interpolation import MonotoneCubic, find_minimum, find_root, fit
-from .linesearch import (
-    LineSearchConfig,
-    LineSearchOutcome,
-    SearchDiverged,
-    Strategy,
-    search_constraint,
-    search_none,
-    search_residual,
-)
-from .models import (
-    FractureAssembly,
-    Physics,
-    PhysicsCouplings,
-    make_multi_fracture,
-    make_single_fracture,
-    preset,
-    transmissibility,
-)
-from .newton import (
-    ConvergenceCriterion,
-    CriterionKind,
-    LinearSolveFailed,
-    NewtonOptions,
-    NewtonReport,
-    SolveStatus,
-    linear_solve,
-    solve,
-)
-from .scaling import AdaptiveScale, CharacteristicScales, cell_scale_estimate, p_mean_scale
-
-__all__ = [
-    "CellContactState",
-    "ContactParameters",
-    "ContactRegime",
-    "classify_regime",
-    "contact_generalized_derivative",
-    "friction_bound",
-    "gap",
-    "normal_complementarity",
-    "tangential_complementarity",
-    "IndicatorField",
-    "evaluate_field",
-    "normal_indicator",
-    "reference_mask",
-    "tangential_indicator",
-    "transition_indicator",
-    "transition_values",
-    "MonotoneCubic",
-    "find_minimum",
-    "find_root",
-    "fit",
-    "LineSearchConfig",
-    "LineSearchOutcome",
-    "SearchDiverged",
-    "Strategy",
-    "search_constraint",
-    "search_none",
-    "search_residual",
-    "FractureAssembly",
-    "Physics",
-    "PhysicsCouplings",
-    "make_multi_fracture",
-    "make_single_fracture",
-    "preset",
-    "transmissibility",
-    "ConvergenceCriterion",
-    "CriterionKind",
-    "LinearSolveFailed",
-    "NewtonOptions",
-    "NewtonReport",
-    "SolveStatus",
-    "linear_solve",
-    "solve",
-    "AdaptiveScale",
-    "CharacteristicScales",
-    "cell_scale_estimate",
-    "p_mean_scale",
-]
-
 __version__ = "0.1.0"

@@ -295,9 +295,9 @@ def main(argv: list[str] | None = None) -> int:
             fields["seeds"] = tuple(args.seed)
         if args.criterion:
             fields["criterion"] = args.criterion
-        if args.max_iter:
+        if args.max_iter is not None:
             fields["max_iterations"] = args.max_iter
-        if args.out:
+        if args.out is not None:
             fields["output_path"] = args.out
         spec = SweepSpec(**fields)
 

@@ -9,6 +9,9 @@ dimensionless (divided by the characteristic stress); jumps stay in meters and
 enter through the complementarity weight, the reciprocal characteristic
 displacement.
 
+The state of all cells is one ``ContactStates`` of per-cell arrays, and every
+kernel here maps it to per-cell arrays in a single vectorized pass.
+
 Sign conventions: a negative normal traction is compressive; the slip
 increment of a consistently sliding cell is a nonnegative multiple of the
 tangential traction.
@@ -17,13 +20,13 @@ tangential traction.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ContactParameters",
-    "CellContactState",
+    "ContactStates",
     "ContactRegime",
     "friction_bound",
     "gap",
@@ -51,43 +54,57 @@ class ContactParameters:
             raise ValueError("residual aperture must be positive")
 
 
-@dataclass
-class CellContactState:
-    """Traction and jump of one fracture cell in its local frame.
+@dataclass(frozen=True)
+class ContactStates:
+    """Tractions and jumps of n fracture cells in their local frames.
 
-    ``normal_traction`` and ``tangential_traction`` are scaled (dimensionless);
-    the jumps are physical displacements in meters. ``previous_tangential_jump``
-    is the converged value of the preceding time step, so the tangential slip
-    increment is ``tangential_jump - previous_tangential_jump``.
+    Shapes are ``(n,)`` for the normal components and ``(n, 2)`` for the
+    tangential ones. Tractions are scaled (dimensionless); the jumps are
+    physical displacements in meters. ``previous_tangential_jump`` is the
+    converged value of the preceding time step, so the tangential slip
+    increment is ``tangential_jump - previous_tangential_jump``. The arrays
+    are read-only views; the caller's arrays are not copied.
     """
 
-    normal_traction: float
+    normal_traction: np.ndarray
     tangential_traction: np.ndarray
-    normal_jump: float
+    normal_jump: np.ndarray
     tangential_jump: np.ndarray
-    previous_tangential_jump: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    previous_tangential_jump: np.ndarray
 
     def __post_init__(self):
-        self.tangential_traction = np.asarray(self.tangential_traction, dtype=float)
-        self.tangential_jump = np.asarray(self.tangential_jump, dtype=float)
-        self.previous_tangential_jump = np.asarray(self.previous_tangential_jump, dtype=float)
-        self.normal = np.asarray(self.normal, dtype=float)
-        if abs(np.linalg.norm(self.normal) - 1.0) > 1e-12:
-            raise ValueError("cell normal must have unit length")
+        for name in ("normal_traction", "tangential_traction", "normal_jump",
+                     "tangential_jump", "previous_tangential_jump"):
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return len(self.normal_traction)
 
     @property
     def slip_increment(self) -> np.ndarray:
         return self.tangential_jump - self.previous_tangential_jump
 
 
-class ContactRegime(enum.Enum):
-    OPEN = "open"
-    STICKING = "sticking"
-    SLIDING = "sliding"
+class ContactRegime(enum.IntEnum):
+    """Regime codes returned by ``classify_regime``, in census order."""
+
+    OPEN = 0
+    STICKING = 1
+    SLIDING = 2
 
 
-def friction_bound(normal_traction: float, friction_coefficient: float) -> float:
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis.
+
+    Rounds exactly like ``np.linalg.norm`` of each vector on its own, which
+    ``np.linalg.norm(..., axis=-1)`` does not.
+    """
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
+def friction_bound(normal_traction, friction_coefficient: float):
     """Coulomb bound on the tangential traction magnitude.
 
     Positive only under compression; nonpositive values mean the cell cannot
@@ -96,54 +113,51 @@ def friction_bound(normal_traction: float, friction_coefficient: float) -> float
     return -friction_coefficient * normal_traction
 
 
-def gap(tangential_jump: np.ndarray, dilation_angle: float) -> float:
-    """Dilation-induced normal gap, tan(psi) * ||tangential jump||."""
-    return float(np.tan(dilation_angle) * np.linalg.norm(tangential_jump))
+def gap(tangential_jump: np.ndarray, dilation_angle: float):
+    """Dilation-induced normal gap, tan(psi) * ||tangential jump|| over the last axis."""
+    return np.tan(dilation_angle) * _norms(tangential_jump)
 
 
-def normal_complementarity(state: CellContactState, params: ContactParameters,
-                           weight: float) -> float:
-    """Residual of the normal contact conditions.
+def normal_complementarity(states: ContactStates, params: ContactParameters,
+                           weight: float) -> np.ndarray:
+    """Residual of the normal contact conditions, shape ``(n,)``.
 
     Zero exactly when -traction >= 0, jump - gap >= 0 and their product
     vanishes; the root set does not depend on the (positive) weight.
     """
-    g = gap(state.tangential_jump, params.dilation_angle)
-    reach = -state.normal_traction - weight * (state.normal_jump - g)
-    return -state.normal_traction - max(0.0, reach)
+    g = gap(states.tangential_jump, params.dilation_angle)
+    reach = -states.normal_traction - weight * (states.normal_jump - g)
+    return -states.normal_traction - np.fmax(0.0, reach)
 
 
-def tangential_complementarity(state: CellContactState, params: ContactParameters,
+def tangential_complementarity(states: ContactStates, params: ContactParameters,
                                weight: float) -> np.ndarray:
-    """Residual of the Coulomb friction conditions, a 2-vector.
+    """Residual of the Coulomb friction conditions, shape ``(n, 2)``.
 
     On an open cell (friction bound <= 0) this is the tangential traction
     itself. On a closed cell the residual vanishes exactly for stick (zero
     slip increment, traction within the bound) and for consistent slide
     (traction at the bound, slip increment a nonnegative multiple of it).
     """
-    b = friction_bound(state.normal_traction, params.friction_coefficient)
-    if b <= 0.0:
-        return state.tangential_traction.copy()
-    q = state.tangential_traction + weight * state.slip_increment
-    return state.tangential_traction * max(b, float(np.linalg.norm(q))) - b * q
+    b = friction_bound(states.normal_traction, params.friction_coefficient)[:, None]
+    sig_t = states.tangential_traction
+    q = sig_t + weight * states.slip_increment
+    closed = sig_t * np.fmax(b, _norms(q)[:, None]) - b * q
+    return np.where(b <= 0.0, sig_t, closed)
 
 
-def classify_regime(state: CellContactState, params: ContactParameters,
-                    weight: float) -> ContactRegime:
-    """Diagnostic regime label: open, sticking or sliding."""
-    b = friction_bound(state.normal_traction, params.friction_coefficient)
-    if b <= 0.0:
-        return ContactRegime.OPEN
-    q = state.tangential_traction + weight * state.slip_increment
-    if float(np.linalg.norm(q)) > b:
-        return ContactRegime.SLIDING
-    return ContactRegime.STICKING
+def classify_regime(states: ContactStates, params: ContactParameters,
+                    weight: float) -> np.ndarray:
+    """Diagnostic regime code per cell, an ``(n,)`` array of ``ContactRegime`` values."""
+    b = friction_bound(states.normal_traction, params.friction_coefficient)
+    q = states.tangential_traction + weight * states.slip_increment
+    regime = np.where(_norms(q) > b, ContactRegime.SLIDING, ContactRegime.STICKING)
+    return np.where(b <= 0.0, ContactRegime.OPEN, regime)
 
 
-def contact_generalized_derivative(state: CellContactState, params: ContactParameters,
+def contact_generalized_derivative(states: ContactStates, params: ContactParameters,
                                    weight: float) -> np.ndarray:
-    """Active-branch derivative of the contact residuals, as a 3x6 block.
+    """Active-branch derivative of the contact residuals, as ``(n, 3, 6)`` blocks.
 
     Rows are (normal residual, tangential residual x2); columns are
     (normal traction, tangential traction x2, normal jump, tangential jump x2).
@@ -154,41 +168,45 @@ def contact_generalized_derivative(state: CellContactState, params: ContactParam
     """
     F = params.friction_coefficient
     c = float(weight)
-    sig_t = state.tangential_traction
-    u_t = state.tangential_jump
+    sig_n = states.normal_traction
+    sig_t = states.tangential_traction
+    u_t = states.tangential_jump
+    slip = states.slip_increment
+    eye = np.eye(2)
 
-    D = np.zeros((3, 6))
+    D = np.zeros((len(states), 3, 6))
 
-    g = gap(u_t, params.dilation_angle)
-    u_t_norm = float(np.linalg.norm(u_t))
-    if u_t_norm > 0.0:
-        dg_dut = np.tan(params.dilation_angle) * u_t / u_t_norm
-    else:
-        dg_dut = np.zeros(2)
+    tan_psi = np.tan(params.dilation_angle)
+    u_t_norm = _norms(u_t)
+    dg_dut = np.zeros_like(u_t)
+    moving = u_t_norm > 0.0
+    dg_dut[moving] = tan_psi * u_t[moving] / u_t_norm[moving, None]
 
-    reach = -state.normal_traction - c * (state.normal_jump - g)
-    if reach >= 0.0:
-        # Contact branch: residual reduces to c * (jump - gap).
-        D[0, 3] = c
-        D[0, 4:6] = -c * dg_dut
-    else:
-        D[0, 0] = -1.0
+    reach = -sig_n - c * (states.normal_jump - tan_psi * u_t_norm)
+    contact = reach >= 0.0
+    # Contact branch: residual reduces to c * (jump - gap).
+    D[contact, 0, 3] = c
+    D[contact, 0, 4:6] = -c * dg_dut[contact]
+    D[~contact, 0, 0] = -1.0
 
-    b = friction_bound(state.normal_traction, F)
-    if b <= 0.0:
-        D[1:3, 1:3] = np.eye(2)
-        return D
+    b = friction_bound(sig_n, F)
+    q = sig_t + c * slip
+    q_norm = _norms(q)
+    closed = ~(b <= 0.0)
+    sliding = closed & (q_norm >= b)
+    sticking = closed & ~sliding
+    D[~closed, 1:3, 1:3] = eye
 
-    q = sig_t + c * state.slip_increment
-    q_norm = float(np.linalg.norm(q))
-    if q_norm >= b:
-        # Sliding branch: sig_t * ||q|| - b * q.
-        q_hat = q / q_norm if q_norm > 0.0 else np.zeros(2)
-        D[1:3, 0] = F * q
-        D[1:3, 1:3] = q_norm * np.eye(2) + np.outer(sig_t, q_hat) - b * np.eye(2)
-        D[1:3, 4:6] = c * (np.outer(sig_t, q_hat) - b * np.eye(2))
-    else:
-        # Sticking branch: residual reduces to -b * c * slip increment.
-        D[1:3, 0] = F * c * state.slip_increment
-        D[1:3, 4:6] = -b * c * np.eye(2)
+    # Sliding branch: sig_t * ||q|| - b * q; ||q|| >= b > 0 here.
+    b_s = b[sliding, None, None]
+    q_s = q[sliding]
+    n_s = q_norm[sliding]
+    outer = sig_t[sliding, :, None] * (q_s / n_s[:, None])[:, None, :]
+    D[sliding, 1:3, 0] = F * q_s
+    D[sliding, 1:3, 1:3] = n_s[:, None, None] * eye + outer - b_s * eye
+    D[sliding, 1:3, 4:6] = c * (outer - b_s * eye)
+
+    # Sticking branch: residual reduces to -b * c * slip increment.
+    D[sticking, 1:3, 0] = F * c * slip[sticking]
+    D[sticking, 1:3, 4:6] = (-b[sticking] * c)[:, None, None] * eye
     return D

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import CellContactState, ContactParameters, friction_bound, gap
+from .contact import ContactParameters, ContactStates, _norms, friction_bound, gap
 
 __all__ = [
     "IndicatorField",
     "normal_indicator",
     "tangential_indicator",
-    "transition_indicator",
     "transition_values",
     "evaluate_field",
     "reference_mask",
@@ -49,63 +48,54 @@ class IndicatorField:
         return IndicatorField(self.normal / scale, self.tangential / scale, scaled=True)
 
 
-def normal_indicator(state: CellContactState, params: ContactParameters,
-                     weight: float) -> float:
-    """Signed distance to the open/closed branch boundary.
+def normal_indicator(states: ContactStates, params: ContactParameters,
+                     weight: float) -> np.ndarray:
+    """Signed distance to the open/closed branch boundary, per cell.
 
     Positive exactly when the penetration term in the normal complementarity
     residual is on its active (contact) branch.
     """
-    g = gap(state.tangential_jump, params.dilation_angle)
-    return -state.normal_traction - weight * (state.normal_jump - g)
+    g = gap(states.tangential_jump, params.dilation_angle)
+    return -states.normal_traction - weight * (states.normal_jump - g)
 
 
-def tangential_indicator(state: CellContactState, params: ContactParameters,
-                         weight: float, reference_active: bool) -> float:
-    """Signed distance to the stick/slide branch boundary.
+def tangential_indicator(states: ContactStates, params: ContactParameters,
+                         weight: float, reference_active: np.ndarray) -> np.ndarray:
+    """Signed distance to the stick/slide branch boundary, per cell.
 
     Positive exactly when the sliding branch is active. ``reference_active``
     is the Heaviside mask from the reference iterate: cells that were open
     there contribute exactly zero.
     """
-    if not reference_active:
-        return 0.0
-    b = friction_bound(state.normal_traction, params.friction_coefficient)
-    q = state.tangential_traction + weight * state.slip_increment
-    return float(np.linalg.norm(q)) - b
-
-
-def transition_indicator(reference_value: float, trial_value: float) -> float:
-    """Damping signal from an indicator pair (reference, trial).
-
-    Positive with magnitude |trial| when the sign flipped between reference
-    and trial; negative when the sign persisted; zero whenever either value
-    is zero (sgn(0) = 0).
-    """
-    return float(-np.sign(reference_value * trial_value) * abs(trial_value))
+    b = friction_bound(states.normal_traction, params.friction_coefficient)
+    q = states.tangential_traction + weight * states.slip_increment
+    return np.where(reference_active, _norms(q) - b, 0.0)
 
 
 def transition_values(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
-    """Vectorized transition indicator over per-cell arrays."""
+    """Damping signal from per-cell indicator pairs (reference, trial).
+
+    Positive with magnitude |trial| where the sign flipped between reference
+    and trial; negative where the sign persisted; zero wherever either value
+    is zero (sgn(0) = 0).
+    """
     reference = np.asarray(reference, dtype=float)
     trial = np.asarray(trial, dtype=float)
     return -np.sign(reference * trial) * np.abs(trial)
 
 
-def reference_mask(states, params: ContactParameters, weight: float) -> np.ndarray:
+def reference_mask(states: ContactStates, params: ContactParameters,
+                   weight: float) -> np.ndarray:
     """Heaviside mask: cells with strictly positive normal indicator."""
-    return np.array([normal_indicator(s, params, weight) > 0.0 for s in states], dtype=bool)
+    return normal_indicator(states, params, weight) > 0.0
 
 
-def evaluate_field(states, params: ContactParameters, weight: float,
+def evaluate_field(states: ContactStates, params: ContactParameters, weight: float,
                    mask: np.ndarray) -> IndicatorField:
-    """Evaluate both indicator families for a list of cell states.
+    """Evaluate both indicator families over all cells.
 
     ``mask`` is the reference-iterate Heaviside mask; it must come from the
     same cell ordering as ``states``.
     """
-    normal = np.array([normal_indicator(s, params, weight) for s in states], dtype=float)
-    tangential = np.array([
-        tangential_indicator(s, params, weight, bool(m)) for s, m in zip(states, mask)
-    ], dtype=float)
-    return IndicatorField(normal, tangential, scaled=False)
+    return IndicatorField(normal_indicator(states, params, weight),
+                          tangential_indicator(states, params, weight, mask), scaled=False)

@@ -29,8 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .contact import (
-    CellContactState,
     ContactParameters,
+    ContactStates,
     contact_generalized_derivative,
     normal_complementarity,
     tangential_complementarity,
@@ -204,7 +204,6 @@ class FractureAssembly:
 
         # Flattened flow topology in global cell indices.
         self._edges_global = []
-        self._advection = []
         for fr in fractures:
             for k, (a, b) in enumerate(fr.edges):
                 rate = 0.0 if fr.advection_rates is None else float(fr.advection_rates[k])
@@ -274,18 +273,11 @@ class FractureAssembly:
     def fracture_cells(self) -> list[np.ndarray]:
         return [fr.cells for fr in self.fractures]
 
-    def contact_states(self, x: np.ndarray) -> list[CellContactState]:
+    def contact_states(self, x: np.ndarray) -> ContactStates:
+        """Read-only per-cell views of the tractions and jumps in ``x``."""
         traction, jump, _, _ = self.split(x)
-        states = []
-        for v in range(self.n_cells):
-            states.append(CellContactState(
-                normal_traction=float(traction[v, 0]),
-                tangential_traction=traction[v, 1:3].copy(),
-                normal_jump=float(jump[v, 0]),
-                tangential_jump=jump[v, 1:3].copy(),
-                previous_tangential_jump=self.previous_jump[v, 1:3].copy(),
-            ))
-        return states
+        return ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
+                             self.previous_jump[:, 1:3])
 
     def initial_guess(self, load_seeded: bool = True) -> np.ndarray:
         """Zero jumps and reference pressures/temperatures, seeded tractions.
@@ -375,11 +367,9 @@ class FractureAssembly:
 
         # Contact complementarity rows.
         states = self.contact_states(x)
-        contact = np.zeros((n, 3))
-        for v, state in enumerate(states):
-            contact[v, 0] = normal_complementarity(state, self.params, weight)
-            contact[v, 1:3] = tangential_complementarity(state, self.params, weight)
-        r[3 * n:6 * n] = contact.ravel()
+        contact = r[3 * n:6 * n].reshape(n, 3)
+        contact[:, 0] = normal_complementarity(states, self.params, weight)
+        contact[:, 1:3] = tangential_complementarity(states, self.params, weight)
 
         if self.has_pressure:
             r[6 * n:7 * n] = self._mass_rows(jump, pressure, temperature)
@@ -458,21 +448,12 @@ class FractureAssembly:
         blocks: list[list] = [[eye3n, force_u], [None, None]]
 
         # Contact rows: per-cell 3x6 derivative, block diagonal.
-        d_sig = sp.lil_matrix((3 * n, 3 * n))
-        d_u = sp.lil_matrix((3 * n, 3 * n))
-        states = self.contact_states(x)
-        for v, state in enumerate(states):
-            block = contact_generalized_derivative(state, self.params, weight)
-            d_sig[3 * v:3 * v + 3, 3 * v:3 * v + 3] = block[:, 0:3]
-            d_u[3 * v:3 * v + 3, 3 * v:3 * v + 3] = block[:, 3:6]
-        blocks[1][0] = d_sig.tocsr()
-        blocks[1][1] = d_u.tocsr()
+        derivative = contact_generalized_derivative(self.contact_states(x), self.params, weight)
+        blocks[1][0] = _block_diagonal(derivative[:, :, 0:3])
+        blocks[1][1] = _block_diagonal(derivative[:, :, 3:6])
 
         if self.has_pressure:
-            force_p = sp.lil_matrix((3 * n, n))
-            for v in range(n):
-                force_p[3 * v, v] = -cpl.biot_coefficient * PRESSURE_SCALE / sigma_c
-            blocks[0].append(force_p.tocsr())
+            blocks[0].append(self._normal_column(-cpl.biot_coefficient * PRESSURE_SCALE / sigma_c))
             blocks[1].append(None)
             mass_u, mass_p, mass_T = self._mass_jacobian(jump, pressure, temperature)
             row = [None, mass_u, mass_p]
@@ -481,16 +462,20 @@ class FractureAssembly:
             blocks.append(row)
 
         if self.has_temperature:
-            force_T = sp.lil_matrix((3 * n, n))
-            for v in range(n):
-                force_T[3 * v, v] = 3.0 * cpl.drained_bulk_modulus \
-                    * cpl.solid_thermal_expansion * TEMPERATURE_SCALE / sigma_c
-            blocks[0].append(force_T.tocsr())
+            blocks[0].append(self._normal_column(3.0 * cpl.drained_bulk_modulus
+                                                 * cpl.solid_thermal_expansion
+                                                 * TEMPERATURE_SCALE / sigma_c))
             blocks[1].append(None)
             energy_u, energy_T = self._energy_jacobian(jump, temperature)
             blocks.append([None, energy_u, None, energy_T])
 
         return sp.bmat(blocks, format="csr")
+
+    def _normal_column(self, coefficient: float) -> sp.csr_matrix:
+        """Force-balance coupling of a per-cell scalar into each normal traction row."""
+        n = self.n_cells
+        cells = np.arange(n)
+        return sp.csr_matrix((np.full(n, coefficient), (3 * cells, cells)), shape=(3 * n, n))
 
     def _mass_jacobian(self, jump, pressure, temperature):
         cpl = self.couplings
@@ -586,6 +571,14 @@ class FractureAssembly:
             energy_T[v, :] = 0.0
             energy_T[v, v] = 1.0
         return energy_u.tocsr(), energy_T.tocsr()
+
+
+def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
+    """CSR matrix with the ``(n, 3, 3)`` blocks on its diagonal, zeros not stored."""
+    n = len(blocks)
+    matrix = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(3 * n, 3 * n)).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
 
 
 # ----- constructors -------------------------------------------------------

@@ -8,10 +8,12 @@ non-finite values, a residual blow-up past a guard factor, or a failed
 factorization.
 
 Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
-``initial_guess()``. Contact-aware models additionally expose their cell
-states, contact parameters and fracture partition, which the constraint
-searches and the adaptive magnitude estimate consume; models without these
-hooks simply run with full steps under the constraint strategies.
+``initial_guess()``. Contact-aware models additionally expose
+``contact_states(x)``, a read-only ``ContactStates`` of per-cell arrays, plus
+their contact parameters and fracture partition. The constraint searches,
+the regime census and the adaptive magnitude estimate evaluate array-valued
+kernels on those states, one call per evaluation; models without these hooks
+simply run with full steps under the constraint strategies.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contact import ContactRegime, classify_regime
+from .contact import classify_regime
 from .indicators import evaluate_field, reference_mask
 from .linesearch import (
     LineSearchConfig,
@@ -150,19 +152,16 @@ def _has_contact(model) -> bool:
 
 
 def _regime_census(model, x: np.ndarray) -> tuple[int, int, int]:
-    params = model.contact_parameters
-    weight = model.complementarity_weight
-    counts = {ContactRegime.OPEN: 0, ContactRegime.STICKING: 0, ContactRegime.SLIDING: 0}
-    for state in model.contact_states(x):
-        counts[classify_regime(state, params, weight)] += 1
-    return (counts[ContactRegime.OPEN], counts[ContactRegime.STICKING],
-            counts[ContactRegime.SLIDING])
+    """(open, sticking, sliding) cell counts at ``x``."""
+    regimes = classify_regime(model.contact_states(x), model.contact_parameters,
+                              model.complementarity_weight)
+    open_, sticking, sliding = np.bincount(regimes, minlength=3)
+    return int(open_), int(sticking), int(sliding)
 
 
 def _adaptive_scale(model, x: np.ndarray, iteration: int) -> AdaptiveScale:
-    params = model.contact_parameters
-    weight = model.complementarity_weight
-    estimates = [cell_scale_estimate(s, params, weight) for s in model.contact_states(x)]
+    estimates = cell_scale_estimate(model.contact_states(x), model.contact_parameters,
+                                    model.complementarity_weight)
     return AdaptiveScale(p_mean_scale(estimates), frozen_from_iteration=iteration)
 
 

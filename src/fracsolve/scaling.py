@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import CellContactState, ContactParameters, gap
+from .contact import ContactParameters, ContactStates, gap
 
 __all__ = [
     "CharacteristicScales",
@@ -59,7 +59,6 @@ class AdaptiveScale:
     """
 
     value: float
-    exponent: float = 5.0
     frozen_from_iteration: int = -1
 
     def __post_init__(self):
@@ -67,21 +66,22 @@ class AdaptiveScale:
             raise ValueError("adaptive scale outside its admissible bounds")
 
 
-def cell_scale_estimate(state: CellContactState, params: ContactParameters,
-                        weight: float) -> float:
-    """Magnitude contribution of one cell.
+def cell_scale_estimate(states: ContactStates, params: ContactParameters,
+                        weight: float) -> np.ndarray:
+    """Magnitude contribution of each cell, shape ``(n,)``.
 
     Sum of the scaled traction norm and the weighted norm of the jump with
     the dilation gap removed along the normal. Both terms are dimensionless
     and O(1) when the characteristic displacement is well chosen.
     """
-    traction_norm = float(np.sqrt(
-        state.normal_traction ** 2 + float(state.tangential_traction @ state.tangential_traction)
-    ))
-    g = gap(state.tangential_jump, params.dilation_angle)
-    jump_norm = float(np.sqrt(
-        (state.normal_jump - g) ** 2 + float(state.tangential_jump @ state.tangential_jump)
-    ))
+    # float_power squares through the C library's pow, exactly like Python's
+    # float ** in the per-cell reference formula; numpy's ** multiplies,
+    # which differs from it in the last bit on ~0.1% of cells.
+    sig_t = states.tangential_traction
+    u_t = states.tangential_jump
+    traction_norm = np.sqrt(np.float_power(states.normal_traction, 2) + np.vecdot(sig_t, sig_t))
+    g = gap(u_t, params.dilation_angle)
+    jump_norm = np.sqrt(np.float_power(states.normal_jump - g, 2) + np.vecdot(u_t, u_t))
     return traction_norm + weight * jump_norm
 
 

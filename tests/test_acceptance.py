@@ -12,8 +12,8 @@ import pytest
 
 from fracsolve.bench import SweepSpec, emit_csv, run_sweep
 from fracsolve.contact import (
-    CellContactState,
     ContactParameters,
+    ContactStates,
     normal_complementarity,
     tangential_complementarity,
 )
@@ -78,15 +78,13 @@ def _branch_margin(model, x):
 
     params = model.contact_parameters
     w = model.complementarity_weight
-    out = np.inf
-    for st in model.contact_states(x):
-        g = gap(st.tangential_jump, params.dilation_angle)
-        reach = -st.normal_traction - w * (st.normal_jump - g)
-        b = friction_bound(st.normal_traction, params.friction_coefficient)
-        q = st.tangential_traction + w * st.slip_increment
-        out = min(out, abs(reach), abs(b), abs(float(np.linalg.norm(q)) - b),
-                  float(np.linalg.norm(st.tangential_jump)))
-    return out
+    st = model.contact_states(x)
+    g = gap(st.tangential_jump, params.dilation_angle)
+    reach = -st.normal_traction - w * (st.normal_jump - g)
+    b = friction_bound(st.normal_traction, params.friction_coefficient)
+    q = st.tangential_traction + w * st.slip_increment
+    return float(np.min([np.abs(reach), np.abs(b), np.abs(np.linalg.norm(q, axis=1) - b),
+                         np.linalg.norm(st.tangential_jump, axis=1)]))
 
 
 class _CountingModel:
@@ -157,13 +155,14 @@ def test_criterion_01_complementarity_kkt_equivalence(criterion_verdict):
         for _ in range(200):
             a, b, c = rng.uniform(-2, 2, 3)
             d = rng.uniform(-1, 1)
-            state = CellContactState(
-                normal_traction=a, tangential_traction=np.array([b, 0.0]),
-                normal_jump=d, tangential_jump=np.array([c, 0.0]))
+            state = ContactStates(
+                normal_traction=np.array([a]), tangential_traction=np.array([[b, 0.0]]),
+                normal_jump=np.array([d]), tangential_jump=np.array([[c, 0.0]]),
+                previous_tangential_jump=np.zeros((1, 2)))
             cn_o, ct_o = _oracle_complementarity(
                 np.array([a]), np.array([b]), np.array([d]), np.array([c]))
-            assert normal_complementarity(state, params, WEIGHT) == cn_o[0]
-            tangential = tangential_complementarity(state, params, WEIGHT)
+            assert normal_complementarity(state, params, WEIGHT)[0] == cn_o[0]
+            tangential = tangential_complementarity(state, params, WEIGHT)[0]
             assert tangential[0] == ct_o[0] and tangential[1] == 0.0
 
         assert time.perf_counter() - started < 10.0

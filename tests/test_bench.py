@@ -207,6 +207,16 @@ def test_main_rejects_unknown_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_rejects_zero_iteration_cap(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
+                 "--uc", "0.01", "--max-iter", "0", "--out", str(out),
+                 "--workers", "1", "--no-table"])
+    assert code == 1
+    assert "error: max_iterations must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_reports_missing_config(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "missing.json"), "--no-table"])
     assert code == 1

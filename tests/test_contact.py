@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fracsolve.contact import (
-    CellContactState,
     ContactParameters,
     ContactRegime,
+    ContactStates,
     classify_regime,
     contact_generalized_derivative,
     friction_bound,
@@ -17,12 +17,13 @@ from fracsolve.contact import (
 
 
 def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), ut_prev=(0.0, 0.0)):
-    return CellContactState(
-        normal_traction=sn,
-        tangential_traction=np.asarray(st, dtype=float),
-        normal_jump=un,
-        tangential_jump=np.asarray(ut, dtype=float),
-        previous_tangential_jump=np.asarray(ut_prev, dtype=float),
+    """States of a single cell; kernels return arrays with one row."""
+    return ContactStates(
+        normal_traction=np.array([sn], dtype=float),
+        tangential_traction=np.array([st], dtype=float),
+        normal_jump=np.array([un], dtype=float),
+        tangential_jump=np.array([ut], dtype=float),
+        previous_tangential_jump=np.array([ut_prev], dtype=float),
     )
 
 
@@ -76,49 +77,49 @@ def test_gap_positively_homogeneous_and_rotation_invariant():
 
 def test_normal_complementarity_consistent_open():
     state = make_state(sn=0.0, un=0.5)
-    assert normal_complementarity(state, PARAMS, 1.0) == 0.0
+    assert normal_complementarity(state, PARAMS, 1.0)[0] == 0.0
 
 
 def test_normal_complementarity_consistent_contact():
     state = make_state(sn=-1.0, un=0.0)
-    assert normal_complementarity(state, PARAMS, 1.0) == 0.0
+    assert normal_complementarity(state, PARAMS, 1.0)[0] == 0.0
 
 
 def test_normal_complementarity_penetration():
     state = make_state(sn=-1.0, un=-0.2)
-    assert normal_complementarity(state, PARAMS, 1.0) == pytest.approx(-0.2)
+    assert normal_complementarity(state, PARAMS, 1.0)[0] == pytest.approx(-0.2)
 
 
 def test_tangential_complementarity_open():
     state = make_state(sn=0.5, st=(0.3, -0.1))
     np.testing.assert_array_equal(
-        tangential_complementarity(state, PARAMS, 1.0), [0.3, -0.1])
+        tangential_complementarity(state, PARAMS, 1.0)[0], [0.3, -0.1])
 
 
 def test_tangential_complementarity_consistent_stick():
     state = make_state(sn=-1.0, st=(0.5, 0.0))
     np.testing.assert_allclose(
-        tangential_complementarity(state, PARAMS, 1.0), [0.0, 0.0], atol=1e-15)
+        tangential_complementarity(state, PARAMS, 1.0)[0], [0.0, 0.0], atol=1e-15)
 
 
 def test_tangential_complementarity_slip_against_traction():
     # slip opposing the traction direction leaves a nonzero residual
     state = make_state(sn=-1.0, st=(-1.0, 0.0), ut=(2.0, 0.0))
     np.testing.assert_allclose(
-        tangential_complementarity(state, PARAMS, 1.0), [-2.0, 0.0], atol=1e-15)
+        tangential_complementarity(state, PARAMS, 1.0)[0], [-2.0, 0.0], atol=1e-15)
 
 
 def test_tangential_complementarity_consistent_slide():
     state = make_state(sn=-1.0, st=(-1.0, 0.0), ut=(-2.0, 0.0))
     np.testing.assert_allclose(
-        tangential_complementarity(state, PARAMS, 1.0), [0.0, 0.0], atol=1e-15)
+        tangential_complementarity(state, PARAMS, 1.0)[0], [0.0, 0.0], atol=1e-15)
 
 
 def test_open_branch_returns_copy():
     state = make_state(sn=0.5, st=(0.3, 0.0))
-    out = tangential_complementarity(state, PARAMS, 1.0)
+    out = tangential_complementarity(state, PARAMS, 1.0)[0]
     out[0] = 99.0
-    assert state.tangential_traction[0] == 0.3
+    assert state.tangential_traction[0, 0] == 0.3
 
 
 def test_c_independence_of_roots():
@@ -130,9 +131,9 @@ def test_c_independence_of_roots():
     ]
     for state in roots:
         for weight in (0.1, 1.0, 100.0):
-            assert abs(normal_complementarity(state, PARAMS, weight)) < 1e-12
+            assert abs(normal_complementarity(state, PARAMS, weight)[0]) < 1e-12
             assert np.linalg.norm(
-                tangential_complementarity(state, PARAMS, weight)) < 1e-12
+                tangential_complementarity(state, PARAMS, weight)[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +141,27 @@ def test_c_independence_of_roots():
 
 
 def test_classify_open():
-    assert classify_regime(make_state(sn=0.1), PARAMS, 1.0) is ContactRegime.OPEN
+    assert classify_regime(make_state(sn=0.1), PARAMS, 1.0)[0] == ContactRegime.OPEN
 
 
 def test_classify_sticking():
     state = make_state(sn=-1.0, st=(0.2, 0.0))
-    assert classify_regime(state, PARAMS, 1.0) is ContactRegime.STICKING
+    assert classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.STICKING
 
 
 def test_classify_sliding():
     state = make_state(sn=-1.0, st=(0.9, 0.0), ut=(0.5, 0.0))
-    assert classify_regime(state, PARAMS, 1.0) is ContactRegime.SLIDING
+    assert classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.SLIDING
 
 
 def test_classify_boundary_zero_bound_is_open():
-    assert classify_regime(make_state(sn=0.0), PARAMS, 1.0) is ContactRegime.OPEN
+    assert classify_regime(make_state(sn=0.0), PARAMS, 1.0)[0] == ContactRegime.OPEN
 
 
 def test_classify_boundary_at_friction_bound_is_sticking():
     # ||q|| == b exactly: not strictly beyond the bound
     state = make_state(sn=-1.0, st=(1.0, 0.0))
-    assert classify_regime(state, PARAMS, 1.0) is ContactRegime.STICKING
+    assert classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.STICKING
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +170,14 @@ def test_classify_boundary_at_friction_bound_is_sticking():
 
 def test_derivative_open_normal_row():
     state = make_state(sn=0.2, un=0.5)
-    block = contact_generalized_derivative(state, PARAMS, 1.0)
+    block = contact_generalized_derivative(state, PARAMS, 1.0)[0]
     assert block[0, 0] == -1.0
     assert block[0, 3] == 0.0
 
 
 def test_derivative_contact_normal_row():
     state = make_state(sn=-1.0, un=-0.1)
-    block = contact_generalized_derivative(state, PARAMS, 2.0)
+    block = contact_generalized_derivative(state, PARAMS, 2.0)[0]
     assert block[0, 0] == 0.0
     assert block[0, 3] == 2.0
 
@@ -184,14 +185,14 @@ def test_derivative_contact_normal_row():
 def test_derivative_tie_takes_state_change_branch():
     # reach exactly zero: the penetration (contact) branch must be selected
     state = make_state(sn=0.0, un=0.0)
-    block = contact_generalized_derivative(state, PARAMS, 1.0)
+    block = contact_generalized_derivative(state, PARAMS, 1.0)[0]
     assert block[0, 0] == 0.0
     assert block[0, 3] == 1.0
     # ||q|| exactly at the bound: the sliding branch must be selected
     tie = make_state(sn=-1.0, st=(1.0, 0.0))
-    tie_block = contact_generalized_derivative(tie, PARAMS, 1.0)
+    tie_block = contact_generalized_derivative(tie, PARAMS, 1.0)[0]
     stick = make_state(sn=-1.0, st=(0.5, 0.0))
-    stick_block = contact_generalized_derivative(stick, PARAMS, 1.0)
+    stick_block = contact_generalized_derivative(stick, PARAMS, 1.0)[0]
     assert not np.allclose(tie_block[1:3], stick_block[1:3])
     assert tie_block[1, 0] == pytest.approx(1.0)  # F * q1 on the sliding branch
 
@@ -204,12 +205,12 @@ def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
             un=rng.uniform(-1.0, 1.0),
             ut=rng.uniform(-1.0, 1.0, 2),
         )
-        g = gap(state.tangential_jump, params.dilation_angle)
-        reach = -state.normal_traction - weight * (state.normal_jump - g)
-        b = friction_bound(state.normal_traction, params.friction_coefficient)
-        q = state.tangential_traction + weight * state.slip_increment
+        g = gap(state.tangential_jump[0], params.dilation_angle)
+        reach = -state.normal_traction[0] - weight * (state.normal_jump[0] - g)
+        b = friction_bound(state.normal_traction[0], params.friction_coefficient)
+        q = state.tangential_traction[0] + weight * state.slip_increment[0]
         dist = min(abs(reach), abs(b), abs(float(np.linalg.norm(q)) - b),
-                   float(np.linalg.norm(state.tangential_jump)))
+                   float(np.linalg.norm(state.tangential_jump[0])))
         if dist > margin:
             return state
 
@@ -217,14 +218,14 @@ def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
 def _fd_derivative(state, params, weight, h=1e-7):
     def residual(vec):
         s = make_state(sn=vec[0], st=vec[1:3], un=vec[3], ut=vec[4:6],
-                       ut_prev=state.previous_tangential_jump)
+                       ut_prev=state.previous_tangential_jump[0])
         return np.concatenate([
-            [normal_complementarity(s, params, weight)],
-            tangential_complementarity(s, params, weight),
+            normal_complementarity(s, params, weight),
+            tangential_complementarity(s, params, weight)[0],
         ])
 
-    base = np.concatenate([[state.normal_traction], state.tangential_traction,
-                           [state.normal_jump], state.tangential_jump])
+    base = np.concatenate([state.normal_traction, state.tangential_traction[0],
+                           state.normal_jump, state.tangential_jump[0]])
     cols = []
     for j in range(6):
         plus, minus = base.copy(), base.copy()
@@ -239,7 +240,7 @@ def test_derivative_matches_finite_differences():
     weight = 1.7
     for _ in range(20):
         state = _random_nondegenerate_state(rng, DILATING, weight)
-        analytic = contact_generalized_derivative(state, DILATING, weight)
+        analytic = contact_generalized_derivative(state, DILATING, weight)[0]
         numeric = _fd_derivative(state, DILATING, weight)
         scale = max(1.0, np.max(np.abs(numeric)))
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
@@ -248,19 +249,12 @@ def test_derivative_matches_finite_differences():
 def test_dilation_chain_rule_zero_at_zero_slip():
     # the gap has no smooth derivative at zero slip; the kernel takes zero
     state = make_state(sn=-1.0, un=0.0)
-    block = contact_generalized_derivative(state, DILATING, 1.0)
+    block = contact_generalized_derivative(state, DILATING, 1.0)[0]
     np.testing.assert_array_equal(block[0, 4:6], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def test_state_requires_unit_normal():
-    with pytest.raises(ValueError):
-        CellContactState(normal_traction=0.0, tangential_traction=np.zeros(2),
-                         normal_jump=0.0, tangential_jump=np.zeros(2),
-                         normal=np.array([0.0, 0.0, 2.0]))
 
 
 def test_parameters_validated():
@@ -274,4 +268,15 @@ def test_parameters_validated():
 
 def test_slip_increment_uses_previous_jump():
     state = make_state(ut=(0.5, 0.2), ut_prev=(0.1, 0.2))
-    np.testing.assert_allclose(state.slip_increment, [0.4, 0.0])
+    np.testing.assert_allclose(state.slip_increment[0], [0.4, 0.0])
+
+
+def test_states_are_read_only_views():
+    jump = np.zeros((4, 2))
+    states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, np.zeros((4, 2)))
+    assert len(states) == 4
+    assert np.shares_memory(states.tangential_jump, jump)
+    with pytest.raises(ValueError):
+        states.tangential_jump[0, 0] = 1.0
+    jump[0, 0] = 2.0  # the caller's array stays writable and is seen through the view
+    assert states.tangential_jump[0, 0] == 2.0

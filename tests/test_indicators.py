@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fracsolve.contact import (
-    CellContactState,
     ContactParameters,
     ContactRegime,
+    ContactStates,
     classify_regime,
     gap,
     normal_complementarity,
@@ -17,14 +17,20 @@ from fracsolve.indicators import (
     normal_indicator,
     reference_mask,
     tangential_indicator,
-    transition_indicator,
     transition_values,
 )
 
 
+def _states(sn, st, un, ut):
+    """States of several cells from per-cell sequences."""
+    st = np.asarray(st, float)
+    return ContactStates(np.asarray(sn, float), st, np.asarray(un, float),
+                         np.asarray(ut, float), np.zeros_like(st))
+
+
 def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0)):
-    return CellContactState(normal_traction=sn, tangential_traction=np.asarray(st, float),
-                            normal_jump=un, tangential_jump=np.asarray(ut, float))
+    """States of a single cell; indicators return arrays with one entry."""
+    return _states([sn], [st], [un], [ut])
 
 
 PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
@@ -38,15 +44,15 @@ def test_normal_indicator_compressed_at_gap():
     params = ContactParameters(dilation_angle=0.1)
     ut = np.array([0.2, 0.0])
     state = _state(sn=-1.0, un=gap(ut, params.dilation_angle), ut=ut)
-    assert normal_indicator(state, params, 1.0) == pytest.approx(1.0, rel=1e-14)
+    assert normal_indicator(state, params, 1.0)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_normal_indicator_open_cell():
-    assert normal_indicator(_state(sn=0.0, un=0.5), PARAMS, 1.0) == pytest.approx(-0.5)
+    assert normal_indicator(_state(sn=0.0, un=0.5), PARAMS, 1.0)[0] == pytest.approx(-0.5)
 
 
 def test_normal_indicator_boundary_is_zero():
-    assert normal_indicator(_state(sn=0.0, un=0.0), PARAMS, 1.0) == 0.0
+    assert normal_indicator(_state(sn=0.0, un=0.0), PARAMS, 1.0)[0] == 0.0
 
 
 def test_normal_indicator_linear_along_ray():
@@ -58,12 +64,12 @@ def test_normal_indicator_linear_along_ray():
     rng = np.random.default_rng(11)
     base = _state(sn=-0.4, un=0.05, ut=ut)
     direction = (0.8, -0.03)
-    i0 = normal_indicator(base, params, w)
+    i0 = normal_indicator(base, params, w)[0]
     i1 = normal_indicator(_state(sn=-0.4 + direction[0], un=0.05 + direction[1], ut=ut),
-                          params, w)
+                          params, w)[0]
     for alpha in rng.uniform(0.0, 1.0, 20):
         trial = _state(sn=-0.4 + alpha * direction[0], un=0.05 + alpha * direction[1], ut=ut)
-        assert normal_indicator(trial, params, w) == pytest.approx(
+        assert normal_indicator(trial, params, w)[0] == pytest.approx(
             (1 - alpha) * i0 + alpha * i1, abs=1e-13)
 
 
@@ -75,11 +81,11 @@ def test_normal_indicator_matches_active_kernel_branch():
         state = _state(sn=rng.uniform(-2, 2), un=rng.uniform(-0.5, 0.5),
                        ut=rng.uniform(-0.3, 0.3, 2))
         w = 10.0 ** rng.uniform(-1, 2)
-        ind = normal_indicator(state, PARAMS, w)
+        ind = normal_indicator(state, PARAMS, w)[0]
         if abs(ind) < 1e-9:
             continue
-        penetration_branch = w * (state.normal_jump - gap(state.tangential_jump, 0.0))
-        on_branch = abs(normal_complementarity(state, PARAMS, w) - penetration_branch) < 1e-12
+        penetration_branch = w * (state.normal_jump[0] - gap(state.tangential_jump[0], 0.0))
+        on_branch = abs(normal_complementarity(state, PARAMS, w)[0] - penetration_branch) < 1e-12
         assert on_branch == (ind > 0.0)
 
 
@@ -89,17 +95,17 @@ def test_normal_indicator_matches_active_kernel_branch():
 
 def test_tangential_indicator_masked_cell_is_exactly_zero():
     state = _state(sn=-1.0, st=(5.0, 0.0))
-    assert tangential_indicator(state, PARAMS, 1.0, reference_active=False) == 0.0
+    assert tangential_indicator(state, PARAMS, 1.0, reference_active=False)[0] == 0.0
 
 
 def test_tangential_indicator_sticking():
     state = _state(sn=-1.0, st=(0.5, 0.0))
-    assert tangential_indicator(state, PARAMS, 1.0, True) == pytest.approx(-0.5)
+    assert tangential_indicator(state, PARAMS, 1.0, True)[0] == pytest.approx(-0.5)
 
 
 def test_tangential_indicator_sliding():
     state = _state(sn=-1.0, st=(1.0, 0.0), ut=(0.4, 0.0))
-    assert tangential_indicator(state, PARAMS, 1.0, True) == pytest.approx(0.4)
+    assert tangential_indicator(state, PARAMS, 1.0, True)[0] == pytest.approx(0.4)
 
 
 def test_tangential_indicator_matches_regime_classification():
@@ -108,11 +114,11 @@ def test_tangential_indicator_matches_regime_classification():
     while checked < 100:
         state = _state(sn=rng.uniform(-2, -0.1), st=rng.uniform(-1.5, 1.5, 2),
                        un=rng.uniform(-0.1, 0.0), ut=rng.uniform(-0.5, 0.5, 2))
-        ind = tangential_indicator(state, PARAMS, 1.0, True)
-        if abs(ind) < 1e-9 or classify_regime(state, PARAMS, 1.0) is ContactRegime.OPEN:
+        ind = tangential_indicator(state, PARAMS, 1.0, True)[0]
+        if abs(ind) < 1e-9 or classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.OPEN:
             continue
-        regime = classify_regime(state, PARAMS, 1.0)
-        assert (regime is ContactRegime.SLIDING) == (ind > 0.0)
+        regime = classify_regime(state, PARAMS, 1.0)[0]
+        assert (regime == ContactRegime.SLIDING) == (ind > 0.0)
         checked += 1
 
 
@@ -128,21 +134,22 @@ def test_tangential_indicator_matches_regime_classification():
     (0.0, 0.8, 0.0),
 ])
 def test_transition_indicator_examples(ref, trial, expected):
-    assert transition_indicator(ref, trial) == pytest.approx(expected, abs=1e-15)
+    assert transition_values([ref], [trial])[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_transition_of_value_with_itself_is_nonpositive():
     rng = np.random.default_rng(14)
     for v in rng.uniform(-3, 3, 50):
-        assert transition_indicator(v, v) <= 0.0
+        assert transition_values([v], [v])[0] <= 0.0
 
 
 def test_transition_values_vectorized_matches_scalar():
+    # scalar reference: -sgn(reference * trial) * |trial|, one pair at a time
     rng = np.random.default_rng(15)
     ref = rng.uniform(-1, 1, 40)
     trial = rng.uniform(-1, 1, 40)
     vec = transition_values(ref, trial)
-    scalar = np.array([transition_indicator(r, t) for r, t in zip(ref, trial)])
+    scalar = np.array([float(-np.sign(r * t) * abs(t)) for r, t in zip(ref, trial)])
     assert np.array_equal(vec, scalar)
 
 
@@ -150,26 +157,27 @@ def test_transition_values_vectorized_matches_scalar():
 # field assembly and rescaling
 
 
-def _random_states(rng, n):
-    return [_state(sn=rng.uniform(-2, 1), st=rng.uniform(-1, 1, 2),
-                   un=rng.uniform(-0.2, 0.4), ut=rng.uniform(-0.3, 0.3, 2))
-            for _ in range(n)]
+def _random_cells(rng, n):
+    cells = [(rng.uniform(-2, 1), rng.uniform(-1, 1, 2),
+              rng.uniform(-0.2, 0.4), rng.uniform(-0.3, 0.3, 2))
+             for _ in range(n)]
+    return [_state(*cell) for cell in cells], _states(*zip(*cells))
 
 
 def test_evaluate_field_matches_per_cell_calls():
     rng = np.random.default_rng(16)
-    states = _random_states(rng, 12)
+    cells, states = _random_cells(rng, 12)
     mask = reference_mask(states, PARAMS, 1.0)
     field = evaluate_field(states, PARAMS, 1.0, mask)
     assert not field.scaled
-    for i, s in enumerate(states):
-        assert field.normal[i] == normal_indicator(s, PARAMS, 1.0)
-        assert field.tangential[i] == tangential_indicator(s, PARAMS, 1.0, bool(mask[i]))
+    for i, s in enumerate(cells):
+        assert field.normal[i] == normal_indicator(s, PARAMS, 1.0)[0]
+        assert field.tangential[i] == tangential_indicator(s, PARAMS, 1.0, bool(mask[i]))[0]
     assert np.all(field.tangential[~mask] == 0.0)
 
 
 def test_reference_mask_is_strict_positivity():
-    states = [_state(sn=-1.0, un=0.0), _state(sn=0.0, un=0.0), _state(sn=0.0, un=0.5)]
+    states = _states([-1.0, 0.0, 0.0], [(0.0, 0.0)] * 3, [0.0, 0.0, 0.5], [(0.0, 0.0)] * 3)
     assert reference_mask(states, PARAMS, 1.0).tolist() == [True, False, False]
 
 

@@ -163,15 +163,13 @@ def test_dirichlet_rows_at_reference_state():
 def _branch_margin(model, x):
     params = model.contact_parameters
     w = model.complementarity_weight
-    out = np.inf
-    for st in model.contact_states(x):
-        g = gap(st.tangential_jump, params.dilation_angle)
-        reach = -st.normal_traction - w * (st.normal_jump - g)
-        b = friction_bound(st.normal_traction, params.friction_coefficient)
-        q = st.tangential_traction + w * st.slip_increment
-        out = min(out, abs(reach), abs(b), abs(float(np.linalg.norm(q)) - b),
-                  float(np.linalg.norm(st.tangential_jump)))
-    return out
+    st = model.contact_states(x)
+    g = gap(st.tangential_jump, params.dilation_angle)
+    reach = -st.normal_traction - w * (st.normal_jump - g)
+    b = friction_bound(st.normal_traction, params.friction_coefficient)
+    q = st.tangential_traction + w * st.slip_increment
+    return float(np.min([np.abs(reach), np.abs(b), np.abs(np.linalg.norm(q, axis=1) - b),
+                         np.linalg.norm(st.tangential_jump, axis=1)]))
 
 
 def _random_state(model, rng):
@@ -211,6 +209,18 @@ def test_jacobian_matches_finite_differences(physics):
         fd = _fd_jacobian(model, x)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-6
+
+
+@pytest.mark.parametrize("name", ["single-pm", "single-tpm", "multi4-pm"])
+def test_jacobian_stores_no_explicit_zeros(name):
+    # the sparse LU ordering sees the stored pattern, so zero contact-block
+    # entries (open, sticking and tie branches) must not be stored
+    model = preset(name, cells_per_side=4)
+    rng = np.random.default_rng(43)
+    for x in (model.initial_guess(), _random_state(model, rng)):
+        jacobian = model.jacobian(x)
+        assert jacobian.nnz > 0
+        assert np.all(jacobian.data != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +313,8 @@ def test_converged_apertures_stay_physical():
     model = preset("single-pm")
     report = solve(model)
     assert report.status is SolveStatus.CONVERGED
-    for state in model.contact_states(report.x):
-        aperture = model.params.residual_aperture + state.normal_jump
-        assert aperture >= model.params.residual_aperture - 1e-8
+    apertures = model.params.residual_aperture + model.contact_states(report.x).normal_jump
+    assert np.all(apertures >= model.params.residual_aperture - 1e-8)
 
 
 def test_characteristic_displacement_does_not_change_the_physics():

@@ -260,23 +260,24 @@ def test_determinism_bitwise():
     assert first.scale_history == second.scale_history
 
 
-def _kkt_ok(state, params, weight, tol=1e-8):
-    g = gap(state.tangential_jump, params.dilation_angle)
-    b = friction_bound(state.normal_traction, params.friction_coefficient)
-    slip = state.slip_increment
-    penetration = state.normal_jump - g
-    traction_norm = float(np.linalg.norm(state.tangential_traction))
-    slip_norm = float(np.linalg.norm(slip))
-    inner = float(slip @ state.tangential_traction)
+def _kkt_ok(states, params, weight, tol=1e-8):
+    """Per-cell frictional-contact optimality conditions, a boolean array."""
+    g = gap(states.tangential_jump, params.dilation_angle)
+    b = friction_bound(states.normal_traction, params.friction_coefficient)
+    slip = states.slip_increment
+    penetration = states.normal_jump - g
+    traction_norm = np.linalg.norm(states.tangential_traction, axis=1)
+    slip_norm = np.linalg.norm(slip, axis=1)
+    inner = np.sum(slip * states.tangential_traction, axis=1)
 
-    normal_ok = (state.normal_traction <= tol and penetration >= -tol
-                 and abs(state.normal_traction * penetration) <= tol)
+    normal_ok = ((states.normal_traction <= tol) & (penetration >= -tol)
+                 & (np.abs(states.normal_traction * penetration) <= tol))
     cone_ok = traction_norm <= b + tol
     stick_ok = slip_norm <= tol
     # slip only at the cone boundary, aligned with the traction
-    slide_ok = (b - traction_norm <= tol
-                and slip_norm * traction_norm - inner <= tol)
-    return normal_ok and cone_ok and (stick_ok or slide_ok)
+    slide_ok = ((b - traction_norm <= tol)
+                & (slip_norm * traction_norm - inner <= tol))
+    return normal_ok & cone_ok & (stick_ok | slide_ok)
 
 
 def test_converged_iterate_satisfies_contact_conditions():
@@ -285,8 +286,7 @@ def test_converged_iterate_satisfies_contact_conditions():
     assert report.status is SolveStatus.CONVERGED
     params = model.contact_parameters
     weight = model.complementarity_weight
-    for state in model.contact_states(report.x):
-        assert _kkt_ok(state, params, weight)
+    assert np.all(_kkt_ok(model.contact_states(report.x), params, weight))
 
 
 def test_scale_history_semantics():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracsolve.contact import CellContactState, ContactParameters, gap
+from fracsolve.contact import ContactParameters, ContactStates, gap
 from fracsolve.scaling import (
     SCALE_CEILING,
     SCALE_FLOOR,
@@ -46,18 +46,19 @@ def test_adaptive_scale_bounds_enforced():
 
 
 def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0)):
-    return CellContactState(normal_traction=sn, tangential_traction=np.asarray(st, float),
-                            normal_jump=un, tangential_jump=np.asarray(ut, float))
+    """States of a single cell; the estimate is an array with one entry."""
+    return ContactStates(np.array([sn], float), np.array([st], float), np.array([un], float),
+                         np.array([ut], float), np.zeros((1, 2)))
 
 
 def test_cell_estimate_zero_state():
     params = ContactParameters()
-    assert cell_scale_estimate(_state(), params, 100.0) == 0.0
+    assert cell_scale_estimate(_state(), params, 100.0)[0] == 0.0
 
 
 def test_cell_estimate_unit_traction():
     params = ContactParameters()
-    assert cell_scale_estimate(_state(sn=-1.0), params, 100.0) == 1.0
+    assert cell_scale_estimate(_state(sn=-1.0), params, 100.0)[0] == 1.0
 
 
 def test_cell_estimate_combines_traction_and_gap_removed_jump():
@@ -65,10 +66,10 @@ def test_cell_estimate_combines_traction_and_gap_removed_jump():
     # contributes through its excess over that gap.
     params = ContactParameters(dilation_angle=np.arctan(0.2))
     state = _state(un=0.02, ut=(0.05, 0.0))
-    g = gap(state.tangential_jump, params.dilation_angle)
+    g = gap(state.tangential_jump[0], params.dilation_angle)
     assert g == pytest.approx(0.01, rel=1e-12)
     expected = 100.0 * np.sqrt((0.02 - g) ** 2 + 0.05 ** 2)
-    assert cell_scale_estimate(state, params, 100.0) == pytest.approx(expected, rel=1e-12)
+    assert cell_scale_estimate(state, params, 100.0)[0] == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
