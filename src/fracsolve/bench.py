@@ -155,7 +155,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[ResultRow]:
     cells = spec.cells()
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(cells) == 1:
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if workers == 1 or len(cells) == 1:
         rows = [solve_cell(cell) for cell in cells]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,6 +18,13 @@ Unknown layout (n fracture cells): scaled traction (3 per cell, local frame
 pressure and scaled temperature (1 per cell each) when the physics includes
 them. Residual rows follow the same order: force balance, contact
 complementarity, mass balance, energy balance.
+
+Assembly is array-valued throughout. The Jacobian is filled into a sorted CSR
+pattern cached at construction, together with its constant force-balance
+entries and the slot of every contribution that changes with the iterate; an
+evaluation fills one ``data`` array. Mass and energy rows are sums over the
+cached edge arrays, scattered in a fixed edge order, so every evaluation is
+bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -123,16 +130,17 @@ class PhysicsCouplings:
 HYDRAULIC_APERTURE_FLOOR = 5.0e-5
 
 
-def transmissibility(aperture_left: float, aperture_right: float,
-                     viscosity: float) -> float:
-    """Cubic-law transmissibility between two adjacent fracture cells.
+def transmissibility(aperture_left, aperture_right, viscosity: float):
+    """Cubic-law transmissibility between adjacent fracture cells, elementwise.
 
     Uses the arithmetic-mean aperture, floored at the minimum hydraulic
     aperture; above the floor, doubling both apertures multiplies the result
-    by exactly eight.
+    by exactly eight. The cube is ``np.float_power``, which rounds as the C
+    library's ``pow`` does (numpy's ``**`` multiplies and can differ in the
+    last bit); a NaN mean stays NaN.
     """
-    mean = max(0.5 * (aperture_left + aperture_right), HYDRAULIC_APERTURE_FLOOR)
-    return mean ** 3 / (12.0 * viscosity)
+    mean = np.maximum(0.5 * (aperture_left + aperture_right), HYDRAULIC_APERTURE_FLOOR)
+    return np.float_power(mean, 3) / (12.0 * viscosity)
 
 
 @dataclass
@@ -157,16 +165,13 @@ class Fracture:
 
 
 def _grid_edges(shape: tuple[int, int]) -> np.ndarray:
+    """Grid-neighbor cell pairs, row-major by first cell, right before down."""
     rows, cols = shape
-    pairs = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                pairs.append((v, v + 1))
-            if i + 1 < rows:
-                pairs.append((v, v + cols))
-    return np.asarray(pairs, dtype=int)
+    v = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.stack([np.stack([v, v + 1], axis=-1), np.stack([v, v + cols], axis=-1)], axis=2)
+    exists = np.stack(np.broadcast_arrays(np.arange(cols) + 1 < cols,
+                                          (np.arange(rows) + 1 < rows)[:, None]), axis=-1)
+    return pairs[exists]
 
 
 def _tangent_basis(normal: np.ndarray) -> np.ndarray:
@@ -179,7 +184,15 @@ def _tangent_basis(normal: np.ndarray) -> np.ndarray:
 
 
 class FractureAssembly:
-    """Residual/Jacobian provider over one or more fracture grids."""
+    """Residual/Jacobian provider over one or more fracture grids.
+
+    Everything about the Jacobian that depends only on topology is built once,
+    at construction: its sorted CSR pattern, the constant force-balance
+    entries (identity, influence operator, Biot and thermal columns), and the
+    slot in ``data`` of every contribution that changes with the iterate.
+    ``couplings`` and ``scales`` are read there too; ``time_step`` and the
+    previous-step fields are read at every evaluation.
+    """
 
     def __init__(self, fractures: list[Fracture], params: ContactParameters,
                  couplings: PhysicsCouplings, physics: Physics,
@@ -202,19 +215,28 @@ class FractureAssembly:
         self._stiffness = self._build_stiffness()
         self._check_positive_definite(self._stiffness)
 
-        # Flattened flow topology in global cell indices.
-        self._edges_global = []
-        for fr in fractures:
-            for k, (a, b) in enumerate(fr.edges):
-                rate = 0.0 if fr.advection_rates is None else float(fr.advection_rates[k])
-                self._edges_global.append((int(fr.cells[a]), int(fr.cells[b]), rate))
+        # Flattened flow topology in global cell indices, fracture by fracture.
+        self._edge_a, self._edge_b = np.concatenate(
+            [fr.cells[_edge_pairs(fr)] for fr in fractures]).T
+        self._edge_rate = np.concatenate([
+            np.zeros(len(fr.edges)) if fr.advection_rates is None
+            else np.asarray(fr.advection_rates, dtype=float) for fr in fractures])
+        self._edge_up = np.where(self._edge_rate > 0.0, self._edge_a, self._edge_b)
+        # Residual scatter targets: each edge's flux goes into a, then out of
+        # b; heat is advected only along edges with a nonzero rate.
+        moving = self._edge_rate != 0.0
+        always = np.ones_like(moving)
+        self._flux_ends = _interleave(self._edge_a, self._edge_b)
+        self._heat_kept = _interleave(always, always, moving, moving)
+        self._heat_ends = _interleave(self._edge_a, self._edge_b,
+                                      self._edge_a, self._edge_b)[self._heat_kept]
+
         self._dir_p = np.full(self.n_cells, np.nan)
         self._dir_T = np.full(self.n_cells, np.nan)
         for fr in fractures:
-            for loc, val in fr.dirichlet_pressure.items():
-                self._dir_p[fr.cells[loc]] = val
-            for loc, val in fr.dirichlet_temperature.items():
-                self._dir_T[fr.cells[loc]] = val
+            self._dir_p[fr.cells[list(fr.dirichlet_pressure)]] = list(fr.dirichlet_pressure.values())
+            self._dir_T[fr.cells[list(fr.dirichlet_temperature)]] = \
+                list(fr.dirichlet_temperature.values())
         self._areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in fractures])
         ext = np.vstack([fr.external_traction for fr in fractures])
         self._external_traction = ext  # Pa, local components
@@ -226,6 +248,8 @@ class FractureAssembly:
         advective = c.fluid_density * c.fluid_heat_capacity * flux_scale * PRESSURE_SCALE
         conductive = c.thermal_conductivity * params.residual_aperture
         self._energy_scale = (conductive + advective) * TEMPERATURE_SCALE
+
+        self._build_jacobian_pattern()
 
     # ----- layout -------------------------------------------------------
 
@@ -298,33 +322,35 @@ class FractureAssembly:
     # ----- construction helpers -----------------------------------------
 
     def _build_stiffness(self) -> sp.csr_matrix:
-        """Dimensionless influence operator acting on jump / u_c."""
-        blocks = []
-        for fr in self.fractures:
-            n = fr.n_cells
-            lap = sp.lil_matrix((n, n))
-            for a, b in fr.edges:
-                lap[a, a] += 1.0
-                lap[b, b] += 1.0
-                lap[a, b] -= 1.0
-                lap[b, a] -= 1.0
-            shape_op = STIFFNESS_DIAGONAL * sp.eye(n) + STIFFNESS_NEIGHBOR * lap.tocsr()
-            blocks.append(sp.kron(shape_op, sp.eye(3)))
-        stiff = sp.block_diag(blocks, format="lil")
-        # Weak mechanical ties between the center cells of consecutive fractures.
-        starts = np.cumsum([0] + [fr.n_cells for fr in self.fractures[:-1]])
-        for f in range(len(self.fractures) - 1):
-            ca = starts[f] + self._center_local(self.fractures[f])
-            cb = starts[f + 1] + self._center_local(self.fractures[f + 1])
-            for comp in range(3):
-                i = 3 * ca + comp
-                j = 3 * cb + comp
-                lap_w = CROSS_FRACTURE_WEIGHT
-                stiff[i, i] += lap_w
-                stiff[j, j] += lap_w
-                stiff[i, j] -= lap_w
-                stiff[j, i] -= lap_w
-        return stiff.tocsr()
+        """Dimensionless influence operator acting on jump / u_c.
+
+        Per fracture ``STIFFNESS_DIAGONAL * I + STIFFNESS_NEIGHBOR * L`` with L
+        the grid-graph Laplacian, repeated for each of the three jump
+        components, plus weak ties between the center cells of consecutive
+        fractures. Entries are summed in a fixed order: diagonal, edges, ties.
+        """
+        sizes = [fr.n_cells for fr in self.fractures]
+        starts = np.cumsum([0] + sizes[:-1])
+        edges = np.concatenate([_edge_pairs(fr) + start for fr, start in zip(self.fractures, starts)])
+        centers = starts + np.array([self._center_local(fr) for fr in self.fractures])
+        cells = np.arange(self.n_cells)
+        a, b = edges[:, 0], edges[:, 1]
+        ta, tb = centers[:-1], centers[1:]
+        rows = np.concatenate([cells, _interleave(a, b, a, b), _interleave(ta, tb, ta, tb)])
+        cols = np.concatenate([cells, _interleave(a, b, b, a), _interleave(ta, tb, tb, ta)])
+        neighbor, tie = STIFFNESS_NEIGHBOR, CROSS_FRACTURE_WEIGHT
+        values = np.concatenate([np.full(self.n_cells, STIFFNESS_DIAGONAL),
+                                 np.tile([neighbor, neighbor, -neighbor, -neighbor], len(a)),
+                                 np.tile([tie, tie, -tie, -tie], len(ta))])
+        component = np.arange(3)
+        size = 3 * self.n_cells
+        indptr, indices, (slots,) = _pattern(size, [((3 * rows[:, None] + component).ravel(),
+                                                     (3 * cols[:, None] + component).ravel())])
+        data = np.zeros(len(indices))
+        np.add.at(data, slots, np.repeat(values, 3))
+        stiffness = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+        stiffness.eliminate_zeros()
+        return stiffness
 
     @staticmethod
     def _center_local(fr: Fracture) -> int:
@@ -333,15 +359,101 @@ class FractureAssembly:
 
     @staticmethod
     def _check_positive_definite(matrix: sp.spmatrix):
-        dense = matrix.toarray()
-        if not np.allclose(dense, dense.T, atol=1e-12):
+        """Reject an operator that is not provably symmetric positive definite.
+
+        A symmetric matrix whose positive diagonal strictly dominates every
+        row is positive definite (Gershgorin), so two sparse checks suffice.
+        """
+        if abs(matrix - matrix.T).max() != 0.0:
             raise ValueError("influence operator must be symmetric")
-        np.linalg.cholesky(dense)  # raises LinAlgError if not positive definite
+        diagonal = matrix.diagonal()
+        off_diagonal = np.asarray(abs(matrix - sp.diags(diagonal)).sum(axis=1)).ravel()
+        if not np.all(diagonal > off_diagonal):
+            raise ValueError("influence operator must be strictly diagonally dominant")
+
+    def _build_jacobian_pattern(self):
+        """Cache the Jacobian's CSR pattern, constant entries and contribution slots.
+
+        Columns: traction (3 per cell), jump (3 per cell), then pressure and
+        temperature; rows follow the residual. Mass and energy contributions
+        are listed in the order a sequential assembly adds them: per-cell
+        storage first, then edge by edge.
+        """
+        n = self.n_cells
+        cells = np.arange(n)
+        a, b, up = self._edge_a, self._edge_b, self._edge_up
+        cpl = self.couplings
+        sigma_c = self.scales.stress
+        jump_col = 3 * n + 3 * cells      # normal jump of each cell
+        pressure_col = mass_row = 6 * n + cells
+        temperature_col = energy_row = 7 * n + cells
+
+        stiffness = self._stiffness.tocoo()
+        traction_cols = 3 * cells[:, None] + np.arange(3)
+        contact_cols = np.hstack([traction_cols, 3 * n + traction_cols])[:, None, :]
+        groups = {
+            "identity": (np.arange(3 * n), np.arange(3 * n)),
+            "stiffness": (stiffness.row, 3 * n + stiffness.col),
+            "contact": (np.broadcast_to(3 * n + traction_cols[:, :, None], (n, 3, 6)),
+                        np.broadcast_to(contact_cols, (n, 3, 6))),
+        }
+        constants = {"identity": 1.0,
+                     "stiffness": stiffness.data * self.scales.complementarity_weight}
+        if self.has_pressure:
+            groups["biot"] = (3 * cells, pressure_col)
+            constants["biot"] = -cpl.biot_coefficient * PRESSURE_SCALE / sigma_c
+            ra, rb = mass_row[a], mass_row[b]
+            storage_cols = [jump_col, pressure_col] + ([temperature_col] if self.has_temperature else [])
+            groups["mass"] = (
+                np.concatenate([np.tile(mass_row, len(storage_cols)),
+                                _interleave(ra, ra, rb, rb, ra, rb, ra, rb)]),
+                np.concatenate(storage_cols + [_interleave(
+                    pressure_col[a], pressure_col[b], pressure_col[b], pressure_col[a],
+                    jump_col[a], jump_col[a], jump_col[b], jump_col[b])]))
+        if self.has_temperature:
+            groups["thermal"] = (3 * cells, temperature_col)
+            constants["thermal"] = 3.0 * cpl.drained_bulk_modulus * cpl.solid_thermal_expansion \
+                * TEMPERATURE_SCALE / sigma_c
+            ra, rb = energy_row[a], energy_row[b]
+            groups["energy"] = (
+                np.concatenate([energy_row, energy_row,
+                                _interleave(ra, ra, rb, rb, ra, rb, ra, rb, ra, rb)]),
+                np.concatenate([temperature_col, jump_col, _interleave(
+                    temperature_col[a], temperature_col[b], temperature_col[b], temperature_col[a],
+                    jump_col[a], jump_col[a], jump_col[b], jump_col[b],
+                    temperature_col[up], temperature_col[up])]))
+        # A Dirichlet cell's mass or energy row keeps only its diagonal entry.
+        fixed_rows = np.concatenate([mass_row[np.isfinite(self._dir_p)] if self.has_pressure else [],
+                                     energy_row[np.isfinite(self._dir_T)] if self.has_temperature
+                                     else []]).astype(int)
+        groups["dirichlet"] = (fixed_rows, fixed_rows)
+
+        indptr, indices, slots = _pattern(self.n_dofs, list(groups.values()))
+        slot = dict(zip(groups, slots))
+        self._indptr, self._indices = indptr, indices
+        self._constant_data = np.zeros(len(indices))
+        for name, value in constants.items():
+            self._constant_data[slot[name]] = value
+        self._contact_slots = slot["contact"]
+        if self.has_pressure:
+            self._mass_slots = slot["mass"]
+            self._mass_data = slice(indptr[6 * n], indptr[7 * n])
+        if self.has_temperature:
+            self._energy_slots = slot["energy"]
+            self._energy_data = slice(indptr[7 * n], indptr[8 * n])
+        row_of_slot = np.repeat(np.arange(self.n_dofs), np.diff(indptr))
+        self._dirichlet_slots = np.flatnonzero(np.isin(row_of_slot, fixed_rows))
+        self._dirichlet_diagonal = slot["dirichlet"]
 
     # ----- residual ------------------------------------------------------
 
     def _apertures(self, jump: np.ndarray) -> np.ndarray:
         return self.params.residual_aperture + jump[:, 0]
+
+    def _mean_apertures(self, apertures: np.ndarray):
+        """Per-edge arithmetic-mean aperture, and the same floored for flow."""
+        mean = 0.5 * (apertures[self._edge_a] + apertures[self._edge_b])
+        return mean, np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         traction, jump, pressure, temperature = self.split(x)
@@ -393,11 +505,10 @@ class FractureAssembly:
             rows -= self._areas * apertures * cpl.fluid_thermal_expansion \
                 * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / self.time_step
 
-        for a, b, _rate in self._edges_global:
-            trans = transmissibility(apertures[a], apertures[b], cpl.fluid_viscosity)
-            flux = trans * PRESSURE_SCALE * (pressure[a] - pressure[b])
-            rows[a] += flux
-            rows[b] -= flux
+        a, b = self._edge_a, self._edge_b
+        flux = transmissibility(apertures[a], apertures[b], cpl.fluid_viscosity) \
+            * PRESSURE_SCALE * (pressure[a] - pressure[b])
+        np.add.at(rows, self._flux_ends, _interleave(flux, _negated(flux)))
 
         rows /= self._mass_scale
 
@@ -415,17 +526,13 @@ class FractureAssembly:
         rows += self._areas * apertures * heat * TEMPERATURE_SCALE \
             * (temperature - self.previous_temperature) / self.time_step
 
-        for a, b, rate in self._edges_global:
-            mean_ap = max(0.5 * (apertures[a] + apertures[b]), HYDRAULIC_APERTURE_FLOOR)
-            conduction = cpl.thermal_conductivity * mean_ap * TEMPERATURE_SCALE \
-                * (temperature[a] - temperature[b])
-            rows[a] += conduction
-            rows[b] -= conduction
-            if rate != 0.0:
-                upwind = temperature[a] if rate > 0.0 else temperature[b]
-                advected = heat * rate * TEMPERATURE_SCALE * upwind
-                rows[a] += advected
-                rows[b] -= advected
+        a, b = self._edge_a, self._edge_b
+        _, floored = self._mean_apertures(apertures)
+        conduction = cpl.thermal_conductivity * floored * TEMPERATURE_SCALE \
+            * (temperature[a] - temperature[b])
+        advected = heat * self._edge_rate * TEMPERATURE_SCALE * temperature[self._edge_up]
+        np.add.at(rows, self._heat_ends, _interleave(
+            conduction, _negated(conduction), advected, _negated(advected))[self._heat_kept])
 
         rows /= self._energy_scale
 
@@ -436,149 +543,108 @@ class FractureAssembly:
     # ----- Jacobian ------------------------------------------------------
 
     def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
-        traction, jump, pressure, temperature = self.split(x)
-        n = self.n_cells
-        sigma_c = self.scales.stress
-        weight = self.scales.complementarity_weight
-        cpl = self.couplings
-
-        eye3n = sp.eye(3 * n, format="csr")
-        force_u = self._stiffness * weight
-
-        blocks: list[list] = [[eye3n, force_u], [None, None]]
-
-        # Contact rows: per-cell 3x6 derivative, block diagonal.
-        derivative = contact_generalized_derivative(self.contact_states(x), self.params, weight)
-        blocks[1][0] = _block_diagonal(derivative[:, :, 0:3])
-        blocks[1][1] = _block_diagonal(derivative[:, :, 3:6])
-
+        _, jump, pressure, temperature = self.split(x)
+        data = self._constant_data.copy()
+        derivative = contact_generalized_derivative(self.contact_states(x), self.params,
+                                                    self.scales.complementarity_weight)
+        data[self._contact_slots] = derivative.ravel()
         if self.has_pressure:
-            blocks[0].append(self._normal_column(-cpl.biot_coefficient * PRESSURE_SCALE / sigma_c))
-            blocks[1].append(None)
-            mass_u, mass_p, mass_T = self._mass_jacobian(jump, pressure, temperature)
-            row = [None, mass_u, mass_p]
-            if self.has_temperature:
-                row.append(mass_T)
-            blocks.append(row)
-
+            np.add.at(data, self._mass_slots, self._mass_entries(jump, pressure, temperature))
+            data[self._mass_data] /= self._mass_scale
         if self.has_temperature:
-            blocks[0].append(self._normal_column(3.0 * cpl.drained_bulk_modulus
-                                                 * cpl.solid_thermal_expansion
-                                                 * TEMPERATURE_SCALE / sigma_c))
-            blocks[1].append(None)
-            energy_u, energy_T = self._energy_jacobian(jump, temperature)
-            blocks.append([None, energy_u, None, energy_T])
+            np.add.at(data, self._energy_slots, self._energy_entries(jump, temperature))
+            data[self._energy_data] /= self._energy_scale
+        data[self._dirichlet_slots] = 0.0
+        data[self._dirichlet_diagonal] = 1.0
+        matrix = sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
+                               shape=(self.n_dofs, self.n_dofs))
+        matrix.eliminate_zeros()
+        return matrix
 
-        return sp.bmat(blocks, format="csr")
+    def _mass_entries(self, jump, pressure, temperature) -> np.ndarray:
+        """Unscaled mass-row contributions, in the order of ``_mass_slots``.
 
-    def _normal_column(self, coefficient: float) -> sp.csr_matrix:
-        """Force-balance coupling of a per-cell scalar into each normal traction row."""
-        n = self.n_cells
-        cells = np.arange(n)
-        return sp.csr_matrix((np.full(n, coefficient), (3 * cells, cells)), shape=(3 * n, n))
-
-    def _mass_jacobian(self, jump, pressure, temperature):
+        Subtractions are added negated; ``x - y == x + (-y)`` bit for bit
+        unless ``y`` is NaN, and Newton takes the Jacobian at finite iterates.
+        """
         cpl = self.couplings
-        n = self.n_cells
+        area, dt = self._areas, self.time_step
         apertures = self._apertures(jump)
 
-        mass_u = sp.lil_matrix((n, 3 * n))
-        mass_p = sp.lil_matrix((n, n))
-        mass_T = sp.lil_matrix((n, n)) if self.has_temperature else None
+        storage_u = area / dt + area * cpl.fluid_compressibility * PRESSURE_SCALE \
+            * (pressure - self.previous_pressure) / dt
+        storage = [storage_u, area * apertures * cpl.fluid_compressibility * PRESSURE_SCALE / dt]
+        if temperature is not None:
+            storage_u -= area * cpl.fluid_thermal_expansion * TEMPERATURE_SCALE \
+                * (temperature - self.previous_temperature) / dt
+            storage.append(-area * apertures * cpl.fluid_thermal_expansion * TEMPERATURE_SCALE / dt)
 
-        dp = pressure - self.previous_pressure
-        for v in range(n):
-            storage_u = self._areas[v] / self.time_step \
-                + self._areas[v] * cpl.fluid_compressibility * PRESSURE_SCALE * dp[v] / self.time_step
-            if temperature is not None:
-                storage_u -= self._areas[v] * cpl.fluid_thermal_expansion * TEMPERATURE_SCALE \
-                    * (temperature[v] - self.previous_temperature[v]) / self.time_step
-            mass_u[v, 3 * v] = storage_u
-            mass_p[v, v] = self._areas[v] * apertures[v] * cpl.fluid_compressibility \
-                * PRESSURE_SCALE / self.time_step
-            if mass_T is not None:
-                mass_T[v, v] = -self._areas[v] * apertures[v] * cpl.fluid_thermal_expansion \
-                    * TEMPERATURE_SCALE / self.time_step
+        a, b = self._edge_a, self._edge_b
+        mean, floored = self._mean_apertures(apertures)
+        trans = transmissibility(apertures[a], apertures[b], cpl.fluid_viscosity) * PRESSURE_SCALE
+        dtrans = np.where(mean < HYDRAULIC_APERTURE_FLOOR, 0.0,
+                          3.0 * np.float_power(floored, 2) * 0.5 / (12.0 * cpl.fluid_viscosity))
+        dflux = dtrans * (PRESSURE_SCALE * (pressure[a] - pressure[b]))
+        return np.concatenate(storage + [_interleave(trans, -trans, trans, -trans,
+                                                     dflux, -dflux, dflux, -dflux)])
 
-        for a, b, _rate in self._edges_global:
-            mean = 0.5 * (apertures[a] + apertures[b])
-            floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
-            trans = floored ** 3 / (12.0 * cpl.fluid_viscosity)
-            dtrans = 0.0 if mean < HYDRAULIC_APERTURE_FLOOR \
-                else 3.0 * floored ** 2 * 0.5 / (12.0 * cpl.fluid_viscosity)
-            dp_ab = PRESSURE_SCALE * (pressure[a] - pressure[b])
-            mass_p[a, a] += trans * PRESSURE_SCALE
-            mass_p[a, b] -= trans * PRESSURE_SCALE
-            mass_p[b, b] += trans * PRESSURE_SCALE
-            mass_p[b, a] -= trans * PRESSURE_SCALE
-            for cell in (a, b):
-                mass_u[a, 3 * cell] += dtrans * dp_ab
-                mass_u[b, 3 * cell] -= dtrans * dp_ab
+    def _energy_entries(self, jump, temperature) -> np.ndarray:
+        """Unscaled energy-row contributions, in the order of ``_energy_slots``.
 
-        mass_u /= self._mass_scale
-        mass_p /= self._mass_scale
-        if mass_T is not None:
-            mass_T /= self._mass_scale
-
-        fixed = np.where(np.isfinite(self._dir_p))[0]
-        for v in fixed:
-            mass_u[v, :] = 0.0
-            mass_p[v, :] = 0.0
-            mass_p[v, v] = 1.0
-            if mass_T is not None:
-                mass_T[v, :] = 0.0
-        return mass_u.tocsr(), mass_p.tocsr(), (mass_T.tocsr() if mass_T is not None else None)
-
-    def _energy_jacobian(self, jump, temperature):
+        Edges with a zero advection rate add exact zeros to the upwind slots.
+        """
         cpl = self.couplings
-        n = self.n_cells
-        apertures = self._apertures(jump)
+        area, dt = self._areas, self.time_step
         heat = cpl.fluid_density * cpl.fluid_heat_capacity
+        apertures = self._apertures(jump)
+        storage_T = area * apertures * heat * TEMPERATURE_SCALE / dt
+        storage_u = area * heat * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / dt
 
-        energy_u = sp.lil_matrix((n, 3 * n))
-        energy_T = sp.lil_matrix((n, n))
-
-        dT = temperature - self.previous_temperature
-        for v in range(n):
-            energy_T[v, v] = self._areas[v] * apertures[v] * heat * TEMPERATURE_SCALE / self.time_step
-            energy_u[v, 3 * v] = self._areas[v] * heat * TEMPERATURE_SCALE * dT[v] / self.time_step
-
-        for a, b, rate in self._edges_global:
-            mean = 0.5 * (apertures[a] + apertures[b])
-            floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
-            cond = cpl.thermal_conductivity * floored * TEMPERATURE_SCALE
-            dcond = 0.0 if mean < HYDRAULIC_APERTURE_FLOOR else \
-                cpl.thermal_conductivity * 0.5 * TEMPERATURE_SCALE * (temperature[a] - temperature[b])
-            energy_T[a, a] += cond
-            energy_T[a, b] -= cond
-            energy_T[b, b] += cond
-            energy_T[b, a] -= cond
-            for cell in (a, b):
-                energy_u[a, 3 * cell] += dcond
-                energy_u[b, 3 * cell] -= dcond
-            if rate != 0.0:
-                up = a if rate > 0.0 else b
-                coeff = heat * rate * TEMPERATURE_SCALE
-                energy_T[a, up] += coeff
-                energy_T[b, up] -= coeff
-
-        energy_u /= self._energy_scale
-        energy_T /= self._energy_scale
-
-        fixed = np.where(np.isfinite(self._dir_T))[0]
-        for v in fixed:
-            energy_u[v, :] = 0.0
-            energy_T[v, :] = 0.0
-            energy_T[v, v] = 1.0
-        return energy_u.tocsr(), energy_T.tocsr()
+        a, b = self._edge_a, self._edge_b
+        mean, floored = self._mean_apertures(apertures)
+        cond = cpl.thermal_conductivity * floored * TEMPERATURE_SCALE
+        dcond = np.where(mean < HYDRAULIC_APERTURE_FLOOR, 0.0,
+                         cpl.thermal_conductivity * 0.5 * TEMPERATURE_SCALE
+                         * (temperature[a] - temperature[b]))
+        advection = heat * self._edge_rate * TEMPERATURE_SCALE
+        return np.concatenate([storage_T, storage_u, _interleave(
+            cond, -cond, cond, -cond, dcond, -dcond, dcond, -dcond, advection, -advection)])
 
 
-def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix with the ``(n, 3, 3)`` blocks on its diagonal, zeros not stored."""
-    n = len(blocks)
-    matrix = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(3 * n, 3 * n)).tocsr()
-    matrix.eliminate_zeros()
-    return matrix
+def _edge_pairs(fracture: Fracture) -> np.ndarray:
+    """The fracture's edges as an ``(n_edges, 2)`` array of local cell indices."""
+    return np.reshape(np.asarray(fracture.edges, dtype=int), (-1, 2))
+
+
+def _interleave(*columns: np.ndarray) -> np.ndarray:
+    """Equal-length columns read row by row: c0[0], c1[0], ..., c0[1], c1[1], ..."""
+    return np.column_stack(columns).ravel()
+
+
+def _negated(values: np.ndarray) -> np.ndarray:
+    """``-values`` with NaNs left as they are.
+
+    ``x - y`` returns a NaN ``y`` with its sign, so ``x + _negated(y)`` equals
+    ``x - y`` bit for bit; plain ``-y`` would flip the NaN's sign bit.
+    """
+    return np.where(np.isnan(values), values, -values)
+
+
+def _pattern(size: int, groups: list[tuple[np.ndarray, np.ndarray]]):
+    """Sorted CSR pattern of a ``size`` x ``size`` matrix covering every group.
+
+    Each group is a pair of same-shape row and column arrays; positions may
+    repeat within and across groups. Returns ``indptr``, ``indices`` (int32,
+    as scipy stores them) and, for each group, the slot in ``data`` of each
+    of its positions, in the group's shape raveled.
+    """
+    rows = np.concatenate([np.ravel(r) for r, _ in groups]).astype(np.int64)
+    cols = np.concatenate([np.ravel(c) for _, c in groups])
+    keys, slots = np.unique(rows * size + cols, return_inverse=True)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
+    indices = (keys % size).astype(np.int32)
+    return indptr, indices, np.split(slots, np.cumsum([np.size(r) for r, _ in groups])[:-1])
 
 
 # ----- constructors -------------------------------------------------------
@@ -616,16 +682,14 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
 
     edges = _grid_edges((m, m))
 
+    inlet, outlet = range(m), range((m - 1) * m, n)   # first and last grid rows
     dirichlet_p: dict[int, float] = {}
     dirichlet_T: dict[int, float] = {}
     if physics in (Physics.PORO, Physics.THERMOPORO):
-        for j in range(m):
-            dirichlet_p[0 * m + j] = INLET_PRESSURE        # first row = inlet column
-            dirichlet_p[(m - 1) * m + j] = OUTLET_PRESSURE
+        dirichlet_p = dict.fromkeys(inlet, INLET_PRESSURE) | dict.fromkeys(outlet, OUTLET_PRESSURE)
     if physics is Physics.THERMOPORO:
-        for j in range(m):
-            dirichlet_T[0 * m + j] = INLET_TEMPERATURE
-            dirichlet_T[(m - 1) * m + j] = OUTLET_TEMPERATURE
+        dirichlet_T = dict.fromkeys(inlet, INLET_TEMPERATURE) \
+            | dict.fromkeys(outlet, OUTLET_TEMPERATURE)
 
     params = ContactParameters(friction_coefficient=1.0, dilation_angle=dilation_angle,
                                residual_aperture=1.0e-3)
@@ -635,10 +699,8 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
         # Frozen flow field along the ramp axis at residual-aperture rate.
         base_rate = (params.residual_aperture ** 3 / (12.0 * 0.1)) \
             * (INLET_PRESSURE - OUTLET_PRESSURE) / m
-        advection = np.zeros(len(edges))
-        for k, (a, b) in enumerate(edges):
-            if b == a + m:  # edge along the flow axis
-                advection[k] = base_rate
+        along_flow = edges[:, 1] == edges[:, 0] + m
+        advection = np.where(along_flow, base_rate, 0.0)
 
     fracture = Fracture(
         index=0,

@@ -1,0 +1,526 @@
+"""Array-valued assembly against the sequential sparse-loop assembly it replaced.
+
+The oracle below builds the influence operator, the mass and energy residual
+rows and the whole Jacobian one cell and one edge at a time: Python scalars,
+``lil_matrix`` item writes and ``sp.bmat`` over per-block matrices. The
+shipped ``FractureAssembly`` fills a CSR pattern cached at construction. The
+two must agree byte for byte: residual values, and the Jacobian's ``data``,
+``indices`` and ``indptr``, on random iterates and on the edge cases where
+the mean aperture sits below or exactly at the hydraulic floor, heat is
+advected against the edge direction, cells carry Dirichlet values,
+fractures are tied together, or the iterate holds NaN or infinite entries.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from fracsolve.contact import (
+    ContactParameters,
+    contact_generalized_derivative,
+    normal_complementarity,
+    tangential_complementarity,
+)
+from fracsolve.models import (
+    CROSS_FRACTURE_WEIGHT,
+    HYDRAULIC_APERTURE_FLOOR,
+    PRESSURE_SCALE,
+    STIFFNESS_DIAGONAL,
+    STIFFNESS_NEIGHBOR,
+    TEMPERATURE_SCALE,
+    YOUNGS_MODULUS,
+    Fracture,
+    FractureAssembly,
+    Physics,
+    PhysicsCouplings,
+    _grid_edges,
+    make_single_fracture,
+    preset,
+)
+from fracsolve.scaling import CharacteristicScales
+
+# ---------------------------------------------------------------------------
+# oracle: sequential assembly over cells and edges
+
+
+class Oracle:
+    """The model's data, flattened the way the sequential assembly read it."""
+
+    def __init__(self, model):
+        self.model = model
+        self.edges = []
+        for fr in model.fractures:
+            for k, (a, b) in enumerate(fr.edges):
+                rate = 0.0 if fr.advection_rates is None else float(fr.advection_rates[k])
+                self.edges.append((int(fr.cells[a]), int(fr.cells[b]), rate))
+        self.dir_p = np.full(model.n_cells, np.nan)
+        self.dir_T = np.full(model.n_cells, np.nan)
+        for fr in model.fractures:
+            for loc, val in fr.dirichlet_pressure.items():
+                self.dir_p[fr.cells[loc]] = val
+            for loc, val in fr.dirichlet_temperature.items():
+                self.dir_T[fr.cells[loc]] = val
+        self.areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in model.fractures])
+        c, params = model.couplings, model.params
+        flux_scale = (params.residual_aperture ** 3 / (12.0 * c.fluid_viscosity))
+        self.mass_scale = flux_scale * PRESSURE_SCALE
+        advective = c.fluid_density * c.fluid_heat_capacity * flux_scale * PRESSURE_SCALE
+        conductive = c.thermal_conductivity * params.residual_aperture
+        self.energy_scale = (conductive + advective) * TEMPERATURE_SCALE
+        self.stiffness = oracle_stiffness(model.fractures)
+
+    def apertures(self, jump):
+        return self.model.params.residual_aperture + jump[:, 0]
+
+
+def oracle_transmissibility(left, right, viscosity):
+    mean = max(0.5 * (left + right), HYDRAULIC_APERTURE_FLOOR)
+    return mean ** 3 / (12.0 * viscosity)
+
+
+def oracle_stiffness(fractures):
+    blocks = []
+    for fr in fractures:
+        n = fr.n_cells
+        lap = sp.lil_matrix((n, n))
+        for a, b in fr.edges:
+            lap[a, a] += 1.0
+            lap[b, b] += 1.0
+            lap[a, b] -= 1.0
+            lap[b, a] -= 1.0
+        shape_op = STIFFNESS_DIAGONAL * sp.eye(n) + STIFFNESS_NEIGHBOR * lap.tocsr()
+        blocks.append(sp.kron(shape_op, sp.eye(3)))
+    stiff = sp.block_diag(blocks, format="lil")
+    starts = np.cumsum([0] + [fr.n_cells for fr in fractures[:-1]])
+    for f in range(len(fractures) - 1):
+        ca = starts[f] + FractureAssembly._center_local(fractures[f])
+        cb = starts[f + 1] + FractureAssembly._center_local(fractures[f + 1])
+        for comp in range(3):
+            i = 3 * ca + comp
+            j = 3 * cb + comp
+            stiff[i, i] += CROSS_FRACTURE_WEIGHT
+            stiff[j, j] += CROSS_FRACTURE_WEIGHT
+            stiff[i, j] -= CROSS_FRACTURE_WEIGHT
+            stiff[j, i] -= CROSS_FRACTURE_WEIGHT
+    return stiff.tocsr()
+
+
+def oracle_mass_rows(o, jump, pressure, temperature):
+    m, cpl = o.model, o.model.couplings
+    apertures = o.apertures(jump)
+    prev_ap = o.apertures(m.previous_jump)
+    rows = np.zeros(m.n_cells)
+    rows += o.areas * (apertures - prev_ap) / m.time_step
+    rows += o.areas * apertures * cpl.fluid_compressibility \
+        * PRESSURE_SCALE * (pressure - m.previous_pressure) / m.time_step
+    if temperature is not None:
+        rows -= o.areas * apertures * cpl.fluid_thermal_expansion \
+            * TEMPERATURE_SCALE * (temperature - m.previous_temperature) / m.time_step
+    for a, b, _rate in o.edges:
+        trans = oracle_transmissibility(apertures[a], apertures[b], cpl.fluid_viscosity)
+        flux = trans * PRESSURE_SCALE * (pressure[a] - pressure[b])
+        rows[a] += flux
+        rows[b] -= flux
+    rows /= o.mass_scale
+    fixed = np.isfinite(o.dir_p)
+    rows[fixed] = pressure[fixed] - o.dir_p[fixed] / PRESSURE_SCALE
+    return rows
+
+
+def oracle_energy_rows(o, jump, temperature):
+    m, cpl = o.model, o.model.couplings
+    apertures = o.apertures(jump)
+    rows = np.zeros(m.n_cells)
+    heat = cpl.fluid_density * cpl.fluid_heat_capacity
+    rows += o.areas * apertures * heat * TEMPERATURE_SCALE \
+        * (temperature - m.previous_temperature) / m.time_step
+    for a, b, rate in o.edges:
+        mean_ap = max(0.5 * (apertures[a] + apertures[b]), HYDRAULIC_APERTURE_FLOOR)
+        conduction = cpl.thermal_conductivity * mean_ap * TEMPERATURE_SCALE \
+            * (temperature[a] - temperature[b])
+        rows[a] += conduction
+        rows[b] -= conduction
+        if rate != 0.0:
+            upwind = temperature[a] if rate > 0.0 else temperature[b]
+            advected = heat * rate * TEMPERATURE_SCALE * upwind
+            rows[a] += advected
+            rows[b] -= advected
+    rows /= o.energy_scale
+    fixed = np.isfinite(o.dir_T)
+    rows[fixed] = temperature[fixed] - o.dir_T[fixed] / TEMPERATURE_SCALE
+    return rows
+
+
+def oracle_residual(o, x):
+    m = o.model
+    traction, jump, pressure, temperature = m.split(x)
+    n = m.n_cells
+    sigma_c = m.scales.stress
+    weight = m.scales.complementarity_weight
+    cpl = m.couplings
+    r = np.zeros(m.n_dofs)
+    force = traction.ravel() + o.stiffness @ (weight * jump.ravel()) \
+        - m._external_traction.ravel() / sigma_c
+    force = force.reshape(n, 3)
+    if m.has_pressure:
+        force[:, 0] -= cpl.biot_coefficient * PRESSURE_SCALE * pressure / sigma_c
+    if m.has_temperature:
+        force[:, 0] += 3.0 * cpl.drained_bulk_modulus * cpl.solid_thermal_expansion \
+            * TEMPERATURE_SCALE * temperature / sigma_c
+    r[0:3 * n] = force.ravel()
+    states = m.contact_states(x)
+    contact = r[3 * n:6 * n].reshape(n, 3)
+    contact[:, 0] = normal_complementarity(states, m.params, weight)
+    contact[:, 1:3] = tangential_complementarity(states, m.params, weight)
+    if m.has_pressure:
+        r[6 * n:7 * n] = oracle_mass_rows(o, jump, pressure, temperature)
+    if m.has_temperature:
+        r[7 * n:8 * n] = oracle_energy_rows(o, jump, temperature)
+    return r
+
+
+def _block_diagonal(blocks):
+    n = len(blocks)
+    matrix = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)), shape=(3 * n, 3 * n)).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _normal_column(n, coefficient):
+    cells = np.arange(n)
+    return sp.csr_matrix((np.full(n, coefficient), (3 * cells, cells)), shape=(3 * n, n))
+
+
+def oracle_mass_jacobian(o, jump, pressure, temperature):
+    m, cpl = o.model, o.model.couplings
+    n = m.n_cells
+    apertures = o.apertures(jump)
+    mass_u = sp.lil_matrix((n, 3 * n))
+    mass_p = sp.lil_matrix((n, n))
+    mass_T = sp.lil_matrix((n, n)) if m.has_temperature else None
+    dp = pressure - m.previous_pressure
+    for v in range(n):
+        storage_u = o.areas[v] / m.time_step \
+            + o.areas[v] * cpl.fluid_compressibility * PRESSURE_SCALE * dp[v] / m.time_step
+        if temperature is not None:
+            storage_u -= o.areas[v] * cpl.fluid_thermal_expansion * TEMPERATURE_SCALE \
+                * (temperature[v] - m.previous_temperature[v]) / m.time_step
+        mass_u[v, 3 * v] = storage_u
+        mass_p[v, v] = o.areas[v] * apertures[v] * cpl.fluid_compressibility \
+            * PRESSURE_SCALE / m.time_step
+        if mass_T is not None:
+            mass_T[v, v] = -o.areas[v] * apertures[v] * cpl.fluid_thermal_expansion \
+                * TEMPERATURE_SCALE / m.time_step
+    for a, b, _rate in o.edges:
+        mean = 0.5 * (apertures[a] + apertures[b])
+        floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
+        trans = floored ** 3 / (12.0 * cpl.fluid_viscosity)
+        dtrans = 0.0 if mean < HYDRAULIC_APERTURE_FLOOR \
+            else 3.0 * floored ** 2 * 0.5 / (12.0 * cpl.fluid_viscosity)
+        dp_ab = PRESSURE_SCALE * (pressure[a] - pressure[b])
+        mass_p[a, a] += trans * PRESSURE_SCALE
+        mass_p[a, b] -= trans * PRESSURE_SCALE
+        mass_p[b, b] += trans * PRESSURE_SCALE
+        mass_p[b, a] -= trans * PRESSURE_SCALE
+        for cell in (a, b):
+            mass_u[a, 3 * cell] += dtrans * dp_ab
+            mass_u[b, 3 * cell] -= dtrans * dp_ab
+    mass_u /= o.mass_scale
+    mass_p /= o.mass_scale
+    if mass_T is not None:
+        mass_T /= o.mass_scale
+    for v in np.where(np.isfinite(o.dir_p))[0]:
+        mass_u[v, :] = 0.0
+        mass_p[v, :] = 0.0
+        mass_p[v, v] = 1.0
+        if mass_T is not None:
+            mass_T[v, :] = 0.0
+    return mass_u.tocsr(), mass_p.tocsr(), (mass_T.tocsr() if mass_T is not None else None)
+
+
+def oracle_energy_jacobian(o, jump, temperature):
+    m, cpl = o.model, o.model.couplings
+    n = m.n_cells
+    apertures = o.apertures(jump)
+    heat = cpl.fluid_density * cpl.fluid_heat_capacity
+    energy_u = sp.lil_matrix((n, 3 * n))
+    energy_T = sp.lil_matrix((n, n))
+    dT = temperature - m.previous_temperature
+    for v in range(n):
+        energy_T[v, v] = o.areas[v] * apertures[v] * heat * TEMPERATURE_SCALE / m.time_step
+        energy_u[v, 3 * v] = o.areas[v] * heat * TEMPERATURE_SCALE * dT[v] / m.time_step
+    for a, b, rate in o.edges:
+        mean = 0.5 * (apertures[a] + apertures[b])
+        floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
+        cond = cpl.thermal_conductivity * floored * TEMPERATURE_SCALE
+        dcond = 0.0 if mean < HYDRAULIC_APERTURE_FLOOR else \
+            cpl.thermal_conductivity * 0.5 * TEMPERATURE_SCALE * (temperature[a] - temperature[b])
+        energy_T[a, a] += cond
+        energy_T[a, b] -= cond
+        energy_T[b, b] += cond
+        energy_T[b, a] -= cond
+        for cell in (a, b):
+            energy_u[a, 3 * cell] += dcond
+            energy_u[b, 3 * cell] -= dcond
+        if rate != 0.0:
+            up = a if rate > 0.0 else b
+            coeff = heat * rate * TEMPERATURE_SCALE
+            energy_T[a, up] += coeff
+            energy_T[b, up] -= coeff
+    energy_u /= o.energy_scale
+    energy_T /= o.energy_scale
+    for v in np.where(np.isfinite(o.dir_T))[0]:
+        energy_u[v, :] = 0.0
+        energy_T[v, :] = 0.0
+        energy_T[v, v] = 1.0
+    return energy_u.tocsr(), energy_T.tocsr()
+
+
+def oracle_jacobian(o, x):
+    m = o.model
+    _, jump, pressure, temperature = m.split(x)
+    n = m.n_cells
+    sigma_c = m.scales.stress
+    weight = m.scales.complementarity_weight
+    cpl = m.couplings
+    blocks = [[sp.eye(3 * n, format="csr"), o.stiffness * weight], [None, None]]
+    derivative = contact_generalized_derivative(m.contact_states(x), m.params, weight)
+    blocks[1][0] = _block_diagonal(derivative[:, :, 0:3])
+    blocks[1][1] = _block_diagonal(derivative[:, :, 3:6])
+    if m.has_pressure:
+        blocks[0].append(_normal_column(n, -cpl.biot_coefficient * PRESSURE_SCALE / sigma_c))
+        blocks[1].append(None)
+        mass_u, mass_p, mass_T = oracle_mass_jacobian(o, jump, pressure, temperature)
+        row = [None, mass_u, mass_p]
+        if m.has_temperature:
+            row.append(mass_T)
+        blocks.append(row)
+    if m.has_temperature:
+        blocks[0].append(_normal_column(n, 3.0 * cpl.drained_bulk_modulus
+                                        * cpl.solid_thermal_expansion
+                                        * TEMPERATURE_SCALE / sigma_c))
+        blocks[1].append(None)
+        energy_u, energy_T = oracle_energy_jacobian(o, jump, temperature)
+        blocks.append([None, energy_u, None, energy_T])
+    return sp.bmat(blocks, format="csr")
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_residual(model, oracle, x, nan_signs=True):
+    with np.errstate(all="ignore"):
+        got = model.residual(x)
+        want = oracle_residual(oracle, x)
+    if not nan_signs:
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        got, want = got[~np.isnan(got)], want[~np.isnan(want)]
+    assert_same_bytes(got, want)
+
+
+def assert_same_jacobian(model, oracle, x):
+    got = model.jacobian(x)
+    want = oracle_jacobian(oracle, x)
+    assert type(got) is type(want)
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert_same_bytes(getattr(got, name), getattr(want, name))
+
+
+def random_iterate(model, rng):
+    n = model.n_cells
+    x = np.zeros(model.n_dofs)
+    x[0:3 * n] = rng.uniform(-1.5, 1.5, 3 * n)
+    x[3 * n:6 * n] = rng.uniform(-0.5, 0.5, 3 * n) * model.params.residual_aperture
+    x[6 * n:] = rng.uniform(-1.0, 1.0, x.size - 6 * n)
+    return x
+
+
+def with_previous_step(model, rng):
+    """Nonzero previous-step fields, so every storage term is exercised."""
+    n = model.n_cells
+    model.previous_jump = rng.uniform(-0.3, 0.3, (n, 3)) * model.params.residual_aperture
+    model.previous_pressure = rng.uniform(-1.0, 1.0, n)
+    model.previous_temperature = rng.uniform(-1.0, 1.0, n)
+
+
+def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
+    """A 4x3 fracture with advection along and against its edges and random wells."""
+    rng = np.random.default_rng(seed)
+    shape = (4, 3)
+    n = shape[0] * shape[1]
+    edges = _grid_edges(shape)
+    rates = rng.uniform(-2e-6, 2e-6, len(edges))
+    rates[::3] = 0.0
+    rates[1] = -0.0
+    scales = CharacteristicScales(displacement=0.01, youngs_modulus=YOUNGS_MODULUS)
+    fracture = Fracture(
+        index=0, shape=shape, cells=np.arange(n),
+        normal=np.array([0.0, 0.0, 1.0]),
+        tangents=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        external_traction=rng.uniform(-1.0, 1.0, (n, 3)) * scales.stress,
+        edges=edges, cell_area=1.0 / n,
+        dirichlet_pressure={0: 1.5e5, 7: -2.0e4, 11: -1.0e5},
+        dirichlet_temperature={2: -10.0, 5: 3.0},
+        advection_rates=rates,
+    )
+    params = ContactParameters(friction_coefficient=0.8, dilation_angle=0.2,
+                               residual_aperture=residual_aperture)
+    return FractureAssembly([fracture], params, PhysicsCouplings(), physics, scales,
+                            cells_per_side=shape[0], label="hand-built")
+
+
+MODELS = {
+    "single-pm": lambda: preset("single-pm", cells_per_side=5),
+    "single-tpm": lambda: preset("single-tpm", cells_per_side=5),
+    "single-elastic": lambda: make_single_fracture(cells_per_side=4, physics=Physics.ELASTIC),
+    "multi4-pm": lambda: preset("multi4-pm", seed=1),
+    "multi4-tpm": lambda: preset("multi4-tpm"),
+    "hand-built-tpm": hand_built,
+    "hand-built-pm": lambda: hand_built(Physics.PORO, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", ["single-pm", "multi4-pm", "multi8-tpm"])
+def test_influence_operator_matches_sequential_build(name):
+    model = preset(name, cells_per_side=7)
+    want = oracle_stiffness(model.fractures)
+    for field in ("data", "indices", "indptr"):
+        assert_same_bytes(getattr(model._stiffness, field), getattr(want, field))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_random_iterates(name):
+    model = MODELS[name]()
+    oracle = Oracle(model)
+    rng = np.random.default_rng(50)
+    for _ in range(4):
+        x = random_iterate(model, rng)
+        assert_same_residual(model, oracle, x)
+        assert_same_jacobian(model, oracle, x)
+    with_previous_step(model, rng)
+    for _ in range(4):
+        x = random_iterate(model, rng)
+        assert_same_residual(model, oracle, x)
+        assert_same_jacobian(model, oracle, x)
+
+
+FLOOR_MODELS = {
+    "single-tpm": MODELS["single-tpm"],
+    "multi4-pm": MODELS["multi4-pm"],
+    # a residual aperture within a factor two of the floor makes the floor
+    # reachable exactly: floor - residual and residual + (floor - residual)
+    # are exact (Sterbenz)
+    "hand-built-tpm": lambda: hand_built(residual_aperture=0.8e-4),
+    "hand-built-pm": lambda: hand_built(Physics.PORO, residual_aperture=0.6e-4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_MODELS))
+def test_apertures_below_and_at_the_hydraulic_floor(name):
+    model = FLOOR_MODELS[name]()
+    oracle = Oracle(model)
+    rng = np.random.default_rng(51)
+    n = model.n_cells
+    residual = model.params.residual_aperture
+    at_floor = HYDRAULIC_APERTURE_FLOOR - residual
+    exact = residual + at_floor == HYDRAULIC_APERTURE_FLOOR
+    assert exact or not name.startswith("hand-built")
+    for _ in range(4):
+        x = random_iterate(model, rng)
+        normal = x[3 * n:6 * n].reshape(n, 3)[:, 0]
+        pick = rng.integers(0, 3, n)
+        normal[pick == 0] = at_floor
+        normal[pick == 1] = -residual * rng.uniform(0.9, 1.5, n)[pick == 1]
+        normal[:2] = at_floor   # cells 0 and 1 share an edge in every grid
+        apertures = residual + normal
+        means = np.array([0.5 * (apertures[a] + apertures[b]) for a, b, _ in oracle.edges])
+        assert np.any(means < HYDRAULIC_APERTURE_FLOOR)
+        assert np.any(means == HYDRAULIC_APERTURE_FLOOR) == exact
+        assert_same_residual(model, oracle, x)
+        assert_same_jacobian(model, oracle, x)
+
+
+@pytest.mark.parametrize("name", ["single-tpm", "hand-built-pm"])
+def test_powers_round_as_the_c_library_pow(name):
+    # numpy's ``**`` multiplies for small integer exponents and can differ in
+    # the last bit from ``pow``; pick a uniform aperture where both the square
+    # and the cube differ, so every edge mean hits such a value
+    model = MODELS[name]()
+    oracle = Oracle(model)
+    rng = np.random.default_rng(55)
+    residual = model.params.residual_aperture
+    jumps = rng.uniform(-0.5, 0.5, 4000) * residual
+    apertures = residual + jumps
+    differs = (apertures ** 2 != [float(v) ** 2 for v in apertures]) \
+        & (apertures ** 3 != [float(v) ** 3 for v in apertures])
+    assert np.any(differs)
+    n = model.n_cells
+    x = random_iterate(model, rng)
+    x[3 * n:6 * n].reshape(n, 3)[:, 0] = jumps[np.argmax(differs)]
+    assert_same_residual(model, oracle, x)
+    assert_same_jacobian(model, oracle, x)
+
+
+def test_hand_built_fracture_advects_against_edge_direction():
+    model = hand_built()
+    oracle = Oracle(model)
+    rates = np.array([rate for _, _, rate in oracle.edges])
+    assert np.any(rates < 0.0) and np.any(rates > 0.0) and np.any(rates == 0.0)
+    rng = np.random.default_rng(52)
+    x = random_iterate(model, rng)
+    assert_same_residual(model, oracle, x)
+    assert_same_jacobian(model, oracle, x)
+    # Dirichlet rows keep only their unit diagonal
+    n = model.n_cells
+    jacobian = model.jacobian(x)
+    for row in (6 * n + 7, 7 * n + 5):
+        entries = jacobian.getrow(row)
+        assert entries.nnz == 1 and entries[0, row] == 1.0
+
+
+NON_FINITE = {"nan": (np.nan, True), "inf": (np.inf, True), "-inf": (-np.inf, True),
+              # A sign-bit-set NaN meets the positive NaN that NaN ** 3 returns.
+              # When NaNs of both signs meet in an addition, which one comes
+              # out depends on the compiled operand order (numpy's scalar add
+              # returns its second NaN, its array loops the first), so these
+              # iterates compare NaN positions and every other entry's bytes.
+              "-nan": (-np.nan, False)}
+
+
+@pytest.mark.parametrize("name", ["single-tpm", "multi4-tpm", "hand-built-tpm", "hand-built-pm"])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE))
+def test_residual_at_non_finite_iterates(name, kind):
+    bad, nan_signs = NON_FINITE[kind]
+    model = MODELS[name]()
+    oracle = Oracle(model)
+    rng = np.random.default_rng(53)
+    for _ in range(6):
+        x = random_iterate(model, rng)
+        x[rng.choice(x.size, size=max(1, x.size // 20), replace=False)] = bad
+        assert_same_residual(model, oracle, x, nan_signs)
+    # the pressure and temperature of a single cell, and a single jump
+    n = model.n_cells
+    for index in (6 * n + n // 2, x.size - 1, 3 * n + 3 * (n // 3)):
+        x = random_iterate(model, rng)
+        x[index] = bad
+        assert_same_residual(model, oracle, x, nan_signs)
+
+
+def test_cached_pattern_survives_evaluations():
+    # eliminate_zeros compacts in place; the cached pattern must not change
+    model = preset("single-tpm", cells_per_side=4)
+    indices, indptr = model._indices.copy(), model._indptr.copy()
+    oracle = Oracle(model)
+    rng = np.random.default_rng(54)
+    for x in (model.initial_guess(), random_iterate(model, rng), model.initial_guess()):
+        assert_same_jacobian(model, oracle, x)
+    assert np.array_equal(model._indices, indices)
+    assert np.array_equal(model._indptr, indptr)

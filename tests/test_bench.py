@@ -217,6 +217,16 @@ def test_main_rejects_zero_iteration_cap(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_main_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    out = tmp_path / "x.csv"
+    code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
+                 "--uc", "0.01", "--out", str(out), "--workers", workers, "--no-table"])
+    assert code == 1
+    assert "error: workers must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_reports_missing_config(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "missing.json"), "--no-table"])
     assert code == 1

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fracsolve.contact import ContactParameters, friction_bound, gap
 from fracsolve.linesearch import Strategy
@@ -86,6 +87,26 @@ def test_influence_operator_is_spd():
     dense = model._stiffness.toarray()
     assert np.allclose(dense, dense.T, atol=1e-12)
     assert np.linalg.eigvalsh(dense).min() > 0.0
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_influence_operator_rows_dominate_by_the_diagonal_weight(name):
+    # the positive-definiteness check rests on this margin (Gershgorin)
+    stiffness = preset(name)._stiffness
+    diagonal = stiffness.diagonal()
+    off_diagonal = np.asarray(abs(stiffness - sp.diags(diagonal)).sum(axis=1)).ravel()
+    assert np.allclose(diagonal - off_diagonal, 3.0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense", [
+    [[3.0, 1.0, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 3.0]],   # not symmetric
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],   # symmetric, singular
+    [[1.0, -2.0], [-2.0, 1.0]],                            # symmetric, indefinite
+    [[1.0, 0.0], [0.0, -1.0]],                             # negative diagonal
+], ids=["nonsymmetric", "singular", "indefinite", "negative"])
+def test_positive_definiteness_check_rejects(dense):
+    with pytest.raises(ValueError):
+        FractureAssembly._check_positive_definite(sp.csr_matrix(dense))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +205,9 @@ def _random_state(model, rng):
     return x
 
 
-def _fd_jacobian(model, x, h=1e-7):
+def _fd_jacobian(model, x, h=1e-7, columns=None):
     cols = []
-    for j in range(x.size):
+    for j in range(x.size) if columns is None else columns:
         xp = x.copy()
         xp[j] += h
         xm = x.copy()
@@ -209,6 +230,42 @@ def test_jacobian_matches_finite_differences(physics):
         fd = _fd_jacobian(model, x)
         scale = max(1.0, np.max(np.abs(fd)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-6
+
+
+def _separated_state(model, rng):
+    """A random state whose tangential jumps keep clear of zero.
+
+    ``_random_state`` draws each jump component from a box, so a mesh of a
+    few hundred cells almost always has a jump within 1e-3 of the kink at
+    zero slip; here the jump length is drawn away from it.
+    """
+    x = _random_state(model, rng)
+    n = model.n_cells
+    jump = x[3 * n:6 * n].reshape(n, 3)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    length = rng.uniform(0.2, 0.5, n) * model.scales.displacement
+    jump[:, 1] = length * np.cos(angle)
+    jump[:, 2] = length * np.sin(angle)
+    return x
+
+
+@pytest.mark.parametrize("name,cells", [("single-tpm", 16), ("single-pm", 12), ("multi8-tpm", None)])
+def test_jacobian_matches_finite_differences_at_bench_sizes(name, cells):
+    # the benchmark's mesh sizes, on about 40 sampled columns spread over the
+    # traction, jump, pressure and temperature blocks
+    model = preset(name) if cells is None else preset(name, cells_per_side=cells)
+    rng = np.random.default_rng(42)
+    x = _separated_state(model, rng)
+    while _branch_margin(model, x) < 1e-3:
+        x = _separated_state(model, rng)
+    n = model.n_cells
+    blocks = np.split(np.arange(model.n_dofs), [k * n for k in (3, 6, 7) if k * n < model.n_dofs])
+    columns = np.concatenate([rng.choice(block, 40 // len(blocks), replace=False)
+                              for block in blocks])
+    analytic = model.jacobian(x)[:, columns].toarray()
+    fd = _fd_jacobian(model, x, columns=columns)
+    scale = max(1.0, np.max(np.abs(fd)))
+    assert np.max(np.abs(analytic - fd)) / scale < 1e-6
 
 
 @pytest.mark.parametrize("name", ["single-pm", "single-tpm", "multi4-pm"])
