@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .linesearch import Strategy
-from .models import PRESET_NAMES, preset
+from .models import MULTI_CELLS_PER_SIDE, PRESET_NAMES, preset
 from .newton import ConvergenceCriterion, CriterionKind, NewtonOptions, SolveStatus, solve
 
 __all__ = [
@@ -39,6 +39,7 @@ CSV_HEADER = "strategy,model,physics,phi,cells,u_c,seed,status,iterations,final_
 
 ALL_STRATEGIES = tuple(s.value for s in Strategy)
 DEFAULT_U_C_SWEEP = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+SWEEP_AXES = ("strategies", "models", "phi_values", "cells_values", "u_c_values", "seeds")
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,8 @@ class SweepSpec:
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
-        for name, axis in (("strategies", self.strategies), ("models", self.models),
-                           ("phi_values", self.phi_values), ("cells_values", self.cells_values),
-                           ("u_c_values", self.u_c_values), ("seeds", self.seeds)):
-            if len(axis) == 0:
+        for name in SWEEP_AXES:
+            if len(getattr(self, name)) == 0:
                 raise ValueError(f"sweep axis {name} is empty")
         for s in self.strategies:
             Strategy(s)  # raises on unknown names
@@ -75,8 +74,11 @@ class SweepSpec:
         out = []
         for strategy in self.strategies:
             for model in self.models:
+                # Multi-fracture presets have a fixed mesh, so one cells value.
+                sizes = ((MULTI_CELLS_PER_SIDE,) if model.startswith("multi")
+                         else self.cells_values)
                 for phi in self.phi_values:
-                    for size in self.cells_values:
+                    for size in sizes:
                         for u_c in self.u_c_values:
                             for seed in self.seeds:
                                 out.append((strategy, model, phi, size, u_c, seed,
@@ -238,18 +240,35 @@ def emit_table(rows: list[ResultRow]) -> str:
     return "\n".join(out)
 
 
+# JSON type of each SweepSpec field in a config file; sweep axes are lists of it.
+_NUMBER = (int, float)
+_CONFIG_TYPES = {"strategies": str, "models": str, "phi_values": _NUMBER,
+                 "cells_values": int, "u_c_values": _NUMBER, "seeds": int,
+                 "criterion": str, "max_iterations": int, "output_path": str}
+_TYPE_NAMES = {str: "string", int: "integer", _NUMBER: "number"}
+
+
+def _has_type(value, kind) -> bool:
+    # JSON true/false load as bool, which is a subclass of int.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _spec_from_config(path: str) -> dict:
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    allowed = {f.name for f in dataclasses.fields(SweepSpec)}
-    unknown = set(data) - allowed
+    unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("strategies", "models", "phi_values", "cells_values", "u_c_values", "seeds"):
-        if key in data:
-            data[key] = tuple(data[key])
+    for key, value in data.items():
+        kind = _CONFIG_TYPES[key]
+        if key in SWEEP_AXES:
+            if not (isinstance(value, list) and all(_has_type(v, kind) for v in value)):
+                raise ValueError(f"config key {key!r} must be a JSON list of {_TYPE_NAMES[kind]}s")
+            data[key] = tuple(value)
+        elif not _has_type(value, kind):
+            raise ValueError(f"config key {key!r} must be a JSON {_TYPE_NAMES[kind]}")
     return data
 
 

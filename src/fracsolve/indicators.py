@@ -7,45 +7,23 @@ of an indicator along a Newton direction means the cell is about to switch
 regime; the transition indicator turns that into a per-cell damping signal.
 The tangential indicator is masked to zero on cells whose normal indicator is
 nonpositive at the reference iterate, and the mask is held fixed along the
-search ray.
+search ray. ``evaluate_field`` returns both families as one ``(2, n)`` array:
+row 0 normal, row 1 tangential.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .contact import ContactParameters, ContactStates, _norms, friction_bound, gap
 
 __all__ = [
-    "IndicatorField",
     "normal_indicator",
     "tangential_indicator",
     "transition_values",
     "evaluate_field",
     "reference_mask",
 ]
-
-
-@dataclass(frozen=True)
-class IndicatorField:
-    """Per-cell indicator values for one trial point along a search ray.
-
-    ``tangential`` is exactly zero wherever the reference mask was inactive.
-    ``scaled`` records whether the values have been divided by an adaptive
-    magnitude estimate.
-    """
-
-    normal: np.ndarray
-    tangential: np.ndarray
-    scaled: bool = False
-
-    def rescaled(self, scale: float) -> "IndicatorField":
-        """Divide both families by a frozen positive magnitude estimate."""
-        if scale <= 0.0:
-            raise ValueError("scale must be positive")
-        return IndicatorField(self.normal / scale, self.tangential / scale, scaled=True)
 
 
 def normal_indicator(states: ContactStates, params: ContactParameters,
@@ -81,7 +59,12 @@ def transition_values(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
     """
     reference = np.asarray(reference, dtype=float)
     trial = np.asarray(trial, dtype=float)
-    return -np.sign(reference * trial) * np.abs(trial)
+    # Signs are multiplied, not values: the product of two tiny values of
+    # opposite sign underflows to -0.0, whose sign is 0. Where a sign is
+    # zero the trial is zeroed first, so a zero reference with an infinite
+    # trial gives 0 and not 0 * inf.
+    signs = np.sign(reference) * np.sign(trial)
+    return -signs * np.abs(np.where(signs == 0.0, 0.0, trial))
 
 
 def reference_mask(states: ContactStates, params: ContactParameters,
@@ -91,11 +74,12 @@ def reference_mask(states: ContactStates, params: ContactParameters,
 
 
 def evaluate_field(states: ContactStates, params: ContactParameters, weight: float,
-                   mask: np.ndarray) -> IndicatorField:
-    """Evaluate both indicator families over all cells.
+                   mask: np.ndarray) -> np.ndarray:
+    """Both indicator families over all cells, shape ``(2, n)``.
 
-    ``mask`` is the reference-iterate Heaviside mask; it must come from the
-    same cell ordering as ``states``.
+    Row 0 is the normal indicator, row 1 the tangential one. ``mask`` is the
+    reference-iterate Heaviside mask; it must come from the same cell
+    ordering as ``states``.
     """
-    return IndicatorField(normal_indicator(states, params, weight),
-                          tangential_indicator(states, params, weight, mask), scaled=False)
+    return np.stack([normal_indicator(states, params, weight),
+                     tangential_indicator(states, params, weight, mask)])

@@ -126,7 +126,8 @@ def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
         f0, f1 = vals[i], vals[i + 1]
         if f0 == 0.0:
             return float(cuts[i])
-        if f0 * f1 < 0.0:
+        # Compare signs, not the product, which can underflow to -0.0.
+        if (f0 < 0.0 < f1) or (f1 < 0.0 < f0):
             return float(brentq(lambda t: evaluate(spline, t), cuts[i], cuts[i + 1], xtol=1e-12))
     if vals[-1] == 0.0:
         return float(cuts[-1])

@@ -6,7 +6,10 @@ contact-state transitions stay controlled. The constraint-oriented searches
 never evaluate the residual; they work entirely on the cheap state indicators,
 sampling them along the ray, fitting monotone cubics, and solving for the
 step length at which a transitioning cell overshoots its branch boundary by
-exactly the transition tolerance. When too many cells of one fracture still
+exactly the transition tolerance. The indicators arrive as one ``(2, n)``
+array per trial step (row 0 normal, row 1 tangential), so both families
+share one cache, one transition test and one sample stack of shape
+``(2, n, sample_count)``. When too many cells of one fracture still
 transition at the damped step, the tolerance is halved and the roots are
 recomputed from the cached fits.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indicators import IndicatorField, transition_values
+from .indicators import transition_values
 from .interpolation import MonotoneCubic, find_minimum, find_root, fit
 
 __all__ = [
@@ -77,7 +80,7 @@ class LineSearchOutcome:
     diagnostics: dict = field(default_factory=dict)
 
 
-def search_none(config: LineSearchConfig) -> LineSearchOutcome:
+def search_none() -> LineSearchOutcome:
     """Always take the full step."""
     return LineSearchOutcome(alpha=1.0)
 
@@ -114,115 +117,68 @@ def search_residual(objective, reference_value: float,
     )
 
 
-def _cell_spline(grid: np.ndarray, samples: np.ndarray) -> MonotoneCubic | None:
-    """Fit one cell-family indicator profile; None if samples are unusable."""
-    if not np.all(np.isfinite(samples)):
-        return None
-    return fit(np.column_stack([grid, samples]))
-
-
-def _fallback_alpha(grid: np.ndarray, samples: np.ndarray, reference: float,
-                    alpha_min: float) -> float:
-    # Largest sampled step whose indicator still has the reference sign.
-    sgn = np.sign(reference)
-    ok = np.isfinite(samples) & (np.sign(samples) == sgn)
-    if np.any(ok):
-        return float(grid[np.where(ok)[0][-1]])
-    return alpha_min
-
-
 def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchConfig,
                       scale: float = 1.0) -> LineSearchOutcome:
     """Damp the step so contact-state transitions stay controlled.
 
-    ``indicator_evaluator(alpha)`` returns the unscaled IndicatorField at the
-    trial point; the search divides by the frozen ``scale`` (1 for the
-    constant variant, so both constraint strategies share this exact code
-    path). ``fracture_cells`` partitions the cell indices by fracture.
+    ``indicator_evaluator(alpha)`` returns the unscaled ``(2, n)`` indicator
+    array at the trial point (row 0 normal, row 1 tangential); the search
+    divides it by the frozen positive ``scale`` (1 for the constant variant,
+    so both constraint strategies share this exact code path).
+    ``fracture_cells`` partitions the cell indices by fracture.
 
-    A cell-family whose transition indicator at the full step exceeds the
+    A (row, cell) whose transition indicator at the full step exceeds the
     tolerance contributes the smallest root of the shifted indicator model;
     the global step is the minimum over those roots. The tolerance is halved
     while any fracture has more transitioning cells at the damped step than
     max(1, fraction * cells).
     """
-    delta0 = config.transition_tolerance
-    gamma = config.transition_fraction
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
+    fields: dict[float, np.ndarray] = {}  # alpha -> scaled (2, n) indicators
 
-    fields: dict[float, IndicatorField] = {}
-    evaluations = 0
-
-    def field_at(alpha: float) -> IndicatorField:
-        nonlocal evaluations
+    def field_at(alpha: float) -> np.ndarray:
         key = float(alpha)
         if key not in fields:
-            fields[key] = indicator_evaluator(key).rescaled(scale)
-            evaluations += 1
+            fields[key] = indicator_evaluator(key) / scale
         return fields[key]
 
     ref = field_at(0.0)
-    full = field_at(1.0)
-    trans_full = {
-        "normal": transition_values(ref.normal, full.normal),
-        "tangential": transition_values(ref.tangential, full.tangential),
-    }
-
+    trans_full = transition_values(ref, field_at(1.0))
     grid = np.linspace(0.0, 1.0, config.sample_count)
-    grid_values: dict[str, np.ndarray] | None = None  # (family -> samples per cell, per alpha)
-    splines: dict[tuple[str, int], MonotoneCubic | None] = {}
+    samples = None  # (2, n, sample_count), stacked once a cell is flagged
+    splines: dict[tuple[int, int], MonotoneCubic | None] = {}  # (row, cell) -> fit
 
-    def sampled_values() -> dict[str, np.ndarray]:
-        nonlocal grid_values
-        if grid_values is None:
-            per_alpha = [field_at(a) for a in grid]
-            grid_values = {
-                "normal": np.column_stack([f.normal for f in per_alpha]),
-                "tangential": np.column_stack([f.tangential for f in per_alpha]),
-            }
-        return grid_values
-
-    delta = delta0
+    delta = config.transition_tolerance
     rounds = 0
     candidates: list[float] = []
     while True:
-        flagged = [
-            (family, int(cell))
-            for family in ("normal", "tangential")
-            for cell in np.where(trans_full[family] > delta)[0]
-        ]
-
-        if not flagged:
-            candidate = 1.0
-        else:
-            values = sampled_values()
-            roots = []
-            for family, cell in flagged:
-                key = (family, cell)
-                if key not in splines:
-                    splines[key] = _cell_spline(grid, values[family][cell])
-                spline = splines[key]
-                reference_value = float(getattr(ref, family)[cell])
-                if spline is None:
-                    roots.append(_fallback_alpha(grid, values[family][cell],
-                                                 reference_value, config.alpha_min))
-                    continue
-                shifted = spline.shifted(delta * np.sign(reference_value))
-                root = find_root(shifted, (0.0, 1.0))
-                if root is None:
-                    root = _fallback_alpha(grid, values[family][cell],
-                                           reference_value, config.alpha_min)
-                roots.append(root)
-            candidate = min(roots)
+        # Row-major: every flagged normal cell, then every tangential one.
+        flagged = [tuple(key) for key in np.argwhere(trans_full > delta).tolist()]
+        if flagged and samples is None:
+            samples = np.stack([field_at(a) for a in grid], axis=-1)
+        roots = []
+        for key in flagged:
+            profile, sign = samples[key], np.sign(ref[key])
+            if key not in splines:
+                finite = np.all(np.isfinite(profile))
+                splines[key] = fit(np.column_stack([grid, profile])) if finite else None
+            root = None
+            if splines[key] is not None:
+                root = find_root(splines[key].shifted(delta * sign), (0.0, 1.0))
+            if root is None:
+                # Unfittable samples or no root: the largest sampled step
+                # whose indicator still has the reference sign.
+                ok = np.flatnonzero(np.isfinite(profile) & (np.sign(profile) == sign))
+                root = float(grid[ok[-1]]) if ok.size else config.alpha_min
+            roots.append(root)
+        candidate = min(roots, default=1.0)
 
         candidates.append(candidate)
-        at_candidate = field_at(candidate)
-        cell_moved = (
-            (transition_values(ref.normal, at_candidate.normal) > 0.0)
-            | (transition_values(ref.tangential, at_candidate.tangential) > 0.0)
-        )
+        cell_moved = (transition_values(ref, field_at(candidate)) > 0.0).any(axis=0)
         counts = tuple(int(np.count_nonzero(cell_moved[idx])) for idx in fracture_cells)
         crowded = any(
-            n_moved > max(1.0, gamma * len(idx))
+            n_moved > max(1.0, config.transition_fraction * len(idx))
             for n_moved, idx in zip(counts, fracture_cells)
         )
         if not crowded or rounds >= config.max_tightenings:
@@ -233,7 +189,7 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
     alpha = float(min(max(candidate, config.alpha_min), 1.0))
     return LineSearchOutcome(
         alpha=alpha,
-        evaluations=evaluations,
+        evaluations=len(fields),
         tightening_rounds=rounds,
         final_tolerance=delta,
         transitions_per_fracture=counts,

@@ -36,7 +36,7 @@ from .linesearch import (
     search_none,
     search_residual,
 )
-from .scaling import AdaptiveScale, cell_scale_estimate, p_mean_scale
+from .scaling import cell_scale_estimate, p_mean_scale
 
 __all__ = [
     "SolveStatus",
@@ -159,17 +159,11 @@ def _regime_census(model, x: np.ndarray) -> tuple[int, int, int]:
     return int(open_), int(sticking), int(sliding)
 
 
-def _adaptive_scale(model, x: np.ndarray, iteration: int) -> AdaptiveScale:
-    estimates = cell_scale_estimate(model.contact_states(x), model.contact_parameters,
-                                    model.complementarity_weight)
-    return AdaptiveScale(p_mean_scale(estimates), frozen_from_iteration=iteration)
-
-
 def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray,
-                options: NewtonOptions, scale: AdaptiveScale) -> LineSearchOutcome:
+                options: NewtonOptions, scale: float, contact: bool) -> LineSearchOutcome:
     cfg = options.line_search
     if cfg.strategy is Strategy.NONE:
-        return search_none(cfg)
+        return search_none()
 
     if cfg.strategy is Strategy.RESIDUAL:
         def objective(alpha: float) -> float:
@@ -179,8 +173,8 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
         return search_residual(objective, reference, cfg)
 
     # Constraint strategies; contactless models just take the full step.
-    if not _has_contact(model):
-        return search_none(cfg)
+    if not contact:
+        return search_none()
     params = model.contact_parameters
     weight = model.complementarity_weight
     mask = reference_mask(model.contact_states(x), params, weight)
@@ -190,8 +184,8 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
         m = reference_mask(states, params, weight) if options.mask_at_trial else mask
         return evaluate_field(states, params, weight, m)
 
-    used_scale = scale.value if cfg.strategy is Strategy.CONSTRAINT_ADAPTIVE else 1.0
-    return search_constraint(evaluator, model.fracture_cells(), cfg, scale=used_scale)
+    # The scale stays 1 unless the strategy is the adaptive one.
+    return search_constraint(evaluator, model.fracture_cells(), cfg, scale=scale)
 
 
 def solve(model, x0: np.ndarray | None = None,
@@ -205,10 +199,12 @@ def solve(model, x0: np.ndarray | None = None,
     contact = _has_contact(model)
     adapt = (options.line_search.strategy is Strategy.CONSTRAINT_ADAPTIVE
              and contact and not options.force_unit_scale)
-    scale = AdaptiveScale(1.0, frozen_from_iteration=-1)
+    # Frozen magnitude estimate: computed at the end of iteration k, used by
+    # iteration k+1's line search.
+    scale = 1.0
 
     report = NewtonReport(status=SolveStatus.NO_CONVERGENCE, iterations=0,
-                          criterion=criterion, scale_history=[scale.value])
+                          criterion=criterion, scale_history=[scale])
 
     def diverged(reason: str) -> NewtonReport:
         report.status = SolveStatus.DIVERGED
@@ -237,7 +233,7 @@ def solve(model, x0: np.ndarray | None = None,
         report.increment_norms.append(increment_norm)
 
         try:
-            outcome = _run_search(model, x, step, residual, options, scale)
+            outcome = _run_search(model, x, step, residual, options, scale, contact)
         except SearchDiverged as err:
             return diverged(str(err))
         report.alphas.append(outcome.alpha)
@@ -258,8 +254,9 @@ def solve(model, x0: np.ndarray | None = None,
         report.residual_norms.append(norm / sqrt_n)
 
         if adapt:
-            scale = _adaptive_scale(model, x, iteration)
-        report.scale_history.append(scale.value)
+            scale = p_mean_scale(cell_scale_estimate(
+                model.contact_states(x), model.contact_parameters, model.complementarity_weight))
+        report.scale_history.append(scale)
 
         if criterion.kind is CriterionKind.INCREMENT and increment_norm < criterion.tolerance:
             report.status = SolveStatus.CONVERGED

@@ -18,7 +18,6 @@ from .contact import ContactParameters, ContactStates, gap
 
 __all__ = [
     "CharacteristicScales",
-    "AdaptiveScale",
     "cell_scale_estimate",
     "p_mean_scale",
 ]
@@ -47,23 +46,6 @@ class CharacteristicScales:
     def complementarity_weight(self) -> float:
         """Weight pairing jumps with scaled tractions, 1 / displacement."""
         return 1.0 / self.displacement
-
-
-@dataclass(frozen=True)
-class AdaptiveScale:
-    """A frozen magnitude estimate used by the scaled indicator variant.
-
-    ``frozen_from_iteration`` records which accepted iterate produced the
-    value; the estimate computed at the end of iteration k applies during
-    iteration k+1's line search.
-    """
-
-    value: float
-    frozen_from_iteration: int = -1
-
-    def __post_init__(self):
-        if not SCALE_FLOOR <= self.value <= SCALE_CEILING:
-            raise ValueError("adaptive scale outside its admissible bounds")
 
 
 def cell_scale_estimate(states: ContactStates, params: ContactParameters,

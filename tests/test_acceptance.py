@@ -17,7 +17,6 @@ from fracsolve.contact import (
     normal_complementarity,
     tangential_complementarity,
 )
-from fracsolve.indicators import IndicatorField
 from fracsolve.interpolation import fit
 from fracsolve.linesearch import LineSearchConfig, Strategy, search_constraint
 from fracsolve.models import Physics, make_single_fracture, preset
@@ -194,7 +193,7 @@ def test_criterion_02_generalized_jacobian_matches_fd(criterion_verdict):
 def test_criterion_03_exact_step_on_linear_indicator(criterion_verdict):
     with criterion_verdict("criterion 3 (linear indicator root hit exactly)"):
         def evaluator(alpha):
-            return IndicatorField(np.array([0.5 - alpha]), np.zeros(1))
+            return np.stack([np.array([0.5 - alpha]), np.zeros(1)])
 
         outcome = search_constraint(evaluator, [np.array([0])],
                                     LineSearchConfig(transition_tolerance=0.3))
@@ -206,7 +205,7 @@ def test_criterion_04_tightening_controls_crowded_transitions(criterion_verdict)
         slopes = np.array([1.0, 1.1, 1.2, 1.3] + [0.0] * 6)
 
         def evaluator(alpha):
-            return IndicatorField(0.5 - slopes * alpha, np.zeros(10))
+            return np.stack([0.5 - slopes * alpha, np.zeros(10)])
 
         outcome = search_constraint(evaluator, [np.arange(10)],
                                     LineSearchConfig(transition_tolerance=0.3,

@@ -19,6 +19,7 @@ from fracsolve.bench import (
     run_sweep,
     solve_cell,
 )
+from fracsolve.models import MULTI_CELLS_PER_SIDE
 from fracsolve.newton import CriterionKind
 
 SMALL = SweepSpec(strategies=("constraint-adaptive",), models=("single-pm",),
@@ -43,6 +44,15 @@ def test_default_spec_arity():
 
 def test_minimal_spec_is_one_cell():
     assert len(SMALL.cells()) == 1
+
+
+def test_multi_presets_take_one_cells_value():
+    # multi-fracture presets ignore cells_per_side; two values would run the
+    # same solve twice and write two identical rows
+    spec = SweepSpec(strategies=("none",), models=("multi4-pm", "single-pm"),
+                     phi_values=(0.1,), cells_values=(6, 12), u_c_values=(0.01,))
+    sizes = [(cell[1], cell[3]) for cell in spec.cells()]
+    assert sizes == [("multi4-pm", MULTI_CELLS_PER_SIDE), ("single-pm", 6), ("single-pm", 12)]
 
 
 def test_cells_order_is_deterministic():
@@ -167,11 +177,26 @@ def test_config_loading(tmp_path):
     assert spec.max_iterations == 50
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+@pytest.mark.parametrize("config", [
+    {"modles": ["single-pm"]},
+    {"phi_values": 0.1},
+    {"max_iterations": "5"},
+    {"models": "single-pm"},
+    {"cells_values": ["6"]},
+    {"seeds": [0.5]},
+    {"max_iterations": 5.0},
+    {"max_iterations": True},
+    {"output_path": 3},
+], ids=["unknown-key", "scalar-axis", "string-cap", "string-axis", "string-in-int-axis",
+        "float-seed", "float-cap", "bool-cap", "int-path"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, config):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"modles": ["single-pm"]}))
+    path.write_text(json.dumps(config))
     with pytest.raises(ValueError):
         _spec_from_config(str(path))
+    # the CLI reports the rejection instead of raising
+    assert main(["--config", str(path), "--no-table"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_rejects_non_object(tmp_path):

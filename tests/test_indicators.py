@@ -12,7 +12,6 @@ from fracsolve.contact import (
     normal_complementarity,
 )
 from fracsolve.indicators import (
-    IndicatorField,
     evaluate_field,
     normal_indicator,
     reference_mask,
@@ -132,9 +131,16 @@ def test_tangential_indicator_matches_regime_classification():
     (-0.3, 0.7, 0.7),
     (0.5, 0.0, 0.0),
     (0.0, 0.8, 0.0),
+    (1e-200, -1e-200, 1e-200),
+    (-1e-200, 1e-200, 1e-200),
+    (1e-200, 1e-200, -1e-200),
+    (np.inf, 0.0, 0.0),
+    (0.0, np.inf, 0.0),
+    (0.0, -np.inf, 0.0),
 ])
 def test_transition_indicator_examples(ref, trial, expected):
-    assert transition_values([ref], [trial])[0] == pytest.approx(expected, abs=1e-15)
+    # exact: the tiny-value cases would pass any absolute tolerance at zero
+    assert transition_values([ref], [trial])[0] == expected
 
 
 def test_transition_of_value_with_itself_is_nonpositive():
@@ -154,7 +160,7 @@ def test_transition_values_vectorized_matches_scalar():
 
 
 # ---------------------------------------------------------------------------
-# field assembly and rescaling
+# field assembly
 
 
 def _random_cells(rng, n):
@@ -169,27 +175,14 @@ def test_evaluate_field_matches_per_cell_calls():
     cells, states = _random_cells(rng, 12)
     mask = reference_mask(states, PARAMS, 1.0)
     field = evaluate_field(states, PARAMS, 1.0, mask)
-    assert not field.scaled
+    assert field.shape == (2, 12)
+    normal, tangential = field
     for i, s in enumerate(cells):
-        assert field.normal[i] == normal_indicator(s, PARAMS, 1.0)[0]
-        assert field.tangential[i] == tangential_indicator(s, PARAMS, 1.0, bool(mask[i]))[0]
-    assert np.all(field.tangential[~mask] == 0.0)
+        assert normal[i] == normal_indicator(s, PARAMS, 1.0)[0]
+        assert tangential[i] == tangential_indicator(s, PARAMS, 1.0, bool(mask[i]))[0]
+    assert np.all(tangential[~mask] == 0.0)
 
 
 def test_reference_mask_is_strict_positivity():
     states = _states([-1.0, 0.0, 0.0], [(0.0, 0.0)] * 3, [0.0, 0.0, 0.5], [(0.0, 0.0)] * 3)
     assert reference_mask(states, PARAMS, 1.0).tolist() == [True, False, False]
-
-
-def test_rescaled_divides_both_families():
-    field = IndicatorField(np.array([1.0, -2.0]), np.array([0.5, 0.0]))
-    scaled = field.rescaled(4.0)
-    assert scaled.scaled
-    assert np.array_equal(scaled.normal, field.normal / 4.0)
-    assert np.array_equal(scaled.tangential, field.tangential / 4.0)
-
-
-def test_rescaled_rejects_nonpositive_scale():
-    field = IndicatorField(np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        field.rescaled(0.0)

@@ -126,6 +126,12 @@ def test_find_root_exact_knot_zero():
     assert find_root(spline, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_find_root_sign_change_of_tiny_values():
+    # f0 * f1 underflows to -0.0 here, which is not a sign change
+    spline = fit([(0.0, 1e-200), (1.0, -1e-200)])
+    assert find_root(spline, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_find_root_rejects_empty_bracket():
     spline = fit([(0.0, 1.0), (1.0, -1.0)])
     with pytest.raises(ValueError):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fracsolve.indicators import IndicatorField, transition_values
+from fracsolve.indicators import transition_values
+from fracsolve.interpolation import find_root, fit
 from fracsolve.linesearch import (
     LineSearchConfig,
     SearchDiverged,
@@ -41,7 +42,7 @@ def test_config_validation(kwargs):
 
 
 def test_search_none_takes_full_step():
-    outcome = search_none(CONFIG)
+    outcome = search_none()
     assert outcome.alpha == 1.0
     assert outcome.evaluations == 0
     assert outcome.final_tolerance is None
@@ -100,7 +101,7 @@ def _linear_evaluator(slopes, intercepts=None):
 
     def evaluator(alpha):
         normal = intercepts - slopes * alpha
-        return IndicatorField(normal, np.zeros_like(normal))
+        return np.stack([normal, np.zeros_like(normal)])
 
     return evaluator
 
@@ -118,7 +119,7 @@ def test_constraint_search_single_linear_cell():
 def test_constraint_search_negative_reference_sign():
     def evaluator(alpha):
         normal = np.array([-0.5 + alpha])
-        return IndicatorField(normal, np.zeros(1))
+        return np.stack([normal, np.zeros(1)])
 
     outcome = search_constraint(evaluator, [np.array([0])], CONFIG)
     assert outcome.alpha == pytest.approx(0.8, abs=1e-10)
@@ -126,7 +127,7 @@ def test_constraint_search_negative_reference_sign():
 
 def test_constraint_search_no_transition_full_step():
     def evaluator(alpha):
-        return IndicatorField(np.array([0.5 + alpha]), np.zeros(1))
+        return np.stack([np.array([0.5 + alpha]), np.zeros(1)])
 
     outcome = search_constraint(evaluator, [np.array([0])], CONFIG)
     assert outcome.alpha == 1.0
@@ -179,7 +180,7 @@ def test_constraint_search_bounds_overshoot_at_accepted_step():
         outcome = search_constraint(evaluator, [np.arange(6)], CONFIG)
         ref = evaluator(0.0)
         at = evaluator(outcome.alpha)
-        overshoot = transition_values(ref.normal, at.normal)
+        overshoot = transition_values(ref[0], at[0])
         assert np.all(overshoot <= outcome.final_tolerance + 1e-8)
 
 
@@ -191,12 +192,130 @@ def test_constraint_search_scale_division_is_exact():
     cells = [np.arange(10)]
 
     scaled = search_constraint(raw, cells, CONFIG, scale=4.0)
-    pre_divided = search_constraint(lambda a: raw(a).rescaled(4.0), cells, CONFIG)
+    pre_divided = search_constraint(lambda a: raw(a) / 4.0, cells, CONFIG)
 
     assert scaled.alpha == pre_divided.alpha
     assert scaled.tightening_rounds == pre_divided.tightening_rounds
     assert scaled.transitions_per_fracture == pre_divided.transitions_per_fracture
     assert scaled.diagnostics["candidates"] == pre_divided.diagnostics["candidates"]
+
+
+def _reference_search(indicator_evaluator, fracture_cells, config, scale):
+    """The search as written per family: dicts keyed by family name, one
+    transition call and one spline cache per family, two fallback sites."""
+    families = ("normal", "tangential")
+    fields, evaluations = {}, 0
+
+    def field_at(alpha):
+        nonlocal evaluations
+        key = float(alpha)
+        if key not in fields:
+            raw = indicator_evaluator(key)
+            fields[key] = {"normal": raw[0] / scale, "tangential": raw[1] / scale}
+            evaluations += 1
+        return fields[key]
+
+    def fallback(samples, reference):
+        ok = np.isfinite(samples) & (np.sign(samples) == np.sign(reference))
+        return float(grid[np.where(ok)[0][-1]]) if np.any(ok) else config.alpha_min
+
+    ref, full = field_at(0.0), field_at(1.0)
+    trans_full = {f: transition_values(ref[f], full[f]) for f in families}
+    grid = np.linspace(0.0, 1.0, config.sample_count)
+    values, splines = None, {}
+    delta, rounds, candidates = config.transition_tolerance, 0, []
+    while True:
+        flagged = [(f, int(c)) for f in families for c in np.where(trans_full[f] > delta)[0]]
+        if not flagged:
+            candidate = 1.0
+        else:
+            if values is None:
+                per_alpha = [field_at(a) for a in grid]
+                values = {f: np.column_stack([p[f] for p in per_alpha]) for f in families}
+            roots = []
+            for family, cell in flagged:
+                samples = values[family][cell]
+                if (family, cell) not in splines:
+                    splines[family, cell] = (fit(np.column_stack([grid, samples]))
+                                             if np.all(np.isfinite(samples)) else None)
+                spline = splines[family, cell]
+                reference = float(ref[family][cell])
+                if spline is None:
+                    roots.append(fallback(samples, reference))
+                    continue
+                root = find_root(spline.shifted(delta * np.sign(reference)), (0.0, 1.0))
+                roots.append(fallback(samples, reference) if root is None else root)
+            candidate = min(roots)
+        candidates.append(candidate)
+        at = field_at(candidate)
+        moved = ((transition_values(ref["normal"], at["normal"]) > 0.0)
+                 | (transition_values(ref["tangential"], at["tangential"]) > 0.0))
+        counts = tuple(int(np.count_nonzero(moved[idx])) for idx in fracture_cells)
+        crowded = any(c > max(1.0, config.transition_fraction * len(idx))
+                      for c, idx in zip(counts, fracture_cells))
+        if not crowded or rounds >= config.max_tightenings:
+            break
+        delta *= 0.5
+        rounds += 1
+    return (float(min(max(candidate, config.alpha_min), 1.0)), evaluations, rounds, delta,
+            counts, len(flagged), candidates)
+
+
+def _random_profile_evaluator(rng, n):
+    # quadratic indicator profiles on both rows, about a third of them
+    # crossing zero; some tangential cells masked to zero and a few cells
+    # non-finite on a window of steps, so both fitted roots and fallback
+    # steps are exercised
+    start = rng.choice([-1.0, 1.0], (2, n)) * rng.uniform(0.2, 1.0, (2, n))
+    slope = -start * np.where(rng.random((2, n)) < 0.35, rng.uniform(1.2, 3.0, (2, n)),
+                              rng.uniform(-1.0, 0.8, (2, n)))
+    curve = rng.uniform(-0.2, 0.2, (2, n))
+    masked = rng.random(n) < 0.3
+    start[1, masked] = slope[1, masked] = curve[1, masked] = 0.0
+    window = np.full((2, n), np.inf)
+    window[0, rng.choice(n, 4, replace=False)] = rng.uniform(0.1, 0.6, 4)
+    fill = rng.choice([np.nan, np.inf, -np.inf], (2, n))
+
+    def evaluator(alpha):
+        values = start + slope * alpha + curve * alpha * alpha
+        return np.where((window < alpha) & (alpha < window + 0.3), fill, values)
+
+    return evaluator
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_constraint_search_matches_per_family_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    n = 24
+    cells = np.split(rng.permutation(n), [5, 14])
+    config = LineSearchConfig(transition_tolerance=rng.uniform(0.05, 0.4),
+                              sample_count=int(rng.integers(2, 7)))
+    evaluator = _random_profile_evaluator(rng, n)
+    scale = float(rng.choice([1.0, 0.37, 2.5]))
+
+    outcome = search_constraint(evaluator, cells, config, scale=scale)
+    expected = _reference_search(evaluator, cells, config, scale)
+    assert (outcome.alpha, outcome.evaluations, outcome.tightening_rounds,
+            outcome.final_tolerance, outcome.transitions_per_fracture,
+            outcome.diagnostics["flagged"], outcome.diagnostics["candidates"]) == expected
+
+
+def test_constraint_search_falls_back_to_alpha_min():
+    # an infinite reference cannot be fitted, and no finite sample keeps
+    # its sign, so the cell limits the step to alpha_min
+    def evaluator(alpha):
+        return np.stack([np.array([np.inf if alpha == 0.0 else -0.5 - alpha]), np.zeros(1)])
+
+    outcome = search_constraint(evaluator, [np.array([0])], CONFIG)
+    assert outcome.diagnostics["candidates"] == [CONFIG.alpha_min]
+    assert outcome.alpha == CONFIG.alpha_min
+    assert outcome.evaluations == CONFIG.sample_count + 1
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0])
+def test_constraint_search_rejects_nonpositive_scale(scale):
+    with pytest.raises(ValueError):
+        search_constraint(_linear_evaluator([1.0]), [np.array([0])], CONFIG, scale=scale)
 
 
 def test_transition_values_scale_homogeneous():

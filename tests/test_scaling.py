@@ -7,7 +7,6 @@ from fracsolve.contact import ContactParameters, ContactStates, gap
 from fracsolve.scaling import (
     SCALE_CEILING,
     SCALE_FLOOR,
-    AdaptiveScale,
     CharacteristicScales,
     cell_scale_estimate,
     p_mean_scale,
@@ -31,14 +30,6 @@ def test_scales_reject_nonpositive_inputs():
         CharacteristicScales(displacement=0.0)
     with pytest.raises(ValueError):
         CharacteristicScales(displacement=0.01, youngs_modulus=-1.0)
-
-
-def test_adaptive_scale_bounds_enforced():
-    AdaptiveScale(1.0)
-    with pytest.raises(ValueError):
-        AdaptiveScale(1e-9)
-    with pytest.raises(ValueError):
-        AdaptiveScale(1e9)
 
 
 # ---------------------------------------------------------------------------
