@@ -74,13 +74,15 @@ class SweepSpec:
         out = []
         for strategy in self.strategies:
             for model in self.models:
-                # Multi-fracture presets have a fixed mesh, so one cells value.
-                sizes = ((MULTI_CELLS_PER_SIDE,) if model.startswith("multi")
-                         else self.cells_values)
+                # Multi-fracture presets have a fixed mesh, so one cells
+                # value; only they take a seed, so single presets run one.
+                multi = model.startswith("multi")
+                sizes = (MULTI_CELLS_PER_SIDE,) if multi else self.cells_values
+                seeds = self.seeds if multi else self.seeds[:1]
                 for phi in self.phi_values:
                     for size in sizes:
                         for u_c in self.u_c_values:
-                            for seed in self.seeds:
+                            for seed in seeds:
                                 out.append((strategy, model, phi, size, u_c, seed,
                                             self.criterion, self.max_iterations))
         return out

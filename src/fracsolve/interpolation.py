@@ -1,11 +1,19 @@
 """Shape-preserving cubic interpolation of sampled line-search profiles.
 
-Fritsch-Carlson construction: knot slopes are limited so the interpolant is
-monotone wherever the data is monotone (zero slope at local extrema of the
-data, magnitudes capped at three times the adjacent secants). The pieces are
-plain cubics, so roots and minima are found in closed form or with a bracketed
-scalar solve, which keeps the line searches cheap: a handful of samples along
-the search direction buys a globally evaluable model.
+Fritsch-Carlson construction (SIAM J. Numer. Anal. 17(2), 1980): knot slopes
+are limited so the interpolant is monotone wherever the data is monotone
+(zero slope at local extrema of the data, magnitudes capped at three times
+the adjacent secants). A fit holds one profile, values of shape ``(m,)``, or
+a batch of profiles over shared knots, shape ``(k, m)``; every slope is one
+array expression over the batch.
+
+``find_root`` scans the knot intervals of every row for the first zero or
+sign change and solves all bracketed rows together with a lock-step Brent
+iteration (Brent, *Algorithms for Minimization Without Derivatives*, 1973,
+ch. 4). Each lane repeats the update rules of scipy's ``brentq`` in the same
+operation order and with the same tolerances, so every root is bitwise the
+one the scalar solver returns. ``find_minimum`` takes one profile and
+compares the closed-form stationary points of its cubic pieces.
 """
 
 from __future__ import annotations
@@ -13,14 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["MonotoneCubic", "fit", "evaluate", "find_root", "find_minimum"]
+
+# Absolute and relative abscissa tolerances and iteration cap of the root
+# solve; the relative one is the smallest that brentq accepts.
+XTOL = 1e-12
+RTOL = 4.0 * np.finfo(float).eps
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
 class MonotoneCubic:
-    """Piecewise-cubic Hermite interpolant with shape-limited knot slopes."""
+    """Piecewise-cubic Hermite interpolants with shape-limited knot slopes.
+
+    ``values`` and ``derivatives`` have shape ``(m,)`` for one profile or
+    ``(k, m)`` for k profiles over the same ``knots``.
+    """
 
     knots: np.ndarray
     values: np.ndarray
@@ -29,109 +46,205 @@ class MonotoneCubic:
     def __call__(self, t):
         return evaluate(self, t)
 
-    def shifted(self, offset: float) -> "MonotoneCubic":
-        """The interpolant of the data shifted by a constant.
+    def shifted(self, offset) -> "MonotoneCubic":
+        """The interpolant of the data shifted by a constant, one per row.
 
         A constant shift leaves every secant, and therefore every limited
         slope, unchanged, so this is exactly ``self + offset``.
         """
-        return MonotoneCubic(self.knots, self.values + float(offset), self.derivatives)
+        offset = np.asarray(offset, dtype=float)[..., None]
+        return MonotoneCubic(self.knots, self.values + offset, self.derivatives)
 
 
-def _endpoint_slope(h0: float, h1: float, d0: float, d1: float) -> float:
+def _first_unless_less(a, b):
+    # Python's min(a, b): b only where b < a, so ties and NaNs keep a.
+    return np.where(b < a, b, a)
+
+
+def _endpoint_slope(h0, h1, d0, d1):
     # Non-centered three-point estimate, pulled back into the monotone region.
     slope = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    if np.sign(slope) != np.sign(d0):
-        return 0.0
-    if np.sign(d0) != np.sign(d1) and abs(slope) > 3.0 * abs(d0):
-        return 3.0 * d0
-    return slope
+    overshoot = (np.sign(d0) != np.sign(d1)) & (np.abs(slope) > 3.0 * np.abs(d0))
+    return np.where(np.sign(slope) != np.sign(d0), 0.0, np.where(overshoot, 3.0 * d0, slope))
 
 
-def fit(points) -> MonotoneCubic:
-    """Fit a monotonicity-preserving cubic through ``points``.
+def fit(knots, values) -> MonotoneCubic:
+    """Fit monotonicity-preserving cubics through every row of ``values``.
 
     Args:
-        points: array-like of shape (m, 2) with strictly increasing abscissae,
-            m >= 2, all entries finite.
+        knots: shape (m,), strictly increasing, m >= 2, finite.
+        values: shape (m,) for one profile or (k, m) for k profiles over the
+            same knots, finite.
 
     Raises:
-        ValueError: on too few points, unsorted/duplicate abscissae, or
-            non-finite data.
+        ValueError: on too few knots, mismatched shapes, unsorted/duplicate
+            knots, or non-finite data.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-        raise ValueError("need at least two (abscissa, value) pairs")
-    if not np.all(np.isfinite(pts)):
+    x = np.array(knots, dtype=float)
+    y = np.array(values, dtype=float)
+    if x.ndim != 1 or x.size < 2 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
+        raise ValueError("need at least two knots and one value per knot in every row")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("interpolation data must be finite")
-    x = pts[:, 0].copy()
-    y = pts[:, 1].copy()
-    if np.any(np.diff(x) <= 0.0):
-        raise ValueError("abscissae must be strictly increasing")
-
     h = np.diff(x)
+    if (h <= 0.0).any():
+        raise ValueError("knots must be strictly increasing")
+
     sec = np.diff(y) / h
+    if x.size == 2:
+        return MonotoneCubic(x, y, np.repeat(sec, 2, axis=-1))
 
-    m = np.empty_like(y)
-    if len(x) == 2:
-        m[:] = sec[0]
-    else:
-        for j in range(1, len(x) - 1):
-            if sec[j - 1] * sec[j] <= 0.0:
-                # Local extremum (or flat spot) of the data: flat tangent.
-                m[j] = 0.0
-            else:
-                avg = 0.5 * (sec[j - 1] + sec[j])
-                cap = 3.0 * min(abs(sec[j - 1]), abs(sec[j]))
-                m[j] = np.sign(avg) * min(abs(avg), cap)
-        m[0] = _endpoint_slope(h[0], h[1], sec[0], sec[1])
-        m[-1] = _endpoint_slope(h[-1], h[-2], sec[-1], sec[-2])
+    left, right = sec[..., :-1], sec[..., 1:]
+    avg = 0.5 * (left + right)
+    cap = 3.0 * _first_unless_less(np.abs(left), np.abs(right))
+    # Local extremum (or flat spot) of the data: flat tangent.
+    interior = np.where(left * right <= 0.0, 0.0,
+                        np.sign(avg) * _first_unless_less(np.abs(avg), cap))
+    # Both ends at once: the first and last pieces, then their neighbours.
+    ends = _endpoint_slope(h.take([0, -1]), h.take([1, -2]),
+                           sec.take([0, -1], axis=-1), sec.take([1, -2], axis=-1))
+    return MonotoneCubic(x, y, np.concatenate([ends[..., :1], interior, ends[..., 1:]], axis=-1))
 
-    return MonotoneCubic(x, y, m)
+
+def _hermite(s, h, y0, m0, y1, m1):
+    # The cubic piece at unit parameter s, from its end values and slopes.
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * y0
+        + (s3 - 2.0 * s2 + s) * h * m0
+        + (-2.0 * s3 + 3.0 * s2) * y1
+        + (s3 - s2) * h * m1
+    )
+
+
+def _pieces(knots: np.ndarray, t: np.ndarray):
+    # Piece index, piece width and unit parameter of every abscissa.
+    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    h = knots[idx + 1] - knots[idx]
+    return idx, h, (t - knots[idx]) / h
 
 
 def evaluate(spline: MonotoneCubic, t):
-    """Evaluate the interpolant at scalar or array ``t``."""
-    x, y, m = spline.knots, spline.values, spline.derivatives
+    """Evaluate the interpolant at scalar or array ``t``.
+
+    A batch gives one row of results per profile. One profile at a scalar
+    ``t`` gives a float.
+    """
+    y, m = spline.values, spline.derivatives
     tt = np.atleast_1d(np.asarray(t, dtype=float))
-    idx = np.clip(np.searchsorted(x, tt, side="right") - 1, 0, len(x) - 2)
-    h = x[idx + 1] - x[idx]
-    s = (tt - x[idx]) / h
-    s2 = s * s
-    s3 = s2 * s
-    out = (
-        (2.0 * s3 - 3.0 * s2 + 1.0) * y[idx]
-        + (s3 - 2.0 * s2 + s) * h * m[idx]
-        + (-2.0 * s3 + 3.0 * s2) * y[idx + 1]
-        + (s3 - s2) * h * m[idx + 1]
-    )
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out[0])
+    idx, h, s = _pieces(spline.knots, tt)
+    out = _hermite(s, h, y.take(idx, axis=-1), m.take(idx, axis=-1),
+                   y.take(idx + 1, axis=-1), m.take(idx + 1, axis=-1))
+    if np.ndim(t) == 0:
+        out = out[..., 0]
+        return float(out) if out.ndim == 0 else out
     return out
 
 
-def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
-    """Smallest zero of the interpolant inside ``bracket``, or None.
+def _evaluate_lanes(spline: MonotoneCubic, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # Row rows[i] of a batch at abscissa t[i].
+    y, m = spline.values, spline.derivatives
+    idx, h, s = _pieces(spline.knots, t)
+    return _hermite(s, h, y[rows, idx], m[rows, idx], y[rows, idx + 1], m[rows, idx + 1])
 
-    Scans the knot sub-intervals left to right and solves the first one whose
-    endpoint values change sign (a knot value identically zero counts). Zeros
-    the cubic to an absolute abscissa tolerance of 1e-12.
+
+def _brent(spline: MonotoneCubic, rows, xpre, xcur, fpre, fcur) -> np.ndarray:
+    """Zeros of rows ``rows`` of a 2-D batch, one bracket [xpre, xcur] per
+    lane with end values fpre and fcur of opposite signs.
+
+    Every lane runs scipy's ``brentq`` iteration: the same update rules in
+    the same operation order, sign changes tested with ``signbit``, C's
+    ``MIN`` as a ``where``. Both step formulas are computed on every lane and
+    the unused one discarded, so their floating-point warnings are muted.
+
+    Raises:
+        ValueError: the interpolant is NaN at an iterate.
+        RuntimeError: a lane has not converged after MAX_ITERATIONS.
+    """
+    roots = np.empty(len(rows))
+    lane = np.arange(len(rows))
+    xblk = fblk = spre = scur = np.zeros(len(rows))
+    for _ in range(MAX_ITERATIONS):
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                            np.where(swap, xcur, xblk))
+        fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                            np.where(swap, fcur, fblk))
+
+        delta = (XTOL + RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[lane[done]] = xcur[done]
+            go = ~done
+            if not go.any():
+                return roots
+            lane, rows, delta, sbis, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur = (
+                v[go] for v in (lane, rows, delta, sbis, xpre, xcur, xblk,
+                                fpre, fcur, fblk, spre, scur))
+
+        with np.errstate(all="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            inverse_quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, inverse_quadratic)
+            short = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry) < _first_unless_less(3 * np.abs(sbis) - delta,
+                                                              np.abs(spre))))
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = _evaluate_lanes(spline, rows, xcur)
+        if np.isnan(fcur).any():
+            at = xcur[np.isnan(fcur)][0]
+            raise ValueError(f"The function value at x={at} is NaN; solver cannot continue.")
+    raise RuntimeError(f"Failed to converge after {MAX_ITERATIONS} iterations, "
+                       f"value is {xcur[0]}")
+
+
+def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
+    """Smallest zero of every row of the interpolant inside ``bracket``.
+
+    Scans the knot sub-intervals left to right: the first one whose left
+    value is zero gives that abscissa, the first one whose endpoint values
+    change sign is solved to an abscissa tolerance of about 1e-12. All rows
+    are solved in one lock-step iteration.
+
+    Returns:
+        For one profile, the root as a float, or None. For a batch, an
+        array with one root per row, NaN where the row has none.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if b <= a:
         raise ValueError("empty bracket")
-    cuts = np.unique(np.concatenate(([a, b], spline.knots[(spline.knots > a) & (spline.knots < b)])))
-    vals = evaluate(spline, cuts)
-    for i in range(len(cuts) - 1):
-        f0, f1 = vals[i], vals[i + 1]
-        if f0 == 0.0:
-            return float(cuts[i])
-        # Compare signs, not the product, which can underflow to -0.0.
-        if (f0 < 0.0 < f1) or (f1 < 0.0 < f0):
-            return float(brentq(lambda t: evaluate(spline, t), cuts[i], cuts[i + 1], xtol=1e-12))
-    if vals[-1] == 0.0:
-        return float(cuts[-1])
-    return None
+    knots = spline.knots
+    cuts = np.unique(np.concatenate(([a, b], knots[(knots > a) & (knots < b)])))
+    batch = MonotoneCubic(knots, np.atleast_2d(spline.values),
+                          np.atleast_2d(spline.derivatives))
+    vals = evaluate(batch, cuts)
+    f0, f1 = vals[:, :-1], vals[:, 1:]
+    zero = f0 == 0.0
+    # Compare signs, not the product, which can underflow to -0.0.
+    event = zero | ((f0 < 0.0) & (0.0 < f1)) | ((f1 < 0.0) & (0.0 < f0))
+    first = np.argmax(event, axis=1)
+    lanes = np.arange(len(vals))
+    found = event[lanes, first]
+
+    roots = np.where(vals[:, -1] == 0.0, cuts[-1], np.nan)
+    roots[found] = cuts[first[found]]
+    rows = np.flatnonzero(found & ~zero[lanes, first])
+    if rows.size:
+        i = first[rows]
+        roots[rows] = _brent(batch, rows, cuts[i], cuts[i + 1], f0[rows, i], f1[rows, i])
+    if spline.values.ndim == 1:
+        return None if np.isnan(roots[0]) else float(roots[0])
+    return roots
 
 
 def _piece_critical_points(spline: MonotoneCubic, j: int) -> list[float]:
@@ -155,7 +268,7 @@ def _piece_critical_points(spline: MonotoneCubic, j: int) -> list[float]:
 
 
 def find_minimum(spline: MonotoneCubic, interval: tuple[float, float]) -> tuple[float, float]:
-    """Global minimum of the interpolant over ``interval``.
+    """Global minimum of a single-profile interpolant over ``interval``.
 
     Candidates are the interval endpoints, the interior knots, and the
     stationary points of each cubic piece; exact ties go to the smaller

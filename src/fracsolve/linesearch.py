@@ -9,9 +9,11 @@ step length at which a transitioning cell overshoots its branch boundary by
 exactly the transition tolerance. The indicators arrive as one ``(2, n)``
 array per trial step (row 0 normal, row 1 tangential), so both families
 share one cache, one transition test and one sample stack of shape
-``(2, n, sample_count)``. When too many cells of one fracture still
-transition at the damped step, the tolerance is halved and the roots are
-recomputed from the cached fits.
+``(2, n, sample_count)``. The flagged profiles are fitted as one batch and
+their roots found by one batched call per round. When too many cells of one
+fracture still transition at the damped step, the tolerance is halved: the
+cached fits are shifted by the new tolerance, only newly flagged profiles
+are fitted, and the roots are solved again.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def search_residual(objective, reference_value: float,
     if len(samples) < 2:
         raise SearchDiverged("residual objective non-finite at every trial step")
 
-    spline = fit(samples)
+    spline = fit(*np.transpose(samples))
     largest_finite = samples[-1][0]
     alpha, value = find_minimum(spline, (config.alpha_min, largest_finite))
     alpha = float(min(max(alpha, config.alpha_min), 1.0))
@@ -144,35 +146,42 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
         return fields[key]
 
     ref = field_at(0.0)
+    sign = np.sign(ref)
     trans_full = transition_values(ref, field_at(1.0))
     grid = np.linspace(0.0, 1.0, config.sample_count)
     samples = None  # (2, n, sample_count), stacked once a cell is flagged
-    splines: dict[tuple[int, int], MonotoneCubic | None] = {}  # (row, cell) -> fit
+    fitted = np.zeros(ref.shape, dtype=bool)  # (row, cell) whose slopes are cached
 
     delta = config.transition_tolerance
     rounds = 0
     candidates: list[float] = []
     while True:
-        # Row-major: every flagged normal cell, then every tangential one.
-        flagged = [tuple(key) for key in np.argwhere(trans_full > delta).tolist()]
-        if flagged and samples is None:
-            samples = np.stack([field_at(a) for a in grid], axis=-1)
-        roots = []
-        for key in flagged:
-            profile, sign = samples[key], np.sign(ref[key])
-            if key not in splines:
-                finite = np.all(np.isfinite(profile))
-                splines[key] = fit(np.column_stack([grid, profile])) if finite else None
-            root = None
-            if splines[key] is not None:
-                root = find_root(splines[key].shifted(delta * sign), (0.0, 1.0))
-            if root is None:
+        flagged = trans_full > delta
+        candidate = 1.0
+        if flagged.any():
+            if samples is None:
+                samples = np.stack([field_at(a) for a in grid], axis=-1)
+                finite = np.isfinite(samples).all(axis=-1)
+                slopes = np.empty_like(samples)
                 # Unfittable samples or no root: the largest sampled step
                 # whose indicator still has the reference sign.
-                ok = np.flatnonzero(np.isfinite(profile) & (np.sign(profile) == sign))
-                root = float(grid[ok[-1]]) if ok.size else config.alpha_min
-            roots.append(root)
-        candidate = min(roots, default=1.0)
+                kept = np.isfinite(samples) & (np.sign(samples) == sign[..., None])
+                last = grid.size - 1 - np.argmax(kept[..., ::-1], axis=-1)
+                fallback = np.where(kept.any(axis=-1), grid[last], config.alpha_min)
+            # Fit the newly flagged finite profiles in one batch; the rows
+            # fitted in earlier rounds are only shifted by the new tolerance.
+            new = flagged & finite & ~fitted
+            if new.any():
+                slopes[new] = fit(grid, samples[new]).derivatives
+                fitted |= new
+            roots = fallback[flagged]
+            solvable = finite[flagged]
+            if solvable.any():
+                rows = flagged & finite
+                spline = MonotoneCubic(grid, samples[rows], slopes[rows])
+                found = find_root(spline.shifted(delta * sign[rows]), (0.0, 1.0))
+                roots[solvable] = np.where(np.isnan(found), roots[solvable], found)
+            candidate = float(roots.min())
 
         candidates.append(candidate)
         cell_moved = (transition_values(ref, field_at(candidate)) > 0.0).any(axis=0)
@@ -193,5 +202,5 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
         tightening_rounds=rounds,
         final_tolerance=delta,
         transitions_per_fracture=counts,
-        diagnostics={"flagged": len(flagged), "candidates": candidates},
+        diagnostics={"flagged": int(np.count_nonzero(flagged)), "candidates": candidates},
     )

@@ -1,0 +1,208 @@
+"""Scalar reference implementations of the interpolation kernels and the
+constraint search.
+
+The interpolation kernels as they were before they were batched: one profile
+per fit with a per-knot slope loop, and ``find_root`` scanning the knot
+intervals and handing the first sign change to ``scipy.optimize.brentq``. The
+constraint search on top of them fits and solves one (family, cell) at a
+time. Tests compare the batched kernels and search against these, so nothing
+here imports ``fracsolve.interpolation``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import brentq
+
+from fracsolve.indicators import transition_values
+from fracsolve.linesearch import LineSearchOutcome
+
+
+@dataclass(frozen=True)
+class MonotoneCubic:
+    """Piecewise-cubic Hermite interpolant with shape-limited knot slopes."""
+
+    knots: np.ndarray
+    values: np.ndarray
+    derivatives: np.ndarray
+
+    def __call__(self, t):
+        return evaluate(self, t)
+
+    def shifted(self, offset: float) -> "MonotoneCubic":
+        """The interpolant of the data shifted by a constant.
+
+        A constant shift leaves every secant, and therefore every limited
+        slope, unchanged, so this is exactly ``self + offset``.
+        """
+        return MonotoneCubic(self.knots, self.values + float(offset), self.derivatives)
+
+
+def _endpoint_slope(h0: float, h1: float, d0: float, d1: float) -> float:
+    # Non-centered three-point estimate, pulled back into the monotone region.
+    slope = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+    if np.sign(slope) != np.sign(d0):
+        return 0.0
+    if np.sign(d0) != np.sign(d1) and abs(slope) > 3.0 * abs(d0):
+        return 3.0 * d0
+    return slope
+
+
+def fit(points) -> MonotoneCubic:
+    """Fit a monotonicity-preserving cubic through ``points``.
+
+    Args:
+        points: array-like of shape (m, 2) with strictly increasing abscissae,
+            m >= 2, all entries finite.
+
+    Raises:
+        ValueError: on too few points, unsorted/duplicate abscissae, or
+            non-finite data.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
+        raise ValueError("need at least two (abscissa, value) pairs")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("interpolation data must be finite")
+    x = pts[:, 0].copy()
+    y = pts[:, 1].copy()
+    if np.any(np.diff(x) <= 0.0):
+        raise ValueError("abscissae must be strictly increasing")
+
+    h = np.diff(x)
+    sec = np.diff(y) / h
+
+    m = np.empty_like(y)
+    if len(x) == 2:
+        m[:] = sec[0]
+    else:
+        for j in range(1, len(x) - 1):
+            if sec[j - 1] * sec[j] <= 0.0:
+                # Local extremum (or flat spot) of the data: flat tangent.
+                m[j] = 0.0
+            else:
+                avg = 0.5 * (sec[j - 1] + sec[j])
+                cap = 3.0 * min(abs(sec[j - 1]), abs(sec[j]))
+                m[j] = np.sign(avg) * min(abs(avg), cap)
+        m[0] = _endpoint_slope(h[0], h[1], sec[0], sec[1])
+        m[-1] = _endpoint_slope(h[-1], h[-2], sec[-1], sec[-2])
+
+    return MonotoneCubic(x, y, m)
+
+
+def evaluate(spline: MonotoneCubic, t):
+    """Evaluate the interpolant at scalar or array ``t``."""
+    x, y, m = spline.knots, spline.values, spline.derivatives
+    tt = np.atleast_1d(np.asarray(t, dtype=float))
+    idx = np.clip(np.searchsorted(x, tt, side="right") - 1, 0, len(x) - 2)
+    h = x[idx + 1] - x[idx]
+    s = (tt - x[idx]) / h
+    s2 = s * s
+    s3 = s2 * s
+    out = (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * y[idx]
+        + (s3 - 2.0 * s2 + s) * h * m[idx]
+        + (-2.0 * s3 + 3.0 * s2) * y[idx + 1]
+        + (s3 - s2) * h * m[idx + 1]
+    )
+    if np.isscalar(t) or np.asarray(t).ndim == 0:
+        return float(out[0])
+    return out
+
+
+def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
+    """Smallest zero of the interpolant inside ``bracket``, or None.
+
+    Scans the knot sub-intervals left to right and solves the first one whose
+    endpoint values change sign (a knot value identically zero counts). Zeros
+    the cubic to an absolute abscissa tolerance of 1e-12.
+    """
+    a, b = float(bracket[0]), float(bracket[1])
+    if b <= a:
+        raise ValueError("empty bracket")
+    cuts = np.unique(np.concatenate(([a, b], spline.knots[(spline.knots > a) & (spline.knots < b)])))
+    vals = evaluate(spline, cuts)
+    for i in range(len(cuts) - 1):
+        f0, f1 = vals[i], vals[i + 1]
+        if f0 == 0.0:
+            return float(cuts[i])
+        # Compare signs, not the product, which can underflow to -0.0.
+        if (f0 < 0.0 < f1) or (f1 < 0.0 < f0):
+            return float(brentq(lambda t: evaluate(spline, t), cuts[i], cuts[i + 1], xtol=1e-12))
+    if vals[-1] == 0.0:
+        return float(cuts[-1])
+    return None
+
+
+def search_constraint(indicator_evaluator, fracture_cells, config, scale=1.0):
+    """The constraint search written per indicator family, on the scalar kernels.
+
+    Dicts keyed by family name, one transition call and one spline cache per
+    family, one ``fit`` and one ``brentq`` root per flagged (family, cell),
+    two fallback sites. Same signature and outcome as
+    ``fracsolve.linesearch.search_constraint``.
+    """
+    families = ("normal", "tangential")
+    fields, evaluations = {}, 0
+
+    def field_at(alpha):
+        nonlocal evaluations
+        key = float(alpha)
+        if key not in fields:
+            raw = indicator_evaluator(key)
+            fields[key] = {"normal": raw[0] / scale, "tangential": raw[1] / scale}
+            evaluations += 1
+        return fields[key]
+
+    def fallback(samples, reference):
+        ok = np.isfinite(samples) & (np.sign(samples) == np.sign(reference))
+        return float(grid[np.where(ok)[0][-1]]) if np.any(ok) else config.alpha_min
+
+    ref, full = field_at(0.0), field_at(1.0)
+    trans_full = {f: transition_values(ref[f], full[f]) for f in families}
+    grid = np.linspace(0.0, 1.0, config.sample_count)
+    values, splines = None, {}
+    delta, rounds, candidates = config.transition_tolerance, 0, []
+    while True:
+        flagged = [(f, int(c)) for f in families for c in np.where(trans_full[f] > delta)[0]]
+        if not flagged:
+            candidate = 1.0
+        else:
+            if values is None:
+                per_alpha = [field_at(a) for a in grid]
+                values = {f: np.column_stack([p[f] for p in per_alpha]) for f in families}
+            roots = []
+            for family, cell in flagged:
+                samples = values[family][cell]
+                if (family, cell) not in splines:
+                    splines[family, cell] = (fit(np.column_stack([grid, samples]))
+                                             if np.all(np.isfinite(samples)) else None)
+                spline = splines[family, cell]
+                reference = float(ref[family][cell])
+                if spline is None:
+                    roots.append(fallback(samples, reference))
+                    continue
+                root = find_root(spline.shifted(delta * np.sign(reference)), (0.0, 1.0))
+                roots.append(fallback(samples, reference) if root is None else root)
+            candidate = min(roots)
+        candidates.append(candidate)
+        at = field_at(candidate)
+        moved = ((transition_values(ref["normal"], at["normal"]) > 0.0)
+                 | (transition_values(ref["tangential"], at["tangential"]) > 0.0))
+        counts = tuple(int(np.count_nonzero(moved[idx])) for idx in fracture_cells)
+        crowded = any(c > max(1.0, config.transition_fraction * len(idx))
+                      for c, idx in zip(counts, fracture_cells))
+        if not crowded or rounds >= config.max_tightenings:
+            break
+        delta *= 0.5
+        rounds += 1
+    return LineSearchOutcome(
+        alpha=float(min(max(candidate, config.alpha_min), 1.0)),
+        evaluations=evaluations,
+        tightening_rounds=rounds,
+        final_tolerance=delta,
+        transitions_per_fracture=counts,
+        diagnostics={"flagged": len(flagged), "candidates": candidates},
+    )

@@ -228,11 +228,11 @@ def test_criterion_05_interpolation_preserves_monotonicity(criterion_verdict):
             steps[rng.uniform(size=m - 1) < 0.2] = 0.0  # flat segments allowed
             direction = 1.0 if trial % 2 == 0 else -1.0
             y = np.concatenate([[0.0], np.cumsum(direction * steps)])
-            spline = fit(np.column_stack([x, y]))
+            spline = fit(x, y)
             dense = spline(np.linspace(x[0], x[-1], 10_000))
             assert np.all(direction * np.diff(dense) >= -1e-12)
 
-        line = fit([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
+        line = fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
         assert line(0.5) == pytest.approx(0.5, abs=1e-12)
 
 

@@ -1,0 +1,198 @@
+"""Batched interpolation kernels and constraint search against the scalar oracle.
+
+The batched ``fit`` and ``find_root`` must return, bit for bit, what the
+scalar kernels of ``scalar_oracle`` (a per-knot slope loop and
+``scipy.optimize.brentq``) return row by row, fail the way they fail, and
+leave every Newton trajectory as the scalar constraint search leaves it.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from scipy.optimize import brenth, brentq
+
+import fracsolve.newton
+import scalar_oracle
+from fracsolve import interpolation
+from fracsolve.bench import resolve_criterion
+from fracsolve.interpolation import MonotoneCubic, evaluate, find_root, fit
+from fracsolve.linesearch import Strategy
+from fracsolve.models import preset
+from fracsolve.newton import NewtonOptions, SolveStatus, solve
+
+ROWS = 25_000  # per sample count, 100k rows over the four counts
+KINDS = 7
+
+
+def _profiles(rng, k, m):
+    """k profiles on m knots and one shift per row.
+
+    Magnitudes span 1e-8 to 1e8. Row r is of kind r % 7: generic; zero knot
+    values; an exact tie between neighbours; values of order 1e-200, whose
+    secant products underflow to zero; flat (every other one shifted to
+    identically zero); shifted to zero at a knot; shifted to zero at the
+    right end and positive before it.
+    """
+    mag = 10.0 ** rng.uniform(-8.0, 8.0, (k, 1))
+    y = rng.standard_normal((k, m)) * mag
+    shift = rng.standard_normal(k) * mag[:, 0]
+    kind = np.arange(k) % KINDS
+    knot = rng.integers(0, m, k)
+
+    y[(kind == 1)[:, None] & (rng.random((k, m)) < 0.4)] = 0.0
+    tie = np.flatnonzero(kind == 2)
+    left = np.minimum(knot[tie], m - 2)
+    y[tie, left + 1] = y[tie, left]
+    tiny = kind == 3
+    y[tiny] = rng.choice([-1e-200, 1e-200], (tiny.sum(), m)) * rng.integers(1, 4, (tiny.sum(), m))
+    shift[tiny] = rng.choice([-1e-200, 0.0, 1e-200], tiny.sum())
+    flat = kind == 4
+    y[flat] = y[flat, :1]
+    zeroed = flat & (np.arange(k) % 2 == 0)
+    shift[zeroed] = -y[zeroed, 0]
+    at_knot = np.flatnonzero(kind == 5)
+    shift[at_knot] = -y[at_knot, knot[at_knot]]
+    at_end = kind == 6
+    y[at_end, :-1] = y[at_end, -1:] + np.abs(y[at_end, :-1])
+    shift[at_end] = -y[at_end, -1]
+    return y, shift
+
+
+def _oracle(grid, y, shift):
+    """Slopes, and roots with NaN for None, of the scalar kernels row by row."""
+    slopes = np.empty_like(y)
+    roots = np.empty(len(y))
+    for r in range(len(y)):
+        spline = scalar_oracle.fit(np.column_stack([grid, y[r]]))
+        slopes[r] = spline.derivatives
+        root = scalar_oracle.find_root(spline.shifted(shift[r]), (0.0, 1.0))
+        roots[r] = np.nan if root is None else root
+    return slopes, roots
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6])
+def test_batched_fit_and_roots_equal_scalar_oracle_bitwise(m):
+    rng = np.random.default_rng(500 + m)
+    y, shift = _profiles(rng, ROWS, m)
+    grid = np.linspace(0.0, 1.0, m)
+
+    batch = fit(grid, y)
+    roots = find_root(batch.shifted(shift), (0.0, 1.0))
+    slopes, expected = _oracle(grid, y, shift)
+
+    assert batch.derivatives.tobytes() == slopes.tobytes()
+    assert roots.tobytes() == expected.tobytes()
+    # Every outcome of the scan occurs: no root, a root at either end or at
+    # an interior knot, and many roots solved between knots.
+    at_knot = np.isin(roots, grid)
+    assert np.isnan(roots).any()
+    assert (roots == 0.0).any() and (roots == 1.0).any()
+    assert m == 2 or np.isin(roots, grid[1:-1]).any()
+    assert np.count_nonzero(~np.isnan(roots) & ~at_knot) > ROWS // 10
+
+
+def test_extrapolation_branch_matches_brentq():
+    # brenth differs from brentq only in the step taken when the last three
+    # iterates are distinct (hyperbolic instead of inverse quadratic), so a
+    # row on which they disagree took that extrapolation step.
+    rng = np.random.default_rng(41)
+    grid = np.linspace(0.0, 1.0, 5)
+    y, shift = rng.standard_normal((2000, 5)), rng.standard_normal(2000)
+    roots = find_root(fit(grid, y).shifted(shift), (0.0, 1.0))
+    extrapolated = 0
+    for r in range(len(y)):
+        spline = scalar_oracle.fit(np.column_stack([grid, y[r]])).shifted(shift[r])
+        values = scalar_oracle.evaluate(spline, grid)
+        change = np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:]))
+        if not change.size or np.any(values[:change[0] + 1] == 0.0):
+            continue
+        a, b = grid[change[0]], grid[change[0] + 1]
+        f = lambda t: scalar_oracle.evaluate(spline, t)  # noqa: E731
+        expected = brentq(f, a, b, xtol=1e-12)
+        if brenth(f, a, b, xtol=1e-12) != expected:
+            extrapolated += 1
+            assert roots[r] == expected, r
+    assert extrapolated > 500
+
+
+def test_single_profile_keeps_scalar_return():
+    rng = np.random.default_rng(42)
+    grid = np.linspace(0.0, 1.0, 5)
+    y, shift = _profiles(rng, 700, 5)
+    batch = find_root(fit(grid, y).shifted(shift), (0.0, 1.0))
+    for r in range(len(y)):
+        root = find_root(fit(grid, y[r]).shifted(shift[r]), (0.0, 1.0))
+        if np.isnan(batch[r]):
+            assert root is None
+        else:
+            assert type(root) is float and root == batch[r]
+
+
+def test_batched_evaluate_equals_scalar_oracle_bitwise():
+    rng = np.random.default_rng(43)
+    grid = np.linspace(0.0, 1.0, 6)
+    y, _ = _profiles(rng, 500, 6)
+    t = np.concatenate([grid, rng.uniform(-0.1, 1.1, 40)])
+    values = evaluate(fit(grid, y), t)
+    expected = np.stack([scalar_oracle.evaluate(scalar_oracle.fit(np.column_stack([grid, row])), t)
+                         for row in y])
+    assert values.tobytes() == expected.tobytes()
+    assert evaluate(fit(grid, y), 0.3).shape == (500,)
+
+
+def test_nan_iterate_raises_value_error_like_brentq():
+    # Both knot values are finite, but inside the one wide piece h * m
+    # overflows and the cubic is inf - inf, so the first iterate is NaN.
+    knots, values, slopes = np.array([0.0, 1e300]), np.array([1.0, -1.0]), np.array([1e10, 1e10])
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="NaN"):
+            scalar_oracle.find_root(scalar_oracle.MonotoneCubic(knots, values, slopes),
+                                    (0.0, 1e300))
+        with pytest.raises(ValueError, match="NaN"):
+            find_root(MonotoneCubic(knots, np.stack([-values, values]),
+                                    np.stack([slopes, slopes])), (0.0, 1e300))
+
+
+def test_no_convergence_raises_runtime_error_like_brentq(monkeypatch):
+    grid = np.linspace(0.0, 1.0, 5)
+    profile = np.array([1.0, 0.7, 0.2, -0.4, -1.0])
+    spline = scalar_oracle.fit(np.column_stack([grid, profile]))
+    with pytest.raises(RuntimeError):
+        brentq(lambda t: scalar_oracle.evaluate(spline, t), 0.5, 0.75, xtol=1e-12, maxiter=2)
+    monkeypatch.setattr(interpolation, "MAX_ITERATIONS", 2)
+    with pytest.raises(RuntimeError):
+        find_root(fit(grid, profile), (0.0, 1.0))
+
+
+TRAJECTORIES = [
+    ("single-tpm", 6, Strategy.CONSTRAINT_ADAPTIVE, 1e-4),
+    ("single-tpm", 6, Strategy.CONSTRAINT_ADAPTIVE, 1.0),
+    ("single-pm", 6, Strategy.CONSTRAINT_CONST, 1e-2),
+    ("multi4-tpm", 4, Strategy.CONSTRAINT_ADAPTIVE, 1e-2),
+]
+
+
+def _solve(name, cells, strategy, u_c):
+    model = preset(name, characteristic_displacement=u_c, cells_per_side=cells)
+    return solve(model, options=NewtonOptions(line_search=strategy,
+                                              criterion=resolve_criterion(name, "auto")))
+
+
+@pytest.mark.parametrize("name, cells, strategy, u_c", TRAJECTORIES,
+                         ids=[f"{c[0]}-{c[2].value}-{c[3]:g}" for c in TRAJECTORIES])
+def test_solve_trajectory_equals_scalar_search(monkeypatch, name, cells, strategy, u_c):
+    batched = _solve(name, cells, strategy, u_c)
+    monkeypatch.setattr(fracsolve.newton, "search_constraint", scalar_oracle.search_constraint)
+    scalar = _solve(name, cells, strategy, u_c)
+    assert batched.alphas == scalar.alphas
+    assert batched.tightening_rounds == scalar.tightening_rounds
+    assert batched.x.tobytes() == scalar.x.tobytes()
+    assert min(batched.alphas) < 1.0  # the search damped at least one step
+
+
+def test_constraint_solve_raises_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = _solve("single-tpm", 6, Strategy.CONSTRAINT_ADAPTIVE, 1e-4)
+    assert report.status is SolveStatus.CONVERGED

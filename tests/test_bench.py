@@ -55,6 +55,15 @@ def test_multi_presets_take_one_cells_value():
     assert sizes == [("multi4-pm", MULTI_CELLS_PER_SIDE), ("single-pm", 6), ("single-pm", 12)]
 
 
+def test_single_presets_take_one_seed():
+    # only multi-fracture presets read the seed; two seeds would run every
+    # single-fracture solve twice and write rows differing only in the seed
+    spec = SweepSpec(strategies=("none",), models=("multi4-pm", "single-pm"),
+                     phi_values=(0.1,), cells_values=(4,), u_c_values=(0.01,), seeds=(0, 1))
+    seeds = [(cell[1], cell[5]) for cell in spec.cells()]
+    assert seeds == [("multi4-pm", 0), ("multi4-pm", 1), ("single-pm", 0)]
+
+
 def test_cells_order_is_deterministic():
     spec = SweepSpec()
     assert spec.cells() == spec.cells()

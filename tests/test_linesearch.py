@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import scalar_oracle
 from fracsolve.indicators import transition_values
-from fracsolve.interpolation import find_root, fit
 from fracsolve.linesearch import (
     LineSearchConfig,
     SearchDiverged,
@@ -200,67 +200,6 @@ def test_constraint_search_scale_division_is_exact():
     assert scaled.diagnostics["candidates"] == pre_divided.diagnostics["candidates"]
 
 
-def _reference_search(indicator_evaluator, fracture_cells, config, scale):
-    """The search as written per family: dicts keyed by family name, one
-    transition call and one spline cache per family, two fallback sites."""
-    families = ("normal", "tangential")
-    fields, evaluations = {}, 0
-
-    def field_at(alpha):
-        nonlocal evaluations
-        key = float(alpha)
-        if key not in fields:
-            raw = indicator_evaluator(key)
-            fields[key] = {"normal": raw[0] / scale, "tangential": raw[1] / scale}
-            evaluations += 1
-        return fields[key]
-
-    def fallback(samples, reference):
-        ok = np.isfinite(samples) & (np.sign(samples) == np.sign(reference))
-        return float(grid[np.where(ok)[0][-1]]) if np.any(ok) else config.alpha_min
-
-    ref, full = field_at(0.0), field_at(1.0)
-    trans_full = {f: transition_values(ref[f], full[f]) for f in families}
-    grid = np.linspace(0.0, 1.0, config.sample_count)
-    values, splines = None, {}
-    delta, rounds, candidates = config.transition_tolerance, 0, []
-    while True:
-        flagged = [(f, int(c)) for f in families for c in np.where(trans_full[f] > delta)[0]]
-        if not flagged:
-            candidate = 1.0
-        else:
-            if values is None:
-                per_alpha = [field_at(a) for a in grid]
-                values = {f: np.column_stack([p[f] for p in per_alpha]) for f in families}
-            roots = []
-            for family, cell in flagged:
-                samples = values[family][cell]
-                if (family, cell) not in splines:
-                    splines[family, cell] = (fit(np.column_stack([grid, samples]))
-                                             if np.all(np.isfinite(samples)) else None)
-                spline = splines[family, cell]
-                reference = float(ref[family][cell])
-                if spline is None:
-                    roots.append(fallback(samples, reference))
-                    continue
-                root = find_root(spline.shifted(delta * np.sign(reference)), (0.0, 1.0))
-                roots.append(fallback(samples, reference) if root is None else root)
-            candidate = min(roots)
-        candidates.append(candidate)
-        at = field_at(candidate)
-        moved = ((transition_values(ref["normal"], at["normal"]) > 0.0)
-                 | (transition_values(ref["tangential"], at["tangential"]) > 0.0))
-        counts = tuple(int(np.count_nonzero(moved[idx])) for idx in fracture_cells)
-        crowded = any(c > max(1.0, config.transition_fraction * len(idx))
-                      for c, idx in zip(counts, fracture_cells))
-        if not crowded or rounds >= config.max_tightenings:
-            break
-        delta *= 0.5
-        rounds += 1
-    return (float(min(max(candidate, config.alpha_min), 1.0)), evaluations, rounds, delta,
-            counts, len(flagged), candidates)
-
-
 def _random_profile_evaluator(rng, n):
     # quadratic indicator profiles on both rows, about a third of them
     # crossing zero; some tangential cells masked to zero and a few cells
@@ -283,6 +222,12 @@ def _random_profile_evaluator(rng, n):
     return evaluator
 
 
+def _summary(outcome):
+    return (outcome.alpha, outcome.evaluations, outcome.tightening_rounds,
+            outcome.final_tolerance, outcome.transitions_per_fracture,
+            outcome.diagnostics["flagged"], outcome.diagnostics["candidates"])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_constraint_search_matches_per_family_reference(seed):
     rng = np.random.default_rng(300 + seed)
@@ -294,10 +239,8 @@ def test_constraint_search_matches_per_family_reference(seed):
     scale = float(rng.choice([1.0, 0.37, 2.5]))
 
     outcome = search_constraint(evaluator, cells, config, scale=scale)
-    expected = _reference_search(evaluator, cells, config, scale)
-    assert (outcome.alpha, outcome.evaluations, outcome.tightening_rounds,
-            outcome.final_tolerance, outcome.transitions_per_fracture,
-            outcome.diagnostics["flagged"], outcome.diagnostics["candidates"]) == expected
+    expected = scalar_oracle.search_constraint(evaluator, cells, config, scale=scale)
+    assert _summary(outcome) == _summary(expected)
 
 
 def test_constraint_search_falls_back_to_alpha_min():
