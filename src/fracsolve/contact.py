@@ -46,11 +46,11 @@ class ContactParameters:
     residual_aperture: float = 1e-3   # meters, hydraulic aperture at closed contact
 
     def __post_init__(self):
-        if self.friction_coefficient < 0.0:
+        if not self.friction_coefficient >= 0.0:
             raise ValueError("friction coefficient must be nonnegative")
         if not 0.0 <= self.dilation_angle < 0.5 * np.pi:
             raise ValueError("dilation angle must lie in [0, pi/2)")
-        if self.residual_aperture <= 0.0:
+        if not self.residual_aperture > 0.0:
             raise ValueError("residual aperture must be positive")
 
 

@@ -5,15 +5,17 @@ are limited so the interpolant is monotone wherever the data is monotone
 (zero slope at local extrema of the data, magnitudes capped at three times
 the adjacent secants). A fit holds one profile, values of shape ``(m,)``, or
 a batch of profiles over shared knots, shape ``(k, m)``; every slope is one
-array expression over the batch.
+array expression over the batch, and ``evaluate`` returns one row of values
+per profile with no scalar special case.
 
-``find_root`` scans the knot intervals of every row for the first zero or
-sign change and solves all bracketed rows together with a lock-step Brent
-iteration (Brent, *Algorithms for Minimization Without Derivatives*, 1973,
-ch. 4). Each lane repeats the update rules of scipy's ``brentq`` in the same
-operation order and with the same tolerances, so every root is bitwise the
-one the scalar solver returns. ``find_minimum`` takes one profile and
-compares the closed-form stationary points of its cubic pieces.
+``find_root`` takes a batch. It scans the knot intervals of every row for the
+first zero or sign change and solves all bracketed rows together with a
+lock-step Brent iteration (Brent, *Algorithms for Minimization Without
+Derivatives*, 1973, ch. 4). Each lane repeats the update rules of scipy's
+``brentq`` in the same operation order and with the same tolerances, so every
+root is bitwise the one the scalar solver returns. ``find_minimum`` takes one
+profile; the closed-form stationary points of all its cubic pieces are one
+array expression, and every candidate is evaluated in one call.
 """
 
 from __future__ import annotations
@@ -126,20 +128,11 @@ def _pieces(knots: np.ndarray, t: np.ndarray):
 
 
 def evaluate(spline: MonotoneCubic, t):
-    """Evaluate the interpolant at scalar or array ``t``.
-
-    A batch gives one row of results per profile. One profile at a scalar
-    ``t`` gives a float.
-    """
+    """Evaluate the interpolant at ``t``: shape ``values.shape[:-1] + np.shape(t)``."""
     y, m = spline.values, spline.derivatives
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    idx, h, s = _pieces(spline.knots, tt)
-    out = _hermite(s, h, y.take(idx, axis=-1), m.take(idx, axis=-1),
-                   y.take(idx + 1, axis=-1), m.take(idx + 1, axis=-1))
-    if np.ndim(t) == 0:
-        out = out[..., 0]
-        return float(out) if out.ndim == 0 else out
-    return out
+    idx, h, s = _pieces(spline.knots, np.asarray(t, dtype=float))
+    return _hermite(s, h, y.take(idx, axis=-1), m.take(idx, axis=-1),
+                    y.take(idx + 1, axis=-1), m.take(idx + 1, axis=-1))
 
 
 def _evaluate_lanes(spline: MonotoneCubic, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -208,8 +201,8 @@ def _brent(spline: MonotoneCubic, rows, xpre, xcur, fpre, fcur) -> np.ndarray:
                        f"value is {xcur[0]}")
 
 
-def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
-    """Smallest zero of every row of the interpolant inside ``bracket``.
+def find_root(spline: MonotoneCubic, bracket: tuple[float, float]) -> np.ndarray:
+    """Smallest zero of every row of a ``(k, m)`` batch inside ``bracket``.
 
     Scans the knot sub-intervals left to right: the first one whose left
     value is zero gives that abscissa, the first one whose endpoint values
@@ -217,17 +210,14 @@ def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
     are solved in one lock-step iteration.
 
     Returns:
-        For one profile, the root as a float, or None. For a batch, an
-        array with one root per row, NaN where the row has none.
+        An array with one root per row, NaN where the row has none.
     """
     a, b = float(bracket[0]), float(bracket[1])
     if b <= a:
         raise ValueError("empty bracket")
     knots = spline.knots
     cuts = np.unique(np.concatenate(([a, b], knots[(knots > a) & (knots < b)])))
-    batch = MonotoneCubic(knots, np.atleast_2d(spline.values),
-                          np.atleast_2d(spline.derivatives))
-    vals = evaluate(batch, cuts)
+    vals = evaluate(spline, cuts)
     f0, f1 = vals[:, :-1], vals[:, 1:]
     zero = f0 == 0.0
     # Compare signs, not the product, which can underflow to -0.0.
@@ -241,49 +231,37 @@ def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
     rows = np.flatnonzero(found & ~zero[lanes, first])
     if rows.size:
         i = first[rows]
-        roots[rows] = _brent(batch, rows, cuts[i], cuts[i + 1], f0[rows, i], f1[rows, i])
-    if spline.values.ndim == 1:
-        return None if np.isnan(roots[0]) else float(roots[0])
+        roots[rows] = _brent(spline, rows, cuts[i], cuts[i + 1], f0[rows, i], f1[rows, i])
     return roots
-
-
-def _piece_critical_points(spline: MonotoneCubic, j: int) -> list[float]:
-    # Stationary points of piece j, in global coordinates.
-    x, y, m = spline.knots, spline.values, spline.derivatives
-    h = x[j + 1] - x[j]
-    # d/ds of the Hermite cubic in the unit parameter s.
-    qa = 6.0 * y[j] + 3.0 * h * m[j] - 6.0 * y[j + 1] + 3.0 * h * m[j + 1]
-    qb = -6.0 * y[j] - 4.0 * h * m[j] + 6.0 * y[j + 1] - 2.0 * h * m[j + 1]
-    qc = h * m[j]
-    roots: list[float] = []
-    if qa == 0.0:
-        if qb != 0.0:
-            roots = [-qc / qb]
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            sq = np.sqrt(disc)
-            roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
-    return [x[j] + s * h for s in roots if 0.0 < s < 1.0]
 
 
 def find_minimum(spline: MonotoneCubic, interval: tuple[float, float]) -> tuple[float, float]:
     """Global minimum of a single-profile interpolant over ``interval``.
 
     Candidates are the interval endpoints, the interior knots, and the
-    stationary points of each cubic piece; exact ties go to the smaller
-    abscissa.
+    stationary points of every cubic piece that meets the interval; exact
+    ties go to the smaller abscissa.
     """
     a, b = float(interval[0]), float(interval[1])
     if b < a:
         raise ValueError("empty interval")
-    cand = [a, b]
-    cand.extend(float(k) for k in spline.knots if a < k < b)
-    for j in range(len(spline.knots) - 1):
-        if spline.knots[j + 1] <= a or spline.knots[j] >= b:
-            continue
-        cand.extend(t for t in _piece_critical_points(spline, j) if a <= t <= b)
-    cand = sorted(set(cand))
-    vals = [evaluate(spline, t) for t in cand]
+    x, y, m = spline.knots, spline.values, spline.derivatives
+    h = np.diff(x)
+    y0, y1, m0, m1 = y[:-1], y[1:], m[:-1], m[1:]
+    # d/ds of each Hermite piece in its unit parameter s is qa s^2 + qb s + qc.
+    qa = 6.0 * y0 + 3.0 * h * m0 - 6.0 * y1 + 3.0 * h * m1
+    qb = -6.0 * y0 - 4.0 * h * m0 + 6.0 * y1 - 2.0 * h * m1
+    qc = h * m0
+    # Both the linear (qa == 0) and the quadratic roots of every piece; the
+    # quadratic ones are inf or NaN where qa == 0 or the discriminant is
+    # negative, and every non-finite s fails the (0, 1) test below.
+    with np.errstate(all="ignore"):
+        sq = np.sqrt(qb * qb - 4.0 * qa * qc)
+        s = np.stack([np.where(qa == 0.0, -qc / qb, np.nan),
+                      (-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)])
+    t = x[:-1] + s * h
+    keep = (0.0 < s) & (s < 1.0) & (x[1:] > a) & (x[:-1] < b) & (a <= t) & (t <= b)
+    cand = np.unique(np.concatenate(([a, b], x[(x > a) & (x < b)], t[keep])))
+    vals = evaluate(spline, cand)
     best = int(np.argmin(vals))
-    return cand[best], vals[best]
+    return float(cand[best]), float(vals[best])

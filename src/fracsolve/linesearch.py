@@ -60,7 +60,7 @@ class LineSearchConfig:
     alpha_min: float = 1e-3
 
     def __post_init__(self):
-        if self.transition_tolerance <= 0.0:
+        if not self.transition_tolerance > 0.0:
             raise ValueError("transition tolerance must be positive")
         if not 0.0 < self.transition_fraction < 1.0:
             raise ValueError("transition fraction must lie in (0, 1)")
@@ -135,7 +135,7 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
     while any fracture has more transitioning cells at the damped step than
     max(1, fraction * cells).
     """
-    if scale <= 0.0:
+    if not scale > 0.0:
         raise ValueError("scale must be positive")
     fields: dict[float, np.ndarray] = {}  # alpha -> scaled (2, n) indicators
 

@@ -147,11 +147,8 @@ def transmissibility(aperture_left, aperture_right, viscosity: float):
 class Fracture:
     """One planar fracture discretized as a uniform cell grid."""
 
-    index: int
     shape: tuple[int, int]
     cells: np.ndarray                  # global cell indices, row-major over the grid
-    normal: np.ndarray                 # global unit normal
-    tangents: np.ndarray               # (2, 3) orthonormal in-plane basis
     external_traction: np.ndarray      # (n_cells, 3) local [normal, t1, t2], Pa
     edges: np.ndarray                  # (n_edges, 2) local cell pairs
     cell_area: float
@@ -196,15 +193,13 @@ class FractureAssembly:
 
     def __init__(self, fractures: list[Fracture], params: ContactParameters,
                  couplings: PhysicsCouplings, physics: Physics,
-                 scales: CharacteristicScales, cells_per_side: int,
-                 label: str = "assembly"):
+                 scales: CharacteristicScales, cells_per_side: int):
         self.fractures = fractures
         self.params = params
         self.couplings = couplings
         self.physics = physics
         self.scales = scales
         self.cells_per_side = cells_per_side
-        self.label = label
 
         self.n_cells = sum(fr.n_cells for fr in fractures)
         self.previous_jump = np.zeros((self.n_cells, 3))
@@ -303,20 +298,15 @@ class FractureAssembly:
         return ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
                              self.previous_jump[:, 1:3])
 
-    def initial_guess(self, load_seeded: bool = True) -> np.ndarray:
+    def initial_guess(self) -> np.ndarray:
         """Zero jumps and reference pressures/temperatures, seeded tractions.
 
-        ``load_seeded`` starts tractions at the elastically clamped values
-        (they balance the external load at zero jump, so the first magnitude
-        estimates see load-sized tractions); otherwise cells whose loading
-        implies contact get a small compressive seed of -0.1.
+        Tractions start at the elastically clamped values: they balance the
+        external load at zero jump, so the first magnitude estimates see
+        load-sized tractions.
         """
         x = np.zeros(self.n_dofs)
-        traction = x[0:3 * self.n_cells].reshape(self.n_cells, 3)
-        if load_seeded:
-            traction[:] = self._external_traction / self.scales.stress
-        else:
-            traction[self._external_traction[:, 0] < 0.0, 0] = -0.1
+        x[0:3 * self.n_cells] = (self._external_traction / self.scales.stress).ravel()
         return x
 
     # ----- construction helpers -----------------------------------------
@@ -703,11 +693,8 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
         advection = np.where(along_flow, base_rate, 0.0)
 
     fracture = Fracture(
-        index=0,
         shape=(m, m),
         cells=np.arange(n),
-        normal=np.array([0.0, 0.0, 1.0]),
-        tangents=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
         external_traction=external,
         edges=edges,
         cell_area=(DOMAIN_LENGTH / m) ** 2,
@@ -720,7 +707,7 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
                                   domain_length=DOMAIN_LENGTH,
                                   youngs_modulus=YOUNGS_MODULUS)
     return FractureAssembly([fracture], params, PhysicsCouplings(), physics, scales,
-                            cells_per_side=m, label=f"single-{m}")
+                            cells_per_side=m)
 
 
 def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
@@ -772,11 +759,8 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
             dirichlet_T[center] = INLET_TEMPERATURE if injecting else OUTLET_TEMPERATURE
 
         fractures.append(Fracture(
-            index=i,
             shape=(m, m),
             cells=np.arange(i * n_local, (i + 1) * n_local),
-            normal=normal,
-            tangents=tangents,
             external_traction=external,
             edges=edges,
             cell_area=(0.25 * DOMAIN_LENGTH / m) ** 2,
@@ -788,7 +772,7 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
                                   domain_length=DOMAIN_LENGTH,
                                   youngs_modulus=YOUNGS_MODULUS)
     return FractureAssembly(fractures, params, PhysicsCouplings(), physics, scales,
-                            cells_per_side=m, label=f"multi{n_fractures}")
+                            cells_per_side=m)
 
 
 PRESET_NAMES = ("single-pm", "single-tpm", "multi4-pm", "multi4-tpm",
@@ -802,16 +786,13 @@ def preset(name: str, dilation_angle: float = 0.1,
     physics = {"pm": Physics.PORO, "tpm": Physics.THERMOPORO}
     if name == "single-pm" or name == "single-tpm":
         kind = name.split("-")[1]
-        model = make_single_fracture(cells_per_side, dilation_angle,
-                                     characteristic_displacement, physics[kind])
-    elif name.startswith("multi") and name.count("-") == 1:
+        return make_single_fracture(cells_per_side, dilation_angle,
+                                    characteristic_displacement, physics[kind])
+    if name.startswith("multi") and name.count("-") == 1:
         head, kind = name.split("-")
         if kind not in physics or not head.removeprefix("multi").isdigit():
             raise ValueError(f"unknown preset {name!r}")
         count = int(head.removeprefix("multi"))
-        model = make_multi_fracture(count, seed, dilation_angle,
-                                    characteristic_displacement, physics[kind])
-    else:
-        raise ValueError(f"unknown preset {name!r}")
-    model.label = name
-    return model
+        return make_multi_fracture(count, seed, dilation_angle,
+                                   characteristic_displacement, physics[kind])
+    raise ValueError(f"unknown preset {name!r}")

@@ -67,7 +67,7 @@ class ConvergenceCriterion:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.tolerance <= 0.0:
+        if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
 
 
@@ -78,11 +78,9 @@ class NewtonOptions:
     # A bare Strategy is accepted and wrapped in a default config.
     line_search: LineSearchConfig = dataclass_field(default_factory=LineSearchConfig)
     divergence_factor: float = 1e10
-    # Diagnostics: pin the adaptive scale at 1 (reproduces the constant
-    # variant bitwise) or recompute the tangential mask at every trial point
-    # instead of freezing it at the reference iterate.
+    # Diagnostic: pin the adaptive scale at 1 (reproduces the constant
+    # variant bitwise).
     force_unit_scale: bool = False
-    mask_at_trial: bool = False
 
     def __post_init__(self):
         if isinstance(self.line_search, Strategy):
@@ -90,6 +88,8 @@ class NewtonOptions:
                                LineSearchConfig(strategy=self.line_search))
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        if not self.divergence_factor > 0.0:
+            raise ValueError("divergence factor must be positive")
 
 
 @dataclass
@@ -180,9 +180,7 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
     mask = reference_mask(model.contact_states(x), params, weight)
 
     def evaluator(alpha: float):
-        states = model.contact_states(x + alpha * step)
-        m = reference_mask(states, params, weight) if options.mask_at_trial else mask
-        return evaluate_field(states, params, weight, m)
+        return evaluate_field(model.contact_states(x + alpha * step), params, weight, mask)
 
     # The scale stays 1 unless the strategy is the adaptive one.
     return search_constraint(evaluator, model.fracture_cells(), cfg, scale=scale)

@@ -35,7 +35,8 @@ class CharacteristicScales:
     youngs_modulus: float = 5e6  # Pa
 
     def __post_init__(self):
-        if self.displacement <= 0.0 or self.domain_length <= 0.0 or self.youngs_modulus <= 0.0:
+        if not (self.displacement > 0.0 and self.domain_length > 0.0
+                and self.youngs_modulus > 0.0):
             raise ValueError("characteristic quantities must be positive")
 
     @property

@@ -2,11 +2,13 @@
 constraint search.
 
 The interpolation kernels as they were before they were batched: one profile
-per fit with a per-knot slope loop, and ``find_root`` scanning the knot
-intervals and handing the first sign change to ``scipy.optimize.brentq``. The
-constraint search on top of them fits and solves one (family, cell) at a
-time. Tests compare the batched kernels and search against these, so nothing
-here imports ``fracsolve.interpolation``.
+per fit with a per-knot slope loop, ``find_root`` scanning the knot intervals
+and handing the first sign change to ``scipy.optimize.brentq``, and
+``find_minimum`` solving for the stationary points piece by piece and
+evaluating its candidates one at a time. The constraint search on top of
+them fits and solves one (family, cell) at a time. Tests compare the batched
+kernels and search against these, so nothing here imports
+``fracsolve.interpolation``.
 """
 
 from __future__ import annotations
@@ -134,6 +136,48 @@ def find_root(spline: MonotoneCubic, bracket: tuple[float, float]):
     if vals[-1] == 0.0:
         return float(cuts[-1])
     return None
+
+
+def _piece_critical_points(spline: MonotoneCubic, j: int) -> list[float]:
+    # Stationary points of piece j, in global coordinates.
+    x, y, m = spline.knots, spline.values, spline.derivatives
+    h = x[j + 1] - x[j]
+    # d/ds of the Hermite cubic in the unit parameter s.
+    qa = 6.0 * y[j] + 3.0 * h * m[j] - 6.0 * y[j + 1] + 3.0 * h * m[j + 1]
+    qb = -6.0 * y[j] - 4.0 * h * m[j] + 6.0 * y[j + 1] - 2.0 * h * m[j + 1]
+    qc = h * m[j]
+    roots: list[float] = []
+    if qa == 0.0:
+        if qb != 0.0:
+            roots = [-qc / qb]
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            sq = np.sqrt(disc)
+            roots = [(-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)]
+    return [x[j] + s * h for s in roots if 0.0 < s < 1.0]
+
+
+def find_minimum(spline: MonotoneCubic, interval: tuple[float, float]) -> tuple[float, float]:
+    """Global minimum of a single-profile interpolant over ``interval``.
+
+    Candidates are the interval endpoints, the interior knots, and the
+    stationary points of each cubic piece; exact ties go to the smaller
+    abscissa.
+    """
+    a, b = float(interval[0]), float(interval[1])
+    if b < a:
+        raise ValueError("empty interval")
+    cand = [a, b]
+    cand.extend(float(k) for k in spline.knots if a < k < b)
+    for j in range(len(spline.knots) - 1):
+        if spline.knots[j + 1] <= a or spline.knots[j] >= b:
+            continue
+        cand.extend(t for t in _piece_critical_points(spline, j) if a <= t <= b)
+    cand = sorted(set(cand))
+    vals = [evaluate(spline, t) for t in cand]
+    best = int(np.argmin(vals))
+    return cand[best], vals[best]
 
 
 def search_constraint(indicator_evaluator, fracture_cells, config, scale=1.0):

@@ -362,9 +362,7 @@ def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
     rates[1] = -0.0
     scales = CharacteristicScales(displacement=0.01, youngs_modulus=YOUNGS_MODULUS)
     fracture = Fracture(
-        index=0, shape=shape, cells=np.arange(n),
-        normal=np.array([0.0, 0.0, 1.0]),
-        tangents=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        shape=shape, cells=np.arange(n),
         external_traction=rng.uniform(-1.0, 1.0, (n, 3)) * scales.stress,
         edges=edges, cell_area=1.0 / n,
         dirichlet_pressure={0: 1.5e5, 7: -2.0e4, 11: -1.0e5},
@@ -374,7 +372,7 @@ def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
     params = ContactParameters(friction_coefficient=0.8, dilation_angle=0.2,
                                residual_aperture=residual_aperture)
     return FractureAssembly([fracture], params, PhysicsCouplings(), physics, scales,
-                            cells_per_side=shape[0], label="hand-built")
+                            cells_per_side=shape[0])
 
 
 MODELS = {

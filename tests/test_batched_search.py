@@ -4,6 +4,8 @@ The batched ``fit`` and ``find_root`` must return, bit for bit, what the
 scalar kernels of ``scalar_oracle`` (a per-knot slope loop and
 ``scipy.optimize.brentq``) return row by row, fail the way they fail, and
 leave every Newton trajectory as the scalar constraint search leaves it.
+``find_minimum``, whose stationary points are one array expression over the
+pieces, must return the scalar per-piece oracle's abscissa and value.
 """
 
 import warnings
@@ -16,7 +18,7 @@ import fracsolve.newton
 import scalar_oracle
 from fracsolve import interpolation
 from fracsolve.bench import resolve_criterion
-from fracsolve.interpolation import MonotoneCubic, evaluate, find_root, fit
+from fracsolve.interpolation import MonotoneCubic, evaluate, find_minimum, find_root, fit
 from fracsolve.linesearch import Strategy
 from fracsolve.models import preset
 from fracsolve.newton import NewtonOptions, SolveStatus, solve
@@ -116,19 +118,6 @@ def test_extrapolation_branch_matches_brentq():
     assert extrapolated > 500
 
 
-def test_single_profile_keeps_scalar_return():
-    rng = np.random.default_rng(42)
-    grid = np.linspace(0.0, 1.0, 5)
-    y, shift = _profiles(rng, 700, 5)
-    batch = find_root(fit(grid, y).shifted(shift), (0.0, 1.0))
-    for r in range(len(y)):
-        root = find_root(fit(grid, y[r]).shifted(shift[r]), (0.0, 1.0))
-        if np.isnan(batch[r]):
-            assert root is None
-        else:
-            assert type(root) is float and root == batch[r]
-
-
 def test_batched_evaluate_equals_scalar_oracle_bitwise():
     rng = np.random.default_rng(43)
     grid = np.linspace(0.0, 1.0, 6)
@@ -139,6 +128,77 @@ def test_batched_evaluate_equals_scalar_oracle_bitwise():
                          for row in y])
     assert values.tobytes() == expected.tobytes()
     assert evaluate(fit(grid, y), 0.3).shape == (500,)
+
+
+MINIMUM_ROWS = 17_000  # per knot count, 102k over the six counts
+ALPHA_MIN = 1e-3
+
+
+def _minimum_cases(rng, k, m):
+    """k (knots, values, interval) cases on m knots.
+
+    Knots are uniform on [0, 1], random with ends 0 and 1, or those of the
+    residual search: 0 and m - 1 of the six trial steps from ALPHA_MIN to 1.
+    Values are generic with magnitudes 1e-8 to 1e8, flat, small integers
+    (exact ties), or integer lines, whose pieces on uniform knots with m - 1 a
+    power of two have qa == 0. The interval is (0, 1), (ALPHA_MIN, last knot)
+    or random, its ends often on a knot and sometimes equal.
+    """
+    trials = np.linspace(ALPHA_MIN, 1.0, 6)
+    knot_kind, value_kind, interval_kind = rng.integers(0, [3, 4, 3], (k, 3)).T
+    knots = np.empty((k, m))
+    knots[knot_kind == 0] = np.linspace(0.0, 1.0, m)
+    random = knot_kind == 1
+    knots[random] = np.sort(rng.uniform(0.0, 1.0, (random.sum(), m)), axis=1)
+    knots[random, 0], knots[random, -1] = 0.0, 1.0
+    residual = np.flatnonzero(knot_kind == 2)
+    knots[residual, 0] = 0.0
+    for r in residual:
+        knots[r, 1:] = np.sort(rng.choice(trials, m - 1, replace=False))
+
+    mag = 10.0 ** rng.uniform(-8.0, 8.0, (k, 1))
+    values = rng.standard_normal((k, m)) * mag
+    flat = value_kind == 1
+    values[flat] = values[flat, :1]
+    ties = value_kind == 2
+    values[ties] = rng.integers(-2, 3, (ties.sum(), m))
+    line = value_kind == 3
+    slope, offset = rng.integers(-3, 4, (2, line.sum(), 1))
+    values[line] = slope * np.arange(m) + offset
+
+    on_knot = knots[np.arange(k)[:, None], rng.integers(0, m, (k, 2))]
+    ends = np.where(rng.random((k, 2)) < 0.5, on_knot, rng.uniform(-0.1, 1.1, (k, 2)))
+    same = rng.random(k) < 0.05
+    ends[same, 1] = ends[same, 0]
+    intervals = np.where((interval_kind == 0)[:, None], [0.0, 1.0],
+                         np.where((interval_kind == 1)[:, None],
+                                  np.column_stack([np.full(k, ALPHA_MIN), knots[:, -1]]),
+                                  np.sort(ends, axis=1)))
+    return knots, values, intervals
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_find_minimum_equals_scalar_oracle_bitwise(m):
+    rng = np.random.default_rng(600 + m)
+    knots, values, intervals = _minimum_cases(rng, MINIMUM_ROWS, m)
+    found = np.empty((MINIMUM_ROWS, 2))
+    expected = np.empty((MINIMUM_ROWS, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in range(MINIMUM_ROWS):
+            spline = fit(knots[r], values[r])
+            found[r] = find_minimum(spline, intervals[r])
+            expected[r] = scalar_oracle.find_minimum(spline, intervals[r])
+    assert found.tobytes() == expected.tobytes()
+    # The minimum lands on each kind of candidate: an interval end, an
+    # interior knot, and (a two-knot fit is a line) a stationary point
+    # strictly inside a piece.
+    t = found[:, 0]
+    on_knot = (knots == t[:, None]).any(axis=1)
+    inside = (intervals[:, 0] < t) & (t < intervals[:, 1])
+    assert (t == intervals[:, 0]).any() and (t == intervals[:, 1]).any()
+    assert m == 2 or np.count_nonzero(on_knot & inside) > MINIMUM_ROWS // 100
+    assert m == 2 or np.count_nonzero(~on_knot & inside) > MINIMUM_ROWS // 100
 
 
 def test_nan_iterate_raises_value_error_like_brentq():
@@ -162,7 +222,7 @@ def test_no_convergence_raises_runtime_error_like_brentq(monkeypatch):
         brentq(lambda t: scalar_oracle.evaluate(spline, t), 0.5, 0.75, xtol=1e-12, maxiter=2)
     monkeypatch.setattr(interpolation, "MAX_ITERATIONS", 2)
     with pytest.raises(RuntimeError):
-        find_root(fit(grid, profile), (0.0, 1.0))
+        find_root(fit(grid, [profile]), (0.0, 1.0))
 
 
 TRAJECTORIES = [

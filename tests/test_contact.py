@@ -264,6 +264,10 @@ def test_parameters_validated():
         ContactParameters(dilation_angle=2.0)
     with pytest.raises(ValueError):
         ContactParameters(residual_aperture=0.0)
+    with pytest.raises(ValueError):
+        ContactParameters(friction_coefficient=np.nan)
+    with pytest.raises(ValueError):
+        ContactParameters(residual_aperture=np.nan)
 
 
 def test_slip_increment_uses_previous_jump():

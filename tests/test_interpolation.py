@@ -93,47 +93,53 @@ def test_fit_rejects_bad_data():
 # root finding
 
 
+def _row(knots, values):
+    """A one-row batch, the shape ``find_root`` takes."""
+    return fit(knots, [values])
+
+
 def test_find_root_linear_profile():
-    spline = fit([0.0, 1.0], [0.8, -0.2])
-    root = find_root(spline, (0.0, 1.0))
+    spline = _row([0.0, 1.0], [0.8, -0.2])
+    (root,) = find_root(spline, (0.0, 1.0))
     assert root == pytest.approx(0.8, abs=1e-10)
 
 
 def test_find_root_none_when_sign_constant():
-    spline = fit([0.0, 0.5, 1.0], [1.0, 0.4, 0.1])
-    assert find_root(spline, (0.0, 1.0)) is None
+    spline = _row([0.0, 0.5, 1.0], [1.0, 0.4, 0.1])
+    (root,) = find_root(spline, (0.0, 1.0))
+    assert np.isnan(root)
 
 
 def test_find_root_crossing_in_second_interval():
-    spline = fit([0.0, 0.5, 1.0], [1.0, 0.5, -1.0])
-    root = find_root(spline, (0.0, 1.0))
-    assert root is not None
+    spline = _row([0.0, 0.5, 1.0], [1.0, 0.5, -1.0])
+    (root,) = find_root(spline, (0.0, 1.0))
+    assert not np.isnan(root)
     assert 0.5 < root < 1.0
-    assert abs(spline(root)) <= 1e-9
+    assert abs(spline(root)[0]) <= 1e-9
 
 
 def test_find_root_returns_smallest_zero():
     # sign pattern + - + has two crossings; the scan must stop at the first
-    spline = fit([0.0, 0.3, 0.6, 1.0], [1.0, -0.5, -0.4, 1.0])
-    root = find_root(spline, (0.0, 1.0))
-    assert root is not None
+    spline = _row([0.0, 0.3, 0.6, 1.0], [1.0, -0.5, -0.4, 1.0])
+    (root,) = find_root(spline, (0.0, 1.0))
+    assert not np.isnan(root)
     assert root < 0.3
-    assert abs(spline(root)) <= 1e-9
+    assert abs(spline(root)[0]) <= 1e-9
 
 
 def test_find_root_exact_knot_zero():
-    spline = fit([0.0, 0.5, 1.0], [0.5, 0.0, 0.5])
-    assert find_root(spline, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+    spline = _row([0.0, 0.5, 1.0], [0.5, 0.0, 0.5])
+    assert find_root(spline, (0.0, 1.0))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_find_root_sign_change_of_tiny_values():
     # f0 * f1 underflows to -0.0 here, which is not a sign change
-    spline = fit([0.0, 1.0], [1e-200, -1e-200])
-    assert find_root(spline, (0.0, 1.0)) == pytest.approx(0.5, abs=1e-12)
+    spline = _row([0.0, 1.0], [1e-200, -1e-200])
+    assert find_root(spline, (0.0, 1.0))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_find_root_rejects_empty_bracket():
-    spline = fit([0.0, 1.0], [1.0, -1.0])
+    spline = _row([0.0, 1.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         find_root(spline, (0.7, 0.7))
 

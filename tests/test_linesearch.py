@@ -35,6 +35,7 @@ def test_strategy_values():
     {"alpha_min": 0.0},
     {"alpha_min": 1.5},
     {"max_tightenings": -1},
+    {"transition_tolerance": float("nan")},
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -255,7 +256,7 @@ def test_constraint_search_falls_back_to_alpha_min():
     assert outcome.evaluations == CONFIG.sample_count + 1
 
 
-@pytest.mark.parametrize("scale", [0.0, -1.0])
+@pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
 def test_constraint_search_rejects_nonpositive_scale(scale):
     with pytest.raises(ValueError):
         search_constraint(_linear_evaluator([1.0]), [np.array([0])], CONFIG, scale=scale)

@@ -49,9 +49,7 @@ def test_transmissibility_floor_for_closed_cells():
 def _unloaded_elastic(m=2):
     n = m * m
     fracture = Fracture(
-        index=0, shape=(m, m), cells=np.arange(n),
-        normal=np.array([0.0, 0.0, 1.0]),
-        tangents=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        shape=(m, m), cells=np.arange(n),
         external_traction=np.zeros((n, 3)), edges=NO_EDGES, cell_area=0.25,
     )
     scales = CharacteristicScales(displacement=0.01, youngs_modulus=YOUNGS_MODULUS)
@@ -70,9 +68,7 @@ def test_single_cell_compressed_fixed_point():
     # load exactly and both contact rows sit on their branch boundaries
     scales = CharacteristicScales(displacement=0.01, youngs_modulus=YOUNGS_MODULUS)
     fracture = Fracture(
-        index=0, shape=(1, 1), cells=np.arange(1),
-        normal=np.array([0.0, 0.0, 1.0]),
-        tangents=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+        shape=(1, 1), cells=np.arange(1),
         external_traction=np.array([[-scales.stress, 0.0, 0.0]]),
         edges=NO_EDGES, cell_area=1.0,
     )
@@ -294,7 +290,6 @@ def test_single_fracture_load_profile():
     assert np.all(ext[:, 0] < 0.0)
     assert np.allclose(ext[:, 1], 0.75 * sigma_ref, rtol=1e-12)
     assert np.array_equal(ext[:, 2], np.zeros(36))
-    assert model.label == "single-6"
 
 
 def test_initial_guess_variants():
@@ -305,18 +300,11 @@ def test_initial_guess_variants():
     assert np.array_equal(seeded[:3 * n].reshape(n, 3), expected)
     assert np.array_equal(seeded[3 * n:], np.zeros(model.n_dofs - 3 * n))
 
-    flat = model.initial_guess(load_seeded=False)
-    traction = flat[:3 * n].reshape(n, 3)
-    assert np.all(traction[:, 0] == -0.1)
-    assert np.array_equal(traction[:, 1:], np.zeros((n, 2)))
-
 
 def test_multi_fracture_families_are_nested():
     small = make_multi_fracture(4, seed=0)
     large = make_multi_fracture(8, seed=0)
     for a, b in zip(small.fractures, large.fractures[:4]):
-        assert np.array_equal(a.normal, b.normal)
-        assert np.array_equal(a.tangents, b.tangents)
         assert np.array_equal(a.external_traction, b.external_traction)
         assert np.array_equal(a.cells, b.cells)
         assert a.dirichlet_pressure == b.dirichlet_pressure
@@ -332,12 +320,10 @@ def test_preset_names_and_layouts():
     assert len(PRESET_NAMES) == 6
     single = preset("single-tpm")
     assert single.physics is Physics.THERMOPORO
-    assert single.label == "single-tpm"
     assert single.n_dofs == 8 * single.n_cells
     multi = preset("multi8-pm")
     assert len(multi.fractures) == 8
     assert multi.n_cells == 128
-    assert multi.label == "multi8-pm"
     assert preset("single-pm", cells_per_side=9).n_cells == 81
 
 

@@ -305,17 +305,6 @@ def test_scale_history_semantics():
     assert all(s == 1.0 for s in forced.scale_history)
 
 
-@pytest.mark.parametrize("model_name", ["single-pm", "single-tpm"])
-def test_trial_mask_variant_also_converges(model_name):
-    # the reference-iterate mask is the default; re-evaluating the mask at
-    # each trial point must still converge on the shipped problems
-    frozen = solve(preset(model_name), options=_options("constraint-adaptive"))
-    trial = solve(preset(model_name), options=_options(
-        "constraint-adaptive", mask_at_trial=True))
-    assert frozen.status is SolveStatus.CONVERGED
-    assert trial.status is SolveStatus.CONVERGED
-
-
 def test_regime_history_is_recorded_per_iteration():
     model = preset("single-pm")
     report = solve(model, options=_options("constraint-adaptive"))
@@ -338,6 +327,14 @@ def test_options_reject_nonpositive_iteration_cap():
         NewtonOptions(max_iterations=0)
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+def test_options_reject_nonpositive_divergence_factor(factor):
+    with pytest.raises(ValueError, match="divergence factor"):
+        NewtonOptions(divergence_factor=factor)
+
+
 def test_criterion_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         ConvergenceCriterion(tolerance=0.0)
+    with pytest.raises(ValueError):
+        ConvergenceCriterion(tolerance=float("nan"))

@@ -30,6 +30,10 @@ def test_scales_reject_nonpositive_inputs():
         CharacteristicScales(displacement=0.0)
     with pytest.raises(ValueError):
         CharacteristicScales(displacement=0.01, youngs_modulus=-1.0)
+    for kwargs in ({"displacement": np.nan}, {"displacement": 0.01, "domain_length": np.nan},
+                   {"displacement": 0.01, "youngs_modulus": np.nan}):
+        with pytest.raises(ValueError):
+            CharacteristicScales(**kwargs)
 
 
 # ---------------------------------------------------------------------------
