@@ -142,7 +142,7 @@ def solve_cell(cell: tuple) -> ResultRow:
         model=model_name,
         physics=model.physics.value,
         phi=phi,
-        cells=model.cells_per_side,
+        cells=size,
         u_c=u_c,
         seed=seed,
         status=report.status.value,
@@ -280,17 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run globalization-strategy comparison sweeps on the fracture models.",
     )
     parser.add_argument("--config", help="JSON file with SweepSpec fields")
-    parser.add_argument("--strategy", nargs="+", metavar="NAME",
+    # Each sweep option stores into the SweepSpec field it overrides.
+    parser.add_argument("--strategy", nargs="+", metavar="NAME", dest="strategies",
                         help=f"strategies to run (default: all of {', '.join(ALL_STRATEGIES)})")
-    parser.add_argument("--model", nargs="+", metavar="PRESET",
+    parser.add_argument("--model", nargs="+", metavar="PRESET", dest="models",
                         help=f"model presets (choices: {', '.join(PRESET_NAMES)})")
-    parser.add_argument("--phi", nargs="+", type=float, help="dilation angles")
-    parser.add_argument("--cells", nargs="+", type=int, help="cells per side (single-fracture presets)")
-    parser.add_argument("--uc", nargs="+", type=float, help="characteristic displacements")
-    parser.add_argument("--seed", nargs="+", type=int, help="seeds (multi-fracture presets)")
-    parser.add_argument("--criterion", choices=("auto", "increment", "residual"), default=None)
-    parser.add_argument("--max-iter", type=int, default=None)
-    parser.add_argument("--out", default=None, help="CSV output path (default sweep.csv)")
+    parser.add_argument("--phi", nargs="+", type=float, dest="phi_values", help="dilation angles")
+    parser.add_argument("--cells", nargs="+", type=int, dest="cells_values",
+                        help="cells per side (single-fracture presets)")
+    parser.add_argument("--uc", nargs="+", type=float, dest="u_c_values",
+                        help="characteristic displacements")
+    parser.add_argument("--seed", nargs="+", type=int, dest="seeds",
+                        help="seeds (multi-fracture presets)")
+    parser.add_argument("--criterion", choices=("auto", "increment", "residual"))
+    parser.add_argument("--max-iter", type=int, dest="max_iterations")
+    parser.add_argument("--out", dest="output_path", help="CSV output path (default sweep.csv)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: available parallelism)")
     parser.add_argument("--no-table", action="store_true", help="skip the text table")
@@ -301,27 +305,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        fields: dict = {}
-        if args.config:
-            fields.update(_spec_from_config(args.config))
-        if args.strategy:
-            fields["strategies"] = tuple(args.strategy)
-        if args.model:
-            fields["models"] = tuple(args.model)
-        if args.phi:
-            fields["phi_values"] = tuple(args.phi)
-        if args.cells:
-            fields["cells_values"] = tuple(args.cells)
-        if args.uc:
-            fields["u_c_values"] = tuple(args.uc)
-        if args.seed:
-            fields["seeds"] = tuple(args.seed)
-        if args.criterion:
-            fields["criterion"] = args.criterion
-        if args.max_iter is not None:
-            fields["max_iterations"] = args.max_iter
-        if args.out is not None:
-            fields["output_path"] = args.out
+        fields = _spec_from_config(args.config) if args.config else {}
+        for name in _CONFIG_TYPES:
+            value = getattr(args, name)
+            if value is not None:
+                fields[name] = tuple(value) if name in SWEEP_AXES else value
         spec = SweepSpec(**fields)
 
         rows = run_sweep(spec, workers=args.workers)

@@ -12,6 +12,15 @@ displacement.
 The state of all cells is one ``ContactStates`` of per-cell arrays, and every
 kernel here maps it to per-cell arrays in a single vectorized pass.
 
+The residuals, the regime census, the generalized derivative and the state
+indicators share one open/closed test, ``normal_indicator``, and one
+stick/slide test, the friction bound against the slip drive ``q``. The
+indicators are signed distances to those boundaries in residual units;
+``evaluate_field`` returns both as one ``(2, n)`` array (row 0 normal, row 1
+tangential, zero on cells open at the reference iterate), and
+``transition_values`` turns a sign change along a Newton direction into a
+per-cell damping signal.
+
 Sign conventions: a negative normal traction is compressive; the slip
 increment of a consistently sliding cell is a nonnegative multiple of the
 tangential traction.
@@ -34,6 +43,11 @@ __all__ = [
     "tangential_complementarity",
     "classify_regime",
     "contact_generalized_derivative",
+    "normal_indicator",
+    "tangential_indicator",
+    "transition_values",
+    "reference_mask",
+    "evaluate_field",
 ]
 
 
@@ -118,6 +132,23 @@ def gap(tangential_jump: np.ndarray, dilation_angle: float):
     return np.tan(dilation_angle) * _norms(tangential_jump)
 
 
+def normal_indicator(states: ContactStates, params: ContactParameters,
+                     weight: float) -> np.ndarray:
+    """Signed distance to the open/closed branch boundary, per cell.
+
+    Positive exactly when the penetration term in the normal complementarity
+    residual is on its active (contact) branch.
+    """
+    g = gap(states.tangential_jump, params.dilation_angle)
+    return -states.normal_traction - weight * (states.normal_jump - g)
+
+
+def _slip_drive(states: ContactStates, params: ContactParameters, weight: float):
+    """Friction bound ``b``, shape ``(n,)``, and slip drive ``q``, shape ``(n, 2)``."""
+    b = friction_bound(states.normal_traction, params.friction_coefficient)
+    return b, states.tangential_traction + weight * states.slip_increment
+
+
 def normal_complementarity(states: ContactStates, params: ContactParameters,
                            weight: float) -> np.ndarray:
     """Residual of the normal contact conditions, shape ``(n,)``.
@@ -125,9 +156,7 @@ def normal_complementarity(states: ContactStates, params: ContactParameters,
     Zero exactly when -traction >= 0, jump - gap >= 0 and their product
     vanishes; the root set does not depend on the (positive) weight.
     """
-    g = gap(states.tangential_jump, params.dilation_angle)
-    reach = -states.normal_traction - weight * (states.normal_jump - g)
-    return -states.normal_traction - np.fmax(0.0, reach)
+    return -states.normal_traction - np.fmax(0.0, normal_indicator(states, params, weight))
 
 
 def tangential_complementarity(states: ContactStates, params: ContactParameters,
@@ -139,9 +168,9 @@ def tangential_complementarity(states: ContactStates, params: ContactParameters,
     slip increment, traction within the bound) and for consistent slide
     (traction at the bound, slip increment a nonnegative multiple of it).
     """
-    b = friction_bound(states.normal_traction, params.friction_coefficient)[:, None]
+    b, q = _slip_drive(states, params, weight)
+    b = b[:, None]
     sig_t = states.tangential_traction
-    q = sig_t + weight * states.slip_increment
     closed = sig_t * np.fmax(b, _norms(q)[:, None]) - b * q
     return np.where(b <= 0.0, sig_t, closed)
 
@@ -149,8 +178,7 @@ def tangential_complementarity(states: ContactStates, params: ContactParameters,
 def classify_regime(states: ContactStates, params: ContactParameters,
                     weight: float) -> np.ndarray:
     """Diagnostic regime code per cell, an ``(n,)`` array of ``ContactRegime`` values."""
-    b = friction_bound(states.normal_traction, params.friction_coefficient)
-    q = states.tangential_traction + weight * states.slip_increment
+    b, q = _slip_drive(states, params, weight)
     regime = np.where(_norms(q) > b, ContactRegime.SLIDING, ContactRegime.STICKING)
     return np.where(b <= 0.0, ContactRegime.OPEN, regime)
 
@@ -168,7 +196,6 @@ def contact_generalized_derivative(states: ContactStates, params: ContactParamet
     """
     F = params.friction_coefficient
     c = float(weight)
-    sig_n = states.normal_traction
     sig_t = states.tangential_traction
     u_t = states.tangential_jump
     slip = states.slip_increment
@@ -182,15 +209,13 @@ def contact_generalized_derivative(states: ContactStates, params: ContactParamet
     moving = u_t_norm > 0.0
     dg_dut[moving] = tan_psi * u_t[moving] / u_t_norm[moving, None]
 
-    reach = -sig_n - c * (states.normal_jump - tan_psi * u_t_norm)
-    contact = reach >= 0.0
+    contact = normal_indicator(states, params, c) >= 0.0
     # Contact branch: residual reduces to c * (jump - gap).
     D[contact, 0, 3] = c
     D[contact, 0, 4:6] = -c * dg_dut[contact]
     D[~contact, 0, 0] = -1.0
 
-    b = friction_bound(sig_n, F)
-    q = sig_t + c * slip
+    b, q = _slip_drive(states, params, c)
     q_norm = _norms(q)
     closed = ~(b <= 0.0)
     sliding = closed & (q_norm >= b)
@@ -210,3 +235,50 @@ def contact_generalized_derivative(states: ContactStates, params: ContactParamet
     D[sticking, 1:3, 0] = F * c * slip[sticking]
     D[sticking, 1:3, 4:6] = (-b[sticking] * c)[:, None, None] * eye
     return D
+
+
+def tangential_indicator(states: ContactStates, params: ContactParameters,
+                         weight: float, reference_active: np.ndarray) -> np.ndarray:
+    """Signed distance to the stick/slide branch boundary, per cell.
+
+    Positive exactly when the sliding branch is active. ``reference_active``
+    is the Heaviside mask from the reference iterate: cells that were open
+    there contribute exactly zero.
+    """
+    b, q = _slip_drive(states, params, weight)
+    return np.where(reference_active, _norms(q) - b, 0.0)
+
+
+def transition_values(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
+    """Damping signal from per-cell indicator pairs (reference, trial).
+
+    Positive with magnitude |trial| where the sign flipped between reference
+    and trial; negative where the sign persisted; zero wherever either value
+    is zero (sgn(0) = 0).
+    """
+    reference = np.asarray(reference, dtype=float)
+    trial = np.asarray(trial, dtype=float)
+    # Signs are multiplied, not values: the product of two tiny values of
+    # opposite sign underflows to -0.0, whose sign is 0. Where a sign is
+    # zero the trial is zeroed first, so a zero reference with an infinite
+    # trial gives 0 and not 0 * inf.
+    signs = np.sign(reference) * np.sign(trial)
+    return -signs * np.abs(np.where(signs == 0.0, 0.0, trial))
+
+
+def reference_mask(states: ContactStates, params: ContactParameters,
+                   weight: float) -> np.ndarray:
+    """Heaviside mask: cells with strictly positive normal indicator."""
+    return normal_indicator(states, params, weight) > 0.0
+
+
+def evaluate_field(states: ContactStates, params: ContactParameters, weight: float,
+                   mask: np.ndarray) -> np.ndarray:
+    """Both indicator families over all cells, shape ``(2, n)``.
+
+    Row 0 is the normal indicator, row 1 the tangential one. ``mask`` is the
+    reference-iterate Heaviside mask; it must come from the same cell
+    ordering as ``states``.
+    """
+    return np.stack([normal_indicator(states, params, weight),
+                     tangential_indicator(states, params, weight, mask)])

@@ -122,7 +122,8 @@ def _hermite(s, h, y0, m0, y1, m1):
 
 def _pieces(knots: np.ndarray, t: np.ndarray):
     # Piece index, piece width and unit parameter of every abscissa.
-    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    # minimum/maximum, not np.clip: the same integers at a quarter of the cost.
+    idx = np.minimum(np.maximum(np.searchsorted(knots, t, side="right") - 1, 0), len(knots) - 2)
     h = knots[idx + 1] - knots[idx]
     return idx, h, (t - knots[idx]) / h
 

@@ -4,16 +4,16 @@ Four strategies share one interface: accept the full step, minimize a cubic
 model of the residual norm along the step, or damp the step so that per-cell
 contact-state transitions stay controlled. The constraint-oriented searches
 never evaluate the residual; they work entirely on the cheap state indicators,
-sampling them along the ray, fitting monotone cubics, and solving for the
-step length at which a transitioning cell overshoots its branch boundary by
-exactly the transition tolerance. The indicators arrive as one ``(2, n)``
-array per trial step (row 0 normal, row 1 tangential), so both families
-share one cache, one transition test and one sample stack of shape
-``(2, n, sample_count)``. The flagged profiles are fitted as one batch and
-their roots found by one batched call per round. When too many cells of one
-fracture still transition at the damped step, the tolerance is halved: the
-cached fits are shifted by the new tolerance, only newly flagged profiles
-are fitted, and the roots are solved again.
+sampling them along the ray, fitting monotone cubics, and solving for the step
+length at which a transitioning cell overshoots its branch boundary by exactly
+the transition tolerance. The indicators (``contact.evaluate_field``) arrive
+as one ``(2, n)`` array per trial step (row 0 normal, row 1 tangential), so
+both families share one cache, one transition test and one sample stack of
+shape ``(2, n, sample_count)``. The flagged profiles are fitted as one batch
+and their roots found by one batched call per round. When too many cells of
+one fracture still transition at the damped step, the tolerance is halved: the
+cached fits are shifted by the new tolerance, only newly flagged profiles are
+fitted, and the roots are solved again.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .indicators import transition_values
+from .contact import transition_values
 from .interpolation import MonotoneCubic, find_minimum, find_root, fit
 
 __all__ = [

@@ -13,11 +13,12 @@ All model construction is deterministic: multi-fracture geometries derive from
 an integer seed, and the first fractures of a larger family coincide with the
 smaller family at the same seed.
 
-Unknown layout (n fracture cells): scaled traction (3 per cell, local frame
-[normal, tangential x2]), displacement jump (3 per cell, meters), then scaled
-pressure and scaled temperature (1 per cell each) when the physics includes
-them. Residual rows follow the same order: force balance, contact
-complementarity, mass balance, energy balance.
+Unknown layout (n fracture cells, numbered fracture by fracture and row-major
+within each grid): scaled traction (3 per cell, local frame [normal,
+tangential x2]), displacement jump (3 per cell, meters), then scaled pressure
+and scaled temperature (1 per cell each) when the physics includes them.
+Residual rows follow the same order: force balance, contact complementarity,
+mass balance, energy balance.
 
 Assembly is array-valued throughout. The Jacobian is filled into a sorted CSR
 pattern cached at construction, together with its constant force-balance
@@ -42,11 +43,10 @@ from .contact import (
     normal_complementarity,
     tangential_complementarity,
 )
-from .scaling import CharacteristicScales
+from .scaling import DOMAIN_LENGTH, LAME_LAMBDA, SHEAR_MODULUS, CharacteristicScales
 
 __all__ = [
     "Physics",
-    "PhysicsCouplings",
     "Fracture",
     "FractureAssembly",
     "transmissibility",
@@ -63,14 +63,18 @@ class Physics(enum.Enum):
     THERMOPORO = "thermoporo"
 
 
-# Material constants for the shipped problems. Elastic moduli give a Young's
-# modulus of 5e6 Pa; the flow and thermal constants keep the couplings at
-# comparable magnitude with the contact terms on the reference scaling.
-LAME_LAMBDA = 2.0e6          # Pa
-SHEAR_MODULUS = 2.0e6        # Pa
-YOUNGS_MODULUS = SHEAR_MODULUS * (3.0 * LAME_LAMBDA + 2.0 * SHEAR_MODULUS) / (LAME_LAMBDA + SHEAR_MODULUS)
+# Material constants for the shipped problems (the elastic moduli and the domain
+# length are in ``scaling``). The flow and thermal constants keep the couplings
+# at comparable magnitude with the contact terms on the reference scaling.
 DRAINED_BULK_MODULUS = LAME_LAMBDA + 2.0 * SHEAR_MODULUS / 3.0
-DOMAIN_LENGTH = 1.0          # m
+BIOT_COEFFICIENT = 0.8
+FLUID_COMPRESSIBILITY = 1.0e-6   # 1/Pa
+FLUID_VISCOSITY = 0.1            # Pa s
+FLUID_DENSITY = 1.0              # kg/m^3
+FLUID_HEAT_CAPACITY = 100.0      # J/kg/K
+FLUID_THERMAL_EXPANSION = 0.01   # 1/K
+SOLID_THERMAL_EXPANSION = 1.0e-3  # 1/K
+THERMAL_CONDUCTIVITY = 1.0       # W/m/K
 REFERENCE_DISPLACEMENT = 0.01  # m, the loading is sized to produce jumps of this order
 TIME_STEP = 1.0e6            # s, single implicit step
 
@@ -109,21 +113,6 @@ FAR_FIELD_STRESS = np.array([
 MULTI_CELLS_PER_SIDE = 4
 
 
-@dataclass(frozen=True)
-class PhysicsCouplings:
-    """Coupling coefficients between mechanics, flow and energy."""
-
-    biot_coefficient: float = 0.8
-    fluid_compressibility: float = 1.0e-6   # 1/Pa
-    fluid_viscosity: float = 0.1            # Pa s
-    fluid_density: float = 1.0              # kg/m^3
-    fluid_heat_capacity: float = 100.0      # J/kg/K
-    fluid_thermal_expansion: float = 0.01   # 1/K
-    solid_thermal_expansion: float = 1.0e-3  # 1/K
-    thermal_conductivity: float = 1.0       # W/m/K
-    drained_bulk_modulus: float = DRAINED_BULK_MODULUS
-
-
 # Minimum hydraulic aperture: closed or interpenetrating trial states keep a
 # small positive conductance so the flow block stays elliptic. Converged
 # states always sit above the floor (contact enforces nonnegative openings).
@@ -145,10 +134,9 @@ def transmissibility(aperture_left, aperture_right, viscosity: float):
 
 @dataclass
 class Fracture:
-    """One planar fracture discretized as a uniform cell grid."""
+    """One planar fracture discretized as a uniform cell grid, cells row-major."""
 
     shape: tuple[int, int]
-    cells: np.ndarray                  # global cell indices, row-major over the grid
     external_traction: np.ndarray      # (n_cells, 3) local [normal, t1, t2], Pa
     edges: np.ndarray                  # (n_edges, 2) local cell pairs
     cell_area: float
@@ -158,7 +146,7 @@ class Fracture:
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.shape[0] * self.shape[1]
 
 
 def _grid_edges(shape: tuple[int, int]) -> np.ndarray:
@@ -183,36 +171,38 @@ def _tangent_basis(normal: np.ndarray) -> np.ndarray:
 class FractureAssembly:
     """Residual/Jacobian provider over one or more fracture grids.
 
-    Everything about the Jacobian that depends only on topology is built once,
-    at construction: its sorted CSR pattern, the constant force-balance
-    entries (identity, influence operator, Biot and thermal columns), and the
-    slot in ``data`` of every contribution that changes with the iterate.
-    ``couplings`` and ``scales`` are read there too; ``time_step`` and the
-    previous-step fields are read at every evaluation.
+    The fractures own consecutive global cell ranges in list order. Everything
+    about the Jacobian that depends only on topology is built once, at
+    construction: its sorted CSR pattern, the constant force-balance entries
+    (identity, influence operator, Biot and thermal columns), and the slot in
+    ``data`` of every contribution that changes with the iterate. ``scales``
+    is read there too; ``time_step`` and the previous-step fields are read at
+    every evaluation.
     """
 
     def __init__(self, fractures: list[Fracture], params: ContactParameters,
-                 couplings: PhysicsCouplings, physics: Physics,
-                 scales: CharacteristicScales, cells_per_side: int):
+                 physics: Physics, scales: CharacteristicScales):
         self.fractures = fractures
         self.params = params
-        self.couplings = couplings
         self.physics = physics
         self.scales = scales
-        self.cells_per_side = cells_per_side
 
-        self.n_cells = sum(fr.n_cells for fr in fractures)
+        sizes = [fr.n_cells for fr in fractures]
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self.n_cells = sum(sizes)
         self.previous_jump = np.zeros((self.n_cells, 3))
         self.previous_pressure = np.zeros(self.n_cells)     # scaled
         self.previous_temperature = np.zeros(self.n_cells)  # scaled
         self.time_step = TIME_STEP
 
+        # Grid edges in global cell indices, fracture by fracture; the
+        # influence operator and the flow rows share them.
+        self._edge_a, self._edge_b = np.concatenate([
+            np.reshape(np.asarray(fr.edges, dtype=int), (-1, 2)) + start
+            for fr, start in zip(fractures, self._starts)]).T
         self._stiffness = self._build_stiffness()
         self._check_positive_definite(self._stiffness)
 
-        # Flattened flow topology in global cell indices, fracture by fracture.
-        self._edge_a, self._edge_b = np.concatenate(
-            [fr.cells[_edge_pairs(fr)] for fr in fractures]).T
         self._edge_rate = np.concatenate([
             np.zeros(len(fr.edges)) if fr.advection_rates is None
             else np.asarray(fr.advection_rates, dtype=float) for fr in fractures])
@@ -228,20 +218,19 @@ class FractureAssembly:
 
         self._dir_p = np.full(self.n_cells, np.nan)
         self._dir_T = np.full(self.n_cells, np.nan)
-        for fr in fractures:
-            self._dir_p[fr.cells[list(fr.dirichlet_pressure)]] = list(fr.dirichlet_pressure.values())
-            self._dir_T[fr.cells[list(fr.dirichlet_temperature)]] = \
-                list(fr.dirichlet_temperature.values())
+        for fr, start in zip(fractures, self._starts):
+            for local, value in fr.dirichlet_pressure.items():
+                self._dir_p[start + local] = value
+            for local, value in fr.dirichlet_temperature.items():
+                self._dir_T[start + local] = value
         self._areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in fractures])
-        ext = np.vstack([fr.external_traction for fr in fractures])
-        self._external_traction = ext  # Pa, local components
+        self._external_traction = np.vstack([fr.external_traction for fr in fractures])  # Pa
 
         # Row scales keeping mass/energy residuals O(1).
-        c = couplings
-        flux_scale = (params.residual_aperture ** 3 / (12.0 * c.fluid_viscosity))
+        flux_scale = (params.residual_aperture ** 3 / (12.0 * FLUID_VISCOSITY))
         self._mass_scale = flux_scale * PRESSURE_SCALE
-        advective = c.fluid_density * c.fluid_heat_capacity * flux_scale * PRESSURE_SCALE
-        conductive = c.thermal_conductivity * params.residual_aperture
+        advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
+        conductive = THERMAL_CONDUCTIVITY * params.residual_aperture
         self._energy_scale = (conductive + advective) * TEMPERATURE_SCALE
 
         self._build_jacobian_pattern()
@@ -290,7 +279,9 @@ class FractureAssembly:
         return self.scales.complementarity_weight
 
     def fracture_cells(self) -> list[np.ndarray]:
-        return [fr.cells for fr in self.fractures]
+        """Global cell indices of each fracture, consecutive ranges in list order."""
+        return [np.arange(start, start + fr.n_cells)
+                for fr, start in zip(self.fractures, self._starts)]
 
     def contact_states(self, x: np.ndarray) -> ContactStates:
         """Read-only per-cell views of the tractions and jumps in ``x``."""
@@ -319,12 +310,9 @@ class FractureAssembly:
         components, plus weak ties between the center cells of consecutive
         fractures. Entries are summed in a fixed order: diagonal, edges, ties.
         """
-        sizes = [fr.n_cells for fr in self.fractures]
-        starts = np.cumsum([0] + sizes[:-1])
-        edges = np.concatenate([_edge_pairs(fr) + start for fr, start in zip(self.fractures, starts)])
-        centers = starts + np.array([self._center_local(fr) for fr in self.fractures])
+        centers = self._starts + np.array([self._center_local(fr) for fr in self.fractures])
         cells = np.arange(self.n_cells)
-        a, b = edges[:, 0], edges[:, 1]
+        a, b = self._edge_a, self._edge_b
         ta, tb = centers[:-1], centers[1:]
         rows = np.concatenate([cells, _interleave(a, b, a, b), _interleave(ta, tb, ta, tb)])
         cols = np.concatenate([cells, _interleave(a, b, b, a), _interleave(ta, tb, tb, ta)])
@@ -372,7 +360,6 @@ class FractureAssembly:
         n = self.n_cells
         cells = np.arange(n)
         a, b, up = self._edge_a, self._edge_b, self._edge_up
-        cpl = self.couplings
         sigma_c = self.scales.stress
         jump_col = 3 * n + 3 * cells      # normal jump of each cell
         pressure_col = mass_row = 6 * n + cells
@@ -391,7 +378,7 @@ class FractureAssembly:
                      "stiffness": stiffness.data * self.scales.complementarity_weight}
         if self.has_pressure:
             groups["biot"] = (3 * cells, pressure_col)
-            constants["biot"] = -cpl.biot_coefficient * PRESSURE_SCALE / sigma_c
+            constants["biot"] = -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c
             ra, rb = mass_row[a], mass_row[b]
             storage_cols = [jump_col, pressure_col] + ([temperature_col] if self.has_temperature else [])
             groups["mass"] = (
@@ -402,7 +389,7 @@ class FractureAssembly:
                     jump_col[a], jump_col[a], jump_col[b], jump_col[b])]))
         if self.has_temperature:
             groups["thermal"] = (3 * cells, temperature_col)
-            constants["thermal"] = 3.0 * cpl.drained_bulk_modulus * cpl.solid_thermal_expansion \
+            constants["thermal"] = 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE / sigma_c
             ra, rb = energy_row[a], energy_row[b]
             groups["energy"] = (
@@ -450,7 +437,6 @@ class FractureAssembly:
         n = self.n_cells
         sigma_c = self.scales.stress
         weight = self.scales.complementarity_weight
-        cpl = self.couplings
 
         r = np.zeros(self.n_dofs)
 
@@ -461,9 +447,9 @@ class FractureAssembly:
             - self._external_traction.ravel() / sigma_c
         force = force.reshape(n, 3)
         if self.has_pressure:
-            force[:, 0] -= cpl.biot_coefficient * PRESSURE_SCALE * pressure / sigma_c
+            force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
         if self.has_temperature:
-            force[:, 0] += 3.0 * cpl.drained_bulk_modulus * cpl.solid_thermal_expansion \
+            force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE * temperature / sigma_c
         r[0:3 * n] = force.ravel()
 
@@ -480,7 +466,6 @@ class FractureAssembly:
         return r
 
     def _mass_rows(self, jump, pressure, temperature) -> np.ndarray:
-        cpl = self.couplings
         n = self.n_cells
         apertures = self._apertures(jump)
         prev_ap = self._apertures(self.previous_jump)
@@ -489,14 +474,14 @@ class FractureAssembly:
         # Storage: aperture change plus compressibility/thermal expansion of
         # the resident fluid, per unit time.
         rows += self._areas * (apertures - prev_ap) / self.time_step
-        rows += self._areas * apertures * cpl.fluid_compressibility \
+        rows += self._areas * apertures * FLUID_COMPRESSIBILITY \
             * PRESSURE_SCALE * (pressure - self.previous_pressure) / self.time_step
         if temperature is not None:
-            rows -= self._areas * apertures * cpl.fluid_thermal_expansion \
+            rows -= self._areas * apertures * FLUID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / self.time_step
 
         a, b = self._edge_a, self._edge_b
-        flux = transmissibility(apertures[a], apertures[b], cpl.fluid_viscosity) \
+        flux = transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY) \
             * PRESSURE_SCALE * (pressure[a] - pressure[b])
         np.add.at(rows, self._flux_ends, _interleave(flux, _negated(flux)))
 
@@ -507,18 +492,17 @@ class FractureAssembly:
         return rows
 
     def _energy_rows(self, jump, temperature) -> np.ndarray:
-        cpl = self.couplings
         n = self.n_cells
         apertures = self._apertures(jump)
         rows = np.zeros(n)
 
-        heat = cpl.fluid_density * cpl.fluid_heat_capacity
+        heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
         rows += self._areas * apertures * heat * TEMPERATURE_SCALE \
             * (temperature - self.previous_temperature) / self.time_step
 
         a, b = self._edge_a, self._edge_b
         _, floored = self._mean_apertures(apertures)
-        conduction = cpl.thermal_conductivity * floored * TEMPERATURE_SCALE \
+        conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE \
             * (temperature[a] - temperature[b])
         advected = heat * self._edge_rate * TEMPERATURE_SCALE * temperature[self._edge_up]
         np.add.at(rows, self._heat_ends, _interleave(
@@ -557,23 +541,22 @@ class FractureAssembly:
         Subtractions are added negated; ``x - y == x + (-y)`` bit for bit
         unless ``y`` is NaN, and Newton takes the Jacobian at finite iterates.
         """
-        cpl = self.couplings
         area, dt = self._areas, self.time_step
         apertures = self._apertures(jump)
 
-        storage_u = area / dt + area * cpl.fluid_compressibility * PRESSURE_SCALE \
+        storage_u = area / dt + area * FLUID_COMPRESSIBILITY * PRESSURE_SCALE \
             * (pressure - self.previous_pressure) / dt
-        storage = [storage_u, area * apertures * cpl.fluid_compressibility * PRESSURE_SCALE / dt]
+        storage = [storage_u, area * apertures * FLUID_COMPRESSIBILITY * PRESSURE_SCALE / dt]
         if temperature is not None:
-            storage_u -= area * cpl.fluid_thermal_expansion * TEMPERATURE_SCALE \
+            storage_u -= area * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE \
                 * (temperature - self.previous_temperature) / dt
-            storage.append(-area * apertures * cpl.fluid_thermal_expansion * TEMPERATURE_SCALE / dt)
+            storage.append(-area * apertures * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE / dt)
 
         a, b = self._edge_a, self._edge_b
         mean, floored = self._mean_apertures(apertures)
-        trans = transmissibility(apertures[a], apertures[b], cpl.fluid_viscosity) * PRESSURE_SCALE
+        trans = transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY) * PRESSURE_SCALE
         dtrans = np.where(mean < HYDRAULIC_APERTURE_FLOOR, 0.0,
-                          3.0 * np.float_power(floored, 2) * 0.5 / (12.0 * cpl.fluid_viscosity))
+                          3.0 * np.float_power(floored, 2) * 0.5 / (12.0 * FLUID_VISCOSITY))
         dflux = dtrans * (PRESSURE_SCALE * (pressure[a] - pressure[b]))
         return np.concatenate(storage + [_interleave(trans, -trans, trans, -trans,
                                                      dflux, -dflux, dflux, -dflux)])
@@ -583,27 +566,21 @@ class FractureAssembly:
 
         Edges with a zero advection rate add exact zeros to the upwind slots.
         """
-        cpl = self.couplings
         area, dt = self._areas, self.time_step
-        heat = cpl.fluid_density * cpl.fluid_heat_capacity
+        heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
         apertures = self._apertures(jump)
         storage_T = area * apertures * heat * TEMPERATURE_SCALE / dt
         storage_u = area * heat * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / dt
 
         a, b = self._edge_a, self._edge_b
         mean, floored = self._mean_apertures(apertures)
-        cond = cpl.thermal_conductivity * floored * TEMPERATURE_SCALE
+        cond = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE
         dcond = np.where(mean < HYDRAULIC_APERTURE_FLOOR, 0.0,
-                         cpl.thermal_conductivity * 0.5 * TEMPERATURE_SCALE
+                         THERMAL_CONDUCTIVITY * 0.5 * TEMPERATURE_SCALE
                          * (temperature[a] - temperature[b]))
         advection = heat * self._edge_rate * TEMPERATURE_SCALE
         return np.concatenate([storage_T, storage_u, _interleave(
             cond, -cond, cond, -cond, dcond, -dcond, dcond, -dcond, advection, -advection)])
-
-
-def _edge_pairs(fracture: Fracture) -> np.ndarray:
-    """The fracture's edges as an ``(n_edges, 2)`` array of local cell indices."""
-    return np.reshape(np.asarray(fracture.edges, dtype=int), (-1, 2))
 
 
 def _interleave(*columns: np.ndarray) -> np.ndarray:
@@ -640,10 +617,6 @@ def _pattern(size: int, groups: list[tuple[np.ndarray, np.ndarray]]):
 # ----- constructors -------------------------------------------------------
 
 
-def _reference_stress() -> float:
-    return YOUNGS_MODULUS * REFERENCE_DISPLACEMENT / DOMAIN_LENGTH
-
-
 def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
                          characteristic_displacement: float = 0.01,
                          physics: Physics = Physics.PORO) -> FractureAssembly:
@@ -659,7 +632,7 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
         raise ValueError("need at least a 2x2 fracture grid")
     m = cells_per_side
     n = m * m
-    sigma_ref = _reference_stress()
+    sigma_ref = CharacteristicScales(REFERENCE_DISPLACEMENT).stress
 
     # Cell centers: first grid axis is the flow direction.
     xi = (np.arange(m) + 0.5) / m
@@ -687,14 +660,13 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
     advection = None
     if physics is Physics.THERMOPORO:
         # Frozen flow field along the ramp axis at residual-aperture rate.
-        base_rate = (params.residual_aperture ** 3 / (12.0 * 0.1)) \
+        base_rate = (params.residual_aperture ** 3 / (12.0 * FLUID_VISCOSITY)) \
             * (INLET_PRESSURE - OUTLET_PRESSURE) / m
         along_flow = edges[:, 1] == edges[:, 0] + m
         advection = np.where(along_flow, base_rate, 0.0)
 
     fracture = Fracture(
         shape=(m, m),
-        cells=np.arange(n),
         external_traction=external,
         edges=edges,
         cell_area=(DOMAIN_LENGTH / m) ** 2,
@@ -703,11 +675,8 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
         advection_rates=advection,
     )
 
-    scales = CharacteristicScales(displacement=characteristic_displacement,
-                                  domain_length=DOMAIN_LENGTH,
-                                  youngs_modulus=YOUNGS_MODULUS)
-    return FractureAssembly([fracture], params, PhysicsCouplings(), physics, scales,
-                            cells_per_side=m)
+    return FractureAssembly([fracture], params, physics,
+                            CharacteristicScales(characteristic_displacement))
 
 
 def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
@@ -724,7 +693,7 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
     if n_fractures < 1:
         raise ValueError("need at least one fracture")
     rng = np.random.default_rng(seed)
-    sigma_ref = _reference_stress()
+    sigma_ref = CharacteristicScales(REFERENCE_DISPLACEMENT).stress
     far_field = sigma_ref * FAR_FIELD_STRESS
 
     m = MULTI_CELLS_PER_SIDE
@@ -760,7 +729,6 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
 
         fractures.append(Fracture(
             shape=(m, m),
-            cells=np.arange(i * n_local, (i + 1) * n_local),
             external_traction=external,
             edges=edges,
             cell_area=(0.25 * DOMAIN_LENGTH / m) ** 2,
@@ -768,11 +736,8 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
             dirichlet_temperature=dirichlet_T,
         ))
 
-    scales = CharacteristicScales(displacement=characteristic_displacement,
-                                  domain_length=DOMAIN_LENGTH,
-                                  youngs_modulus=YOUNGS_MODULUS)
-    return FractureAssembly(fractures, params, PhysicsCouplings(), physics, scales,
-                            cells_per_side=m)
+    return FractureAssembly(fractures, params, physics,
+                            CharacteristicScales(characteristic_displacement))
 
 
 PRESET_NAMES = ("single-pm", "single-tpm", "multi4-pm", "multi4-tpm",

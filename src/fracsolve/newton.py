@@ -10,10 +10,11 @@ factorization.
 Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
 ``initial_guess()``. Contact-aware models additionally expose
 ``contact_states(x)``, a read-only ``ContactStates`` of per-cell arrays, plus
-their contact parameters and fracture partition. The constraint searches,
-the regime census and the adaptive magnitude estimate evaluate array-valued
-kernels on those states, one call per evaluation; models without these hooks
-simply run with full steps under the constraint strategies.
+their contact parameters and ``fracture_cells()``, the consecutive cell range
+of each fracture. The constraint searches, the regime census and the adaptive
+magnitude estimate evaluate the array-valued kernels of ``contact`` and
+``scaling`` on those states, one call per evaluation; models without these
+hooks simply run with full steps under the constraint strategies.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contact import classify_regime
-from .indicators import evaluate_field, reference_mask
+from .contact import classify_regime, evaluate_field, reference_mask
 from .linesearch import (
     LineSearchConfig,
     LineSearchOutcome,

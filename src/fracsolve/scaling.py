@@ -25,23 +25,27 @@ __all__ = [
 SCALE_FLOOR = 1e-8
 SCALE_CEILING = 1e8
 
+# Elastic moduli of the shipped problems and the length of their domain. The
+# characteristic stress of a displacement guess u_c is E * u_c / L.
+LAME_LAMBDA = 2.0e6          # Pa
+SHEAR_MODULUS = 2.0e6        # Pa
+YOUNGS_MODULUS = SHEAR_MODULUS * (3.0 * LAME_LAMBDA + 2.0 * SHEAR_MODULUS) / (LAME_LAMBDA + SHEAR_MODULUS)
+DOMAIN_LENGTH = 1.0          # m
+
 
 @dataclass(frozen=True)
 class CharacteristicScales:
-    """Scales induced by a characteristic displacement over a domain."""
+    """Scales induced by a characteristic displacement over the domain."""
 
     displacement: float          # u_c, meters
-    domain_length: float = 1.0   # meters
-    youngs_modulus: float = 5e6  # Pa
 
     def __post_init__(self):
-        if not (self.displacement > 0.0 and self.domain_length > 0.0
-                and self.youngs_modulus > 0.0):
+        if not self.displacement > 0.0:
             raise ValueError("characteristic quantities must be positive")
 
     @property
     def stress(self) -> float:
-        return self.youngs_modulus * self.displacement / self.domain_length
+        return YOUNGS_MODULUS * self.displacement / DOMAIN_LENGTH
 
     @property
     def complementarity_weight(self) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from fracsolve.indicators import transition_values
+from fracsolve.contact import transition_values
 from fracsolve.linesearch import LineSearchOutcome
 
 

@@ -22,17 +22,24 @@ from fracsolve.contact import (
     tangential_complementarity,
 )
 from fracsolve.models import (
+    BIOT_COEFFICIENT,
     CROSS_FRACTURE_WEIGHT,
+    DRAINED_BULK_MODULUS,
+    FLUID_COMPRESSIBILITY,
+    FLUID_DENSITY,
+    FLUID_HEAT_CAPACITY,
+    FLUID_THERMAL_EXPANSION,
+    FLUID_VISCOSITY,
     HYDRAULIC_APERTURE_FLOOR,
     PRESSURE_SCALE,
+    SOLID_THERMAL_EXPANSION,
     STIFFNESS_DIAGONAL,
     STIFFNESS_NEIGHBOR,
     TEMPERATURE_SCALE,
-    YOUNGS_MODULUS,
+    THERMAL_CONDUCTIVITY,
     Fracture,
     FractureAssembly,
     Physics,
-    PhysicsCouplings,
     _grid_edges,
     make_single_fracture,
     preset,
@@ -49,23 +56,24 @@ class Oracle:
     def __init__(self, model):
         self.model = model
         self.edges = []
+        self.dir_p = np.full(model.n_cells, np.nan)
+        self.dir_T = np.full(model.n_cells, np.nan)
+        start = 0  # the fractures own consecutive cell ranges in list order
         for fr in model.fractures:
             for k, (a, b) in enumerate(fr.edges):
                 rate = 0.0 if fr.advection_rates is None else float(fr.advection_rates[k])
-                self.edges.append((int(fr.cells[a]), int(fr.cells[b]), rate))
-        self.dir_p = np.full(model.n_cells, np.nan)
-        self.dir_T = np.full(model.n_cells, np.nan)
-        for fr in model.fractures:
+                self.edges.append((start + int(a), start + int(b), rate))
             for loc, val in fr.dirichlet_pressure.items():
-                self.dir_p[fr.cells[loc]] = val
+                self.dir_p[start + loc] = val
             for loc, val in fr.dirichlet_temperature.items():
-                self.dir_T[fr.cells[loc]] = val
+                self.dir_T[start + loc] = val
+            start += fr.n_cells
         self.areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in model.fractures])
-        c, params = model.couplings, model.params
-        flux_scale = (params.residual_aperture ** 3 / (12.0 * c.fluid_viscosity))
+        params = model.params
+        flux_scale = (params.residual_aperture ** 3 / (12.0 * FLUID_VISCOSITY))
         self.mass_scale = flux_scale * PRESSURE_SCALE
-        advective = c.fluid_density * c.fluid_heat_capacity * flux_scale * PRESSURE_SCALE
-        conductive = c.thermal_conductivity * params.residual_aperture
+        advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
+        conductive = THERMAL_CONDUCTIVITY * params.residual_aperture
         self.energy_scale = (conductive + advective) * TEMPERATURE_SCALE
         self.stiffness = oracle_stiffness(model.fractures)
 
@@ -106,18 +114,18 @@ def oracle_stiffness(fractures):
 
 
 def oracle_mass_rows(o, jump, pressure, temperature):
-    m, cpl = o.model, o.model.couplings
+    m = o.model
     apertures = o.apertures(jump)
     prev_ap = o.apertures(m.previous_jump)
     rows = np.zeros(m.n_cells)
     rows += o.areas * (apertures - prev_ap) / m.time_step
-    rows += o.areas * apertures * cpl.fluid_compressibility \
+    rows += o.areas * apertures * FLUID_COMPRESSIBILITY \
         * PRESSURE_SCALE * (pressure - m.previous_pressure) / m.time_step
     if temperature is not None:
-        rows -= o.areas * apertures * cpl.fluid_thermal_expansion \
+        rows -= o.areas * apertures * FLUID_THERMAL_EXPANSION \
             * TEMPERATURE_SCALE * (temperature - m.previous_temperature) / m.time_step
     for a, b, _rate in o.edges:
-        trans = oracle_transmissibility(apertures[a], apertures[b], cpl.fluid_viscosity)
+        trans = oracle_transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY)
         flux = trans * PRESSURE_SCALE * (pressure[a] - pressure[b])
         rows[a] += flux
         rows[b] -= flux
@@ -128,15 +136,15 @@ def oracle_mass_rows(o, jump, pressure, temperature):
 
 
 def oracle_energy_rows(o, jump, temperature):
-    m, cpl = o.model, o.model.couplings
+    m = o.model
     apertures = o.apertures(jump)
     rows = np.zeros(m.n_cells)
-    heat = cpl.fluid_density * cpl.fluid_heat_capacity
+    heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
     rows += o.areas * apertures * heat * TEMPERATURE_SCALE \
         * (temperature - m.previous_temperature) / m.time_step
     for a, b, rate in o.edges:
         mean_ap = max(0.5 * (apertures[a] + apertures[b]), HYDRAULIC_APERTURE_FLOOR)
-        conduction = cpl.thermal_conductivity * mean_ap * TEMPERATURE_SCALE \
+        conduction = THERMAL_CONDUCTIVITY * mean_ap * TEMPERATURE_SCALE \
             * (temperature[a] - temperature[b])
         rows[a] += conduction
         rows[b] -= conduction
@@ -157,15 +165,14 @@ def oracle_residual(o, x):
     n = m.n_cells
     sigma_c = m.scales.stress
     weight = m.scales.complementarity_weight
-    cpl = m.couplings
     r = np.zeros(m.n_dofs)
     force = traction.ravel() + o.stiffness @ (weight * jump.ravel()) \
         - m._external_traction.ravel() / sigma_c
     force = force.reshape(n, 3)
     if m.has_pressure:
-        force[:, 0] -= cpl.biot_coefficient * PRESSURE_SCALE * pressure / sigma_c
+        force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
     if m.has_temperature:
-        force[:, 0] += 3.0 * cpl.drained_bulk_modulus * cpl.solid_thermal_expansion \
+        force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
             * TEMPERATURE_SCALE * temperature / sigma_c
     r[0:3 * n] = force.ravel()
     states = m.contact_states(x)
@@ -192,7 +199,7 @@ def _normal_column(n, coefficient):
 
 
 def oracle_mass_jacobian(o, jump, pressure, temperature):
-    m, cpl = o.model, o.model.couplings
+    m = o.model
     n = m.n_cells
     apertures = o.apertures(jump)
     mass_u = sp.lil_matrix((n, 3 * n))
@@ -201,22 +208,22 @@ def oracle_mass_jacobian(o, jump, pressure, temperature):
     dp = pressure - m.previous_pressure
     for v in range(n):
         storage_u = o.areas[v] / m.time_step \
-            + o.areas[v] * cpl.fluid_compressibility * PRESSURE_SCALE * dp[v] / m.time_step
+            + o.areas[v] * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * dp[v] / m.time_step
         if temperature is not None:
-            storage_u -= o.areas[v] * cpl.fluid_thermal_expansion * TEMPERATURE_SCALE \
+            storage_u -= o.areas[v] * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE \
                 * (temperature[v] - m.previous_temperature[v]) / m.time_step
         mass_u[v, 3 * v] = storage_u
-        mass_p[v, v] = o.areas[v] * apertures[v] * cpl.fluid_compressibility \
+        mass_p[v, v] = o.areas[v] * apertures[v] * FLUID_COMPRESSIBILITY \
             * PRESSURE_SCALE / m.time_step
         if mass_T is not None:
-            mass_T[v, v] = -o.areas[v] * apertures[v] * cpl.fluid_thermal_expansion \
+            mass_T[v, v] = -o.areas[v] * apertures[v] * FLUID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE / m.time_step
     for a, b, _rate in o.edges:
         mean = 0.5 * (apertures[a] + apertures[b])
         floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
-        trans = floored ** 3 / (12.0 * cpl.fluid_viscosity)
+        trans = floored ** 3 / (12.0 * FLUID_VISCOSITY)
         dtrans = 0.0 if mean < HYDRAULIC_APERTURE_FLOOR \
-            else 3.0 * floored ** 2 * 0.5 / (12.0 * cpl.fluid_viscosity)
+            else 3.0 * floored ** 2 * 0.5 / (12.0 * FLUID_VISCOSITY)
         dp_ab = PRESSURE_SCALE * (pressure[a] - pressure[b])
         mass_p[a, a] += trans * PRESSURE_SCALE
         mass_p[a, b] -= trans * PRESSURE_SCALE
@@ -239,10 +246,10 @@ def oracle_mass_jacobian(o, jump, pressure, temperature):
 
 
 def oracle_energy_jacobian(o, jump, temperature):
-    m, cpl = o.model, o.model.couplings
+    m = o.model
     n = m.n_cells
     apertures = o.apertures(jump)
-    heat = cpl.fluid_density * cpl.fluid_heat_capacity
+    heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
     energy_u = sp.lil_matrix((n, 3 * n))
     energy_T = sp.lil_matrix((n, n))
     dT = temperature - m.previous_temperature
@@ -252,9 +259,9 @@ def oracle_energy_jacobian(o, jump, temperature):
     for a, b, rate in o.edges:
         mean = 0.5 * (apertures[a] + apertures[b])
         floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
-        cond = cpl.thermal_conductivity * floored * TEMPERATURE_SCALE
+        cond = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE
         dcond = 0.0 if mean < HYDRAULIC_APERTURE_FLOOR else \
-            cpl.thermal_conductivity * 0.5 * TEMPERATURE_SCALE * (temperature[a] - temperature[b])
+            THERMAL_CONDUCTIVITY * 0.5 * TEMPERATURE_SCALE * (temperature[a] - temperature[b])
         energy_T[a, a] += cond
         energy_T[a, b] -= cond
         energy_T[b, b] += cond
@@ -282,13 +289,12 @@ def oracle_jacobian(o, x):
     n = m.n_cells
     sigma_c = m.scales.stress
     weight = m.scales.complementarity_weight
-    cpl = m.couplings
     blocks = [[sp.eye(3 * n, format="csr"), o.stiffness * weight], [None, None]]
     derivative = contact_generalized_derivative(m.contact_states(x), m.params, weight)
     blocks[1][0] = _block_diagonal(derivative[:, :, 0:3])
     blocks[1][1] = _block_diagonal(derivative[:, :, 3:6])
     if m.has_pressure:
-        blocks[0].append(_normal_column(n, -cpl.biot_coefficient * PRESSURE_SCALE / sigma_c))
+        blocks[0].append(_normal_column(n, -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c))
         blocks[1].append(None)
         mass_u, mass_p, mass_T = oracle_mass_jacobian(o, jump, pressure, temperature)
         row = [None, mass_u, mass_p]
@@ -296,8 +302,8 @@ def oracle_jacobian(o, x):
             row.append(mass_T)
         blocks.append(row)
     if m.has_temperature:
-        blocks[0].append(_normal_column(n, 3.0 * cpl.drained_bulk_modulus
-                                        * cpl.solid_thermal_expansion
+        blocks[0].append(_normal_column(n, 3.0 * DRAINED_BULK_MODULUS
+                                        * SOLID_THERMAL_EXPANSION
                                         * TEMPERATURE_SCALE / sigma_c))
         blocks[1].append(None)
         energy_u, energy_T = oracle_energy_jacobian(o, jump, temperature)
@@ -360,9 +366,9 @@ def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
     rates = rng.uniform(-2e-6, 2e-6, len(edges))
     rates[::3] = 0.0
     rates[1] = -0.0
-    scales = CharacteristicScales(displacement=0.01, youngs_modulus=YOUNGS_MODULUS)
+    scales = CharacteristicScales(displacement=0.01)
     fracture = Fracture(
-        shape=shape, cells=np.arange(n),
+        shape=shape,
         external_traction=rng.uniform(-1.0, 1.0, (n, 3)) * scales.stress,
         edges=edges, cell_area=1.0 / n,
         dirichlet_pressure={0: 1.5e5, 7: -2.0e4, 11: -1.0e5},
@@ -371,8 +377,7 @@ def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
     )
     params = ContactParameters(friction_coefficient=0.8, dilation_angle=0.2,
                                residual_aperture=residual_aperture)
-    return FractureAssembly([fracture], params, PhysicsCouplings(), physics, scales,
-                            cells_per_side=shape[0])
+    return FractureAssembly([fracture], params, physics, scales)
 
 
 MODELS = {

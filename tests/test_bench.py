@@ -226,6 +226,28 @@ def test_main_happy_path(tmp_path, capsys):
     assert "wrote 1 rows" in captured.out
 
 
+def test_every_flag_lands_on_its_spec_field_and_overrides_the_config(tmp_path):
+    config_out, out = tmp_path / "config.csv", tmp_path / "cli.csv"
+    config = tmp_path / "spec.json"
+    config.write_text(json.dumps({
+        "strategies": ["constraint-const"], "models": ["single-tpm"], "phi_values": [0.2],
+        "cells_values": [3], "u_c_values": [1.0], "seeds": [1], "criterion": "increment",
+        "max_iterations": 50, "output_path": str(config_out)}))
+    code = main(["--config", str(config), "--strategy", "none",
+                 "--model", "single-pm", "multi4-pm", "--phi", "0.1", "--cells", "2",
+                 "--uc", "0.01", "--seed", "3", "--criterion", "residual", "--max-iter", "2",
+                 "--out", str(out), "--workers", "1", "--no-table"])
+    assert code == 0
+    assert not config_out.exists()
+    # Single presets run the first seed. The multi row stops at the cap of 2
+    # iterations; the single row converges within it only under the residual
+    # criterion (the increment criterion, its auto choice, leaves it NC).
+    expected = [solve_cell(("none", "multi4-pm", 0.1, MULTI_CELLS_PER_SIDE, 0.01, 3, "residual", 2)),
+                solve_cell(("none", "single-pm", 0.1, 2, 0.01, 3, "residual", 2))]
+    assert parse_csv(str(out)) == expected
+    assert [(r.status, r.iterations) for r in expected] == [("NC", 2), ("Converged", 2)]
+
+
 def test_main_prints_table_by_default(tmp_path, capsys):
     out = tmp_path / "cli.csv"
     code = main(["--model", "single-pm", "--strategy", "none",

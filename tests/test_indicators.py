@@ -8,11 +8,9 @@ from fracsolve.contact import (
     ContactRegime,
     ContactStates,
     classify_regime,
+    evaluate_field,
     gap,
     normal_complementarity,
-)
-from fracsolve.indicators import (
-    evaluate_field,
     normal_indicator,
     reference_mask,
     tangential_indicator,

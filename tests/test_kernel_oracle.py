@@ -19,9 +19,10 @@ from fracsolve.contact import (
     classify_regime,
     contact_generalized_derivative,
     normal_complementarity,
+    normal_indicator,
     tangential_complementarity,
+    tangential_indicator,
 )
-from fracsolve.indicators import normal_indicator, tangential_indicator
 from fracsolve.scaling import cell_scale_estimate
 
 # ---------------------------------------------------------------------------

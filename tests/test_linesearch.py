@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import scalar_oracle
-from fracsolve.indicators import transition_values
+from fracsolve.contact import transition_values
 from fracsolve.linesearch import (
     LineSearchConfig,
     SearchDiverged,

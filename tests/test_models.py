@@ -1,7 +1,5 @@
 """Model problems: assembly, physics couplings, factories, and presets."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,20 +7,21 @@ import scipy.sparse as sp
 from fracsolve.contact import ContactParameters, friction_bound, gap
 from fracsolve.linesearch import Strategy
 from fracsolve.models import (
+    BIOT_COEFFICIENT,
+    DRAINED_BULK_MODULUS,
     HYDRAULIC_APERTURE_FLOOR,
     PRESET_NAMES,
-    YOUNGS_MODULUS,
+    SOLID_THERMAL_EXPANSION,
     Fracture,
     FractureAssembly,
     Physics,
-    PhysicsCouplings,
     make_multi_fracture,
     make_single_fracture,
     preset,
     transmissibility,
 )
 from fracsolve.newton import NewtonOptions, SolveStatus, solve
-from fracsolve.scaling import CharacteristicScales
+from fracsolve.scaling import YOUNGS_MODULUS, CharacteristicScales
 
 NO_EDGES = np.zeros((0, 2), dtype=int)
 
@@ -49,12 +48,11 @@ def test_transmissibility_floor_for_closed_cells():
 def _unloaded_elastic(m=2):
     n = m * m
     fracture = Fracture(
-        shape=(m, m), cells=np.arange(n),
+        shape=(m, m),
         external_traction=np.zeros((n, 3)), edges=NO_EDGES, cell_area=0.25,
     )
-    scales = CharacteristicScales(displacement=0.01, youngs_modulus=YOUNGS_MODULUS)
-    return FractureAssembly([fracture], ContactParameters(), PhysicsCouplings(),
-                            Physics.ELASTIC, scales, cells_per_side=m)
+    return FractureAssembly([fracture], ContactParameters(), Physics.ELASTIC,
+                            CharacteristicScales(displacement=0.01))
 
 
 def test_unloaded_state_is_an_exact_root():
@@ -66,14 +64,13 @@ def test_unloaded_state_is_an_exact_root():
 def test_single_cell_compressed_fixed_point():
     # unit compressive load, zero jump: the scaled traction -1 balances the
     # load exactly and both contact rows sit on their branch boundaries
-    scales = CharacteristicScales(displacement=0.01, youngs_modulus=YOUNGS_MODULUS)
+    scales = CharacteristicScales(displacement=0.01)
     fracture = Fracture(
-        shape=(1, 1), cells=np.arange(1),
+        shape=(1, 1),
         external_traction=np.array([[-scales.stress, 0.0, 0.0]]),
         edges=NO_EDGES, cell_area=1.0,
     )
-    model = FractureAssembly([fracture], ContactParameters(), PhysicsCouplings(),
-                             Physics.ELASTIC, scales, cells_per_side=1)
+    model = FractureAssembly([fracture], ContactParameters(), Physics.ELASTIC, scales)
     x = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(model.residual(x), np.zeros(6))
 
@@ -133,20 +130,19 @@ def test_mechanics_rows_reduce_to_elastic_at_reference_conditions(physics):
 def test_pressure_and_temperature_shift_normal_force_rows():
     model = make_single_fracture(cells_per_side=3, physics=Physics.THERMOPORO)
     n = model.n_cells
-    cpl = model.couplings
     sigma_c = model.scales.stress
     base = model.residual(np.zeros(model.n_dofs))
 
     lifted = np.zeros(model.n_dofs)
     lifted[6 * n:7 * n] = 1.0
     dp = (model.residual(lifted) - base)[:3 * n].reshape(n, 3)
-    assert np.allclose(dp[:, 0], -cpl.biot_coefficient * 1.5e5 / sigma_c, rtol=1e-12)
+    assert np.allclose(dp[:, 0], -BIOT_COEFFICIENT * 1.5e5 / sigma_c, rtol=1e-12)
     assert np.array_equal(dp[:, 1:], np.zeros((n, 2)))
 
     heated = np.zeros(model.n_dofs)
     heated[7 * n:8 * n] = 1.0
     dt = (model.residual(heated) - base)[:3 * n].reshape(n, 3)
-    expected = 3.0 * cpl.drained_bulk_modulus * cpl.solid_thermal_expansion * 10.0 / sigma_c
+    expected = 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION * 10.0 / sigma_c
     assert np.allclose(dt[:, 0], expected, rtol=1e-12)
     assert expected == pytest.approx(2.0, rel=1e-12)
 
@@ -306,8 +302,26 @@ def test_multi_fracture_families_are_nested():
     large = make_multi_fracture(8, seed=0)
     for a, b in zip(small.fractures, large.fractures[:4]):
         assert np.array_equal(a.external_traction, b.external_traction)
-        assert np.array_equal(a.cells, b.cells)
         assert a.dirichlet_pressure == b.dirichlet_pressure
+    for a, b in zip(small.fracture_cells(), large.fracture_cells()[:4], strict=True):
+        assert np.array_equal(a, b)
+
+
+def _two_fracture_assembly():
+    fractures = [Fracture(shape=shape, external_traction=np.zeros((shape[0] * shape[1], 3)),
+                          edges=NO_EDGES, cell_area=1.0) for shape in ((2, 3), (1, 1), (2, 2))]
+    return FractureAssembly(fractures, ContactParameters(), Physics.ELASTIC,
+                            CharacteristicScales(displacement=0.01))
+
+
+@pytest.mark.parametrize("build", [lambda: preset("single-pm"), lambda: preset("multi8-tpm"),
+                                   _two_fracture_assembly],
+                         ids=["single-pm", "multi8-tpm", "mixed-shapes"])
+def test_fracture_cells_are_consecutive_ranges_in_fracture_order(build):
+    model = build()
+    ranges = model.fracture_cells()
+    assert [len(cells) for cells in ranges] == [fr.n_cells for fr in model.fractures]
+    assert np.array_equal(np.concatenate(ranges), np.arange(model.n_cells))
 
 
 def test_multi_fracture_alternating_wells():
@@ -373,12 +387,3 @@ def test_characteristic_displacement_does_not_change_the_physics():
     assert np.allclose(small[0], big[0], rtol=1e-6, atol=1e-2)   # Pa
     assert np.allclose(small[1], big[1], rtol=1e-6, atol=1e-9)   # m
     assert np.allclose(small[2], big[2], rtol=1e-6, atol=1e-9)
-
-
-def test_couplings_are_immutable_value_objects():
-    cpl = PhysicsCouplings()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        cpl.biot_coefficient = 0.0
-    weaker = dataclasses.replace(cpl, biot_coefficient=0.4)
-    assert weaker.biot_coefficient == 0.4
-    assert cpl.biot_coefficient == 0.8

@@ -5,8 +5,10 @@ import pytest
 
 from fracsolve.contact import ContactParameters, ContactStates, gap
 from fracsolve.scaling import (
+    DOMAIN_LENGTH,
     SCALE_CEILING,
     SCALE_FLOOR,
+    YOUNGS_MODULUS,
     CharacteristicScales,
     cell_scale_estimate,
     p_mean_scale,
@@ -14,26 +16,23 @@ from fracsolve.scaling import (
 
 
 def test_stress_scale_from_moduli():
-    scales = CharacteristicScales(displacement=0.01, domain_length=1.0, youngs_modulus=5e6)
+    # The shipped Lame constants (2e6, 2e6 Pa) give E = 5e6 Pa over a 1 m domain.
+    assert (YOUNGS_MODULUS, DOMAIN_LENGTH) == (5e6, 1.0)
+    scales = CharacteristicScales(displacement=0.01)
     assert scales.stress == pytest.approx(5e4, rel=1e-15)
     assert scales.complementarity_weight == pytest.approx(100.0, rel=1e-15)
 
 
 def test_unit_scales():
-    scales = CharacteristicScales(displacement=1.0, domain_length=1.0, youngs_modulus=1.0)
-    assert scales.stress == 1.0
+    scales = CharacteristicScales(displacement=1.0)
+    assert scales.stress == YOUNGS_MODULUS
     assert scales.complementarity_weight == 1.0
 
 
 def test_scales_reject_nonpositive_inputs():
-    with pytest.raises(ValueError):
-        CharacteristicScales(displacement=0.0)
-    with pytest.raises(ValueError):
-        CharacteristicScales(displacement=0.01, youngs_modulus=-1.0)
-    for kwargs in ({"displacement": np.nan}, {"displacement": 0.01, "domain_length": np.nan},
-                   {"displacement": 0.01, "youngs_modulus": np.nan}):
+    for displacement in (0.0, -0.01, np.nan):
         with pytest.raises(ValueError):
-            CharacteristicScales(**kwargs)
+            CharacteristicScales(displacement=displacement)
 
 
 # ---------------------------------------------------------------------------
