@@ -73,11 +73,13 @@ class ContactStates:
     """Tractions and jumps of n fracture cells in their local frames.
 
     Shapes are ``(n,)`` for the normal components and ``(n, 2)`` for the
-    tangential ones. Tractions are scaled (dimensionless); the jumps are
-    physical displacements in meters. ``previous_tangential_jump`` is the
-    converged value of the preceding time step, so the tangential slip
-    increment is ``tangential_jump - previous_tangential_jump``. The arrays
-    are read-only views; the caller's arrays are not copied.
+    tangential ones; the complementarity residuals also take the states of a
+    stack of points, ``(k, n)`` and ``(k, n, 2)``. Tractions are scaled
+    (dimensionless); the jumps are physical displacements in meters.
+    ``previous_tangential_jump`` is the converged value of the preceding time
+    step, so the tangential slip increment is ``tangential_jump -
+    previous_tangential_jump``. The arrays are read-only views; the caller's
+    arrays are not copied.
     """
 
     normal_traction: np.ndarray
@@ -151,7 +153,7 @@ def _slip_drive(states: ContactStates, params: ContactParameters, weight: float)
 
 def normal_complementarity(states: ContactStates, params: ContactParameters,
                            weight: float) -> np.ndarray:
-    """Residual of the normal contact conditions, shape ``(n,)``.
+    """Residual of the normal contact conditions, shape ``(..., n)``.
 
     Zero exactly when -traction >= 0, jump - gap >= 0 and their product
     vanishes; the root set does not depend on the (positive) weight.
@@ -161,7 +163,7 @@ def normal_complementarity(states: ContactStates, params: ContactParameters,
 
 def tangential_complementarity(states: ContactStates, params: ContactParameters,
                                weight: float) -> np.ndarray:
-    """Residual of the Coulomb friction conditions, shape ``(n, 2)``.
+    """Residual of the Coulomb friction conditions, shape ``(..., n, 2)``.
 
     On an open cell (friction bound <= 0) this is the tangential traction
     itself. On a closed cell the residual vanishes exactly for stick (zero
@@ -169,9 +171,9 @@ def tangential_complementarity(states: ContactStates, params: ContactParameters,
     (traction at the bound, slip increment a nonnegative multiple of it).
     """
     b, q = _slip_drive(states, params, weight)
-    b = b[:, None]
+    b = b[..., None]
     sig_t = states.tangential_traction
-    closed = sig_t * np.fmax(b, _norms(q)[:, None]) - b * q
+    closed = sig_t * np.fmax(b, _norms(q)[..., None]) - b * q
     return np.where(b <= 0.0, sig_t, closed)
 
 

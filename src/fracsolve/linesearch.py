@@ -91,31 +91,29 @@ def search_residual(objective, reference_value: float,
                     config: LineSearchConfig) -> LineSearchOutcome:
     """Minimize a monotone-cubic model of the residual objective on the ray.
 
-    ``objective(alpha)`` returns half the squared residual norm at the trial
-    point; ``reference_value`` is its already-known value at alpha = 0, so the
+    ``objective(alphas)`` takes the vector of ``sample_count`` trial steps
+    and returns, for each, half the squared residual norm at that trial
+    point; the Newton solver evaluates all of them in one stacked residual
+    call.
+    ``reference_value`` is the already-known value at alpha = 0, so the
     search spends exactly ``sample_count`` extra residual evaluations.
     Non-finite samples are excluded and the minimization is restricted to the
     largest finite sampled step.
     """
     trial_alphas = np.linspace(config.alpha_min, 1.0, config.sample_count)
-    samples = [(0.0, float(reference_value))]
-    evaluations = 0
-    for a in trial_alphas:
-        v = float(objective(float(a)))
-        evaluations += 1
-        if np.isfinite(v):
-            samples.append((float(a), v))
-    if len(samples) < 2:
+    values = np.asarray(objective(trial_alphas), dtype=float)
+    finite = np.isfinite(values)
+    if not finite.any():
         raise SearchDiverged("residual objective non-finite at every trial step")
 
-    spline = fit(*np.transpose(samples))
-    largest_finite = samples[-1][0]
-    alpha, value = find_minimum(spline, (config.alpha_min, largest_finite))
+    knots = np.concatenate(([0.0], trial_alphas[finite]))
+    samples = np.concatenate(([float(reference_value)], values[finite]))
+    alpha, value = find_minimum(fit(knots, samples), (config.alpha_min, knots[-1]))
     alpha = float(min(max(alpha, config.alpha_min), 1.0))
     return LineSearchOutcome(
         alpha=alpha,
-        evaluations=evaluations,
-        diagnostics={"samples": samples, "model_minimum": value},
+        evaluations=trial_alphas.size,
+        diagnostics={"knots": knots, "samples": samples, "model_minimum": value},
     )
 
 

@@ -25,7 +25,9 @@ pattern cached at construction, together with its constant force-balance
 entries and the slot of every contribution that changes with the iterate; an
 evaluation fills one ``data`` array. Mass and energy rows are sums over the
 cached edge arrays, scattered in a fixed edge order, so every evaluation is
-bitwise reproducible.
+bitwise reproducible. The residual maps the last axis of its argument: a
+stack of points ``(k, n_dofs)`` gives one row per point, each bitwise the
+residual of that point on its own.
 """
 
 from __future__ import annotations
@@ -159,6 +161,12 @@ def _grid_edges(shape: tuple[int, int]) -> np.ndarray:
     return pairs[exists]
 
 
+def _center_cell(shape: tuple[int, int]) -> int:
+    """Row-major index of a grid's centermost cell: a multi-fracture well and a tie end."""
+    rows, cols = shape
+    return (rows // 2) * cols + (cols // 2)
+
+
 def _tangent_basis(normal: np.ndarray) -> np.ndarray:
     helper = np.zeros(3)
     helper[int(np.argmin(np.abs(normal)))] = 1.0
@@ -255,17 +263,23 @@ class FractureAssembly:
         return n
 
     def split(self, x: np.ndarray):
+        """Traction and jump ``(..., n, 3)``, pressure and temperature ``(..., n)`` or None.
+
+        ``x`` is one point ``(n_dofs,)`` or a stack ``(k, n_dofs)``; every
+        block is taken along the last axis.
+        """
         n = self.n_cells
-        traction = x[0:3 * n].reshape(n, 3)
-        jump = x[3 * n:6 * n].reshape(n, 3)
+        lead = x.shape[:-1]
+        traction = x[..., 0:3 * n].reshape(lead + (n, 3))
+        jump = x[..., 3 * n:6 * n].reshape(lead + (n, 3))
         offset = 6 * n
         pressure = None
         temperature = None
         if self.has_pressure:
-            pressure = x[offset:offset + n]
+            pressure = x[..., offset:offset + n]
             offset += n
         if self.has_temperature:
-            temperature = x[offset:offset + n]
+            temperature = x[..., offset:offset + n]
         return traction, jump, pressure, temperature
 
     # ----- hooks consumed by the driver ---------------------------------
@@ -286,8 +300,8 @@ class FractureAssembly:
     def contact_states(self, x: np.ndarray) -> ContactStates:
         """Read-only per-cell views of the tractions and jumps in ``x``."""
         traction, jump, _, _ = self.split(x)
-        return ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
-                             self.previous_jump[:, 1:3])
+        return ContactStates(traction[..., 0], traction[..., 1:3], jump[..., 0],
+                             jump[..., 1:3], self.previous_jump[:, 1:3])
 
     def initial_guess(self) -> np.ndarray:
         """Zero jumps and reference pressures/temperatures, seeded tractions.
@@ -310,7 +324,7 @@ class FractureAssembly:
         components, plus weak ties between the center cells of consecutive
         fractures. Entries are summed in a fixed order: diagonal, edges, ties.
         """
-        centers = self._starts + np.array([self._center_local(fr) for fr in self.fractures])
+        centers = self._starts + np.array([_center_cell(fr.shape) for fr in self.fractures])
         cells = np.arange(self.n_cells)
         a, b = self._edge_a, self._edge_b
         ta, tb = centers[:-1], centers[1:]
@@ -329,11 +343,6 @@ class FractureAssembly:
         stiffness = sp.csr_matrix((data, indices, indptr), shape=(size, size))
         stiffness.eliminate_zeros()
         return stiffness
-
-    @staticmethod
-    def _center_local(fr: Fracture) -> int:
-        rows, cols = fr.shape
-        return (rows // 2) * cols + (cols // 2)
 
     @staticmethod
     def _check_positive_definite(matrix: sp.spmatrix):
@@ -425,51 +434,58 @@ class FractureAssembly:
     # ----- residual ------------------------------------------------------
 
     def _apertures(self, jump: np.ndarray) -> np.ndarray:
-        return self.params.residual_aperture + jump[:, 0]
+        return self.params.residual_aperture + jump[..., 0]
+
+    def _ends(self, values: np.ndarray):
+        """Per-cell ``values`` (last axis) at the first and at the second cell of each edge."""
+        return np.take(values, self._edge_a, axis=-1), np.take(values, self._edge_b, axis=-1)
 
     def _mean_apertures(self, apertures: np.ndarray):
         """Per-edge arithmetic-mean aperture, and the same floored for flow."""
-        mean = 0.5 * (apertures[self._edge_a] + apertures[self._edge_b])
+        left, right = self._ends(apertures)
+        mean = 0.5 * (left + right)
         return mean, np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
+        """Residual of one point ``(n_dofs,)`` or of each row of a stack ``(k, n_dofs)``.
+
+        Every row of a stack is bitwise the residual of that row on its own.
+        """
         traction, jump, pressure, temperature = self.split(x)
-        n = self.n_cells
+        lead = x.shape[:-1]
         sigma_c = self.scales.stress
         weight = self.scales.complementarity_weight
 
-        r = np.zeros(self.n_dofs)
-
         # Force balance: traction responds to the jump through the influence
         # operator; pressure and cooling shift the normal component toward
-        # tension (effective contact traction).
-        force = traction.ravel() + self._stiffness @ (weight * jump.ravel()) \
-            - self._external_traction.ravel() / sigma_c
-        force = force.reshape(n, 3)
+        # tension (effective contact traction). One sparse product takes the
+        # stack as columns, each summed in the order of a single product.
+        scaled_jump = (weight * jump).reshape(-1, 3 * self.n_cells)
+        coupled = (self._stiffness @ scaled_jump.T).T.reshape(traction.shape)
+        force = traction + coupled - self._external_traction / sigma_c
         if self.has_pressure:
-            force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
+            force[..., 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
         if self.has_temperature:
-            force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
+            force[..., 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE * temperature / sigma_c
-        r[0:3 * n] = force.ravel()
 
         # Contact complementarity rows.
         states = self.contact_states(x)
-        contact = r[3 * n:6 * n].reshape(n, 3)
-        contact[:, 0] = normal_complementarity(states, self.params, weight)
-        contact[:, 1:3] = tangential_complementarity(states, self.params, weight)
+        contact = np.concatenate([
+            normal_complementarity(states, self.params, weight)[..., None],
+            tangential_complementarity(states, self.params, weight)], axis=-1)
 
+        blocks = [force.reshape(lead + (-1,)), contact.reshape(lead + (-1,))]
         if self.has_pressure:
-            r[6 * n:7 * n] = self._mass_rows(jump, pressure, temperature)
+            blocks.append(self._mass_rows(jump, pressure, temperature))
         if self.has_temperature:
-            r[7 * n:8 * n] = self._energy_rows(jump, temperature)
-        return r
+            blocks.append(self._energy_rows(jump, temperature))
+        return np.concatenate(blocks, axis=-1)
 
     def _mass_rows(self, jump, pressure, temperature) -> np.ndarray:
-        n = self.n_cells
         apertures = self._apertures(jump)
         prev_ap = self._apertures(self.previous_jump)
-        rows = np.zeros(n)
+        rows = np.zeros(apertures.shape)
 
         # Storage: aperture change plus compressibility/thermal expansion of
         # the resident fluid, per unit time.
@@ -480,38 +496,38 @@ class FractureAssembly:
             rows -= self._areas * apertures * FLUID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / self.time_step
 
-        a, b = self._edge_a, self._edge_b
-        flux = transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY) \
-            * PRESSURE_SCALE * (pressure[a] - pressure[b])
-        np.add.at(rows, self._flux_ends, _interleave(flux, _negated(flux)))
+        pressure_a, pressure_b = self._ends(pressure)
+        flux = transmissibility(*self._ends(apertures), FLUID_VISCOSITY) \
+            * PRESSURE_SCALE * (pressure_a - pressure_b)
+        _scatter_add(rows, self._flux_ends, _interleave(flux, _negated(flux)))
 
         rows /= self._mass_scale
 
         fixed = np.isfinite(self._dir_p)
-        rows[fixed] = pressure[fixed] - self._dir_p[fixed] / PRESSURE_SCALE
+        np.copyto(rows, pressure - self._dir_p / PRESSURE_SCALE, where=fixed)
         return rows
 
     def _energy_rows(self, jump, temperature) -> np.ndarray:
-        n = self.n_cells
         apertures = self._apertures(jump)
-        rows = np.zeros(n)
+        rows = np.zeros(apertures.shape)
 
         heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
         rows += self._areas * apertures * heat * TEMPERATURE_SCALE \
             * (temperature - self.previous_temperature) / self.time_step
 
-        a, b = self._edge_a, self._edge_b
         _, floored = self._mean_apertures(apertures)
+        temperature_a, temperature_b = self._ends(temperature)
         conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE \
-            * (temperature[a] - temperature[b])
-        advected = heat * self._edge_rate * TEMPERATURE_SCALE * temperature[self._edge_up]
-        np.add.at(rows, self._heat_ends, _interleave(
-            conduction, _negated(conduction), advected, _negated(advected))[self._heat_kept])
+            * (temperature_a - temperature_b)
+        advected = heat * self._edge_rate * TEMPERATURE_SCALE \
+            * np.take(temperature, self._edge_up, axis=-1)
+        _scatter_add(rows, self._heat_ends, np.compress(self._heat_kept, _interleave(
+            conduction, _negated(conduction), advected, _negated(advected)), axis=-1))
 
         rows /= self._energy_scale
 
         fixed = np.isfinite(self._dir_T)
-        rows[fixed] = temperature[fixed] - self._dir_T[fixed] / TEMPERATURE_SCALE
+        np.copyto(rows, temperature - self._dir_T / TEMPERATURE_SCALE, where=fixed)
         return rows
 
     # ----- Jacobian ------------------------------------------------------
@@ -584,8 +600,23 @@ class FractureAssembly:
 
 
 def _interleave(*columns: np.ndarray) -> np.ndarray:
-    """Equal-length columns read row by row: c0[0], c1[0], ..., c0[1], c1[1], ..."""
-    return np.column_stack(columns).ravel()
+    """Equal-shape columns read along the last axis: c0[0], c1[0], ..., c0[1], c1[1], ..."""
+    count, first = len(columns), columns[0]
+    out = np.empty(first.shape[:-1] + (count * first.shape[-1],), np.result_type(*columns))
+    for i, column in enumerate(columns):
+        out[..., i::count] = column
+    return out
+
+
+def _scatter_add(rows: np.ndarray, targets: np.ndarray, values: np.ndarray) -> None:
+    """``np.add.at(rows, targets, values)`` along the last axis, in place.
+
+    Each row of a stack receives its values in the order of ``targets``, as
+    it would on its own; one scatter over flat indices serves the whole stack.
+    """
+    n = rows.shape[-1]
+    offsets = np.arange(0, rows.size, n).reshape(rows.shape[:-1] + (1,))
+    np.add.at(rows.reshape(-1), (offsets + targets).ravel(), values.ravel())
 
 
 def _negated(values: np.ndarray) -> np.ndarray:
@@ -718,7 +749,7 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
         external[:, 1] = shear_local[0]
         external[:, 2] = shear_local[1]
 
-        center = (m // 2) * m + (m // 2)
+        center = _center_cell((m, m))
         injecting = i % 2 == 0
         dirichlet_p: dict[int, float] = {}
         dirichlet_T: dict[int, float] = {}

@@ -8,7 +8,10 @@ non-finite values, a residual blow-up past a guard factor, or a failed
 factorization.
 
 Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
-``initial_guess()``. Contact-aware models additionally expose
+``initial_guess()``. ``residual`` maps the last axis: it takes one point
+``(n_dofs,)`` or a stack ``(k, n_dofs)`` of points and returns one residual
+row per point, and the residual search evaluates its ``sample_count`` trial
+points in one stacked call. Contact-aware models additionally expose
 ``contact_states(x)``, a read-only ``ContactStates`` of per-cell arrays, plus
 their contact parameters and ``fracture_cells()``, the consecutive cell range
 of each fracture. The constraint searches, the regime census and the adaptive
@@ -166,9 +169,9 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
         return search_none()
 
     if cfg.strategy is Strategy.RESIDUAL:
-        def objective(alpha: float) -> float:
-            r = model.residual(x + alpha * step)
-            return 0.5 * float(r @ r)
+        def objective(alphas: np.ndarray) -> np.ndarray:
+            stacked = model.residual(x + alphas[:, None] * step)
+            return np.array([0.5 * float(row @ row) for row in stacked])
         reference = 0.5 * float(residual_now @ residual_now)
         return search_residual(objective, reference, cfg)
 

@@ -1,14 +1,16 @@
-"""Scalar reference implementations of the interpolation kernels and the
-constraint search.
+"""Scalar reference implementations of the interpolation kernels, the
+constraint and residual searches, and the model residual.
 
 The interpolation kernels as they were before they were batched: one profile
 per fit with a per-knot slope loop, ``find_root`` scanning the knot intervals
 and handing the first sign change to ``scipy.optimize.brentq``, and
 ``find_minimum`` solving for the stationary points piece by piece and
 evaluating its candidates one at a time. The constraint search on top of
-them fits and solves one (family, cell) at a time. Tests compare the batched
-kernels and search against these, so nothing here imports
-``fracsolve.interpolation``.
+them fits and solves one (family, cell) at a time, and the residual search
+evaluates one trial point per objective call. ``residual`` is the
+``FractureAssembly`` residual of one point, as it was before the model took
+stacks of points. Tests compare the batched kernels, searches and residual
+against these, so nothing here imports ``fracsolve.interpolation``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,28 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from fracsolve.contact import transition_values
-from fracsolve.linesearch import LineSearchOutcome
+from fracsolve.contact import (
+    ContactStates,
+    normal_complementarity,
+    tangential_complementarity,
+    transition_values,
+)
+from fracsolve.linesearch import LineSearchOutcome, SearchDiverged
+from fracsolve.models import (
+    BIOT_COEFFICIENT,
+    DRAINED_BULK_MODULUS,
+    FLUID_COMPRESSIBILITY,
+    FLUID_DENSITY,
+    FLUID_HEAT_CAPACITY,
+    FLUID_THERMAL_EXPANSION,
+    FLUID_VISCOSITY,
+    HYDRAULIC_APERTURE_FLOOR,
+    PRESSURE_SCALE,
+    SOLID_THERMAL_EXPANSION,
+    TEMPERATURE_SCALE,
+    THERMAL_CONDUCTIVITY,
+    transmissibility,
+)
 
 
 @dataclass(frozen=True)
@@ -250,3 +272,115 @@ def search_constraint(indicator_evaluator, fracture_cells, config, scale=1.0):
         transitions_per_fracture=counts,
         diagnostics={"flagged": len(flagged), "candidates": candidates},
     )
+
+
+def search_residual(objective, reference_value, config):
+    """The residual search with one trial point per objective call.
+
+    ``objective`` has the Newton solver's stacked signature; it is called
+    with one step at a time, and the samples are kept as a list of pairs. Same
+    signature and outcome fields as ``fracsolve.linesearch.search_residual``.
+    """
+    trial_alphas = np.linspace(config.alpha_min, 1.0, config.sample_count)
+    samples = [(0.0, float(reference_value))]
+    evaluations = 0
+    for a in trial_alphas:
+        v = float(objective(np.array([a]))[0])
+        evaluations += 1
+        if np.isfinite(v):
+            samples.append((float(a), v))
+    if len(samples) < 2:
+        raise SearchDiverged("residual objective non-finite at every trial step")
+    alpha, value = find_minimum(fit(samples), (config.alpha_min, samples[-1][0]))
+    return LineSearchOutcome(
+        alpha=float(min(max(alpha, config.alpha_min), 1.0)),
+        evaluations=evaluations,
+        diagnostics={"samples": samples, "model_minimum": value},
+    )
+
+
+# ---------------------------------------------------------------------------
+# model residual of one point
+
+
+def _interleave(*columns):
+    return np.column_stack(columns).ravel()
+
+
+def _negated(values):
+    return np.where(np.isnan(values), values, -values)
+
+
+def residual(model, x):
+    """``FractureAssembly.residual`` of one point ``x`` of shape ``(n_dofs,)``."""
+    n = model.n_cells
+    traction = x[0:3 * n].reshape(n, 3)
+    jump = x[3 * n:6 * n].reshape(n, 3)
+    pressure = x[6 * n:7 * n] if model.has_pressure else None
+    temperature = x[7 * n:8 * n] if model.has_temperature else None
+    sigma_c = model.scales.stress
+    weight = model.scales.complementarity_weight
+
+    r = np.zeros(model.n_dofs)
+    force = traction.ravel() + model._stiffness @ (weight * jump.ravel()) \
+        - model._external_traction.ravel() / sigma_c
+    force = force.reshape(n, 3)
+    if model.has_pressure:
+        force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
+    if model.has_temperature:
+        force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
+            * TEMPERATURE_SCALE * temperature / sigma_c
+    r[0:3 * n] = force.ravel()
+
+    states = ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
+                           model.previous_jump[:, 1:3])
+    contact = r[3 * n:6 * n].reshape(n, 3)
+    contact[:, 0] = normal_complementarity(states, model.params, weight)
+    contact[:, 1:3] = tangential_complementarity(states, model.params, weight)
+
+    if model.has_pressure:
+        r[6 * n:7 * n] = _mass_rows(model, jump, pressure, temperature)
+    if model.has_temperature:
+        r[7 * n:8 * n] = _energy_rows(model, jump, temperature)
+    return r
+
+
+def _mass_rows(model, jump, pressure, temperature):
+    apertures = model.params.residual_aperture + jump[:, 0]
+    prev_ap = model.params.residual_aperture + model.previous_jump[:, 0]
+    rows = np.zeros(model.n_cells)
+    dt = model.time_step
+    rows += model._areas * (apertures - prev_ap) / dt
+    rows += model._areas * apertures * FLUID_COMPRESSIBILITY \
+        * PRESSURE_SCALE * (pressure - model.previous_pressure) / dt
+    if temperature is not None:
+        rows -= model._areas * apertures * FLUID_THERMAL_EXPANSION \
+            * TEMPERATURE_SCALE * (temperature - model.previous_temperature) / dt
+    a, b = model._edge_a, model._edge_b
+    flux = transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY) \
+        * PRESSURE_SCALE * (pressure[a] - pressure[b])
+    np.add.at(rows, model._flux_ends, _interleave(flux, _negated(flux)))
+    rows /= model._mass_scale
+    fixed = np.isfinite(model._dir_p)
+    rows[fixed] = pressure[fixed] - model._dir_p[fixed] / PRESSURE_SCALE
+    return rows
+
+
+def _energy_rows(model, jump, temperature):
+    apertures = model.params.residual_aperture + jump[:, 0]
+    rows = np.zeros(model.n_cells)
+    heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
+    rows += model._areas * apertures * heat * TEMPERATURE_SCALE \
+        * (temperature - model.previous_temperature) / model.time_step
+    a, b = model._edge_a, model._edge_b
+    mean = 0.5 * (apertures[a] + apertures[b])
+    floored = np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)
+    conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE \
+        * (temperature[a] - temperature[b])
+    advected = heat * model._edge_rate * TEMPERATURE_SCALE * temperature[model._edge_up]
+    np.add.at(rows, model._heat_ends, _interleave(
+        conduction, _negated(conduction), advected, _negated(advected))[model._heat_kept])
+    rows /= model._energy_scale
+    fixed = np.isfinite(model._dir_T)
+    rows[fixed] = temperature[fixed] - model._dir_T[fixed] / TEMPERATURE_SCALE
+    return rows

@@ -89,11 +89,13 @@ def _branch_margin(model, x):
 class _CountingModel:
     def __init__(self, inner):
         self.inner = inner
-        self.residual_calls = 0
+        self.residual_calls = 0   # points evaluated; a stack counts each row
+        self.residual_batches = 0
         self.jacobian_calls = 0
 
     def residual(self, x):
-        self.residual_calls += 1
+        self.residual_calls += 1 if x.ndim == 1 else len(x)
+        self.residual_batches += 1
         return self.inner.residual(x)
 
     def jacobian(self, x):
@@ -331,8 +333,11 @@ def test_criterion_12_residual_evaluation_budget(criterion_verdict):
             k = report.iterations
             assert wrapped.jacobian_calls == k
             if strategy == "residual":
-                # exactly sample_count extra residual evaluations per iteration
+                # exactly sample_count extra residual evaluations per iteration,
+                # made in one stacked call
                 assert wrapped.residual_calls == k + 1 + 5 * k
+                assert wrapped.residual_batches == k + 1 + k
             else:
                 # line searches on indicators never touch the residual
                 assert wrapped.residual_calls == k + 1
+                assert wrapped.residual_batches == k + 1

@@ -86,6 +86,11 @@ def oracle_transmissibility(left, right, viscosity):
     return mean ** 3 / (12.0 * viscosity)
 
 
+# Row-major centermost cell of each grid shape tested: where a cross-fracture
+# tie ends (and a multi-fracture well sits).
+CENTER_CELLS = {(4, 4): 10, (5, 5): 12, (2, 3): 4, (3, 2): 3}
+
+
 def oracle_stiffness(fractures):
     blocks = []
     for fr in fractures:
@@ -101,8 +106,8 @@ def oracle_stiffness(fractures):
     stiff = sp.block_diag(blocks, format="lil")
     starts = np.cumsum([0] + [fr.n_cells for fr in fractures[:-1]])
     for f in range(len(fractures) - 1):
-        ca = starts[f] + FractureAssembly._center_local(fractures[f])
-        cb = starts[f + 1] + FractureAssembly._center_local(fractures[f + 1])
+        ca = starts[f] + CENTER_CELLS[fractures[f].shape]
+        cb = starts[f + 1] + CENTER_CELLS[fractures[f + 1].shape]
         for comp in range(3):
             i = 3 * ca + comp
             j = 3 * cb + comp
@@ -380,6 +385,15 @@ def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
     return FractureAssembly([fracture], params, physics, scales)
 
 
+def tied_family(physics=Physics.PORO):
+    """Fractures of every tabulated shape, tied center to center in list order."""
+    scales = CharacteristicScales(displacement=0.01)
+    fractures = [Fracture(shape=shape, external_traction=np.zeros((shape[0] * shape[1], 3)),
+                          edges=_grid_edges(shape), cell_area=1.0)
+                 for shape in ((2, 3), (5, 5), (3, 2), (4, 4))]
+    return FractureAssembly(fractures, ContactParameters(), physics, scales)
+
+
 MODELS = {
     "single-pm": lambda: preset("single-pm", cells_per_side=5),
     "single-tpm": lambda: preset("single-tpm", cells_per_side=5),
@@ -391,9 +405,9 @@ MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", ["single-pm", "multi4-pm", "multi8-tpm"])
+@pytest.mark.parametrize("name", ["single-pm", "multi4-pm", "multi8-tpm", "tied-family"])
 def test_influence_operator_matches_sequential_build(name):
-    model = preset(name, cells_per_side=7)
+    model = tied_family() if name == "tied-family" else preset(name, cells_per_side=7)
     want = oracle_stiffness(model.fractures)
     for field in ("data", "indices", "indptr"):
         assert_same_bytes(getattr(model._stiffness, field), getattr(want, field))

@@ -59,9 +59,9 @@ def test_residual_search_quadratic_lands_on_best_sample():
     outcome = search_residual(lambda a: (a - 0.6) ** 2, 0.36, CONFIG)
     assert outcome.alpha == pytest.approx(0.5005, abs=1e-12)
     assert outcome.evaluations == 5
-    samples = outcome.diagnostics["samples"]
-    assert samples[0] == (0.0, 0.36)
-    assert len(samples) == 6
+    knots, samples = outcome.diagnostics["knots"], outcome.diagnostics["samples"]
+    assert (knots[0], samples[0]) == (0.0, 0.36)
+    assert len(knots) == len(samples) == 6
 
 
 def test_residual_search_recovers_knot_centered_minimum():
@@ -71,7 +71,7 @@ def test_residual_search_recovers_knot_centered_minimum():
 
 def test_residual_search_excludes_nonfinite_samples():
     def objective(a):
-        return np.inf if a > 0.9 else (a - 0.25) ** 2
+        return np.where(a > 0.9, np.inf, (a - 0.25) ** 2)
 
     outcome = search_residual(objective, 0.0625, CONFIG)
     # still pays for every trial sample, but restricts the model to the
@@ -81,6 +81,13 @@ def test_residual_search_excludes_nonfinite_samples():
     assert outcome.alpha <= 0.75025 + 1e-15
 
 
+def test_residual_search_stops_at_the_largest_finite_step():
+    # the model decreases past the last finite sample; the search must not
+    # extrapolate beyond it
+    outcome = search_residual(lambda a: np.where(a > 0.9, np.inf, 1.0 - a), 1.0, CONFIG)
+    assert outcome.alpha == np.linspace(CONFIG.alpha_min, 1.0, 5)[3]
+
+
 def test_residual_search_monotone_decrease_takes_full_step():
     outcome = search_residual(lambda a: 1.0 / (1.0 + a), 1.0, CONFIG)
     assert outcome.alpha == 1.0
@@ -88,7 +95,7 @@ def test_residual_search_monotone_decrease_takes_full_step():
 
 def test_residual_search_diverges_when_nothing_is_finite():
     with pytest.raises(SearchDiverged):
-        search_residual(lambda a: np.nan, 1.0, CONFIG)
+        search_residual(lambda a: np.full_like(a, np.nan), 1.0, CONFIG)
 
 
 # ---------------------------------------------------------------------------

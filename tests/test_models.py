@@ -328,6 +328,8 @@ def test_multi_fracture_alternating_wells():
     model = make_multi_fracture(4, seed=0)
     pressures = [next(iter(fr.dirichlet_pressure.values())) for fr in model.fractures]
     assert pressures == [1.5e5, -1.0e5, 1.5e5, -1.0e5]
+    # each well sits at the centermost cell of its 4x4 grid
+    assert [list(fr.dirichlet_pressure) for fr in model.fractures] == [[10]] * 4
 
 
 def test_preset_names_and_layouts():

@@ -35,7 +35,9 @@ class LinearModel:
         self.rhs = self.matrix @ self.solution
 
     def residual(self, x):
-        return self.matrix @ x - self.rhs
+        # one matrix-vector product per point, so each row of a stack is
+        # bitwise the residual of that row alone
+        return np.apply_along_axis(self.matrix.__matmul__, -1, x) - self.rhs
 
     def jacobian(self, x):
         return self.matrix
@@ -46,7 +48,8 @@ class LinearModel:
 
 class CubicModel:
     def residual(self, x):
-        return np.array([x[0] ** 3 - 1.0])
+        # float_power rounds as the scalar ``x[0] ** 3`` does
+        return np.float_power(x[..., :1], 3) - 1.0
 
     def jacobian(self, x):
         return np.array([[3.0 * x[0] ** 2]])
@@ -84,15 +87,17 @@ class CubeRootModel:
 
 
 class CountingModel:
-    """Forwarding wrapper that counts residual and jacobian evaluations."""
+    """Forwarding wrapper that counts residual points, residual calls and jacobians."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.residual_calls = 0
+        self.residual_calls = 0   # points evaluated; a stack counts each row
+        self.residual_batches = 0
         self.jacobian_calls = 0
 
     def residual(self, x):
-        self.residual_calls += 1
+        self.residual_calls += 1 if x.ndim == 1 else len(x)
+        self.residual_batches += 1
         return self.inner.residual(x)
 
     def jacobian(self, x):
@@ -241,10 +246,13 @@ def test_exact_evaluation_counts(strategy):
     k = report.iterations
     assert wrapped.jacobian_calls == k
     if strategy == "residual":
-        # one residual per accepted iterate plus sample_count per search
+        # one residual per accepted iterate plus sample_count per search,
+        # the samples of one search in one stacked call
         assert wrapped.residual_calls == 6 * k + 1
+        assert wrapped.residual_batches == 2 * k + 1
     else:
         assert wrapped.residual_calls == k + 1
+        assert wrapped.residual_batches == k + 1
 
 
 # ---------------------------------------------------------------------------
