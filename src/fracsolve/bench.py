@@ -29,7 +29,6 @@ __all__ = [
     "ResultRow",
     "run_sweep",
     "emit_csv",
-    "parse_csv",
     "emit_table",
     "main",
 ]
@@ -182,26 +181,6 @@ def emit_csv(rows: list[ResultRow], path: str) -> None:
         ]))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-def parse_csv(path: str) -> list[ResultRow]:
-    rows = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#") or line == CSV_HEADER:
-                continue
-            parts = line.split(",")
-            if len(parts) != 12:
-                raise ValueError(f"malformed row: {line!r}")
-            rows.append(ResultRow(
-                strategy=parts[0], model=parts[1], physics=parts[2],
-                phi=float(parts[3]), cells=int(parts[4]), u_c=float(parts[5]),
-                seed=int(parts[6]), status=parts[7], iterations=int(parts[8]),
-                final_norm=float(parts[9]), ls_evals=int(parts[10]),
-                tightenings=int(parts[11]),
-            ))
-    return rows
 
 
 def _cell_text(row: ResultRow) -> str:

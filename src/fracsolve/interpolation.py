@@ -8,14 +8,15 @@ a batch of profiles over shared knots, shape ``(k, m)``; every slope is one
 array expression over the batch, and ``evaluate`` returns one row of values
 per profile with no scalar special case.
 
-``find_root`` takes a batch. It scans the knot intervals of every row for the
-first zero or sign change and solves all bracketed rows together with a
-lock-step Brent iteration (Brent, *Algorithms for Minimization Without
-Derivatives*, 1973, ch. 4). Each lane repeats the update rules of scipy's
-``brentq`` in the same operation order and with the same tolerances, so every
-root is bitwise the one the scalar solver returns. ``find_minimum`` takes one
-profile; the closed-form stationary points of all its cubic pieces are one
-array expression, and every candidate is evaluated in one call.
+``find_root`` takes a batch and searches the span of its knots. It scans the
+knot intervals of every row for the first zero or sign change and solves all
+bracketed rows together with a lock-step Brent iteration (Brent, *Algorithms
+for Minimization Without Derivatives*, 1973, ch. 4). Each lane repeats the
+update rules of scipy's ``brentq`` in the same operation order and with the
+same tolerances, so every root is bitwise the one the scalar solver returns.
+``find_minimum`` takes one profile; the closed-form stationary points of all
+its cubic pieces are one array expression, and every candidate is evaluated
+in one call.
 """
 
 from __future__ import annotations
@@ -202,23 +203,19 @@ def _brent(spline: MonotoneCubic, rows, xpre, xcur, fpre, fcur) -> np.ndarray:
                        f"value is {xcur[0]}")
 
 
-def find_root(spline: MonotoneCubic, bracket: tuple[float, float]) -> np.ndarray:
-    """Smallest zero of every row of a ``(k, m)`` batch inside ``bracket``.
+def find_root(spline: MonotoneCubic) -> np.ndarray:
+    """Smallest zero of every row of a ``(k, m)`` batch over its knot span.
 
-    Scans the knot sub-intervals left to right: the first one whose left
-    value is zero gives that abscissa, the first one whose endpoint values
-    change sign is solved to an abscissa tolerance of about 1e-12. All rows
-    are solved in one lock-step iteration.
+    Scans the knot intervals left to right: the first one whose left value
+    is zero gives that abscissa, the first one whose endpoint values change
+    sign is solved to an abscissa tolerance of about 1e-12. All rows are
+    solved in one lock-step iteration.
 
     Returns:
         An array with one root per row, NaN where the row has none.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if b <= a:
-        raise ValueError("empty bracket")
     knots = spline.knots
-    cuts = np.unique(np.concatenate(([a, b], knots[(knots > a) & (knots < b)])))
-    vals = evaluate(spline, cuts)
+    vals = evaluate(spline, knots)
     f0, f1 = vals[:, :-1], vals[:, 1:]
     zero = f0 == 0.0
     # Compare signs, not the product, which can underflow to -0.0.
@@ -227,12 +224,12 @@ def find_root(spline: MonotoneCubic, bracket: tuple[float, float]) -> np.ndarray
     lanes = np.arange(len(vals))
     found = event[lanes, first]
 
-    roots = np.where(vals[:, -1] == 0.0, cuts[-1], np.nan)
-    roots[found] = cuts[first[found]]
+    roots = np.where(vals[:, -1] == 0.0, knots[-1], np.nan)
+    roots[found] = knots[first[found]]
     rows = np.flatnonzero(found & ~zero[lanes, first])
     if rows.size:
         i = first[rows]
-        roots[rows] = _brent(spline, rows, cuts[i], cuts[i + 1], f0[rows, i], f1[rows, i])
+        roots[rows] = _brent(spline, rows, knots[i], knots[i + 1], f0[rows, i], f1[rows, i])
     return roots
 
 

@@ -9,11 +9,12 @@ length at which a transitioning cell overshoots its branch boundary by exactly
 the transition tolerance. The indicators (``contact.evaluate_field``) arrive
 as one ``(2, n)`` array per trial step (row 0 normal, row 1 tangential), so
 both families share one cache, one transition test and one sample stack of
-shape ``(2, n, sample_count)``. The flagged profiles are fitted as one batch
-and their roots found by one batched call per round. When too many cells of
-one fracture still transition at the damped step, the tolerance is halved: the
-cached fits are shifted by the new tolerance, only newly flagged profiles are
-fitted, and the roots are solved again.
+shape ``(2, n, sample_count)``. Every tolerance flags a subset of the
+profiles that move at the full step, so those are fitted once, as one batch,
+when the first tolerance flags a cell; each round finds the roots of its
+flagged profiles in one batched call. When too many cells of one fracture
+still transition at the damped step, the tolerance is halved and the cached
+fits are shifted by the new tolerance.
 """
 
 from __future__ import annotations
@@ -148,7 +149,6 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
     trans_full = transition_values(ref, field_at(1.0))
     grid = np.linspace(0.0, 1.0, config.sample_count)
     samples = None  # (2, n, sample_count), stacked once a cell is flagged
-    fitted = np.zeros(ref.shape, dtype=bool)  # (row, cell) whose slopes are cached
 
     delta = config.transition_tolerance
     rounds = 0
@@ -160,24 +160,22 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
             if samples is None:
                 samples = np.stack([field_at(a) for a in grid], axis=-1)
                 finite = np.isfinite(samples).all(axis=-1)
-                slopes = np.empty_like(samples)
                 # Unfittable samples or no root: the largest sampled step
                 # whose indicator still has the reference sign.
                 kept = np.isfinite(samples) & (np.sign(samples) == sign[..., None])
                 last = grid.size - 1 - np.argmax(kept[..., ::-1], axis=-1)
                 fallback = np.where(kept.any(axis=-1), grid[last], config.alpha_min)
-            # Fit the newly flagged finite profiles in one batch; the rows
-            # fitted in earlier rounds are only shifted by the new tolerance.
-            new = flagged & finite & ~fitted
-            if new.any():
-                slopes[new] = fit(grid, samples[new]).derivatives
-                fitted |= new
+                # Any tolerance flags only profiles that move at the full step.
+                slopes = np.empty_like(samples)
+                movable = finite & (trans_full > 0.0)
+                if movable.any():
+                    slopes[movable] = fit(grid, samples[movable]).derivatives
             roots = fallback[flagged]
             solvable = finite[flagged]
             if solvable.any():
                 rows = flagged & finite
                 spline = MonotoneCubic(grid, samples[rows], slopes[rows])
-                found = find_root(spline.shifted(delta * sign[rows]), (0.0, 1.0))
+                found = find_root(spline.shifted(delta * sign[rows]))
                 roots[solvable] = np.where(np.isnan(found), roots[solvable], found)
             candidate = float(roots.min())
 

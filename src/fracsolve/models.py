@@ -20,14 +20,14 @@ and scaled temperature (1 per cell each) when the physics includes them.
 Residual rows follow the same order: force balance, contact complementarity,
 mass balance, energy balance.
 
-Assembly is array-valued throughout. The Jacobian is filled into a sorted CSR
-pattern cached at construction, together with its constant force-balance
-entries and the slot of every contribution that changes with the iterate; an
-evaluation fills one ``data`` array. Mass and energy rows are sums over the
-cached edge arrays, scattered in a fixed edge order, so every evaluation is
-bitwise reproducible. The residual maps the last axis of its argument: a
-stack of points ``(k, n_dofs)`` gives one row per point, each bitwise the
-residual of that point on its own.
+Assembly is array-valued throughout. The Jacobian is filled into a sorted CSC
+pattern cached at construction, the layout the sparse LU factorizes, together
+with its constant force-balance entries and the slot of every contribution
+that changes with the iterate; an evaluation fills one ``data`` array. Mass
+and energy rows are sums over the cached edge arrays, scattered in a fixed
+edge order, so every evaluation is bitwise reproducible. The residual maps
+the last axis of its argument: a stack of points ``(k, n_dofs)`` gives one
+row per point, each bitwise the residual of that point on its own.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class FractureAssembly:
 
     The fractures own consecutive global cell ranges in list order. Everything
     about the Jacobian that depends only on topology is built once, at
-    construction: its sorted CSR pattern, the constant force-balance entries
+    construction: its sorted CSC pattern, the constant force-balance entries
     (identity, influence operator, Biot and thermal columns), and the slot in
     ``data`` of every contribution that changes with the iterate. ``scales``
     is read there too; ``time_step`` and the previous-step fields are read at
@@ -340,7 +340,7 @@ class FractureAssembly:
                                                      (3 * cols[:, None] + component).ravel())])
         data = np.zeros(len(indices))
         np.add.at(data, slots, np.repeat(values, 3))
-        stiffness = sp.csr_matrix((data, indices, indptr), shape=(size, size))
+        stiffness = sp.csc_matrix((data, indices, indptr), shape=(size, size)).tocsr()
         stiffness.eliminate_zeros()
         return stiffness
 
@@ -359,7 +359,7 @@ class FractureAssembly:
             raise ValueError("influence operator must be strictly diagonally dominant")
 
     def _build_jacobian_pattern(self):
-        """Cache the Jacobian's CSR pattern, constant entries and contribution slots.
+        """Cache the Jacobian's CSC pattern, constant entries and contribution slots.
 
         Columns: traction (3 per cell), jump (3 per cell), then pressure and
         temperature; rows follow the residual. Mass and energy contributions
@@ -423,12 +423,11 @@ class FractureAssembly:
         self._contact_slots = slot["contact"]
         if self.has_pressure:
             self._mass_slots = slot["mass"]
-            self._mass_data = slice(indptr[6 * n], indptr[7 * n])
+            self._mass_data = np.flatnonzero((indices >= 6 * n) & (indices < 7 * n))
         if self.has_temperature:
             self._energy_slots = slot["energy"]
-            self._energy_data = slice(indptr[7 * n], indptr[8 * n])
-        row_of_slot = np.repeat(np.arange(self.n_dofs), np.diff(indptr))
-        self._dirichlet_slots = np.flatnonzero(np.isin(row_of_slot, fixed_rows))
+            self._energy_data = np.flatnonzero(indices >= 7 * n)
+        self._dirichlet_slots = np.flatnonzero(np.isin(indices, fixed_rows))
         self._dirichlet_diagonal = slot["dirichlet"]
 
     # ----- residual ------------------------------------------------------
@@ -532,7 +531,7 @@ class FractureAssembly:
 
     # ----- Jacobian ------------------------------------------------------
 
-    def jacobian(self, x: np.ndarray) -> sp.csr_matrix:
+    def jacobian(self, x: np.ndarray) -> sp.csc_matrix:
         _, jump, pressure, temperature = self.split(x)
         data = self._constant_data.copy()
         derivative = contact_generalized_derivative(self.contact_states(x), self.params,
@@ -546,7 +545,7 @@ class FractureAssembly:
             data[self._energy_data] /= self._energy_scale
         data[self._dirichlet_slots] = 0.0
         data[self._dirichlet_diagonal] = 1.0
-        matrix = sp.csr_matrix((data, self._indices.copy(), self._indptr.copy()),
+        matrix = sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()),
                                shape=(self.n_dofs, self.n_dofs))
         matrix.eliminate_zeros()
         return matrix
@@ -629,16 +628,16 @@ def _negated(values: np.ndarray) -> np.ndarray:
 
 
 def _pattern(size: int, groups: list[tuple[np.ndarray, np.ndarray]]):
-    """Sorted CSR pattern of a ``size`` x ``size`` matrix covering every group.
+    """Sorted CSC pattern of a ``size`` x ``size`` matrix covering every group.
 
     Each group is a pair of same-shape row and column arrays; positions may
-    repeat within and across groups. Returns ``indptr``, ``indices`` (int32,
-    as scipy stores them) and, for each group, the slot in ``data`` of each
-    of its positions, in the group's shape raveled.
+    repeat within and across groups. Returns ``indptr``, ``indices`` (row
+    indices, int32, as scipy stores them) and, for each group, the slot in
+    ``data`` of each of its positions, in the group's shape raveled.
     """
-    rows = np.concatenate([np.ravel(r) for r, _ in groups]).astype(np.int64)
-    cols = np.concatenate([np.ravel(c) for _, c in groups])
-    keys, slots = np.unique(rows * size + cols, return_inverse=True)
+    rows = np.concatenate([np.ravel(r) for r, _ in groups])
+    cols = np.concatenate([np.ravel(c) for _, c in groups]).astype(np.int64)
+    keys, slots = np.unique(cols * size + rows, return_inverse=True)
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
     indices = (keys % size).astype(np.int32)
@@ -778,17 +777,13 @@ PRESET_NAMES = ("single-pm", "single-tpm", "multi4-pm", "multi4-tpm",
 def preset(name: str, dilation_angle: float = 0.1,
            characteristic_displacement: float = 0.01,
            cells_per_side: int = 6, seed: int = 0) -> FractureAssembly:
-    """Construct one of the named benchmark models."""
-    physics = {"pm": Physics.PORO, "tpm": Physics.THERMOPORO}
-    if name == "single-pm" or name == "single-tpm":
-        kind = name.split("-")[1]
+    """Construct one of the models named in ``PRESET_NAMES``."""
+    if name not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {name!r}")
+    head, kind = name.split("-")
+    physics = Physics.PORO if kind == "pm" else Physics.THERMOPORO
+    if head == "single":
         return make_single_fracture(cells_per_side, dilation_angle,
-                                    characteristic_displacement, physics[kind])
-    if name.startswith("multi") and name.count("-") == 1:
-        head, kind = name.split("-")
-        if kind not in physics or not head.removeprefix("multi").isdigit():
-            raise ValueError(f"unknown preset {name!r}")
-        count = int(head.removeprefix("multi"))
-        return make_multi_fracture(count, seed, dilation_angle,
-                                   characteristic_displacement, physics[kind])
-    raise ValueError(f"unknown preset {name!r}")
+                                    characteristic_displacement, physics)
+    return make_multi_fracture(int(head.removeprefix("multi")), seed, dilation_angle,
+                               characteristic_displacement, physics)

@@ -16,8 +16,9 @@ points in one stacked call. Contact-aware models additionally expose
 their contact parameters and ``fracture_cells()``, the consecutive cell range
 of each fracture. The constraint searches, the regime census and the adaptive
 magnitude estimate evaluate the array-valued kernels of ``contact`` and
-``scaling`` on those states, one call per evaluation; models without these
-hooks simply run with full steps under the constraint strategies.
+``scaling`` on those states, one call per evaluation. ``contact_states`` alone
+marks a model as contact-aware (a missing companion hook raises); models
+without it run with full steps under the constraint strategies.
 """
 
 from __future__ import annotations
@@ -148,12 +149,6 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _has_contact(model) -> bool:
-    return all(hasattr(model, name) for name in
-               ("contact_states", "contact_parameters", "complementarity_weight",
-                "fracture_cells"))
-
-
 def _regime_census(model, x: np.ndarray) -> tuple[int, int, int]:
     """(open, sticking, sliding) cell counts at ``x``."""
     regimes = classify_regime(model.contact_states(x), model.contact_parameters,
@@ -197,7 +192,7 @@ def solve(model, x0: np.ndarray | None = None,
     x = np.array(model.initial_guess() if x0 is None else x0, dtype=float)
     sqrt_n = float(np.sqrt(x.size))
 
-    contact = _has_contact(model)
+    contact = hasattr(model, "contact_states")
     adapt = (options.line_search.strategy is Strategy.CONSTRAINT_ADAPTIVE
              and contact and not options.force_unit_scale)
     # Frozen magnitude estimate: computed at the end of iteration k, used by

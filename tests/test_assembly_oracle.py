@@ -3,12 +3,13 @@
 The oracle below builds the influence operator, the mass and energy residual
 rows and the whole Jacobian one cell and one edge at a time: Python scalars,
 ``lil_matrix`` item writes and ``sp.bmat`` over per-block matrices. The
-shipped ``FractureAssembly`` fills a CSR pattern cached at construction. The
+shipped ``FractureAssembly`` fills a CSC pattern cached at construction. The
 two must agree byte for byte: residual values, and the Jacobian's ``data``,
-``indices`` and ``indptr``, on random iterates and on the edge cases where
-the mean aperture sits below or exactly at the hydraulic floor, heat is
-advected against the edge direction, cells carry Dirichlet values,
-fractures are tied together, or the iterate holds NaN or infinite entries.
+``indices`` and ``indptr`` against the oracle's converted to CSC, on random
+iterates and on the edge cases where the mean aperture sits below or exactly
+at the hydraulic floor, heat is advected against the edge direction, cells
+carry Dirichlet values, fractures are tied together, or the iterate holds NaN
+or infinite entries.
 """
 
 import numpy as np
@@ -338,7 +339,7 @@ def assert_same_residual(model, oracle, x, nan_signs=True):
 
 def assert_same_jacobian(model, oracle, x):
     got = model.jacobian(x)
-    want = oracle_jacobian(oracle, x)
+    want = oracle_jacobian(oracle, x).tocsc()
     assert type(got) is type(want)
     assert got.shape == want.shape
     for name in ("data", "indices", "indptr"):

@@ -80,7 +80,7 @@ def test_batched_fit_and_roots_equal_scalar_oracle_bitwise(m):
     grid = np.linspace(0.0, 1.0, m)
 
     batch = fit(grid, y)
-    roots = find_root(batch.shifted(shift), (0.0, 1.0))
+    roots = find_root(batch.shifted(shift))
     slopes, expected = _oracle(grid, y, shift)
 
     assert batch.derivatives.tobytes() == slopes.tobytes()
@@ -101,7 +101,7 @@ def test_extrapolation_branch_matches_brentq():
     rng = np.random.default_rng(41)
     grid = np.linspace(0.0, 1.0, 5)
     y, shift = rng.standard_normal((2000, 5)), rng.standard_normal(2000)
-    roots = find_root(fit(grid, y).shifted(shift), (0.0, 1.0))
+    roots = find_root(fit(grid, y).shifted(shift))
     extrapolated = 0
     for r in range(len(y)):
         spline = scalar_oracle.fit(np.column_stack([grid, y[r]])).shifted(shift[r])
@@ -211,7 +211,7 @@ def test_nan_iterate_raises_value_error_like_brentq():
                                     (0.0, 1e300))
         with pytest.raises(ValueError, match="NaN"):
             find_root(MonotoneCubic(knots, np.stack([-values, values]),
-                                    np.stack([slopes, slopes])), (0.0, 1e300))
+                                    np.stack([slopes, slopes])))
 
 
 def test_no_convergence_raises_runtime_error_like_brentq(monkeypatch):
@@ -222,7 +222,7 @@ def test_no_convergence_raises_runtime_error_like_brentq(monkeypatch):
         brentq(lambda t: scalar_oracle.evaluate(spline, t), 0.5, 0.75, xtol=1e-12, maxiter=2)
     monkeypatch.setattr(interpolation, "MAX_ITERATIONS", 2)
     with pytest.raises(RuntimeError):
-        find_root(fit(grid, [profile]), (0.0, 1.0))
+        find_root(fit(grid, [profile]))
 
 
 TRAJECTORIES = [

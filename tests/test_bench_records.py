@@ -4,7 +4,8 @@ Every ``BENCH_*.json`` at the repository root holds the last-line JSON objects
 of ``solvebench/run.py`` runs. Each must parse, and each workload and metric
 it names must be one that ``BENCHMARK.json``, ``solvebench/workloads.py`` or
 ``solvebench/tracing.py`` declares, so a renamed or invented figure cannot
-slip into the record.
+slip into the record. A ``--workload all`` run names each metric
+``<workload>.<metric>`` and must cover every workload.
 """
 
 import importlib.util
@@ -37,6 +38,17 @@ def _declared():
     return workloads, metrics
 
 
+def _run_metrics(run, workloads):
+    """The metric names of one run, with a ``--workload all`` run's prefixes checked and removed."""
+    names = set(run["result"]["metrics"])
+    if run["workload"] != "all":
+        assert run["workload"] in workloads
+        return names
+    split = [name.partition(".") for name in names]
+    assert {workload for workload, _, _ in split} == workloads
+    return {metric for _, _, metric in split}
+
+
 def test_records_exist():
     assert RECORDS
 
@@ -49,11 +61,11 @@ def test_record_names_only_declared_workloads_and_metrics(path):
     assert record["protocol"]
     assert record["runs"]
     for run in record["runs"] + record.get("superseded_runs", []):
-        assert run["workload"] in workloads
         assert run["tree"] in ("parent", "change")
         result = run["result"]
         assert set(result) == {"correct", "attempted", "failed", "metrics"}
-        assert set(result["metrics"]) <= metrics, set(result["metrics"]) - metrics
+        names = _run_metrics(run, workloads)
+        assert names <= metrics, names - metrics
         for entry in result["metrics"].values():
             assert set(entry) == {"value", "unit"}
     for workload, summary in record.get("summary", {}).items():

@@ -100,19 +100,19 @@ def _row(knots, values):
 
 def test_find_root_linear_profile():
     spline = _row([0.0, 1.0], [0.8, -0.2])
-    (root,) = find_root(spline, (0.0, 1.0))
+    (root,) = find_root(spline)
     assert root == pytest.approx(0.8, abs=1e-10)
 
 
 def test_find_root_none_when_sign_constant():
     spline = _row([0.0, 0.5, 1.0], [1.0, 0.4, 0.1])
-    (root,) = find_root(spline, (0.0, 1.0))
+    (root,) = find_root(spline)
     assert np.isnan(root)
 
 
 def test_find_root_crossing_in_second_interval():
     spline = _row([0.0, 0.5, 1.0], [1.0, 0.5, -1.0])
-    (root,) = find_root(spline, (0.0, 1.0))
+    (root,) = find_root(spline)
     assert not np.isnan(root)
     assert 0.5 < root < 1.0
     assert abs(spline(root)[0]) <= 1e-9
@@ -121,7 +121,7 @@ def test_find_root_crossing_in_second_interval():
 def test_find_root_returns_smallest_zero():
     # sign pattern + - + has two crossings; the scan must stop at the first
     spline = _row([0.0, 0.3, 0.6, 1.0], [1.0, -0.5, -0.4, 1.0])
-    (root,) = find_root(spline, (0.0, 1.0))
+    (root,) = find_root(spline)
     assert not np.isnan(root)
     assert root < 0.3
     assert abs(spline(root)[0]) <= 1e-9
@@ -129,19 +129,13 @@ def test_find_root_returns_smallest_zero():
 
 def test_find_root_exact_knot_zero():
     spline = _row([0.0, 0.5, 1.0], [0.5, 0.0, 0.5])
-    assert find_root(spline, (0.0, 1.0))[0] == pytest.approx(0.5, abs=1e-12)
+    assert find_root(spline)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_find_root_sign_change_of_tiny_values():
     # f0 * f1 underflows to -0.0 here, which is not a sign change
     spline = _row([0.0, 1.0], [1e-200, -1e-200])
-    assert find_root(spline, (0.0, 1.0))[0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_find_root_rejects_empty_bracket():
-    spline = _row([0.0, 1.0], [1.0, -1.0])
-    with pytest.raises(ValueError):
-        find_root(spline, (0.7, 0.7))
+    assert find_root(spline)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fracsolve.linesearch
 import scalar_oracle
 from fracsolve.contact import transition_values
 from fracsolve.linesearch import (
@@ -162,6 +163,32 @@ def test_constraint_search_tightening_trace():
     assert candidates[0] == pytest.approx(0.8 / 1.3, abs=1e-9)
     assert candidates[1] == pytest.approx(0.65 / 1.3, abs=1e-9)
     assert np.all(np.diff(candidates) <= 1e-12)
+
+
+def test_constraint_search_fits_each_profile_at_most_once(monkeypatch):
+    # Full-step overshoots 0.5, 0.6, 0.7, 0.8, 0.2 and 0.1: the first round
+    # flags four cells, the second (tolerance 0.15) a fifth, the third
+    # (0.075) a sixth. One fit covers all of them, in the round that first
+    # flags a cell, and the outcome is the oracle's.
+    slopes = np.array([1.0, 1.1, 1.2, 1.3, 0.7, 0.6] + [0.0] * 4)
+    evaluator = _linear_evaluator(slopes)
+    full = transition_values(evaluator(0.0), evaluator(1.0))
+    assert np.count_nonzero(full > CONFIG.transition_tolerance) == 4
+    calls = []
+    batched_fit = fracsolve.linesearch.fit
+
+    def counting_fit(knots, values):
+        calls.append(np.shape(values))
+        return batched_fit(knots, values)
+
+    monkeypatch.setattr(fracsolve.linesearch, "fit", counting_fit)
+    outcome = search_constraint(evaluator, [np.arange(10)], CONFIG)
+
+    assert outcome.tightening_rounds == 2
+    assert outcome.diagnostics["flagged"] == 6
+    assert calls == [(6, CONFIG.sample_count)]
+    expected = scalar_oracle.search_constraint(evaluator, [np.arange(10)], CONFIG)
+    assert _summary(outcome) == _summary(expected)
 
 
 def test_constraint_search_clamps_to_alpha_min():

@@ -343,7 +343,8 @@ def test_preset_names_and_layouts():
     assert preset("single-pm", cells_per_side=9).n_cells == 81
 
 
-@pytest.mark.parametrize("name", ["nope", "single-xx", "multi4-xx", "multix-pm"])
+# multi3-pm is well formed but not in PRESET_NAMES.
+@pytest.mark.parametrize("name", ["nope", "single-xx", "multi4-xx", "multix-pm", "multi3-pm"])
 def test_preset_rejects_unknown_names(name):
     with pytest.raises(ValueError):
         preset(name)

@@ -259,6 +259,34 @@ def test_exact_evaluation_counts(strategy):
 # contact model behavior
 
 
+class ContactStatesOnlyModel:
+    """Forwards the model hooks and ``contact_states``, but no other contact hook."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def residual(self, x):
+        return self.inner.residual(x)
+
+    def jacobian(self, x):
+        return self.inner.jacobian(x)
+
+    def initial_guess(self):
+        return self.inner.initial_guess()
+
+    def contact_states(self, x):
+        return self.inner.contact_states(x)
+
+
+@pytest.mark.parametrize("strategy", ["constraint-const", "constraint-adaptive"])
+def test_contact_states_alone_marks_a_contact_model(strategy):
+    # The constraint search needs the missing hooks, so the solve fails
+    # loudly instead of taking full steps.
+    model = ContactStatesOnlyModel(preset("single-pm", cells_per_side=4))
+    with pytest.raises(AttributeError):
+        solve(model, options=_options(strategy))
+
+
 def test_determinism_bitwise():
     first = solve(preset("single-pm"), options=_options("constraint-adaptive"))
     second = solve(preset("single-pm"), options=_options("constraint-adaptive"))
