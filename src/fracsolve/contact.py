@@ -9,8 +9,9 @@ dimensionless (divided by the characteristic stress); jumps stay in meters and
 enter through the complementarity weight, the reciprocal characteristic
 displacement.
 
-The state of all cells is one ``ContactStates`` of per-cell arrays, and every
-kernel here maps it to per-cell arrays in a single vectorized pass.
+The state of all cells is one ``ContactStates`` of per-cell arrays that also
+carries the contact law (parameters and complementarity weight), and every
+kernel here maps it alone to per-cell arrays in a single vectorized pass.
 
 The residuals, the regime census, the generalized derivative and the state
 indicators share one open/closed test, ``normal_indicator``, and one
@@ -79,7 +80,8 @@ class ContactStates:
     ``previous_tangential_jump`` is the converged value of the preceding time
     step, so the tangential slip increment is ``tangential_jump -
     previous_tangential_jump``. The arrays are read-only views; the caller's
-    arrays are not copied.
+    arrays are not copied. ``params`` and ``weight``, the complementarity
+    weight, are the contact law every kernel here reads from the states.
     """
 
     normal_traction: np.ndarray
@@ -87,6 +89,8 @@ class ContactStates:
     normal_jump: np.ndarray
     tangential_jump: np.ndarray
     previous_tangential_jump: np.ndarray
+    params: ContactParameters
+    weight: float
 
     def __post_init__(self):
         for name in ("normal_traction", "tangential_traction", "normal_jump",
@@ -134,35 +138,32 @@ def gap(tangential_jump: np.ndarray, dilation_angle: float):
     return np.tan(dilation_angle) * _norms(tangential_jump)
 
 
-def normal_indicator(states: ContactStates, params: ContactParameters,
-                     weight: float) -> np.ndarray:
+def normal_indicator(states: ContactStates) -> np.ndarray:
     """Signed distance to the open/closed branch boundary, per cell.
 
     Positive exactly when the penetration term in the normal complementarity
     residual is on its active (contact) branch.
     """
-    g = gap(states.tangential_jump, params.dilation_angle)
-    return -states.normal_traction - weight * (states.normal_jump - g)
+    g = gap(states.tangential_jump, states.params.dilation_angle)
+    return -states.normal_traction - states.weight * (states.normal_jump - g)
 
 
-def _slip_drive(states: ContactStates, params: ContactParameters, weight: float):
+def _slip_drive(states: ContactStates):
     """Friction bound ``b``, shape ``(n,)``, and slip drive ``q``, shape ``(n, 2)``."""
-    b = friction_bound(states.normal_traction, params.friction_coefficient)
-    return b, states.tangential_traction + weight * states.slip_increment
+    b = friction_bound(states.normal_traction, states.params.friction_coefficient)
+    return b, states.tangential_traction + states.weight * states.slip_increment
 
 
-def normal_complementarity(states: ContactStates, params: ContactParameters,
-                           weight: float) -> np.ndarray:
+def normal_complementarity(states: ContactStates) -> np.ndarray:
     """Residual of the normal contact conditions, shape ``(..., n)``.
 
     Zero exactly when -traction >= 0, jump - gap >= 0 and their product
     vanishes; the root set does not depend on the (positive) weight.
     """
-    return -states.normal_traction - np.fmax(0.0, normal_indicator(states, params, weight))
+    return -states.normal_traction - np.fmax(0.0, normal_indicator(states))
 
 
-def tangential_complementarity(states: ContactStates, params: ContactParameters,
-                               weight: float) -> np.ndarray:
+def tangential_complementarity(states: ContactStates) -> np.ndarray:
     """Residual of the Coulomb friction conditions, shape ``(..., n, 2)``.
 
     On an open cell (friction bound <= 0) this is the tangential traction
@@ -170,23 +171,21 @@ def tangential_complementarity(states: ContactStates, params: ContactParameters,
     slip increment, traction within the bound) and for consistent slide
     (traction at the bound, slip increment a nonnegative multiple of it).
     """
-    b, q = _slip_drive(states, params, weight)
+    b, q = _slip_drive(states)
     b = b[..., None]
     sig_t = states.tangential_traction
     closed = sig_t * np.fmax(b, _norms(q)[..., None]) - b * q
     return np.where(b <= 0.0, sig_t, closed)
 
 
-def classify_regime(states: ContactStates, params: ContactParameters,
-                    weight: float) -> np.ndarray:
+def classify_regime(states: ContactStates) -> np.ndarray:
     """Diagnostic regime code per cell, an ``(n,)`` array of ``ContactRegime`` values."""
-    b, q = _slip_drive(states, params, weight)
+    b, q = _slip_drive(states)
     regime = np.where(_norms(q) > b, ContactRegime.SLIDING, ContactRegime.STICKING)
     return np.where(b <= 0.0, ContactRegime.OPEN, regime)
 
 
-def contact_generalized_derivative(states: ContactStates, params: ContactParameters,
-                                   weight: float) -> np.ndarray:
+def contact_generalized_derivative(states: ContactStates) -> np.ndarray:
     """Active-branch derivative of the contact residuals, as ``(n, 3, 6)`` blocks.
 
     Rows are (normal residual, tangential residual x2); columns are
@@ -196,8 +195,8 @@ def contact_generalized_derivative(states: ContactStates, params: ContactParamet
     tie. The dilation gap is nonsmooth at zero tangential jump, where its
     subgradient is taken as zero.
     """
-    F = params.friction_coefficient
-    c = float(weight)
+    F = states.params.friction_coefficient
+    c = float(states.weight)
     sig_t = states.tangential_traction
     u_t = states.tangential_jump
     slip = states.slip_increment
@@ -205,19 +204,19 @@ def contact_generalized_derivative(states: ContactStates, params: ContactParamet
 
     D = np.zeros((len(states), 3, 6))
 
-    tan_psi = np.tan(params.dilation_angle)
+    tan_psi = np.tan(states.params.dilation_angle)
     u_t_norm = _norms(u_t)
     dg_dut = np.zeros_like(u_t)
     moving = u_t_norm > 0.0
     dg_dut[moving] = tan_psi * u_t[moving] / u_t_norm[moving, None]
 
-    contact = normal_indicator(states, params, c) >= 0.0
+    contact = normal_indicator(states) >= 0.0
     # Contact branch: residual reduces to c * (jump - gap).
     D[contact, 0, 3] = c
     D[contact, 0, 4:6] = -c * dg_dut[contact]
     D[~contact, 0, 0] = -1.0
 
-    b, q = _slip_drive(states, params, c)
+    b, q = _slip_drive(states)
     q_norm = _norms(q)
     closed = ~(b <= 0.0)
     sliding = closed & (q_norm >= b)
@@ -239,15 +238,14 @@ def contact_generalized_derivative(states: ContactStates, params: ContactParamet
     return D
 
 
-def tangential_indicator(states: ContactStates, params: ContactParameters,
-                         weight: float, reference_active: np.ndarray) -> np.ndarray:
+def tangential_indicator(states: ContactStates, reference_active: np.ndarray) -> np.ndarray:
     """Signed distance to the stick/slide branch boundary, per cell.
 
     Positive exactly when the sliding branch is active. ``reference_active``
     is the Heaviside mask from the reference iterate: cells that were open
     there contribute exactly zero.
     """
-    b, q = _slip_drive(states, params, weight)
+    b, q = _slip_drive(states)
     return np.where(reference_active, _norms(q) - b, 0.0)
 
 
@@ -268,19 +266,16 @@ def transition_values(reference: np.ndarray, trial: np.ndarray) -> np.ndarray:
     return -signs * np.abs(np.where(signs == 0.0, 0.0, trial))
 
 
-def reference_mask(states: ContactStates, params: ContactParameters,
-                   weight: float) -> np.ndarray:
+def reference_mask(states: ContactStates) -> np.ndarray:
     """Heaviside mask: cells with strictly positive normal indicator."""
-    return normal_indicator(states, params, weight) > 0.0
+    return normal_indicator(states) > 0.0
 
 
-def evaluate_field(states: ContactStates, params: ContactParameters, weight: float,
-                   mask: np.ndarray) -> np.ndarray:
+def evaluate_field(states: ContactStates, mask: np.ndarray) -> np.ndarray:
     """Both indicator families over all cells, shape ``(2, n)``.
 
     Row 0 is the normal indicator, row 1 the tangential one. ``mask`` is the
     reference-iterate Heaviside mask; it must come from the same cell
     ordering as ``states``.
     """
-    return np.stack([normal_indicator(states, params, weight),
-                     tangential_indicator(states, params, weight, mask)])
+    return np.stack([normal_indicator(states), tangential_indicator(states, mask)])

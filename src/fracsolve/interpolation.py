@@ -215,7 +215,7 @@ def find_root(spline: MonotoneCubic) -> np.ndarray:
         An array with one root per row, NaN where the row has none.
     """
     knots = spline.knots
-    vals = evaluate(spline, knots)
+    vals = spline.values
     f0, f1 = vals[:, :-1], vals[:, 1:]
     zero = f0 == 0.0
     # Compare signs, not the product, which can underflow to -0.0.

@@ -284,24 +284,17 @@ class FractureAssembly:
 
     # ----- hooks consumed by the driver ---------------------------------
 
-    @property
-    def contact_parameters(self) -> ContactParameters:
-        return self.params
-
-    @property
-    def complementarity_weight(self) -> float:
-        return self.scales.complementarity_weight
-
     def fracture_cells(self) -> list[np.ndarray]:
         """Global cell indices of each fracture, consecutive ranges in list order."""
         return [np.arange(start, start + fr.n_cells)
                 for fr, start in zip(self.fractures, self._starts)]
 
     def contact_states(self, x: np.ndarray) -> ContactStates:
-        """Read-only per-cell views of the tractions and jumps in ``x``."""
+        """Read-only per-cell views of the tractions and jumps in ``x``, with the contact law."""
         traction, jump, _, _ = self.split(x)
-        return ContactStates(traction[..., 0], traction[..., 1:3], jump[..., 0],
-                             jump[..., 1:3], self.previous_jump[:, 1:3])
+        return ContactStates(traction[..., 0], traction[..., 1:3], jump[..., 0], jump[..., 1:3],
+                             self.previous_jump[:, 1:3], self.params,
+                             self.scales.complementarity_weight)
 
     def initial_guess(self) -> np.ndarray:
         """Zero jumps and reference pressures/temperatures, seeded tractions.
@@ -471,8 +464,7 @@ class FractureAssembly:
         # Contact complementarity rows.
         states = self.contact_states(x)
         contact = np.concatenate([
-            normal_complementarity(states, self.params, weight)[..., None],
-            tangential_complementarity(states, self.params, weight)], axis=-1)
+            normal_complementarity(states)[..., None], tangential_complementarity(states)], axis=-1)
 
         blocks = [force.reshape(lead + (-1,)), contact.reshape(lead + (-1,))]
         if self.has_pressure:
@@ -534,8 +526,7 @@ class FractureAssembly:
     def jacobian(self, x: np.ndarray) -> sp.csc_matrix:
         _, jump, pressure, temperature = self.split(x)
         data = self._constant_data.copy()
-        derivative = contact_generalized_derivative(self.contact_states(x), self.params,
-                                                    self.scales.complementarity_weight)
+        derivative = contact_generalized_derivative(self.contact_states(x))
         data[self._contact_slots] = derivative.ravel()
         if self.has_pressure:
             np.add.at(data, self._mass_slots, self._mass_entries(jump, pressure, temperature))

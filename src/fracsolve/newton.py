@@ -12,13 +12,14 @@ Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
 ``(n_dofs,)`` or a stack ``(k, n_dofs)`` of points and returns one residual
 row per point, and the residual search evaluates its ``sample_count`` trial
 points in one stacked call. Contact-aware models additionally expose
-``contact_states(x)``, a read-only ``ContactStates`` of per-cell arrays, plus
-their contact parameters and ``fracture_cells()``, the consecutive cell range
-of each fracture. The constraint searches, the regime census and the adaptive
-magnitude estimate evaluate the array-valued kernels of ``contact`` and
-``scaling`` on those states, one call per evaluation. ``contact_states`` alone
-marks a model as contact-aware (a missing companion hook raises); models
-without it run with full steps under the constraint strategies.
+``contact_states(x)``, a read-only ``ContactStates`` of per-cell arrays that
+carries the model's contact parameters and complementarity weight, and
+``fracture_cells()``, the consecutive cell range of each fracture. The
+constraint searches, the regime census and the adaptive magnitude estimate
+evaluate the array-valued kernels of ``contact`` and ``scaling`` on those
+states alone, one call per evaluation. ``contact_states`` marks a model as
+contact-aware (a missing ``fracture_cells`` raises); models without it run
+with full steps under the constraint strategies.
 """
 
 from __future__ import annotations
@@ -151,8 +152,7 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
 
 def _regime_census(model, x: np.ndarray) -> tuple[int, int, int]:
     """(open, sticking, sliding) cell counts at ``x``."""
-    regimes = classify_regime(model.contact_states(x), model.contact_parameters,
-                              model.complementarity_weight)
+    regimes = classify_regime(model.contact_states(x))
     open_, sticking, sliding = np.bincount(regimes, minlength=3)
     return int(open_), int(sticking), int(sliding)
 
@@ -173,12 +173,10 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
     # Constraint strategies; contactless models just take the full step.
     if not contact:
         return search_none()
-    params = model.contact_parameters
-    weight = model.complementarity_weight
-    mask = reference_mask(model.contact_states(x), params, weight)
+    mask = reference_mask(model.contact_states(x))
 
     def evaluator(alpha: float):
-        return evaluate_field(model.contact_states(x + alpha * step), params, weight, mask)
+        return evaluate_field(model.contact_states(x + alpha * step), mask)
 
     # The scale stays 1 unless the strategy is the adaptive one.
     return search_constraint(evaluator, model.fracture_cells(), cfg, scale=scale)
@@ -213,7 +211,7 @@ def solve(model, x0: np.ndarray | None = None,
     if not np.isfinite(norm0):
         return diverged("non-finite initial residual")
     report.residual_norms.append(norm0 / sqrt_n)
-    if criterion.kind is CriterionKind.RESIDUAL and norm0 / sqrt_n < criterion.tolerance:
+    if report.final_norm < criterion.tolerance:
         report.status = SolveStatus.CONVERGED
         report.x = x
         return report
@@ -250,14 +248,10 @@ def solve(model, x0: np.ndarray | None = None,
         report.residual_norms.append(norm / sqrt_n)
 
         if adapt:
-            scale = p_mean_scale(cell_scale_estimate(
-                model.contact_states(x), model.contact_parameters, model.complementarity_weight))
+            scale = p_mean_scale(cell_scale_estimate(model.contact_states(x)))
         report.scale_history.append(scale)
 
-        if criterion.kind is CriterionKind.INCREMENT and increment_norm < criterion.tolerance:
-            report.status = SolveStatus.CONVERGED
-            break
-        if criterion.kind is CriterionKind.RESIDUAL and norm / sqrt_n < criterion.tolerance:
+        if report.final_norm < criterion.tolerance:
             report.status = SolveStatus.CONVERGED
             break
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contact import ContactParameters, ContactStates, gap
+from .contact import ContactStates, gap
 
 __all__ = [
     "CharacteristicScales",
@@ -53,8 +53,7 @@ class CharacteristicScales:
         return 1.0 / self.displacement
 
 
-def cell_scale_estimate(states: ContactStates, params: ContactParameters,
-                        weight: float) -> np.ndarray:
+def cell_scale_estimate(states: ContactStates) -> np.ndarray:
     """Magnitude contribution of each cell, shape ``(n,)``.
 
     Sum of the scaled traction norm and the weighted norm of the jump with
@@ -67,9 +66,9 @@ def cell_scale_estimate(states: ContactStates, params: ContactParameters,
     sig_t = states.tangential_traction
     u_t = states.tangential_jump
     traction_norm = np.sqrt(np.float_power(states.normal_traction, 2) + np.vecdot(sig_t, sig_t))
-    g = gap(u_t, params.dilation_angle)
+    g = gap(u_t, states.params.dilation_angle)
     jump_norm = np.sqrt(np.float_power(states.normal_jump - g, 2) + np.vecdot(u_t, u_t))
-    return traction_norm + weight * jump_norm
+    return traction_norm + states.weight * jump_norm
 
 
 def p_mean_scale(values, exponent: float = 5.0) -> float:

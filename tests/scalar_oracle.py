@@ -333,10 +333,10 @@ def residual(model, x):
     r[0:3 * n] = force.ravel()
 
     states = ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
-                           model.previous_jump[:, 1:3])
+                           model.previous_jump[:, 1:3], model.params, weight)
     contact = r[3 * n:6 * n].reshape(n, 3)
-    contact[:, 0] = normal_complementarity(states, model.params, weight)
-    contact[:, 1:3] = tangential_complementarity(states, model.params, weight)
+    contact[:, 0] = normal_complementarity(states)
+    contact[:, 1:3] = tangential_complementarity(states)
 
     if model.has_pressure:
         r[6 * n:7 * n] = _mass_rows(model, jump, pressure, temperature)

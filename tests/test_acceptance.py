@@ -75,9 +75,8 @@ def _fd_jacobian(model, x, h=1e-7):
 def _branch_margin(model, x):
     from fracsolve.contact import friction_bound, gap
 
-    params = model.contact_parameters
-    w = model.complementarity_weight
     st = model.contact_states(x)
+    params, w = st.params, st.weight
     g = gap(st.tangential_jump, params.dilation_angle)
     reach = -st.normal_traction - w * (st.normal_jump - g)
     b = friction_bound(st.normal_traction, params.friction_coefficient)
@@ -104,14 +103,6 @@ class _CountingModel:
 
     def initial_guess(self):
         return self.inner.initial_guess()
-
-    @property
-    def contact_parameters(self):
-        return self.inner.contact_parameters
-
-    @property
-    def complementarity_weight(self):
-        return self.inner.complementarity_weight
 
     def fracture_cells(self):
         return self.inner.fracture_cells()
@@ -159,11 +150,11 @@ def test_criterion_01_complementarity_kkt_equivalence(criterion_verdict):
             state = ContactStates(
                 normal_traction=np.array([a]), tangential_traction=np.array([[b, 0.0]]),
                 normal_jump=np.array([d]), tangential_jump=np.array([[c, 0.0]]),
-                previous_tangential_jump=np.zeros((1, 2)))
+                previous_tangential_jump=np.zeros((1, 2)), params=params, weight=WEIGHT)
             cn_o, ct_o = _oracle_complementarity(
                 np.array([a]), np.array([b]), np.array([d]), np.array([c]))
-            assert normal_complementarity(state, params, WEIGHT)[0] == cn_o[0]
-            tangential = tangential_complementarity(state, params, WEIGHT)[0]
+            assert normal_complementarity(state)[0] == cn_o[0]
+            tangential = tangential_complementarity(state)[0]
             assert tangential[0] == ct_o[0] and tangential[1] == 0.0
 
         assert time.perf_counter() - started < 10.0

@@ -183,8 +183,8 @@ def oracle_residual(o, x):
     r[0:3 * n] = force.ravel()
     states = m.contact_states(x)
     contact = r[3 * n:6 * n].reshape(n, 3)
-    contact[:, 0] = normal_complementarity(states, m.params, weight)
-    contact[:, 1:3] = tangential_complementarity(states, m.params, weight)
+    contact[:, 0] = normal_complementarity(states)
+    contact[:, 1:3] = tangential_complementarity(states)
     if m.has_pressure:
         r[6 * n:7 * n] = oracle_mass_rows(o, jump, pressure, temperature)
     if m.has_temperature:
@@ -296,7 +296,7 @@ def oracle_jacobian(o, x):
     sigma_c = m.scales.stress
     weight = m.scales.complementarity_weight
     blocks = [[sp.eye(3 * n, format="csr"), o.stiffness * weight], [None, None]]
-    derivative = contact_generalized_derivative(m.contact_states(x), m.params, weight)
+    derivative = contact_generalized_derivative(m.contact_states(x))
     blocks[1][0] = _block_diagonal(derivative[:, :, 0:3])
     blocks[1][1] = _block_diagonal(derivative[:, :, 3:6])
     if m.has_pressure:

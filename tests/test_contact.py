@@ -1,5 +1,7 @@
 """Contact kernel: complementarity functions, regimes, generalized derivative."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from fracsolve.contact import (
 )
 
 
-def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), ut_prev=(0.0, 0.0)):
+PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
+DILATING = ContactParameters(friction_coefficient=1.0, dilation_angle=0.1)
+
+
+def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), ut_prev=(0.0, 0.0),
+               params=PARAMS, weight=1.0):
     """States of a single cell; kernels return arrays with one row."""
     return ContactStates(
         normal_traction=np.array([sn], dtype=float),
@@ -24,11 +31,9 @@ def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), ut_prev=(0.0, 0.0))
         normal_jump=np.array([un], dtype=float),
         tangential_jump=np.array([ut], dtype=float),
         previous_tangential_jump=np.array([ut_prev], dtype=float),
+        params=params,
+        weight=weight,
     )
-
-
-PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
-DILATING = ContactParameters(friction_coefficient=1.0, dilation_angle=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -77,47 +82,47 @@ def test_gap_positively_homogeneous_and_rotation_invariant():
 
 def test_normal_complementarity_consistent_open():
     state = make_state(sn=0.0, un=0.5)
-    assert normal_complementarity(state, PARAMS, 1.0)[0] == 0.0
+    assert normal_complementarity(state)[0] == 0.0
 
 
 def test_normal_complementarity_consistent_contact():
     state = make_state(sn=-1.0, un=0.0)
-    assert normal_complementarity(state, PARAMS, 1.0)[0] == 0.0
+    assert normal_complementarity(state)[0] == 0.0
 
 
 def test_normal_complementarity_penetration():
     state = make_state(sn=-1.0, un=-0.2)
-    assert normal_complementarity(state, PARAMS, 1.0)[0] == pytest.approx(-0.2)
+    assert normal_complementarity(state)[0] == pytest.approx(-0.2)
 
 
 def test_tangential_complementarity_open():
     state = make_state(sn=0.5, st=(0.3, -0.1))
     np.testing.assert_array_equal(
-        tangential_complementarity(state, PARAMS, 1.0)[0], [0.3, -0.1])
+        tangential_complementarity(state)[0], [0.3, -0.1])
 
 
 def test_tangential_complementarity_consistent_stick():
     state = make_state(sn=-1.0, st=(0.5, 0.0))
     np.testing.assert_allclose(
-        tangential_complementarity(state, PARAMS, 1.0)[0], [0.0, 0.0], atol=1e-15)
+        tangential_complementarity(state)[0], [0.0, 0.0], atol=1e-15)
 
 
 def test_tangential_complementarity_slip_against_traction():
     # slip opposing the traction direction leaves a nonzero residual
     state = make_state(sn=-1.0, st=(-1.0, 0.0), ut=(2.0, 0.0))
     np.testing.assert_allclose(
-        tangential_complementarity(state, PARAMS, 1.0)[0], [-2.0, 0.0], atol=1e-15)
+        tangential_complementarity(state)[0], [-2.0, 0.0], atol=1e-15)
 
 
 def test_tangential_complementarity_consistent_slide():
     state = make_state(sn=-1.0, st=(-1.0, 0.0), ut=(-2.0, 0.0))
     np.testing.assert_allclose(
-        tangential_complementarity(state, PARAMS, 1.0)[0], [0.0, 0.0], atol=1e-15)
+        tangential_complementarity(state)[0], [0.0, 0.0], atol=1e-15)
 
 
 def test_open_branch_returns_copy():
     state = make_state(sn=0.5, st=(0.3, 0.0))
-    out = tangential_complementarity(state, PARAMS, 1.0)[0]
+    out = tangential_complementarity(state)[0]
     out[0] = 99.0
     assert state.tangential_traction[0, 0] == 0.3
 
@@ -131,9 +136,10 @@ def test_c_independence_of_roots():
     ]
     for state in roots:
         for weight in (0.1, 1.0, 100.0):
-            assert abs(normal_complementarity(state, PARAMS, weight)[0]) < 1e-12
+            weighted = dataclasses.replace(state, weight=weight)
+            assert abs(normal_complementarity(weighted)[0]) < 1e-12
             assert np.linalg.norm(
-                tangential_complementarity(state, PARAMS, weight)[0]) < 1e-12
+                tangential_complementarity(weighted)[0]) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +147,27 @@ def test_c_independence_of_roots():
 
 
 def test_classify_open():
-    assert classify_regime(make_state(sn=0.1), PARAMS, 1.0)[0] == ContactRegime.OPEN
+    assert classify_regime(make_state(sn=0.1))[0] == ContactRegime.OPEN
 
 
 def test_classify_sticking():
     state = make_state(sn=-1.0, st=(0.2, 0.0))
-    assert classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.STICKING
+    assert classify_regime(state)[0] == ContactRegime.STICKING
 
 
 def test_classify_sliding():
     state = make_state(sn=-1.0, st=(0.9, 0.0), ut=(0.5, 0.0))
-    assert classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.SLIDING
+    assert classify_regime(state)[0] == ContactRegime.SLIDING
 
 
 def test_classify_boundary_zero_bound_is_open():
-    assert classify_regime(make_state(sn=0.0), PARAMS, 1.0)[0] == ContactRegime.OPEN
+    assert classify_regime(make_state(sn=0.0))[0] == ContactRegime.OPEN
 
 
 def test_classify_boundary_at_friction_bound_is_sticking():
     # ||q|| == b exactly: not strictly beyond the bound
     state = make_state(sn=-1.0, st=(1.0, 0.0))
-    assert classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.STICKING
+    assert classify_regime(state)[0] == ContactRegime.STICKING
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +176,14 @@ def test_classify_boundary_at_friction_bound_is_sticking():
 
 def test_derivative_open_normal_row():
     state = make_state(sn=0.2, un=0.5)
-    block = contact_generalized_derivative(state, PARAMS, 1.0)[0]
+    block = contact_generalized_derivative(state)[0]
     assert block[0, 0] == -1.0
     assert block[0, 3] == 0.0
 
 
 def test_derivative_contact_normal_row():
-    state = make_state(sn=-1.0, un=-0.1)
-    block = contact_generalized_derivative(state, PARAMS, 2.0)[0]
+    state = make_state(sn=-1.0, un=-0.1, weight=2.0)
+    block = contact_generalized_derivative(state)[0]
     assert block[0, 0] == 0.0
     assert block[0, 3] == 2.0
 
@@ -185,14 +191,14 @@ def test_derivative_contact_normal_row():
 def test_derivative_tie_takes_state_change_branch():
     # reach exactly zero: the penetration (contact) branch must be selected
     state = make_state(sn=0.0, un=0.0)
-    block = contact_generalized_derivative(state, PARAMS, 1.0)[0]
+    block = contact_generalized_derivative(state)[0]
     assert block[0, 0] == 0.0
     assert block[0, 3] == 1.0
     # ||q|| exactly at the bound: the sliding branch must be selected
     tie = make_state(sn=-1.0, st=(1.0, 0.0))
-    tie_block = contact_generalized_derivative(tie, PARAMS, 1.0)[0]
+    tie_block = contact_generalized_derivative(tie)[0]
     stick = make_state(sn=-1.0, st=(0.5, 0.0))
-    stick_block = contact_generalized_derivative(stick, PARAMS, 1.0)[0]
+    stick_block = contact_generalized_derivative(stick)[0]
     assert not np.allclose(tie_block[1:3], stick_block[1:3])
     assert tie_block[1, 0] == pytest.approx(1.0)  # F * q1 on the sliding branch
 
@@ -204,6 +210,8 @@ def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
             st=rng.uniform(-2.0, 2.0, 2),
             un=rng.uniform(-1.0, 1.0),
             ut=rng.uniform(-1.0, 1.0, 2),
+            params=params,
+            weight=weight,
         )
         g = gap(state.tangential_jump[0], params.dilation_angle)
         reach = -state.normal_traction[0] - weight * (state.normal_jump[0] - g)
@@ -215,13 +223,14 @@ def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
             return state
 
 
-def _fd_derivative(state, params, weight, h=1e-7):
+def _fd_derivative(state, h=1e-7):
     def residual(vec):
         s = make_state(sn=vec[0], st=vec[1:3], un=vec[3], ut=vec[4:6],
-                       ut_prev=state.previous_tangential_jump[0])
+                       ut_prev=state.previous_tangential_jump[0],
+                       params=state.params, weight=state.weight)
         return np.concatenate([
-            normal_complementarity(s, params, weight),
-            tangential_complementarity(s, params, weight)[0],
+            normal_complementarity(s),
+            tangential_complementarity(s)[0],
         ])
 
     base = np.concatenate([state.normal_traction, state.tangential_traction[0],
@@ -240,16 +249,16 @@ def test_derivative_matches_finite_differences():
     weight = 1.7
     for _ in range(20):
         state = _random_nondegenerate_state(rng, DILATING, weight)
-        analytic = contact_generalized_derivative(state, DILATING, weight)[0]
-        numeric = _fd_derivative(state, DILATING, weight)
+        analytic = contact_generalized_derivative(state)[0]
+        numeric = _fd_derivative(state)
         scale = max(1.0, np.max(np.abs(numeric)))
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
 
 
 def test_dilation_chain_rule_zero_at_zero_slip():
     # the gap has no smooth derivative at zero slip; the kernel takes zero
-    state = make_state(sn=-1.0, un=0.0)
-    block = contact_generalized_derivative(state, DILATING, 1.0)[0]
+    state = make_state(sn=-1.0, un=0.0, params=DILATING)
+    block = contact_generalized_derivative(state)[0]
     np.testing.assert_array_equal(block[0, 4:6], [0.0, 0.0])
 
 
@@ -277,7 +286,8 @@ def test_slip_increment_uses_previous_jump():
 
 def test_states_are_read_only_views():
     jump = np.zeros((4, 2))
-    states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, np.zeros((4, 2)))
+    states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, np.zeros((4, 2)),
+                           PARAMS, 1.0)
     assert len(states) == 4
     assert np.shares_memory(states.tangential_jump, jump)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Transition indicators and their coherence with the contact kernel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,19 +20,19 @@ from fracsolve.contact import (
 )
 
 
-def _states(sn, st, un, ut):
+PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
+
+
+def _states(sn, st, un, ut, params=PARAMS, weight=1.0):
     """States of several cells from per-cell sequences."""
     st = np.asarray(st, float)
     return ContactStates(np.asarray(sn, float), st, np.asarray(un, float),
-                         np.asarray(ut, float), np.zeros_like(st))
+                         np.asarray(ut, float), np.zeros_like(st), params, weight)
 
 
-def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0)):
+def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), params=PARAMS, weight=1.0):
     """States of a single cell; indicators return arrays with one entry."""
-    return _states([sn], [st], [un], [ut])
-
-
-PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
+    return _states([sn], [st], [un], [ut], params, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -40,16 +42,16 @@ PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
 def test_normal_indicator_compressed_at_gap():
     params = ContactParameters(dilation_angle=0.1)
     ut = np.array([0.2, 0.0])
-    state = _state(sn=-1.0, un=gap(ut, params.dilation_angle), ut=ut)
-    assert normal_indicator(state, params, 1.0)[0] == pytest.approx(1.0, rel=1e-14)
+    state = _state(sn=-1.0, un=gap(ut, params.dilation_angle), ut=ut, params=params)
+    assert normal_indicator(state)[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_normal_indicator_open_cell():
-    assert normal_indicator(_state(sn=0.0, un=0.5), PARAMS, 1.0)[0] == pytest.approx(-0.5)
+    assert normal_indicator(_state(sn=0.0, un=0.5))[0] == pytest.approx(-0.5)
 
 
 def test_normal_indicator_boundary_is_zero():
-    assert normal_indicator(_state(sn=0.0, un=0.0), PARAMS, 1.0)[0] == 0.0
+    assert normal_indicator(_state(sn=0.0, un=0.0))[0] == 0.0
 
 
 def test_normal_indicator_linear_along_ray():
@@ -59,14 +61,15 @@ def test_normal_indicator_linear_along_ray():
     ut = np.array([0.1, -0.2])
     w = 7.0
     rng = np.random.default_rng(11)
-    base = _state(sn=-0.4, un=0.05, ut=ut)
+    base = _state(sn=-0.4, un=0.05, ut=ut, params=params, weight=w)
     direction = (0.8, -0.03)
-    i0 = normal_indicator(base, params, w)[0]
-    i1 = normal_indicator(_state(sn=-0.4 + direction[0], un=0.05 + direction[1], ut=ut),
-                          params, w)[0]
+    i0 = normal_indicator(base)[0]
+    i1 = normal_indicator(_state(sn=-0.4 + direction[0], un=0.05 + direction[1], ut=ut,
+                                 params=params, weight=w))[0]
     for alpha in rng.uniform(0.0, 1.0, 20):
-        trial = _state(sn=-0.4 + alpha * direction[0], un=0.05 + alpha * direction[1], ut=ut)
-        assert normal_indicator(trial, params, w)[0] == pytest.approx(
+        trial = _state(sn=-0.4 + alpha * direction[0], un=0.05 + alpha * direction[1], ut=ut,
+                       params=params, weight=w)
+        assert normal_indicator(trial)[0] == pytest.approx(
             (1 - alpha) * i0 + alpha * i1, abs=1e-13)
 
 
@@ -78,11 +81,12 @@ def test_normal_indicator_matches_active_kernel_branch():
         state = _state(sn=rng.uniform(-2, 2), un=rng.uniform(-0.5, 0.5),
                        ut=rng.uniform(-0.3, 0.3, 2))
         w = 10.0 ** rng.uniform(-1, 2)
-        ind = normal_indicator(state, PARAMS, w)[0]
+        state = dataclasses.replace(state, weight=w)
+        ind = normal_indicator(state)[0]
         if abs(ind) < 1e-9:
             continue
         penetration_branch = w * (state.normal_jump[0] - gap(state.tangential_jump[0], 0.0))
-        on_branch = abs(normal_complementarity(state, PARAMS, w)[0] - penetration_branch) < 1e-12
+        on_branch = abs(normal_complementarity(state)[0] - penetration_branch) < 1e-12
         assert on_branch == (ind > 0.0)
 
 
@@ -92,17 +96,17 @@ def test_normal_indicator_matches_active_kernel_branch():
 
 def test_tangential_indicator_masked_cell_is_exactly_zero():
     state = _state(sn=-1.0, st=(5.0, 0.0))
-    assert tangential_indicator(state, PARAMS, 1.0, reference_active=False)[0] == 0.0
+    assert tangential_indicator(state, reference_active=False)[0] == 0.0
 
 
 def test_tangential_indicator_sticking():
     state = _state(sn=-1.0, st=(0.5, 0.0))
-    assert tangential_indicator(state, PARAMS, 1.0, True)[0] == pytest.approx(-0.5)
+    assert tangential_indicator(state, True)[0] == pytest.approx(-0.5)
 
 
 def test_tangential_indicator_sliding():
     state = _state(sn=-1.0, st=(1.0, 0.0), ut=(0.4, 0.0))
-    assert tangential_indicator(state, PARAMS, 1.0, True)[0] == pytest.approx(0.4)
+    assert tangential_indicator(state, True)[0] == pytest.approx(0.4)
 
 
 def test_tangential_indicator_matches_regime_classification():
@@ -111,10 +115,10 @@ def test_tangential_indicator_matches_regime_classification():
     while checked < 100:
         state = _state(sn=rng.uniform(-2, -0.1), st=rng.uniform(-1.5, 1.5, 2),
                        un=rng.uniform(-0.1, 0.0), ut=rng.uniform(-0.5, 0.5, 2))
-        ind = tangential_indicator(state, PARAMS, 1.0, True)[0]
-        if abs(ind) < 1e-9 or classify_regime(state, PARAMS, 1.0)[0] == ContactRegime.OPEN:
+        ind = tangential_indicator(state, True)[0]
+        if abs(ind) < 1e-9 or classify_regime(state)[0] == ContactRegime.OPEN:
             continue
-        regime = classify_regime(state, PARAMS, 1.0)[0]
+        regime = classify_regime(state)[0]
         assert (regime == ContactRegime.SLIDING) == (ind > 0.0)
         checked += 1
 
@@ -171,16 +175,16 @@ def _random_cells(rng, n):
 def test_evaluate_field_matches_per_cell_calls():
     rng = np.random.default_rng(16)
     cells, states = _random_cells(rng, 12)
-    mask = reference_mask(states, PARAMS, 1.0)
-    field = evaluate_field(states, PARAMS, 1.0, mask)
+    mask = reference_mask(states)
+    field = evaluate_field(states, mask)
     assert field.shape == (2, 12)
     normal, tangential = field
     for i, s in enumerate(cells):
-        assert normal[i] == normal_indicator(s, PARAMS, 1.0)[0]
-        assert tangential[i] == tangential_indicator(s, PARAMS, 1.0, bool(mask[i]))[0]
+        assert normal[i] == normal_indicator(s)[0]
+        assert tangential[i] == tangential_indicator(s, bool(mask[i]))[0]
     assert np.all(tangential[~mask] == 0.0)
 
 
 def test_reference_mask_is_strict_positivity():
     states = _states([-1.0, 0.0, 0.0], [(0.0, 0.0)] * 3, [0.0, 0.0, 0.5], [(0.0, 0.0)] * 3)
-    assert reference_mask(states, PARAMS, 1.0).tolist() == [True, False, False]
+    assert reference_mask(states).tolist() == [True, False, False]

@@ -157,8 +157,9 @@ def _edge_columns(rng, n):
     return np.vstack(blocks)
 
 
-def _states(cols):
-    return ContactStates(cols[:, 0], cols[:, 1:3], cols[:, 3], cols[:, 4:6], cols[:, 6:8])
+def _states(cols, params, weight):
+    return ContactStates(cols[:, 0], cols[:, 1:3], cols[:, 3], cols[:, 4:6], cols[:, 6:8],
+                         params, weight)
 
 
 def _cells(cols):
@@ -212,32 +213,32 @@ def test_edge_inputs_hit_every_tie():
 
 @pytest.mark.parametrize("cols, params, weight", CASES)
 def test_complementarity_equals_oracle(cols, params, weight):
-    states, cells = _states(cols), _cells(cols)
-    _assert_exact(normal_complementarity(states, params, weight),
+    states, cells = _states(cols, params, weight), _cells(cols)
+    _assert_exact(normal_complementarity(states),
                   np.array([oracle_normal(c, params, weight) for c in cells]))
-    _assert_exact(tangential_complementarity(states, params, weight),
+    _assert_exact(tangential_complementarity(states),
                   np.array([oracle_tangential(c, params, weight) for c in cells]))
 
 
 @pytest.mark.parametrize("cols, params, weight", CASES)
 def test_classify_regime_equals_oracle(cols, params, weight):
     expected = np.array([oracle_regime(c, params, weight) for c in _cells(cols)])
-    np.testing.assert_array_equal(classify_regime(_states(cols), params, weight), expected)
+    np.testing.assert_array_equal(classify_regime(_states(cols, params, weight)), expected)
 
 
 @pytest.mark.parametrize("cols, params, weight", CASES)
 def test_generalized_derivative_equals_oracle(cols, params, weight):
     expected = np.array([oracle_derivative(c, params, weight) for c in _cells(cols)])
-    _assert_exact(contact_generalized_derivative(_states(cols), params, weight), expected)
+    _assert_exact(contact_generalized_derivative(_states(cols, params, weight)), expected)
 
 
 @pytest.mark.parametrize("cols, params, weight", CASES)
 def test_indicators_equal_oracle(cols, params, weight):
-    states, cells = _states(cols), _cells(cols)
+    states, cells = _states(cols, params, weight), _cells(cols)
     mask = np.random.default_rng(3).random(len(cells)) < 0.7
-    _assert_exact(normal_indicator(states, params, weight),
+    _assert_exact(normal_indicator(states),
                   np.array([oracle_normal_indicator(c, params, weight) for c in cells]))
-    _assert_exact(tangential_indicator(states, params, weight, mask),
+    _assert_exact(tangential_indicator(states, mask),
                   np.array([oracle_tangential_indicator(c, params, weight, m)
                             for c, m in zip(cells, mask)]))
 
@@ -245,4 +246,4 @@ def test_indicators_equal_oracle(cols, params, weight):
 @pytest.mark.parametrize("cols, params, weight", CASES)
 def test_cell_scale_estimate_equals_oracle(cols, params, weight):
     expected = np.array([oracle_scale_estimate(c, params, weight) for c in _cells(cols)])
-    _assert_exact(cell_scale_estimate(_states(cols), params, weight), expected)
+    _assert_exact(cell_scale_estimate(_states(cols, params, weight)), expected)

@@ -174,9 +174,8 @@ def test_dirichlet_rows_at_reference_state():
 
 
 def _branch_margin(model, x):
-    params = model.contact_parameters
-    w = model.complementarity_weight
     st = model.contact_states(x)
+    params, w = st.params, st.weight
     g = gap(st.tangential_jump, params.dilation_angle)
     reach = -st.normal_traction - w * (st.normal_jump - g)
     b = friction_bound(st.normal_traction, params.friction_coefficient)

@@ -107,14 +107,6 @@ class CountingModel:
     def initial_guess(self):
         return self.inner.initial_guess()
 
-    @property
-    def contact_parameters(self):
-        return self.inner.contact_parameters
-
-    @property
-    def complementarity_weight(self):
-        return self.inner.complementarity_weight
-
     def fracture_cells(self):
         return self.inner.fracture_cells()
 
@@ -278,13 +270,29 @@ class ContactStatesOnlyModel:
         return self.inner.contact_states(x)
 
 
+class ContactHooksModel(ContactStatesOnlyModel):
+    """Forwards the model hooks and exactly the two contact hooks."""
+
+    def fracture_cells(self):
+        return self.inner.fracture_cells()
+
+
 @pytest.mark.parametrize("strategy", ["constraint-const", "constraint-adaptive"])
 def test_contact_states_alone_marks_a_contact_model(strategy):
-    # The constraint search needs the missing hooks, so the solve fails
-    # loudly instead of taking full steps.
+    # The constraint search needs the missing ``fracture_cells``, so the
+    # solve fails loudly instead of taking full steps.
     model = ContactStatesOnlyModel(preset("single-pm", cells_per_side=4))
     with pytest.raises(AttributeError):
         solve(model, options=_options(strategy))
+
+
+def test_contact_states_and_fracture_cells_suffice():
+    # The contact law travels in the states: no other hook is read.
+    inner = preset("single-pm", cells_per_side=4)
+    expected = solve(inner, options=_options("constraint-adaptive"))
+    report = solve(ContactHooksModel(inner), options=_options("constraint-adaptive"))
+    assert report.alphas == expected.alphas
+    assert report.x.tobytes() == expected.x.tobytes()
 
 
 def test_determinism_bitwise():
@@ -296,8 +304,9 @@ def test_determinism_bitwise():
     assert first.scale_history == second.scale_history
 
 
-def _kkt_ok(states, params, weight, tol=1e-8):
+def _kkt_ok(states, tol=1e-8):
     """Per-cell frictional-contact optimality conditions, a boolean array."""
+    params = states.params
     g = gap(states.tangential_jump, params.dilation_angle)
     b = friction_bound(states.normal_traction, params.friction_coefficient)
     slip = states.slip_increment
@@ -320,9 +329,7 @@ def test_converged_iterate_satisfies_contact_conditions():
     model = preset("single-pm")
     report = solve(model, options=_options("constraint-adaptive"))
     assert report.status is SolveStatus.CONVERGED
-    params = model.contact_parameters
-    weight = model.complementarity_weight
-    assert np.all(_kkt_ok(model.contact_states(report.x), params, weight))
+    assert np.all(_kkt_ok(model.contact_states(report.x)))
 
 
 def test_scale_history_semantics():

@@ -126,12 +126,11 @@ def test_branch_ties_and_dirichlet_cells(name):
 
     # the ties are really on the boundaries, and every regime is present
     states = model.contact_states(stack)
-    assert np.any(normal_indicator(states, params, weight) == 0.0)
+    assert np.any(normal_indicator(states) == 0.0)
     b = -params.friction_coefficient * states.normal_traction
     q_norm = np.linalg.norm(states.tangential_traction + weight * states.slip_increment, axis=-1)
     assert np.any((q_norm == b) & (b > 0.0))
-    regimes = np.concatenate([classify_regime(model.contact_states(row), params, weight)
-                              for row in stack])
+    regimes = np.concatenate([classify_regime(model.contact_states(row)) for row in stack])
     assert set(regimes.tolist()) == {0, 1, 2}
     if model.has_pressure:
         assert np.any(np.isfinite(model._dir_p))
