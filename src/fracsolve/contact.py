@@ -54,19 +54,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ContactParameters:
-    """Cell-wise contact constitutive constants."""
+    """Cell-wise contact constants; the defaults are the contact law of the shipped problems."""
 
     friction_coefficient: float = 1.0
     dilation_angle: float = 0.0       # radians, in [0, pi/2)
     residual_aperture: float = 1e-3   # meters, hydraulic aperture at closed contact
 
     def __post_init__(self):
-        if not self.friction_coefficient >= 0.0:
-            raise ValueError("friction coefficient must be nonnegative")
+        if not 0.0 <= self.friction_coefficient < np.inf:
+            raise ValueError("friction coefficient must be nonnegative and finite")
         if not 0.0 <= self.dilation_angle < 0.5 * np.pi:
             raise ValueError("dilation angle must lie in [0, pi/2)")
-        if not self.residual_aperture > 0.0:
-            raise ValueError("residual aperture must be positive")
+        if not 0.0 < self.residual_aperture < np.inf:
+            raise ValueError("residual aperture must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,6 @@ class ContactStates:
             view = np.asarray(getattr(self, name), dtype=float).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    def __len__(self) -> int:
-        return len(self.normal_traction)
 
     @property
     def slip_increment(self) -> np.ndarray:
@@ -202,7 +199,7 @@ def contact_generalized_derivative(states: ContactStates) -> np.ndarray:
     slip = states.slip_increment
     eye = np.eye(2)
 
-    D = np.zeros((len(states), 3, 6))
+    D = np.zeros(states.normal_traction.shape + (3, 6))
 
     tan_psi = np.tan(states.params.dilation_angle)
     u_t_norm = _norms(u_t)

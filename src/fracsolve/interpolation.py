@@ -46,9 +46,6 @@ class MonotoneCubic:
     values: np.ndarray
     derivatives: np.ndarray
 
-    def __call__(self, t):
-        return evaluate(self, t)
-
     def shifted(self, offset) -> "MonotoneCubic":
         """The interpolant of the data shifted by a constant, one per row.
 

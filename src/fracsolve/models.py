@@ -11,7 +11,8 @@ sliding cells and the couplings carry comparable weight, at desk-problem cost.
 
 All model construction is deterministic: multi-fracture geometries derive from
 an integer seed, and the first fractures of a larger family coincide with the
-smaller family at the same seed.
+smaller family at the same seed. A constructor describes the whole problem,
+boundary values and flow field included; the physics only picks the unknowns.
 
 Unknown layout (n fracture cells, numbered fracture by fracture and row-major
 within each grid): scaled traction (3 per cell, local frame [normal,
@@ -24,10 +25,10 @@ Assembly is array-valued throughout. The Jacobian is filled into a sorted CSC
 pattern cached at construction, the layout the sparse LU factorizes, together
 with its constant force-balance entries and the slot of every contribution
 that changes with the iterate; an evaluation fills one ``data`` array. Mass
-and energy rows are sums over the cached edge arrays, scattered in a fixed
-edge order, so every evaluation is bitwise reproducible. The residual maps
-the last axis of its argument: a stack of points ``(k, n_dofs)`` gives one
-row per point, each bitwise the residual of that point on its own.
+and energy rows take every edge term from one helper, ``_edge_terms``, and
+scatter in a fixed edge order, so every evaluation is bitwise reproducible.
+The residual maps the last axis of its argument: a stack of points ``(k,
+n_dofs)`` gives one row per point, each bitwise that point's own residual.
 """
 
 from __future__ import annotations
@@ -121,22 +122,23 @@ MULTI_CELLS_PER_SIDE = 4
 HYDRAULIC_APERTURE_FLOOR = 5.0e-5
 
 
-def transmissibility(aperture_left, aperture_right, viscosity: float):
-    """Cubic-law transmissibility between adjacent fracture cells, elementwise.
+def transmissibility(floored_mean):
+    """Cubic-law transmissibility of edges from their floored mean apertures, elementwise.
 
-    Uses the arithmetic-mean aperture, floored at the minimum hydraulic
-    aperture; above the floor, doubling both apertures multiplies the result
-    by exactly eight. The cube is ``np.float_power``, which rounds as the C
-    library's ``pow`` does (numpy's ``**`` multiplies and can differ in the
-    last bit); a NaN mean stays NaN.
+    ``_edge_terms`` returns the floored means; doubling one multiplies its
+    result by exactly eight. The cube is ``np.float_power``, which rounds as
+    the C library's ``pow`` does (numpy's ``**`` multiplies and can differ in
+    the last bit); a NaN mean stays NaN.
     """
-    mean = np.maximum(0.5 * (aperture_left + aperture_right), HYDRAULIC_APERTURE_FLOOR)
-    return np.float_power(mean, 3) / (12.0 * viscosity)
+    return np.float_power(floored_mean, 3) / (12.0 * FLUID_VISCOSITY)
 
 
 @dataclass
 class Fracture:
-    """One planar fracture discretized as a uniform cell grid, cells row-major."""
+    """One planar fracture discretized as a uniform cell grid, cells row-major.
+
+    The assembly ignores the fields its physics does not read.
+    """
 
     shape: tuple[int, int]
     external_traction: np.ndarray      # (n_cells, 3) local [normal, t1, t2], Pa
@@ -235,7 +237,7 @@ class FractureAssembly:
         self._external_traction = np.vstack([fr.external_traction for fr in fractures])  # Pa
 
         # Row scales keeping mass/energy residuals O(1).
-        flux_scale = (params.residual_aperture ** 3 / (12.0 * FLUID_VISCOSITY))
+        flux_scale = transmissibility(params.residual_aperture)
         self._mass_scale = flux_scale * PRESSURE_SCALE
         advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
         conductive = THERMAL_CONDUCTIVITY * params.residual_aperture
@@ -428,15 +430,16 @@ class FractureAssembly:
     def _apertures(self, jump: np.ndarray) -> np.ndarray:
         return self.params.residual_aperture + jump[..., 0]
 
-    def _ends(self, values: np.ndarray):
-        """Per-cell ``values`` (last axis) at the first and at the second cell of each edge."""
-        return np.take(values, self._edge_a, axis=-1), np.take(values, self._edge_b, axis=-1)
+    def _edge_terms(self, apertures: np.ndarray, values: np.ndarray):
+        """Per-edge mean aperture, the same floored for flow, and the drop in ``values``.
 
-    def _mean_apertures(self, apertures: np.ndarray):
-        """Per-edge arithmetic-mean aperture, and the same floored for flow."""
-        left, right = self._ends(apertures)
-        mean = 0.5 * (left + right)
-        return mean, np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)
+        Per-cell arrays are read along their last axis; the drop is ``values``
+        at the first cell of each edge minus ``values`` at the second.
+        """
+        a, b = self._edge_a, self._edge_b
+        mean = 0.5 * (np.take(apertures, a, axis=-1) + np.take(apertures, b, axis=-1))
+        drop = np.take(values, a, axis=-1) - np.take(values, b, axis=-1)
+        return mean, np.maximum(mean, HYDRAULIC_APERTURE_FLOOR), drop
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """Residual of one point ``(n_dofs,)`` or of each row of a stack ``(k, n_dofs)``.
@@ -487,9 +490,8 @@ class FractureAssembly:
             rows -= self._areas * apertures * FLUID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / self.time_step
 
-        pressure_a, pressure_b = self._ends(pressure)
-        flux = transmissibility(*self._ends(apertures), FLUID_VISCOSITY) \
-            * PRESSURE_SCALE * (pressure_a - pressure_b)
+        _, floored, drop = self._edge_terms(apertures, pressure)
+        flux = transmissibility(floored) * PRESSURE_SCALE * drop
         _scatter_add(rows, self._flux_ends, _interleave(flux, _negated(flux)))
 
         rows /= self._mass_scale
@@ -506,10 +508,8 @@ class FractureAssembly:
         rows += self._areas * apertures * heat * TEMPERATURE_SCALE \
             * (temperature - self.previous_temperature) / self.time_step
 
-        _, floored = self._mean_apertures(apertures)
-        temperature_a, temperature_b = self._ends(temperature)
-        conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE \
-            * (temperature_a - temperature_b)
+        _, floored, drop = self._edge_terms(apertures, temperature)
+        conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE * drop
         advected = heat * self._edge_rate * TEMPERATURE_SCALE \
             * np.take(temperature, self._edge_up, axis=-1)
         _scatter_add(rows, self._heat_ends, np.compress(self._heat_kept, _interleave(
@@ -558,12 +558,11 @@ class FractureAssembly:
                 * (temperature - self.previous_temperature) / dt
             storage.append(-area * apertures * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE / dt)
 
-        a, b = self._edge_a, self._edge_b
-        mean, floored = self._mean_apertures(apertures)
-        trans = transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY) * PRESSURE_SCALE
+        mean, floored, drop = self._edge_terms(apertures, pressure)
+        trans = transmissibility(floored) * PRESSURE_SCALE
         dtrans = np.where(mean < HYDRAULIC_APERTURE_FLOOR, 0.0,
                           3.0 * np.float_power(floored, 2) * 0.5 / (12.0 * FLUID_VISCOSITY))
-        dflux = dtrans * (PRESSURE_SCALE * (pressure[a] - pressure[b]))
+        dflux = dtrans * (PRESSURE_SCALE * drop)
         return np.concatenate(storage + [_interleave(trans, -trans, trans, -trans,
                                                      dflux, -dflux, dflux, -dflux)])
 
@@ -578,12 +577,10 @@ class FractureAssembly:
         storage_T = area * apertures * heat * TEMPERATURE_SCALE / dt
         storage_u = area * heat * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / dt
 
-        a, b = self._edge_a, self._edge_b
-        mean, floored = self._mean_apertures(apertures)
+        mean, floored, drop = self._edge_terms(apertures, temperature)
         cond = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE
         dcond = np.where(mean < HYDRAULIC_APERTURE_FLOOR, 0.0,
-                         THERMAL_CONDUCTIVITY * 0.5 * TEMPERATURE_SCALE
-                         * (temperature[a] - temperature[b]))
+                         THERMAL_CONDUCTIVITY * 0.5 * TEMPERATURE_SCALE * drop)
         advection = heat * self._edge_rate * TEMPERATURE_SCALE
         return np.concatenate([storage_T, storage_u, _interleave(
             cond, -cond, cond, -cond, dcond, -dcond, dcond, -dcond, advection, -advection)])
@@ -667,24 +664,16 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
     edges = _grid_edges((m, m))
 
     inlet, outlet = range(m), range((m - 1) * m, n)   # first and last grid rows
-    dirichlet_p: dict[int, float] = {}
-    dirichlet_T: dict[int, float] = {}
-    if physics in (Physics.PORO, Physics.THERMOPORO):
-        dirichlet_p = dict.fromkeys(inlet, INLET_PRESSURE) | dict.fromkeys(outlet, OUTLET_PRESSURE)
-    if physics is Physics.THERMOPORO:
-        dirichlet_T = dict.fromkeys(inlet, INLET_TEMPERATURE) \
-            | dict.fromkeys(outlet, OUTLET_TEMPERATURE)
+    dirichlet_p = dict.fromkeys(inlet, INLET_PRESSURE) | dict.fromkeys(outlet, OUTLET_PRESSURE)
+    dirichlet_T = dict.fromkeys(inlet, INLET_TEMPERATURE) \
+        | dict.fromkeys(outlet, OUTLET_TEMPERATURE)
 
-    params = ContactParameters(friction_coefficient=1.0, dilation_angle=dilation_angle,
-                               residual_aperture=1.0e-3)
+    params = ContactParameters(dilation_angle=dilation_angle)
 
-    advection = None
-    if physics is Physics.THERMOPORO:
-        # Frozen flow field along the ramp axis at residual-aperture rate.
-        base_rate = (params.residual_aperture ** 3 / (12.0 * FLUID_VISCOSITY)) \
-            * (INLET_PRESSURE - OUTLET_PRESSURE) / m
-        along_flow = edges[:, 1] == edges[:, 0] + m
-        advection = np.where(along_flow, base_rate, 0.0)
+    # Frozen flow field along the ramp axis at residual-aperture rate.
+    base_rate = transmissibility(params.residual_aperture) * (INLET_PRESSURE - OUTLET_PRESSURE) / m
+    along_flow = edges[:, 1] == edges[:, 0] + m
+    advection = np.where(along_flow, base_rate, 0.0)
 
     fracture = Fracture(
         shape=(m, m),
@@ -720,8 +709,7 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
     m = MULTI_CELLS_PER_SIDE
     n_local = m * m
     edges = _grid_edges((m, m))
-    params = ContactParameters(friction_coefficient=1.0, dilation_angle=dilation_angle,
-                               residual_aperture=1.0e-3)
+    params = ContactParameters(dilation_angle=dilation_angle)
 
     fractures = []
     for i in range(n_fractures):
@@ -741,12 +729,8 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
 
         center = _center_cell((m, m))
         injecting = i % 2 == 0
-        dirichlet_p: dict[int, float] = {}
-        dirichlet_T: dict[int, float] = {}
-        if physics in (Physics.PORO, Physics.THERMOPORO):
-            dirichlet_p[center] = INLET_PRESSURE if injecting else OUTLET_PRESSURE
-        if physics is Physics.THERMOPORO:
-            dirichlet_T[center] = INLET_TEMPERATURE if injecting else OUTLET_TEMPERATURE
+        dirichlet_p = {center: INLET_PRESSURE if injecting else OUTLET_PRESSURE}
+        dirichlet_T = {center: INLET_TEMPERATURE if injecting else OUTLET_TEMPERATURE}
 
         fractures.append(Fracture(
             shape=(m, m),

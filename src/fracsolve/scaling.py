@@ -40,8 +40,8 @@ class CharacteristicScales:
     displacement: float          # u_c, meters
 
     def __post_init__(self):
-        if not self.displacement > 0.0:
-            raise ValueError("characteristic quantities must be positive")
+        if not 0.0 < self.displacement < np.inf:
+            raise ValueError("characteristic quantities must be positive and finite")
 
     @property
     def stress(self) -> float:

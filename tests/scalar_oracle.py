@@ -34,7 +34,6 @@ from fracsolve.models import (
     FLUID_DENSITY,
     FLUID_HEAT_CAPACITY,
     FLUID_THERMAL_EXPANSION,
-    FLUID_VISCOSITY,
     HYDRAULIC_APERTURE_FLOOR,
     PRESSURE_SCALE,
     SOLID_THERMAL_EXPANSION,
@@ -357,7 +356,8 @@ def _mass_rows(model, jump, pressure, temperature):
         rows -= model._areas * apertures * FLUID_THERMAL_EXPANSION \
             * TEMPERATURE_SCALE * (temperature - model.previous_temperature) / dt
     a, b = model._edge_a, model._edge_b
-    flux = transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY) \
+    mean = 0.5 * (apertures[a] + apertures[b])
+    flux = transmissibility(np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)) \
         * PRESSURE_SCALE * (pressure[a] - pressure[b])
     np.add.at(rows, model._flux_ends, _interleave(flux, _negated(flux)))
     rows /= model._mass_scale

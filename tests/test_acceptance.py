@@ -17,7 +17,7 @@ from fracsolve.contact import (
     normal_complementarity,
     tangential_complementarity,
 )
-from fracsolve.interpolation import fit
+from fracsolve.interpolation import evaluate, fit
 from fracsolve.linesearch import LineSearchConfig, Strategy, search_constraint
 from fracsolve.models import Physics, make_single_fracture, preset
 from fracsolve.newton import (
@@ -222,11 +222,11 @@ def test_criterion_05_interpolation_preserves_monotonicity(criterion_verdict):
             direction = 1.0 if trial % 2 == 0 else -1.0
             y = np.concatenate([[0.0], np.cumsum(direction * steps)])
             spline = fit(x, y)
-            dense = spline(np.linspace(x[0], x[-1], 10_000))
+            dense = evaluate(spline, np.linspace(x[0], x[-1], 10_000))
             assert np.all(direction * np.diff(dense) >= -1e-12)
 
         line = fit([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-        assert line(0.5) == pytest.approx(0.5, abs=1e-12)
+        assert evaluate(line, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_criterion_06_adaptive_scaling_rescues_hard_sweep(criterion_verdict):

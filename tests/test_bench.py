@@ -289,10 +289,11 @@ def test_main_rejects_nonpositive_workers(tmp_path, capsys, workers):
     assert not out.exists()
 
 
-def test_main_rejects_nan_characteristic_displacement(tmp_path, capsys):
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_main_rejects_nan_characteristic_displacement(tmp_path, capsys, value):
     out = tmp_path / "x.csv"
     code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
-                 "--uc", "nan", "--out", str(out), "--workers", "1", "--no-table"])
+                 "--uc", value, "--out", str(out), "--workers", "1", "--no-table"])
     assert code == 1
     assert "error: characteristic quantities must be positive" in capsys.readouterr().err
     assert not out.exists()

@@ -277,6 +277,10 @@ def test_parameters_validated():
         ContactParameters(friction_coefficient=np.nan)
     with pytest.raises(ValueError):
         ContactParameters(residual_aperture=np.nan)
+    with pytest.raises(ValueError):
+        ContactParameters(friction_coefficient=np.inf)
+    with pytest.raises(ValueError):
+        ContactParameters(residual_aperture=np.inf)
 
 
 def test_slip_increment_uses_previous_jump():
@@ -288,7 +292,7 @@ def test_states_are_read_only_views():
     jump = np.zeros((4, 2))
     states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, np.zeros((4, 2)),
                            PARAMS, 1.0)
-    assert len(states) == 4
+    assert states.normal_traction.shape == (4,)
     assert np.shares_memory(states.tangential_jump, jump)
     with pytest.raises(ValueError):
         states.tangential_jump[0, 0] = 1.0

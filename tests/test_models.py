@@ -9,6 +9,7 @@ from fracsolve.linesearch import Strategy
 from fracsolve.models import (
     BIOT_COEFFICIENT,
     DRAINED_BULK_MODULUS,
+    FLUID_VISCOSITY,
     HYDRAULIC_APERTURE_FLOOR,
     PRESET_NAMES,
     SOLID_THERMAL_EXPANSION,
@@ -31,14 +32,21 @@ NO_EDGES = np.zeros((0, 2), dtype=int)
 
 
 def test_transmissibility_cubic_above_floor():
-    one = transmissibility(2e-3, 2e-3, 0.1)
-    assert transmissibility(4e-3, 4e-3, 0.1) == pytest.approx(8.0 * one, rel=1e-14)
+    one = transmissibility(2e-3)
+    assert transmissibility(4e-3) == pytest.approx(8.0 * one, rel=1e-14)
 
 
 def test_transmissibility_floor_for_closed_cells():
-    floor_value = HYDRAULIC_APERTURE_FLOOR ** 3 / (12.0 * 0.1)
-    assert transmissibility(0.0, 0.0, 0.1) == floor_value
-    assert transmissibility(-1e-3, 0.0, 0.1) == floor_value
+    """The edge terms floor the mean aperture of closed and interpenetrating pairs."""
+    fracture = Fracture(shape=(1, 2), external_traction=np.zeros((2, 3)),
+                        edges=np.array([[0, 1]]), cell_area=0.25)
+    model = FractureAssembly([fracture], ContactParameters(), Physics.PORO,
+                             CharacteristicScales(displacement=0.01))
+    pairs = np.array([[0.0, 0.0], [-1e-3, 0.0]])
+    _, floored, _ = model._edge_terms(pairs, np.zeros(2))
+    assert np.array_equal(floored, np.full((2, 1), HYDRAULIC_APERTURE_FLOOR))
+    floor_value = HYDRAULIC_APERTURE_FLOOR ** 3 / (12.0 * FLUID_VISCOSITY)
+    assert np.array_equal(transmissibility(floored), np.full((2, 1), floor_value))
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +329,24 @@ def test_fracture_cells_are_consecutive_ranges_in_fracture_order(build):
     ranges = model.fracture_cells()
     assert [len(cells) for cells in ranges] == [fr.n_cells for fr in model.fractures]
     assert np.array_equal(np.concatenate(ranges), np.arange(model.n_cells))
+
+
+@pytest.mark.parametrize("build", [
+    lambda physics: make_single_fracture(3, 0.2, physics=physics),
+    lambda physics: make_single_fracture(6, 0.2, physics=physics),
+    lambda physics: make_multi_fracture(4, seed=0, dilation_angle=0.2, physics=physics),
+], ids=["single-3", "single-6", "multi4"])
+def test_physics_picks_the_unknowns_not_the_data(build):
+    """Every physics builds the same problem: boundary values, flow field and contact law."""
+    elastic, *coupled = [build(physics) for physics in Physics]
+    assert all(fr.dirichlet_pressure and fr.dirichlet_temperature for fr in elastic.fractures)
+    for model in [elastic, *coupled]:
+        assert model.params == ContactParameters(dilation_angle=0.2)
+    for model in coupled:
+        for a, b in zip(elastic.fractures, model.fractures, strict=True):
+            assert a.dirichlet_pressure == b.dirichlet_pressure
+            assert a.dirichlet_temperature == b.dirichlet_temperature
+            np.testing.assert_array_equal(a.advection_rates, b.advection_rates)
 
 
 def test_multi_fracture_alternating_wells():

@@ -30,7 +30,7 @@ def test_unit_scales():
 
 
 def test_scales_reject_nonpositive_inputs():
-    for displacement in (0.0, -0.01, np.nan):
+    for displacement in (0.0, -0.01, np.nan, np.inf):
         with pytest.raises(ValueError):
             CharacteristicScales(displacement=displacement)
 
