@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -221,44 +220,11 @@ def emit_table(rows: list[ResultRow]) -> str:
     return "\n".join(out)
 
 
-# JSON type of each SweepSpec field in a config file; sweep axes are lists of it.
-_NUMBER = (int, float)
-_CONFIG_TYPES = {"strategies": str, "models": str, "phi_values": _NUMBER,
-                 "cells_values": int, "u_c_values": _NUMBER, "seeds": int,
-                 "criterion": str, "max_iterations": int, "output_path": str}
-_TYPE_NAMES = {str: "string", int: "integer", _NUMBER: "number"}
-
-
-def _has_type(value, kind) -> bool:
-    # JSON true/false load as bool, which is a subclass of int.
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _spec_from_config(path: str) -> dict:
-    with open(path) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_TYPES)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        kind = _CONFIG_TYPES[key]
-        if key in SWEEP_AXES:
-            if not (isinstance(value, list) and all(_has_type(v, kind) for v in value)):
-                raise ValueError(f"config key {key!r} must be a JSON list of {_TYPE_NAMES[kind]}s")
-            data[key] = tuple(value)
-        elif not _has_type(value, kind):
-            raise ValueError(f"config key {key!r} must be a JSON {_TYPE_NAMES[kind]}")
-    return data
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracsolve-bench",
         description="Run globalization-strategy comparison sweeps on the fracture models.",
     )
-    parser.add_argument("--config", help="JSON file with SweepSpec fields")
     # Each sweep option stores into the SweepSpec field it overrides.
     parser.add_argument("--strategy", nargs="+", metavar="NAME", dest="strategies",
                         help=f"strategies to run (default: all of {', '.join(ALL_STRATEGIES)})")
@@ -284,16 +250,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        fields = _spec_from_config(args.config) if args.config else {}
-        for name in _CONFIG_TYPES:
-            value = getattr(args, name)
+        fields = {}
+        for field in dataclasses.fields(SweepSpec):
+            value = getattr(args, field.name)
             if value is not None:
-                fields[name] = tuple(value) if name in SWEEP_AXES else value
+                fields[field.name] = tuple(value) if field.name in SWEEP_AXES else value
         spec = SweepSpec(**fields)
 
         rows = run_sweep(spec, workers=args.workers)
         emit_csv(rows, spec.output_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

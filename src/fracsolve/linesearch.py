@@ -9,12 +9,13 @@ length at which a transitioning cell overshoots its branch boundary by exactly
 the transition tolerance. The indicators (``contact.evaluate_field``) arrive
 as one ``(2, n)`` array per trial step (row 0 normal, row 1 tangential), so
 both families share one cache, one transition test and one sample stack of
-shape ``(2, n, sample_count)``. Every tolerance flags a subset of the
+shape ``(2, n, SAMPLE_COUNT)``. Every tolerance flags a subset of the
 profiles that move at the full step, so those are fitted once, as one batch,
 when the first tolerance flags a cell; each round finds the roots of its
 flagged profiles in one batched call. When too many cells of one fracture
 still transition at the damped step, the tolerance is halved and the cached
-fits are shifted by the new tolerance.
+fits are shifted by the new tolerance. The search parameters are the
+paper's fixed values, module constants below.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .interpolation import MonotoneCubic, find_minimum, find_root, fit
 
 __all__ = [
     "Strategy",
-    "LineSearchConfig",
     "LineSearchOutcome",
     "SearchDiverged",
     "search_none",
@@ -51,26 +51,15 @@ class SearchDiverged(RuntimeError):
     """Raised when a search cannot produce any usable step length."""
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    strategy: Strategy = Strategy.CONSTRAINT_ADAPTIVE
-    transition_tolerance: float = 0.3   # overshoot allowed past a branch boundary
-    transition_fraction: float = 0.2    # tolerated fraction of transitioning cells per fracture
-    sample_count: int = 5               # samples along the ray, endpoints included
-    max_tightenings: int = 10
-    alpha_min: float = 1e-3
-
-    def __post_init__(self):
-        if not self.transition_tolerance > 0.0:
-            raise ValueError("transition tolerance must be positive")
-        if not 0.0 < self.transition_fraction < 1.0:
-            raise ValueError("transition fraction must lie in (0, 1)")
-        if self.sample_count < 2:
-            raise ValueError("need at least two samples along the ray")
-        if not 0.0 < self.alpha_min <= 1.0:
-            raise ValueError("alpha_min must lie in (0, 1]")
-        if self.max_tightenings < 0:
-            raise ValueError("max_tightenings must be nonnegative")
+# The paper's search parameters: the overshoot allowed past a branch boundary,
+# the tolerated share of transitioning cells per fracture, the samples along
+# the ray (endpoints included), the cap on tolerance halvings and the
+# smallest step the residual and constraint searches return.
+TRANSITION_TOLERANCE = 0.3
+TRANSITION_FRACTION = 0.2
+SAMPLE_COUNT = 5
+MAX_TIGHTENINGS = 10
+ALPHA_MIN = 1e-3
 
 
 @dataclass
@@ -88,20 +77,19 @@ def search_none() -> LineSearchOutcome:
     return LineSearchOutcome(alpha=1.0)
 
 
-def search_residual(objective, reference_value: float,
-                    config: LineSearchConfig) -> LineSearchOutcome:
+def search_residual(objective, reference_value: float) -> LineSearchOutcome:
     """Minimize a monotone-cubic model of the residual objective on the ray.
 
-    ``objective(alphas)`` takes the vector of ``sample_count`` trial steps
+    ``objective(alphas)`` takes the vector of ``SAMPLE_COUNT`` trial steps
     and returns, for each, half the squared residual norm at that trial
     point; the Newton solver evaluates all of them in one stacked residual
     call.
     ``reference_value`` is the already-known value at alpha = 0, so the
-    search spends exactly ``sample_count`` extra residual evaluations.
+    search spends exactly ``SAMPLE_COUNT`` extra residual evaluations.
     Non-finite samples are excluded and the minimization is restricted to the
     largest finite sampled step.
     """
-    trial_alphas = np.linspace(config.alpha_min, 1.0, config.sample_count)
+    trial_alphas = np.linspace(ALPHA_MIN, 1.0, SAMPLE_COUNT)
     values = np.asarray(objective(trial_alphas), dtype=float)
     finite = np.isfinite(values)
     if not finite.any():
@@ -109,8 +97,8 @@ def search_residual(objective, reference_value: float,
 
     knots = np.concatenate(([0.0], trial_alphas[finite]))
     samples = np.concatenate(([float(reference_value)], values[finite]))
-    alpha, value = find_minimum(fit(knots, samples), (config.alpha_min, knots[-1]))
-    alpha = float(min(max(alpha, config.alpha_min), 1.0))
+    alpha, value = find_minimum(fit(knots, samples), (ALPHA_MIN, knots[-1]))
+    alpha = float(min(max(alpha, ALPHA_MIN), 1.0))
     return LineSearchOutcome(
         alpha=alpha,
         evaluations=trial_alphas.size,
@@ -118,7 +106,7 @@ def search_residual(objective, reference_value: float,
     )
 
 
-def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchConfig,
+def search_constraint(indicator_evaluator, fracture_cells,
                       scale: float = 1.0) -> LineSearchOutcome:
     """Damp the step so contact-state transitions stay controlled.
 
@@ -147,10 +135,10 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
     ref = field_at(0.0)
     sign = np.sign(ref)
     trans_full = transition_values(ref, field_at(1.0))
-    grid = np.linspace(0.0, 1.0, config.sample_count)
-    samples = None  # (2, n, sample_count), stacked once a cell is flagged
+    grid = np.linspace(0.0, 1.0, SAMPLE_COUNT)
+    samples = None  # (2, n, SAMPLE_COUNT), stacked once a cell is flagged
 
-    delta = config.transition_tolerance
+    delta = TRANSITION_TOLERANCE
     rounds = 0
     candidates: list[float] = []
     while True:
@@ -164,7 +152,7 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
                 # whose indicator still has the reference sign.
                 kept = np.isfinite(samples) & (np.sign(samples) == sign[..., None])
                 last = grid.size - 1 - np.argmax(kept[..., ::-1], axis=-1)
-                fallback = np.where(kept.any(axis=-1), grid[last], config.alpha_min)
+                fallback = np.where(kept.any(axis=-1), grid[last], ALPHA_MIN)
                 # Any tolerance flags only profiles that move at the full step.
                 slopes = np.empty_like(samples)
                 movable = finite & (trans_full > 0.0)
@@ -183,15 +171,15 @@ def search_constraint(indicator_evaluator, fracture_cells, config: LineSearchCon
         cell_moved = (transition_values(ref, field_at(candidate)) > 0.0).any(axis=0)
         counts = tuple(int(np.count_nonzero(cell_moved[idx])) for idx in fracture_cells)
         crowded = any(
-            n_moved > max(1.0, config.transition_fraction * len(idx))
+            n_moved > max(1.0, TRANSITION_FRACTION * len(idx))
             for n_moved, idx in zip(counts, fracture_cells)
         )
-        if not crowded or rounds >= config.max_tightenings:
+        if not crowded or rounds >= MAX_TIGHTENINGS:
             break
         delta *= 0.5
         rounds += 1
 
-    alpha = float(min(max(candidate, config.alpha_min), 1.0))
+    alpha = float(min(max(candidate, ALPHA_MIN), 1.0))
     return LineSearchOutcome(
         alpha=alpha,
         evaluations=len(fields),

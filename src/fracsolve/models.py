@@ -186,8 +186,7 @@ class FractureAssembly:
     construction: its sorted CSC pattern, the constant force-balance entries
     (identity, influence operator, Biot and thermal columns), and the slot in
     ``data`` of every contribution that changes with the iterate. ``scales``
-    is read there too; ``time_step`` and the previous-step fields are read at
-    every evaluation.
+    is read there too; the previous-step fields are read at every evaluation.
     """
 
     def __init__(self, fractures: list[Fracture], params: ContactParameters,
@@ -203,7 +202,6 @@ class FractureAssembly:
         self.previous_jump = np.zeros((self.n_cells, 3))
         self.previous_pressure = np.zeros(self.n_cells)     # scaled
         self.previous_temperature = np.zeros(self.n_cells)  # scaled
-        self.time_step = TIME_STEP
 
         # Grid edges in global cell indices, fracture by fracture; the
         # influence operator and the flow rows share them.
@@ -483,12 +481,12 @@ class FractureAssembly:
 
         # Storage: aperture change plus compressibility/thermal expansion of
         # the resident fluid, per unit time.
-        rows += self._areas * (apertures - prev_ap) / self.time_step
+        rows += self._areas * (apertures - prev_ap) / TIME_STEP
         rows += self._areas * apertures * FLUID_COMPRESSIBILITY \
-            * PRESSURE_SCALE * (pressure - self.previous_pressure) / self.time_step
+            * PRESSURE_SCALE * (pressure - self.previous_pressure) / TIME_STEP
         if temperature is not None:
             rows -= self._areas * apertures * FLUID_THERMAL_EXPANSION \
-                * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / self.time_step
+                * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / TIME_STEP
 
         _, floored, drop = self._edge_terms(apertures, pressure)
         flux = transmissibility(floored) * PRESSURE_SCALE * drop
@@ -506,7 +504,7 @@ class FractureAssembly:
 
         heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
         rows += self._areas * apertures * heat * TEMPERATURE_SCALE \
-            * (temperature - self.previous_temperature) / self.time_step
+            * (temperature - self.previous_temperature) / TIME_STEP
 
         _, floored, drop = self._edge_terms(apertures, temperature)
         conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE * drop
@@ -547,7 +545,7 @@ class FractureAssembly:
         Subtractions are added negated; ``x - y == x + (-y)`` bit for bit
         unless ``y`` is NaN, and Newton takes the Jacobian at finite iterates.
         """
-        area, dt = self._areas, self.time_step
+        area, dt = self._areas, TIME_STEP
         apertures = self._apertures(jump)
 
         storage_u = area / dt + area * FLUID_COMPRESSIBILITY * PRESSURE_SCALE \
@@ -571,7 +569,7 @@ class FractureAssembly:
 
         Edges with a zero advection rate add exact zeros to the upwind slots.
         """
-        area, dt = self._areas, self.time_step
+        area, dt = self._areas, TIME_STEP
         heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
         apertures = self._apertures(jump)
         storage_T = area * apertures * heat * TEMPERATURE_SCALE / dt

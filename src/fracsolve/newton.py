@@ -2,15 +2,17 @@
 
 Each iteration assembles the residual and generalized Jacobian once, solves
 the linear system by direct factorization, picks a step length with the
-configured strategy, and applies the update. Convergence is declared on the
+chosen strategy, and applies the update. Convergence is declared on the
 root-mean-square norm of either the increment or the residual; divergence on
-non-finite values, a residual blow-up past a guard factor, or a failed
-factorization.
+non-finite values, a residual blow-up past ``DIVERGENCE_FACTOR`` times the
+initial residual, or a failed factorization. The options are the iteration
+cap, the criterion, the strategy and one diagnostic switch; the search
+parameters are ``linesearch``'s constants.
 
 Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
 ``initial_guess()``. ``residual`` maps the last axis: it takes one point
 ``(n_dofs,)`` or a stack ``(k, n_dofs)`` of points and returns one residual
-row per point, and the residual search evaluates its ``sample_count`` trial
+row per point, and the residual search evaluates its ``SAMPLE_COUNT`` trial
 points in one stacked call. Contact-aware models additionally expose
 ``contact_states(x)``, a read-only ``ContactStates`` of per-cell arrays that
 carries the model's contact parameters and complementarity weight, and
@@ -33,7 +35,6 @@ import scipy.sparse.linalg as spla
 
 from .contact import classify_regime, evaluate_field, reference_mask
 from .linesearch import (
-    LineSearchConfig,
     LineSearchOutcome,
     SearchDiverged,
     Strategy,
@@ -61,6 +62,11 @@ class SolveStatus(enum.Enum):
     DIVERGED = "Div"
 
 
+# The residual norm past which a run is declared diverged, relative to the
+# initial one.
+DIVERGENCE_FACTOR = 1e10
+
+
 class CriterionKind(enum.Enum):
     INCREMENT = "increment"
     RESIDUAL = "residual"
@@ -72,29 +78,24 @@ class ConvergenceCriterion:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tolerance < np.inf:
+            raise ValueError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True)
 class NewtonOptions:
     max_iterations: int = 100
     criterion: ConvergenceCriterion = ConvergenceCriterion()
-    # A bare Strategy is accepted and wrapped in a default config.
-    line_search: LineSearchConfig = dataclass_field(default_factory=LineSearchConfig)
-    divergence_factor: float = 1e10
+    line_search: Strategy = Strategy.CONSTRAINT_ADAPTIVE
     # Diagnostic: pin the adaptive scale at 1 (reproduces the constant
     # variant bitwise).
     force_unit_scale: bool = False
 
     def __post_init__(self):
-        if isinstance(self.line_search, Strategy):
-            object.__setattr__(self, "line_search",
-                               LineSearchConfig(strategy=self.line_search))
+        if not isinstance(self.line_search, Strategy):
+            raise TypeError("line_search must be a Strategy")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not self.divergence_factor > 0.0:
-            raise ValueError("divergence factor must be positive")
 
 
 @dataclass
@@ -158,17 +159,16 @@ def _regime_census(model, x: np.ndarray) -> tuple[int, int, int]:
 
 
 def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray,
-                options: NewtonOptions, scale: float, contact: bool) -> LineSearchOutcome:
-    cfg = options.line_search
-    if cfg.strategy is Strategy.NONE:
+                strategy: Strategy, scale: float, contact: bool) -> LineSearchOutcome:
+    if strategy is Strategy.NONE:
         return search_none()
 
-    if cfg.strategy is Strategy.RESIDUAL:
+    if strategy is Strategy.RESIDUAL:
         def objective(alphas: np.ndarray) -> np.ndarray:
             stacked = model.residual(x + alphas[:, None] * step)
             return np.array([0.5 * float(row @ row) for row in stacked])
         reference = 0.5 * float(residual_now @ residual_now)
-        return search_residual(objective, reference, cfg)
+        return search_residual(objective, reference)
 
     # Constraint strategies; contactless models just take the full step.
     if not contact:
@@ -179,7 +179,7 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
         return evaluate_field(model.contact_states(x + alpha * step), mask)
 
     # The scale stays 1 unless the strategy is the adaptive one.
-    return search_constraint(evaluator, model.fracture_cells(), cfg, scale=scale)
+    return search_constraint(evaluator, model.fracture_cells(), scale=scale)
 
 
 def solve(model, x0: np.ndarray | None = None,
@@ -191,7 +191,7 @@ def solve(model, x0: np.ndarray | None = None,
     sqrt_n = float(np.sqrt(x.size))
 
     contact = hasattr(model, "contact_states")
-    adapt = (options.line_search.strategy is Strategy.CONSTRAINT_ADAPTIVE
+    adapt = (options.line_search is Strategy.CONSTRAINT_ADAPTIVE
              and contact and not options.force_unit_scale)
     # Frozen magnitude estimate: computed at the end of iteration k, used by
     # iteration k+1's line search.
@@ -227,7 +227,8 @@ def solve(model, x0: np.ndarray | None = None,
         report.increment_norms.append(increment_norm)
 
         try:
-            outcome = _run_search(model, x, step, residual, options, scale, contact)
+            outcome = _run_search(model, x, step, residual, options.line_search,
+                                  scale, contact)
         except SearchDiverged as err:
             return diverged(str(err))
         report.alphas.append(outcome.alpha)
@@ -243,8 +244,8 @@ def solve(model, x0: np.ndarray | None = None,
         norm = float(np.linalg.norm(residual))
         if not np.isfinite(norm) or not np.all(np.isfinite(x)):
             return diverged("non-finite residual or iterate")
-        if norm > options.divergence_factor * max(norm0, 1e-300):
-            return diverged(f"residual grew past {options.divergence_factor:g} of initial")
+        if norm > DIVERGENCE_FACTOR * max(norm0, 1e-300):
+            return diverged(f"residual grew past {DIVERGENCE_FACTOR:g} of initial")
         report.residual_norms.append(norm / sqrt_n)
 
         if adapt:

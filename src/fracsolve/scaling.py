@@ -24,6 +24,8 @@ __all__ = [
 
 SCALE_FLOOR = 1e-8
 SCALE_CEILING = 1e8
+# Order of the power mean that turns per-cell estimates into one scale.
+P_MEAN_EXPONENT = 5.0
 
 # Elastic moduli of the shipped problems and the length of their domain. The
 # characteristic stress of a displacement guess u_c is E * u_c / L.
@@ -71,17 +73,17 @@ def cell_scale_estimate(states: ContactStates) -> np.ndarray:
     return traction_norm + states.weight * jump_norm
 
 
-def p_mean_scale(values, exponent: float = 5.0) -> float:
-    """Power mean of per-cell estimates, clamped to [1e-8, 1e8].
+def p_mean_scale(values) -> float:
+    """Power mean of order ``P_MEAN_EXPONENT`` of per-cell estimates, clamped
+    to [1e-8, 1e8].
 
-    The mean sits between the smallest and largest input and approaches the
-    maximum as the exponent grows, so a few large cells set the scale without
-    a hard max.
+    The mean sits between the smallest and largest input and leans toward the
+    maximum, so a few large cells set the scale without a hard max.
     """
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("need at least one cell estimate")
     if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
         raise ValueError("cell estimates must be finite and nonnegative")
-    mean = float(np.mean(vals ** exponent) ** (1.0 / exponent))
+    mean = float(np.mean(vals ** P_MEAN_EXPONENT) ** (1.0 / P_MEAN_EXPONENT))
     return float(min(max(mean, SCALE_FLOOR), SCALE_CEILING))

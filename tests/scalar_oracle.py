@@ -26,7 +26,15 @@ from fracsolve.contact import (
     tangential_complementarity,
     transition_values,
 )
-from fracsolve.linesearch import LineSearchOutcome, SearchDiverged
+from fracsolve.linesearch import (
+    ALPHA_MIN,
+    MAX_TIGHTENINGS,
+    SAMPLE_COUNT,
+    TRANSITION_FRACTION,
+    TRANSITION_TOLERANCE,
+    LineSearchOutcome,
+    SearchDiverged,
+)
 from fracsolve.models import (
     BIOT_COEFFICIENT,
     DRAINED_BULK_MODULUS,
@@ -39,6 +47,7 @@ from fracsolve.models import (
     SOLID_THERMAL_EXPANSION,
     TEMPERATURE_SCALE,
     THERMAL_CONDUCTIVITY,
+    TIME_STEP,
     transmissibility,
 )
 
@@ -201,7 +210,7 @@ def find_minimum(spline: MonotoneCubic, interval: tuple[float, float]) -> tuple[
     return cand[best], vals[best]
 
 
-def search_constraint(indicator_evaluator, fracture_cells, config, scale=1.0):
+def search_constraint(indicator_evaluator, fracture_cells, scale=1.0):
     """The constraint search written per indicator family, on the scalar kernels.
 
     Dicts keyed by family name, one transition call and one spline cache per
@@ -223,13 +232,13 @@ def search_constraint(indicator_evaluator, fracture_cells, config, scale=1.0):
 
     def fallback(samples, reference):
         ok = np.isfinite(samples) & (np.sign(samples) == np.sign(reference))
-        return float(grid[np.where(ok)[0][-1]]) if np.any(ok) else config.alpha_min
+        return float(grid[np.where(ok)[0][-1]]) if np.any(ok) else ALPHA_MIN
 
     ref, full = field_at(0.0), field_at(1.0)
     trans_full = {f: transition_values(ref[f], full[f]) for f in families}
-    grid = np.linspace(0.0, 1.0, config.sample_count)
+    grid = np.linspace(0.0, 1.0, SAMPLE_COUNT)
     values, splines = None, {}
-    delta, rounds, candidates = config.transition_tolerance, 0, []
+    delta, rounds, candidates = TRANSITION_TOLERANCE, 0, []
     while True:
         flagged = [(f, int(c)) for f in families for c in np.where(trans_full[f] > delta)[0]]
         if not flagged:
@@ -257,14 +266,14 @@ def search_constraint(indicator_evaluator, fracture_cells, config, scale=1.0):
         moved = ((transition_values(ref["normal"], at["normal"]) > 0.0)
                  | (transition_values(ref["tangential"], at["tangential"]) > 0.0))
         counts = tuple(int(np.count_nonzero(moved[idx])) for idx in fracture_cells)
-        crowded = any(c > max(1.0, config.transition_fraction * len(idx))
+        crowded = any(c > max(1.0, TRANSITION_FRACTION * len(idx))
                       for c, idx in zip(counts, fracture_cells))
-        if not crowded or rounds >= config.max_tightenings:
+        if not crowded or rounds >= MAX_TIGHTENINGS:
             break
         delta *= 0.5
         rounds += 1
     return LineSearchOutcome(
-        alpha=float(min(max(candidate, config.alpha_min), 1.0)),
+        alpha=float(min(max(candidate, ALPHA_MIN), 1.0)),
         evaluations=evaluations,
         tightening_rounds=rounds,
         final_tolerance=delta,
@@ -273,14 +282,14 @@ def search_constraint(indicator_evaluator, fracture_cells, config, scale=1.0):
     )
 
 
-def search_residual(objective, reference_value, config):
+def search_residual(objective, reference_value):
     """The residual search with one trial point per objective call.
 
     ``objective`` has the Newton solver's stacked signature; it is called
     with one step at a time, and the samples are kept as a list of pairs. Same
     signature and outcome fields as ``fracsolve.linesearch.search_residual``.
     """
-    trial_alphas = np.linspace(config.alpha_min, 1.0, config.sample_count)
+    trial_alphas = np.linspace(ALPHA_MIN, 1.0, SAMPLE_COUNT)
     samples = [(0.0, float(reference_value))]
     evaluations = 0
     for a in trial_alphas:
@@ -290,9 +299,9 @@ def search_residual(objective, reference_value, config):
             samples.append((float(a), v))
     if len(samples) < 2:
         raise SearchDiverged("residual objective non-finite at every trial step")
-    alpha, value = find_minimum(fit(samples), (config.alpha_min, samples[-1][0]))
+    alpha, value = find_minimum(fit(samples), (ALPHA_MIN, samples[-1][0]))
     return LineSearchOutcome(
-        alpha=float(min(max(alpha, config.alpha_min), 1.0)),
+        alpha=float(min(max(alpha, ALPHA_MIN), 1.0)),
         evaluations=evaluations,
         diagnostics={"samples": samples, "model_minimum": value},
     )
@@ -348,7 +357,7 @@ def _mass_rows(model, jump, pressure, temperature):
     apertures = model.params.residual_aperture + jump[:, 0]
     prev_ap = model.params.residual_aperture + model.previous_jump[:, 0]
     rows = np.zeros(model.n_cells)
-    dt = model.time_step
+    dt = TIME_STEP
     rows += model._areas * (apertures - prev_ap) / dt
     rows += model._areas * apertures * FLUID_COMPRESSIBILITY \
         * PRESSURE_SCALE * (pressure - model.previous_pressure) / dt
@@ -371,7 +380,7 @@ def _energy_rows(model, jump, temperature):
     rows = np.zeros(model.n_cells)
     heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
     rows += model._areas * apertures * heat * TEMPERATURE_SCALE \
-        * (temperature - model.previous_temperature) / model.time_step
+        * (temperature - model.previous_temperature) / TIME_STEP
     a, b = model._edge_a, model._edge_b
     mean = 0.5 * (apertures[a] + apertures[b])
     floored = np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)

@@ -18,7 +18,7 @@ from fracsolve.contact import (
     tangential_complementarity,
 )
 from fracsolve.interpolation import evaluate, fit
-from fracsolve.linesearch import LineSearchConfig, Strategy, search_constraint
+from fracsolve.linesearch import Strategy, search_constraint
 from fracsolve.models import Physics, make_single_fracture, preset
 from fracsolve.newton import (
     ConvergenceCriterion,
@@ -188,8 +188,7 @@ def test_criterion_03_exact_step_on_linear_indicator(criterion_verdict):
         def evaluator(alpha):
             return np.stack([np.array([0.5 - alpha]), np.zeros(1)])
 
-        outcome = search_constraint(evaluator, [np.array([0])],
-                                    LineSearchConfig(transition_tolerance=0.3))
+        outcome = search_constraint(evaluator, [np.array([0])])
         assert abs(outcome.alpha - 0.8) <= 1e-10
 
 
@@ -200,9 +199,7 @@ def test_criterion_04_tightening_controls_crowded_transitions(criterion_verdict)
         def evaluator(alpha):
             return np.stack([0.5 - slopes * alpha, np.zeros(10)])
 
-        outcome = search_constraint(evaluator, [np.arange(10)],
-                                    LineSearchConfig(transition_tolerance=0.3,
-                                                     transition_fraction=0.2))
+        outcome = search_constraint(evaluator, [np.arange(10)])
         assert outcome.tightening_rounds >= 1
         candidates = outcome.diagnostics["candidates"]
         assert len(candidates) == outcome.tightening_rounds + 1

@@ -38,6 +38,7 @@ from fracsolve.models import (
     STIFFNESS_NEIGHBOR,
     TEMPERATURE_SCALE,
     THERMAL_CONDUCTIVITY,
+    TIME_STEP,
     Fracture,
     FractureAssembly,
     Physics,
@@ -124,12 +125,12 @@ def oracle_mass_rows(o, jump, pressure, temperature):
     apertures = o.apertures(jump)
     prev_ap = o.apertures(m.previous_jump)
     rows = np.zeros(m.n_cells)
-    rows += o.areas * (apertures - prev_ap) / m.time_step
+    rows += o.areas * (apertures - prev_ap) / TIME_STEP
     rows += o.areas * apertures * FLUID_COMPRESSIBILITY \
-        * PRESSURE_SCALE * (pressure - m.previous_pressure) / m.time_step
+        * PRESSURE_SCALE * (pressure - m.previous_pressure) / TIME_STEP
     if temperature is not None:
         rows -= o.areas * apertures * FLUID_THERMAL_EXPANSION \
-            * TEMPERATURE_SCALE * (temperature - m.previous_temperature) / m.time_step
+            * TEMPERATURE_SCALE * (temperature - m.previous_temperature) / TIME_STEP
     for a, b, _rate in o.edges:
         trans = oracle_transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY)
         flux = trans * PRESSURE_SCALE * (pressure[a] - pressure[b])
@@ -147,7 +148,7 @@ def oracle_energy_rows(o, jump, temperature):
     rows = np.zeros(m.n_cells)
     heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
     rows += o.areas * apertures * heat * TEMPERATURE_SCALE \
-        * (temperature - m.previous_temperature) / m.time_step
+        * (temperature - m.previous_temperature) / TIME_STEP
     for a, b, rate in o.edges:
         mean_ap = max(0.5 * (apertures[a] + apertures[b]), HYDRAULIC_APERTURE_FLOOR)
         conduction = THERMAL_CONDUCTIVITY * mean_ap * TEMPERATURE_SCALE \
@@ -213,17 +214,17 @@ def oracle_mass_jacobian(o, jump, pressure, temperature):
     mass_T = sp.lil_matrix((n, n)) if m.has_temperature else None
     dp = pressure - m.previous_pressure
     for v in range(n):
-        storage_u = o.areas[v] / m.time_step \
-            + o.areas[v] * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * dp[v] / m.time_step
+        storage_u = o.areas[v] / TIME_STEP \
+            + o.areas[v] * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * dp[v] / TIME_STEP
         if temperature is not None:
             storage_u -= o.areas[v] * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE \
-                * (temperature[v] - m.previous_temperature[v]) / m.time_step
+                * (temperature[v] - m.previous_temperature[v]) / TIME_STEP
         mass_u[v, 3 * v] = storage_u
         mass_p[v, v] = o.areas[v] * apertures[v] * FLUID_COMPRESSIBILITY \
-            * PRESSURE_SCALE / m.time_step
+            * PRESSURE_SCALE / TIME_STEP
         if mass_T is not None:
             mass_T[v, v] = -o.areas[v] * apertures[v] * FLUID_THERMAL_EXPANSION \
-                * TEMPERATURE_SCALE / m.time_step
+                * TEMPERATURE_SCALE / TIME_STEP
     for a, b, _rate in o.edges:
         mean = 0.5 * (apertures[a] + apertures[b])
         floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
@@ -260,8 +261,8 @@ def oracle_energy_jacobian(o, jump, temperature):
     energy_T = sp.lil_matrix((n, n))
     dT = temperature - m.previous_temperature
     for v in range(n):
-        energy_T[v, v] = o.areas[v] * apertures[v] * heat * TEMPERATURE_SCALE / m.time_step
-        energy_u[v, 3 * v] = o.areas[v] * heat * TEMPERATURE_SCALE * dT[v] / m.time_step
+        energy_T[v, v] = o.areas[v] * apertures[v] * heat * TEMPERATURE_SCALE / TIME_STEP
+        energy_u[v, 3 * v] = o.areas[v] * heat * TEMPERATURE_SCALE * dT[v] / TIME_STEP
     for a, b, rate in o.edges:
         mean = 0.5 * (apertures[a] + apertures[b])
         floored = max(mean, HYDRAULIC_APERTURE_FLOOR)

@@ -1,7 +1,6 @@
 """Benchmark harness: sweep bookkeeping, CSV round-trips, CLI behavior."""
 
 import csv
-import json
 
 import pytest
 
@@ -11,7 +10,6 @@ from fracsolve.bench import (
     CSV_SCHEMA_COMMENT,
     ResultRow,
     SweepSpec,
-    _spec_from_config,
     emit_csv,
     emit_table,
     main,
@@ -178,47 +176,7 @@ def test_empty_outputs_raise(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# config files and CLI
-
-
-def test_config_loading(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"models": ["single-pm"], "cells_values": [4],
-                                "u_c_values": [0.01], "max_iterations": 50}))
-    fields = _spec_from_config(str(path))
-    spec = SweepSpec(**fields)
-    assert spec.models == ("single-pm",)
-    assert spec.cells_values == (4,)
-    assert spec.max_iterations == 50
-
-
-@pytest.mark.parametrize("config", [
-    {"modles": ["single-pm"]},
-    {"phi_values": 0.1},
-    {"max_iterations": "5"},
-    {"models": "single-pm"},
-    {"cells_values": ["6"]},
-    {"seeds": [0.5]},
-    {"max_iterations": 5.0},
-    {"max_iterations": True},
-    {"output_path": 3},
-], ids=["unknown-key", "scalar-axis", "string-cap", "string-axis", "string-in-int-axis",
-        "float-seed", "float-cap", "bool-cap", "int-path"])
-def test_config_rejects_unknown_keys(tmp_path, capsys, config):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(config))
-    with pytest.raises(ValueError):
-        _spec_from_config(str(path))
-    # the CLI reports the rejection instead of raising
-    assert main(["--config", str(path), "--no-table"]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_config_rejects_non_object(tmp_path):
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(["single-pm"]))
-    with pytest.raises(ValueError):
-        _spec_from_config(str(path))
+# CLI
 
 
 def test_main_happy_path(tmp_path, capsys):
@@ -232,19 +190,13 @@ def test_main_happy_path(tmp_path, capsys):
     assert "wrote 1 rows" in captured.out
 
 
-def test_every_flag_lands_on_its_spec_field_and_overrides_the_config(tmp_path):
-    config_out, out = tmp_path / "config.csv", tmp_path / "cli.csv"
-    config = tmp_path / "spec.json"
-    config.write_text(json.dumps({
-        "strategies": ["constraint-const"], "models": ["single-tpm"], "phi_values": [0.2],
-        "cells_values": [3], "u_c_values": [1.0], "seeds": [1], "criterion": "increment",
-        "max_iterations": 50, "output_path": str(config_out)}))
-    code = main(["--config", str(config), "--strategy", "none",
+def test_every_flag_lands_on_its_spec_field(tmp_path):
+    out = tmp_path / "cli.csv"
+    code = main(["--strategy", "none",
                  "--model", "single-pm", "multi4-pm", "--phi", "0.1", "--cells", "2",
                  "--uc", "0.01", "--seed", "3", "--criterion", "residual", "--max-iter", "2",
                  "--out", str(out), "--workers", "1", "--no-table"])
     assert code == 0
-    assert not config_out.exists()
     # Single presets run the first seed. The multi row stops at the cap of 2
     # iterations; the single row converges within it only under the residual
     # criterion (the increment criterion, its auto choice, leaves it NC).
@@ -297,12 +249,6 @@ def test_main_rejects_nan_characteristic_displacement(tmp_path, capsys, value):
     assert code == 1
     assert "error: characteristic quantities must be positive" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_main_reports_missing_config(tmp_path, capsys):
-    code = main(["--config", str(tmp_path / "missing.json"), "--no-table"])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
 
 
 def test_all_strategies_constant():

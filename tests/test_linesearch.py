@@ -7,7 +7,10 @@ import fracsolve.linesearch
 import scalar_oracle
 from fracsolve.contact import transition_values
 from fracsolve.linesearch import (
-    LineSearchConfig,
+    ALPHA_MIN,
+    MAX_TIGHTENINGS,
+    SAMPLE_COUNT,
+    TRANSITION_TOLERANCE,
     SearchDiverged,
     Strategy,
     search_constraint,
@@ -15,32 +18,14 @@ from fracsolve.linesearch import (
     search_residual,
 )
 
-CONFIG = LineSearchConfig()
-
 
 # ---------------------------------------------------------------------------
-# configuration
+# strategies
 
 
 def test_strategy_values():
     assert {s.value for s in Strategy} == {
         "none", "residual", "constraint-const", "constraint-adaptive"}
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"transition_tolerance": 0.0},
-    {"transition_tolerance": -0.1},
-    {"transition_fraction": 0.0},
-    {"transition_fraction": 1.0},
-    {"sample_count": 1},
-    {"alpha_min": 0.0},
-    {"alpha_min": 1.5},
-    {"max_tightenings": -1},
-    {"transition_tolerance": float("nan")},
-])
-def test_config_validation(kwargs):
-    with pytest.raises(ValueError):
-        LineSearchConfig(**kwargs)
 
 
 def test_search_none_takes_full_step():
@@ -57,7 +42,7 @@ def test_search_none_takes_full_step():
 def test_residual_search_quadratic_lands_on_best_sample():
     # minimum of (a - 0.6)^2 over the 5-sample grid sits at the knot 0.5005;
     # the shape-limited model pins the model minimum to that knot
-    outcome = search_residual(lambda a: (a - 0.6) ** 2, 0.36, CONFIG)
+    outcome = search_residual(lambda a: (a - 0.6) ** 2, 0.36)
     assert outcome.alpha == pytest.approx(0.5005, abs=1e-12)
     assert outcome.evaluations == 5
     knots, samples = outcome.diagnostics["knots"], outcome.diagnostics["samples"]
@@ -66,7 +51,7 @@ def test_residual_search_quadratic_lands_on_best_sample():
 
 
 def test_residual_search_recovers_knot_centered_minimum():
-    outcome = search_residual(lambda a: (a - 0.5005) ** 2, 0.5005 ** 2, CONFIG)
+    outcome = search_residual(lambda a: (a - 0.5005) ** 2, 0.5005 ** 2)
     assert outcome.alpha == pytest.approx(0.5005, abs=1e-12)
 
 
@@ -74,7 +59,7 @@ def test_residual_search_excludes_nonfinite_samples():
     def objective(a):
         return np.where(a > 0.9, np.inf, (a - 0.25) ** 2)
 
-    outcome = search_residual(objective, 0.0625, CONFIG)
+    outcome = search_residual(objective, 0.0625)
     # still pays for every trial sample, but restricts the model to the
     # largest finite step
     assert outcome.evaluations == 5
@@ -85,18 +70,18 @@ def test_residual_search_excludes_nonfinite_samples():
 def test_residual_search_stops_at_the_largest_finite_step():
     # the model decreases past the last finite sample; the search must not
     # extrapolate beyond it
-    outcome = search_residual(lambda a: np.where(a > 0.9, np.inf, 1.0 - a), 1.0, CONFIG)
-    assert outcome.alpha == np.linspace(CONFIG.alpha_min, 1.0, 5)[3]
+    outcome = search_residual(lambda a: np.where(a > 0.9, np.inf, 1.0 - a), 1.0)
+    assert outcome.alpha == np.linspace(ALPHA_MIN, 1.0, 5)[3]
 
 
 def test_residual_search_monotone_decrease_takes_full_step():
-    outcome = search_residual(lambda a: 1.0 / (1.0 + a), 1.0, CONFIG)
+    outcome = search_residual(lambda a: 1.0 / (1.0 + a), 1.0)
     assert outcome.alpha == 1.0
 
 
 def test_residual_search_diverges_when_nothing_is_finite():
     with pytest.raises(SearchDiverged):
-        search_residual(lambda a: np.full_like(a, np.nan), 1.0, CONFIG)
+        search_residual(lambda a: np.full_like(a, np.nan), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +103,7 @@ def _linear_evaluator(slopes, intercepts=None):
 def test_constraint_search_single_linear_cell():
     # indicator 0.5 - alpha crosses zero at 0.5; tolerance 0.3 allows an
     # overshoot to -0.3, hence alpha = 0.8
-    outcome = search_constraint(_linear_evaluator([1.0]), [np.array([0])], CONFIG)
+    outcome = search_constraint(_linear_evaluator([1.0]), [np.array([0])])
     assert outcome.alpha == pytest.approx(0.8, abs=1e-10)
     assert outcome.tightening_rounds == 0
     assert outcome.evaluations == 6
@@ -130,7 +115,7 @@ def test_constraint_search_negative_reference_sign():
         normal = np.array([-0.5 + alpha])
         return np.stack([normal, np.zeros(1)])
 
-    outcome = search_constraint(evaluator, [np.array([0])], CONFIG)
+    outcome = search_constraint(evaluator, [np.array([0])])
     assert outcome.alpha == pytest.approx(0.8, abs=1e-10)
 
 
@@ -138,11 +123,11 @@ def test_constraint_search_no_transition_full_step():
     def evaluator(alpha):
         return np.stack([np.array([0.5 + alpha]), np.zeros(1)])
 
-    outcome = search_constraint(evaluator, [np.array([0])], CONFIG)
+    outcome = search_constraint(evaluator, [np.array([0])])
     assert outcome.alpha == 1.0
     assert outcome.evaluations == 2
     assert outcome.tightening_rounds == 0
-    assert outcome.final_tolerance == CONFIG.transition_tolerance
+    assert outcome.final_tolerance == TRANSITION_TOLERANCE
     assert outcome.transitions_per_fracture == (0,)
 
 
@@ -150,7 +135,7 @@ def test_constraint_search_tightening_trace():
     # ten-cell fracture, four cells transitioning with distinct slopes: the
     # 20% budget allows 2 moved cells, so the tolerance halves twice
     slopes = np.array([1.0, 1.1, 1.2, 1.3] + [0.0] * 6)
-    outcome = search_constraint(_linear_evaluator(slopes), [np.arange(10)], CONFIG)
+    outcome = search_constraint(_linear_evaluator(slopes), [np.arange(10)])
 
     assert outcome.tightening_rounds == 2
     assert outcome.final_tolerance == pytest.approx(0.3 * 0.25, rel=1e-15)
@@ -173,7 +158,7 @@ def test_constraint_search_fits_each_profile_at_most_once(monkeypatch):
     slopes = np.array([1.0, 1.1, 1.2, 1.3, 0.7, 0.6] + [0.0] * 4)
     evaluator = _linear_evaluator(slopes)
     full = transition_values(evaluator(0.0), evaluator(1.0))
-    assert np.count_nonzero(full > CONFIG.transition_tolerance) == 4
+    assert np.count_nonzero(full > TRANSITION_TOLERANCE) == 4
     calls = []
     batched_fit = fracsolve.linesearch.fit
 
@@ -182,25 +167,25 @@ def test_constraint_search_fits_each_profile_at_most_once(monkeypatch):
         return batched_fit(knots, values)
 
     monkeypatch.setattr(fracsolve.linesearch, "fit", counting_fit)
-    outcome = search_constraint(evaluator, [np.arange(10)], CONFIG)
+    outcome = search_constraint(evaluator, [np.arange(10)])
 
     assert outcome.tightening_rounds == 2
     assert outcome.diagnostics["flagged"] == 6
-    assert calls == [(6, CONFIG.sample_count)]
-    expected = scalar_oracle.search_constraint(evaluator, [np.arange(10)], CONFIG)
+    assert calls == [(6, SAMPLE_COUNT)]
+    expected = scalar_oracle.search_constraint(evaluator, [np.arange(10)])
     assert _summary(outcome) == _summary(expected)
 
 
 def test_constraint_search_clamps_to_alpha_min():
-    outcome = search_constraint(_linear_evaluator([1000.0]), [np.array([0])], CONFIG)
-    assert outcome.alpha == CONFIG.alpha_min
+    outcome = search_constraint(_linear_evaluator([1000.0]), [np.array([0])])
+    assert outcome.alpha == ALPHA_MIN
 
 
 def test_constraint_search_tightening_cap():
     # two identical crossing cells always exceed the 1-cell budget, so the
     # tolerance halves until the cap
-    outcome = search_constraint(_linear_evaluator([1.0, 1.0]), [np.arange(2)], CONFIG)
-    assert outcome.tightening_rounds == CONFIG.max_tightenings
+    outcome = search_constraint(_linear_evaluator([1.0, 1.0]), [np.arange(2)])
+    assert outcome.tightening_rounds == MAX_TIGHTENINGS
     assert outcome.final_tolerance == pytest.approx(0.3 * 2.0 ** -10, rel=1e-15)
     assert outcome.transitions_per_fracture == (2,)
     assert outcome.alpha == pytest.approx(0.5 + 0.3 * 2.0 ** -10, abs=1e-9)
@@ -212,7 +197,7 @@ def test_constraint_search_bounds_overshoot_at_accepted_step():
     for _ in range(10):
         slopes = rng.uniform(0.6, 2.0, 6)
         evaluator = _linear_evaluator(slopes)
-        outcome = search_constraint(evaluator, [np.arange(6)], CONFIG)
+        outcome = search_constraint(evaluator, [np.arange(6)])
         ref = evaluator(0.0)
         at = evaluator(outcome.alpha)
         overshoot = transition_values(ref[0], at[0])
@@ -226,8 +211,8 @@ def test_constraint_search_scale_division_is_exact():
     raw = _linear_evaluator(slopes)
     cells = [np.arange(10)]
 
-    scaled = search_constraint(raw, cells, CONFIG, scale=4.0)
-    pre_divided = search_constraint(lambda a: raw(a) / 4.0, cells, CONFIG)
+    scaled = search_constraint(raw, cells, scale=4.0)
+    pre_divided = search_constraint(lambda a: raw(a) / 4.0, cells)
 
     assert scaled.alpha == pre_divided.alpha
     assert scaled.tightening_rounds == pre_divided.tightening_rounds
@@ -268,13 +253,11 @@ def test_constraint_search_matches_per_family_reference(seed):
     rng = np.random.default_rng(300 + seed)
     n = 24
     cells = np.split(rng.permutation(n), [5, 14])
-    config = LineSearchConfig(transition_tolerance=rng.uniform(0.05, 0.4),
-                              sample_count=int(rng.integers(2, 7)))
     evaluator = _random_profile_evaluator(rng, n)
     scale = float(rng.choice([1.0, 0.37, 2.5]))
 
-    outcome = search_constraint(evaluator, cells, config, scale=scale)
-    expected = scalar_oracle.search_constraint(evaluator, cells, config, scale=scale)
+    outcome = search_constraint(evaluator, cells, scale=scale)
+    expected = scalar_oracle.search_constraint(evaluator, cells, scale=scale)
     assert _summary(outcome) == _summary(expected)
 
 
@@ -284,16 +267,16 @@ def test_constraint_search_falls_back_to_alpha_min():
     def evaluator(alpha):
         return np.stack([np.array([np.inf if alpha == 0.0 else -0.5 - alpha]), np.zeros(1)])
 
-    outcome = search_constraint(evaluator, [np.array([0])], CONFIG)
-    assert outcome.diagnostics["candidates"] == [CONFIG.alpha_min]
-    assert outcome.alpha == CONFIG.alpha_min
-    assert outcome.evaluations == CONFIG.sample_count + 1
+    outcome = search_constraint(evaluator, [np.array([0])])
+    assert outcome.diagnostics["candidates"] == [ALPHA_MIN]
+    assert outcome.alpha == ALPHA_MIN
+    assert outcome.evaluations == SAMPLE_COUNT + 1
 
 
 @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
 def test_constraint_search_rejects_nonpositive_scale(scale):
     with pytest.raises(ValueError):
-        search_constraint(_linear_evaluator([1.0]), [np.array([0])], CONFIG, scale=scale)
+        search_constraint(_linear_evaluator([1.0]), [np.array([0])], scale=scale)
 
 
 def test_transition_values_scale_homogeneous():

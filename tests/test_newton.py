@@ -5,9 +5,17 @@ import pytest
 import scipy.sparse as sp
 
 from fracsolve.contact import friction_bound, gap
-from fracsolve.linesearch import Strategy
+from fracsolve.linesearch import (
+    ALPHA_MIN,
+    MAX_TIGHTENINGS,
+    SAMPLE_COUNT,
+    TRANSITION_FRACTION,
+    TRANSITION_TOLERANCE,
+    Strategy,
+)
 from fracsolve.models import preset
 from fracsolve.newton import (
+    DIVERGENCE_FACTOR,
     ConvergenceCriterion,
     CriterionKind,
     LinearSolveFailed,
@@ -16,6 +24,7 @@ from fracsolve.newton import (
     linear_solve,
     solve,
 )
+from fracsolve.scaling import P_MEAN_EXPONENT
 
 ALL_STRATEGIES = ("none", "residual", "constraint-const", "constraint-adaptive")
 
@@ -208,9 +217,11 @@ def test_overflow_is_reported_as_divergence():
 
 
 def test_residual_growth_is_reported_as_divergence():
-    report = solve(CubeRootModel(), options=_options("none", divergence_factor=1e3))
+    # |cbrt(x)| grows by 2 ** (1/3) per step and passes 1e10 at step 100
+    report = solve(CubeRootModel(), options=_options("none", max_iterations=150))
     assert report.status is SolveStatus.DIVERGED
-    assert "residual grew past 1000" in report.divergence_reason
+    assert report.iterations == 100
+    assert "residual grew past 1e+10 of initial" in report.divergence_reason
 
 
 def test_residual_search_divergence_propagates():
@@ -362,7 +373,19 @@ def test_regime_history_is_recorded_per_iteration():
 
 def test_options_accept_bare_strategy():
     options = NewtonOptions(line_search=Strategy.NONE)
-    assert options.line_search.strategy is Strategy.NONE
+    assert options.line_search is Strategy.NONE
+
+
+def test_options_hold_the_strategy_and_the_parameters_are_the_paper_values():
+    for strategy in Strategy:
+        assert NewtonOptions(line_search=strategy).line_search is strategy
+    # a strategy's name is not a strategy: it would run the constraint search
+    with pytest.raises(TypeError):
+        NewtonOptions(line_search="residual")
+    assert (TRANSITION_TOLERANCE, TRANSITION_FRACTION, SAMPLE_COUNT, MAX_TIGHTENINGS,
+            ALPHA_MIN) == (0.3, 0.2, 5, 10, 1e-3)
+    assert DIVERGENCE_FACTOR == 1e10
+    assert P_MEAN_EXPONENT == 5.0
 
 
 def test_options_reject_nonpositive_iteration_cap():
@@ -370,14 +393,10 @@ def test_options_reject_nonpositive_iteration_cap():
         NewtonOptions(max_iterations=0)
 
 
-@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
-def test_options_reject_nonpositive_divergence_factor(factor):
-    with pytest.raises(ValueError, match="divergence factor"):
-        NewtonOptions(divergence_factor=factor)
-
-
 def test_criterion_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         ConvergenceCriterion(tolerance=0.0)
     with pytest.raises(ValueError):
         ConvergenceCriterion(tolerance=float("nan"))
+    with pytest.raises(ValueError):
+        ConvergenceCriterion(tolerance=float("inf"))
