@@ -42,7 +42,7 @@ SWEEP_AXES = ("strategies", "models", "phi_values", "cells_values", "u_c_values"
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Cartesian sweep definition; every cell yields exactly one row."""
+    """Cartesian sweep definition over distinct axis values; every cell yields exactly one row."""
 
     strategies: tuple[str, ...] = ALL_STRATEGIES
     models: tuple[str, ...] = ("single-pm", "single-tpm")
@@ -50,23 +50,20 @@ class SweepSpec:
     cells_values: tuple[int, ...] = (6, 12)
     u_c_values: tuple[float, ...] = DEFAULT_U_C_SWEEP
     seeds: tuple[int, ...] = (0,)
-    criterion: str = "auto"   # auto: increment for single-*, residual for multi-*
-    max_iterations: int = 100
     output_path: str = "sweep.csv"
 
     def __post_init__(self):
         for name in SWEEP_AXES:
-            if len(getattr(self, name)) == 0:
+            values = getattr(self, name)
+            if len(values) == 0:
                 raise ValueError(f"sweep axis {name} is empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"sweep axis {name} repeats a value")
         for s in self.strategies:
             Strategy(s)  # raises on unknown names
         for m in self.models:
             if m not in PRESET_NAMES:
                 raise ValueError(f"unknown model preset {m!r}")
-        if self.criterion not in ("auto", "increment", "residual"):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
     def cells(self) -> list[tuple]:
         out = []
@@ -81,8 +78,7 @@ class SweepSpec:
                     for size in sizes:
                         for u_c in self.u_c_values:
                             for seed in seeds:
-                                out.append((strategy, model, phi, size, u_c, seed,
-                                            self.criterion, self.max_iterations))
+                                out.append((strategy, model, phi, size, u_c, seed))
         return out
 
 
@@ -107,25 +103,19 @@ class ResultRow:
                 self.u_c, self.seed)
 
 
-def resolve_criterion(model_name: str, choice: str) -> ConvergenceCriterion:
+def resolve_criterion(model_name: str) -> ConvergenceCriterion:
     """Increment criterion for single-fracture presets, residual for multi."""
-    if choice == "increment":
-        kind = CriterionKind.INCREMENT
-    elif choice == "residual":
-        kind = CriterionKind.RESIDUAL
-    else:
-        kind = CriterionKind.RESIDUAL if model_name.startswith("multi") else CriterionKind.INCREMENT
-    return ConvergenceCriterion(kind=kind)
+    multi = model_name.startswith("multi")
+    return ConvergenceCriterion(kind=CriterionKind.RESIDUAL if multi else CriterionKind.INCREMENT)
 
 
 def solve_cell(cell: tuple) -> ResultRow:
     """Construct the model for one sweep cell and run the solver."""
-    strategy, model_name, phi, size, u_c, seed, criterion, max_iterations = cell
+    strategy, model_name, phi, size, u_c, seed = cell
     model = preset(model_name, dilation_angle=phi, characteristic_displacement=u_c,
                    cells_per_side=size, seed=seed)
     options = NewtonOptions(
-        max_iterations=max_iterations,
-        criterion=resolve_criterion(model_name, criterion),
+        criterion=resolve_criterion(model_name),
         line_search=Strategy(strategy),
     )
     started = time.perf_counter()
@@ -237,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="characteristic displacements")
     parser.add_argument("--seed", nargs="+", type=int, dest="seeds",
                         help="seeds (multi-fracture presets)")
-    parser.add_argument("--criterion", choices=("auto", "increment", "residual"))
-    parser.add_argument("--max-iter", type=int, dest="max_iterations")
     parser.add_argument("--out", dest="output_path", help="CSV output path (default sweep.csv)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: available parallelism)")

@@ -16,8 +16,8 @@ boundary values and flow field included; the physics only picks the unknowns.
 
 Unknown layout (n fracture cells, numbered fracture by fracture and row-major
 within each grid): scaled traction (3 per cell, local frame [normal,
-tangential x2]), displacement jump (3 per cell, meters), then scaled pressure
-and scaled temperature (1 per cell each) when the physics includes them.
+tangential x2]), displacement jump (3 per cell, meters), scaled pressure (1
+per cell), then scaled temperature (1 per cell) when the physics includes it.
 Residual rows follow the same order: force balance, contact complementarity,
 mass balance, energy balance.
 
@@ -61,7 +61,6 @@ __all__ = [
 
 
 class Physics(enum.Enum):
-    ELASTIC = "elastic"
     PORO = "poro"
     THERMOPORO = "thermoporo"
 
@@ -246,24 +245,18 @@ class FractureAssembly:
     # ----- layout -------------------------------------------------------
 
     @property
-    def has_pressure(self) -> bool:
-        return self.physics in (Physics.PORO, Physics.THERMOPORO)
-
-    @property
     def has_temperature(self) -> bool:
         return self.physics is Physics.THERMOPORO
 
     @property
     def n_dofs(self) -> int:
-        n = 6 * self.n_cells
-        if self.has_pressure:
-            n += self.n_cells
+        n = 7 * self.n_cells
         if self.has_temperature:
             n += self.n_cells
         return n
 
     def split(self, x: np.ndarray):
-        """Traction and jump ``(..., n, 3)``, pressure and temperature ``(..., n)`` or None.
+        """Traction and jump ``(..., n, 3)``; pressure, and temperature or None, ``(..., n)``.
 
         ``x`` is one point ``(n_dofs,)`` or a stack ``(k, n_dofs)``; every
         block is taken along the last axis.
@@ -272,14 +265,8 @@ class FractureAssembly:
         lead = x.shape[:-1]
         traction = x[..., 0:3 * n].reshape(lead + (n, 3))
         jump = x[..., 3 * n:6 * n].reshape(lead + (n, 3))
-        offset = 6 * n
-        pressure = None
-        temperature = None
-        if self.has_pressure:
-            pressure = x[..., offset:offset + n]
-            offset += n
-        if self.has_temperature:
-            temperature = x[..., offset:offset + n]
+        pressure = x[..., 6 * n:7 * n]
+        temperature = x[..., 7 * n:8 * n] if self.has_temperature else None
         return traction, jump, pressure, temperature
 
     # ----- hooks consumed by the driver ---------------------------------
@@ -375,20 +362,19 @@ class FractureAssembly:
             "stiffness": (stiffness.row, 3 * n + stiffness.col),
             "contact": (np.broadcast_to(3 * n + traction_cols[:, :, None], (n, 3, 6)),
                         np.broadcast_to(contact_cols, (n, 3, 6))),
+            "biot": (3 * cells, pressure_col),
         }
         constants = {"identity": 1.0,
-                     "stiffness": stiffness.data * self.scales.complementarity_weight}
-        if self.has_pressure:
-            groups["biot"] = (3 * cells, pressure_col)
-            constants["biot"] = -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c
-            ra, rb = mass_row[a], mass_row[b]
-            storage_cols = [jump_col, pressure_col] + ([temperature_col] if self.has_temperature else [])
-            groups["mass"] = (
-                np.concatenate([np.tile(mass_row, len(storage_cols)),
-                                _interleave(ra, ra, rb, rb, ra, rb, ra, rb)]),
-                np.concatenate(storage_cols + [_interleave(
-                    pressure_col[a], pressure_col[b], pressure_col[b], pressure_col[a],
-                    jump_col[a], jump_col[a], jump_col[b], jump_col[b])]))
+                     "stiffness": stiffness.data * self.scales.complementarity_weight,
+                     "biot": -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c}
+        ra, rb = mass_row[a], mass_row[b]
+        storage_cols = [jump_col, pressure_col] + ([temperature_col] if self.has_temperature else [])
+        groups["mass"] = (
+            np.concatenate([np.tile(mass_row, len(storage_cols)),
+                            _interleave(ra, ra, rb, rb, ra, rb, ra, rb)]),
+            np.concatenate(storage_cols + [_interleave(
+                pressure_col[a], pressure_col[b], pressure_col[b], pressure_col[a],
+                jump_col[a], jump_col[a], jump_col[b], jump_col[b])]))
         if self.has_temperature:
             groups["thermal"] = (3 * cells, temperature_col)
             constants["thermal"] = 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
@@ -402,7 +388,7 @@ class FractureAssembly:
                     jump_col[a], jump_col[a], jump_col[b], jump_col[b],
                     temperature_col[up], temperature_col[up])]))
         # A Dirichlet cell's mass or energy row keeps only its diagonal entry.
-        fixed_rows = np.concatenate([mass_row[np.isfinite(self._dir_p)] if self.has_pressure else [],
+        fixed_rows = np.concatenate([mass_row[np.isfinite(self._dir_p)],
                                      energy_row[np.isfinite(self._dir_T)] if self.has_temperature
                                      else []]).astype(int)
         groups["dirichlet"] = (fixed_rows, fixed_rows)
@@ -414,9 +400,8 @@ class FractureAssembly:
         for name, value in constants.items():
             self._constant_data[slot[name]] = value
         self._contact_slots = slot["contact"]
-        if self.has_pressure:
-            self._mass_slots = slot["mass"]
-            self._mass_data = np.flatnonzero((indices >= 6 * n) & (indices < 7 * n))
+        self._mass_slots = slot["mass"]
+        self._mass_data = np.flatnonzero((indices >= 6 * n) & (indices < 7 * n))
         if self.has_temperature:
             self._energy_slots = slot["energy"]
             self._energy_data = np.flatnonzero(indices >= 7 * n)
@@ -456,8 +441,7 @@ class FractureAssembly:
         scaled_jump = (weight * jump).reshape(-1, 3 * self.n_cells)
         coupled = (self._stiffness @ scaled_jump.T).T.reshape(traction.shape)
         force = traction + coupled - self._external_traction / sigma_c
-        if self.has_pressure:
-            force[..., 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
+        force[..., 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
         if self.has_temperature:
             force[..., 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE * temperature / sigma_c
@@ -467,9 +451,8 @@ class FractureAssembly:
         contact = np.concatenate([
             normal_complementarity(states)[..., None], tangential_complementarity(states)], axis=-1)
 
-        blocks = [force.reshape(lead + (-1,)), contact.reshape(lead + (-1,))]
-        if self.has_pressure:
-            blocks.append(self._mass_rows(jump, pressure, temperature))
+        blocks = [force.reshape(lead + (-1,)), contact.reshape(lead + (-1,)),
+                  self._mass_rows(jump, pressure, temperature)]
         if self.has_temperature:
             blocks.append(self._energy_rows(jump, temperature))
         return np.concatenate(blocks, axis=-1)
@@ -526,9 +509,8 @@ class FractureAssembly:
         data = self._constant_data.copy()
         derivative = contact_generalized_derivative(self.contact_states(x))
         data[self._contact_slots] = derivative.ravel()
-        if self.has_pressure:
-            np.add.at(data, self._mass_slots, self._mass_entries(jump, pressure, temperature))
-            data[self._mass_data] /= self._mass_scale
+        np.add.at(data, self._mass_slots, self._mass_entries(jump, pressure, temperature))
+        data[self._mass_data] /= self._mass_scale
         if self.has_temperature:
             np.add.at(data, self._energy_slots, self._energy_entries(jump, temperature))
             data[self._energy_data] /= self._energy_scale

@@ -5,9 +5,9 @@ the linear system by direct factorization, picks a step length with the
 chosen strategy, and applies the update. Convergence is declared on the
 root-mean-square norm of either the increment or the residual; divergence on
 non-finite values, a residual blow-up past ``DIVERGENCE_FACTOR`` times the
-initial residual, or a failed factorization. The options are the iteration
-cap, the criterion, the strategy and one diagnostic switch; the search
-parameters are ``linesearch``'s constants.
+initial residual, or a failed factorization. The options are the criterion,
+the strategy and one diagnostic switch; the iteration cap and the search
+parameters are constants, here and in ``linesearch``.
 
 Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
 ``initial_guess()``. ``residual`` maps the last axis: it takes one point
@@ -63,8 +63,9 @@ class SolveStatus(enum.Enum):
 
 
 # The residual norm past which a run is declared diverged, relative to the
-# initial one.
+# initial one, and the iteration cap of every run.
 DIVERGENCE_FACTOR = 1e10
+MAX_ITERATIONS = 100
 
 
 class CriterionKind(enum.Enum):
@@ -84,7 +85,6 @@ class ConvergenceCriterion:
 
 @dataclass(frozen=True)
 class NewtonOptions:
-    max_iterations: int = 100
     criterion: ConvergenceCriterion = ConvergenceCriterion()
     line_search: Strategy = Strategy.CONSTRAINT_ADAPTIVE
     # Diagnostic: pin the adaptive scale at 1 (reproduces the constant
@@ -94,8 +94,6 @@ class NewtonOptions:
     def __post_init__(self):
         if not isinstance(self.line_search, Strategy):
             raise TypeError("line_search must be a Strategy")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
 
 
 @dataclass
@@ -216,7 +214,7 @@ def solve(model, x0: np.ndarray | None = None,
         report.x = x
         return report
 
-    for iteration in range(1, options.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         jacobian = model.jacobian(x)
         try:
             step = linear_solve(jacobian, -residual)

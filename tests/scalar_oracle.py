@@ -324,7 +324,7 @@ def residual(model, x):
     n = model.n_cells
     traction = x[0:3 * n].reshape(n, 3)
     jump = x[3 * n:6 * n].reshape(n, 3)
-    pressure = x[6 * n:7 * n] if model.has_pressure else None
+    pressure = x[6 * n:7 * n]
     temperature = x[7 * n:8 * n] if model.has_temperature else None
     sigma_c = model.scales.stress
     weight = model.scales.complementarity_weight
@@ -333,8 +333,7 @@ def residual(model, x):
     force = traction.ravel() + model._stiffness @ (weight * jump.ravel()) \
         - model._external_traction.ravel() / sigma_c
     force = force.reshape(n, 3)
-    if model.has_pressure:
-        force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
+    force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
     if model.has_temperature:
         force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
             * TEMPERATURE_SCALE * temperature / sigma_c
@@ -346,8 +345,7 @@ def residual(model, x):
     contact[:, 0] = normal_complementarity(states)
     contact[:, 1:3] = tangential_complementarity(states)
 
-    if model.has_pressure:
-        r[6 * n:7 * n] = _mass_rows(model, jump, pressure, temperature)
+    r[6 * n:7 * n] = _mass_rows(model, jump, pressure, temperature)
     if model.has_temperature:
         r[7 * n:8 * n] = _energy_rows(model, jump, temperature)
     return r

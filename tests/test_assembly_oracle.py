@@ -43,7 +43,6 @@ from fracsolve.models import (
     FractureAssembly,
     Physics,
     _grid_edges,
-    make_single_fracture,
     preset,
 )
 from fracsolve.scaling import CharacteristicScales
@@ -176,8 +175,7 @@ def oracle_residual(o, x):
     force = traction.ravel() + o.stiffness @ (weight * jump.ravel()) \
         - m._external_traction.ravel() / sigma_c
     force = force.reshape(n, 3)
-    if m.has_pressure:
-        force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
+    force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
     if m.has_temperature:
         force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
             * TEMPERATURE_SCALE * temperature / sigma_c
@@ -186,8 +184,7 @@ def oracle_residual(o, x):
     contact = r[3 * n:6 * n].reshape(n, 3)
     contact[:, 0] = normal_complementarity(states)
     contact[:, 1:3] = tangential_complementarity(states)
-    if m.has_pressure:
-        r[6 * n:7 * n] = oracle_mass_rows(o, jump, pressure, temperature)
+    r[6 * n:7 * n] = oracle_mass_rows(o, jump, pressure, temperature)
     if m.has_temperature:
         r[7 * n:8 * n] = oracle_energy_rows(o, jump, temperature)
     return r
@@ -300,14 +297,13 @@ def oracle_jacobian(o, x):
     derivative = contact_generalized_derivative(m.contact_states(x))
     blocks[1][0] = _block_diagonal(derivative[:, :, 0:3])
     blocks[1][1] = _block_diagonal(derivative[:, :, 3:6])
-    if m.has_pressure:
-        blocks[0].append(_normal_column(n, -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c))
-        blocks[1].append(None)
-        mass_u, mass_p, mass_T = oracle_mass_jacobian(o, jump, pressure, temperature)
-        row = [None, mass_u, mass_p]
-        if m.has_temperature:
-            row.append(mass_T)
-        blocks.append(row)
+    blocks[0].append(_normal_column(n, -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c))
+    blocks[1].append(None)
+    mass_u, mass_p, mass_T = oracle_mass_jacobian(o, jump, pressure, temperature)
+    row = [None, mass_u, mass_p]
+    if m.has_temperature:
+        row.append(mass_T)
+    blocks.append(row)
     if m.has_temperature:
         blocks[0].append(_normal_column(n, 3.0 * DRAINED_BULK_MODULUS
                                         * SOLID_THERMAL_EXPANSION
@@ -399,7 +395,6 @@ def tied_family(physics=Physics.PORO):
 MODELS = {
     "single-pm": lambda: preset("single-pm", cells_per_side=5),
     "single-tpm": lambda: preset("single-tpm", cells_per_side=5),
-    "single-elastic": lambda: make_single_fracture(cells_per_side=4, physics=Physics.ELASTIC),
     "multi4-pm": lambda: preset("multi4-pm", seed=1),
     "multi4-tpm": lambda: preset("multi4-tpm"),
     "hand-built-tpm": hand_built,

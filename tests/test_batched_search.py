@@ -236,7 +236,7 @@ TRAJECTORIES = [
 def _solve(name, cells, strategy, u_c):
     model = preset(name, characteristic_displacement=u_c, cells_per_side=cells)
     return solve(model, options=NewtonOptions(line_search=strategy,
-                                              criterion=resolve_criterion(name, "auto")))
+                                              criterion=resolve_criterion(name)))
 
 
 @pytest.mark.parametrize("name, cells, strategy, u_c", TRAJECTORIES,

@@ -85,8 +85,7 @@ def test_cells_order_is_deterministic():
     {"strategies": ()},
     {"models": ("single-xyz",)},
     {"u_c_values": ()},
-    {"criterion": "vibes"},
-    {"max_iterations": 0},
+    {"u_c_values": (0.01, 0.01)},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -94,10 +93,8 @@ def test_spec_validation(kwargs):
 
 
 def test_resolve_criterion():
-    assert resolve_criterion("single-pm", "auto").kind is CriterionKind.INCREMENT
-    assert resolve_criterion("multi4-pm", "auto").kind is CriterionKind.RESIDUAL
-    assert resolve_criterion("single-pm", "residual").kind is CriterionKind.RESIDUAL
-    assert resolve_criterion("multi4-pm", "increment").kind is CriterionKind.INCREMENT
+    assert resolve_criterion("single-pm").kind is CriterionKind.INCREMENT
+    assert resolve_criterion("multi4-pm").kind is CriterionKind.RESIDUAL
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +102,7 @@ def test_resolve_criterion():
 
 
 def test_solve_cell_records_model_metadata():
-    row = solve_cell(("constraint-adaptive", "single-pm", 0.1, 4, 0.01, 0, "auto", 100))
+    row = solve_cell(("constraint-adaptive", "single-pm", 0.1, 4, 0.01, 0))
     assert row.status == "Converged"
     assert row.physics == "poro"
     assert row.cells == 4
@@ -115,9 +112,10 @@ def test_solve_cell_records_model_metadata():
 
 
 def test_iteration_cap_renders_as_nc():
-    row = solve_cell(("constraint-adaptive", "single-pm", 0.1, 4, 0.01, 0, "auto", 2))
+    # NC at the cap of 100 in the default sweep
+    row = solve_cell(("residual", "single-pm", 0.1, 6, 1e-4, 0))
     assert row.status == "NC"
-    assert row.iterations == 2
+    assert row.iterations == 100
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +192,13 @@ def test_every_flag_lands_on_its_spec_field(tmp_path):
     out = tmp_path / "cli.csv"
     code = main(["--strategy", "none",
                  "--model", "single-pm", "multi4-pm", "--phi", "0.1", "--cells", "2",
-                 "--uc", "0.01", "--seed", "3", "--criterion", "residual", "--max-iter", "2",
+                 "--uc", "0.01", "--seed", "3",
                  "--out", str(out), "--workers", "1", "--no-table"])
     assert code == 0
-    # Single presets run the first seed. The multi row stops at the cap of 2
-    # iterations; the single row converges within it only under the residual
-    # criterion (the increment criterion, its auto choice, leaves it NC).
-    expected = [solve_cell(("none", "multi4-pm", 0.1, MULTI_CELLS_PER_SIDE, 0.01, 3, "residual", 2)),
-                solve_cell(("none", "single-pm", 0.1, 2, 0.01, 3, "residual", 2))]
+    # Single presets run the first seed.
+    expected = [solve_cell(("none", "multi4-pm", 0.1, MULTI_CELLS_PER_SIDE, 0.01, 3)),
+                solve_cell(("none", "single-pm", 0.1, 2, 0.01, 3))]
     assert _read_csv(out) == expected
-    assert [(r.status, r.iterations) for r in expected] == [("NC", 2), ("Converged", 2)]
 
 
 def test_main_prints_table_by_default(tmp_path, capsys):
@@ -221,13 +216,13 @@ def test_main_rejects_unknown_model(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_main_rejects_zero_iteration_cap(tmp_path, capsys):
+def test_main_rejects_a_repeated_axis_value(tmp_path, capsys):
+    # a repeated value would run its cells twice and write duplicate rows
     out = tmp_path / "x.csv"
-    code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
-                 "--uc", "0.01", "--max-iter", "0", "--out", str(out),
-                 "--workers", "1", "--no-table"])
+    code = main(["--model", "single-pm", "--strategy", "none", "--phi", "0.1", "--cells", "2",
+                 "--uc", "0.01", "0.01", "--out", str(out), "--workers", "1", "--no-table"])
     assert code == 1
-    assert "error: max_iterations must be positive" in capsys.readouterr().err
+    assert "error: sweep axis u_c_values repeats a value" in capsys.readouterr().err
     assert not out.exists()
 
 

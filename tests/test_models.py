@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fracsolve.contact import ContactParameters, friction_bound, gap
+from fracsolve.contact import (
+    ContactParameters,
+    friction_bound,
+    gap,
+    normal_complementarity,
+    tangential_complementarity,
+)
 from fracsolve.linesearch import Strategy
 from fracsolve.models import (
     BIOT_COEFFICIENT,
@@ -53,18 +59,18 @@ def test_transmissibility_floor_for_closed_cells():
 # hand-checkable assemblies
 
 
-def _unloaded_elastic(m=2):
+def _unloaded(m=2):
     n = m * m
     fracture = Fracture(
         shape=(m, m),
         external_traction=np.zeros((n, 3)), edges=NO_EDGES, cell_area=0.25,
     )
-    return FractureAssembly([fracture], ContactParameters(), Physics.ELASTIC,
+    return FractureAssembly([fracture], ContactParameters(), Physics.PORO,
                             CharacteristicScales(displacement=0.01))
 
 
 def test_unloaded_state_is_an_exact_root():
-    model = _unloaded_elastic()
+    model = _unloaded()
     residual = model.residual(np.zeros(model.n_dofs))
     assert np.array_equal(residual, np.zeros(model.n_dofs))
 
@@ -78,9 +84,9 @@ def test_single_cell_compressed_fixed_point():
         external_traction=np.array([[-scales.stress, 0.0, 0.0]]),
         edges=NO_EDGES, cell_area=1.0,
     )
-    model = FractureAssembly([fracture], ContactParameters(), Physics.ELASTIC, scales)
-    x = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(model.residual(x), np.zeros(6))
+    model = FractureAssembly([fracture], ContactParameters(), Physics.PORO, scales)
+    x = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(model.residual(x), np.zeros(7))
 
 
 def test_influence_operator_is_spd():
@@ -122,17 +128,28 @@ def _random_mechanics_state(model, rng):
     return x
 
 
+def _elastic_rows(model, x):
+    """Force balance and contact rows with every flow and heat term left out."""
+    n = model.n_cells
+    force = x[0:3 * n] + model._stiffness @ (model.scales.complementarity_weight * x[3 * n:6 * n]) \
+        - model._external_traction.ravel() / model.scales.stress
+    states = model.contact_states(x)
+    contact = np.column_stack([normal_complementarity(states), tangential_complementarity(states)])
+    return np.concatenate([force, contact.ravel()])
+
+
+def test_every_physics_carries_the_flow():
+    assert [p.value for p in Physics] == ["poro", "thermoporo"]
+
+
 @pytest.mark.parametrize("physics", [Physics.PORO, Physics.THERMOPORO])
 def test_mechanics_rows_reduce_to_elastic_at_reference_conditions(physics):
-    elastic = make_single_fracture(cells_per_side=3, physics=Physics.ELASTIC)
-    coupled = make_single_fracture(cells_per_side=3, physics=physics)
+    model = make_single_fracture(cells_per_side=3, physics=physics)
     rng = np.random.default_rng(40)
-    n = elastic.n_cells
+    n = model.n_cells
     for _ in range(3):
-        xe = _random_mechanics_state(elastic, rng)
-        xc = np.zeros(coupled.n_dofs)
-        xc[:6 * n] = xe
-        assert np.array_equal(coupled.residual(xc)[:6 * n], elastic.residual(xe))
+        x = _random_mechanics_state(model, rng)
+        assert np.array_equal(model.residual(x)[:6 * n], _elastic_rows(model, x))
 
 
 def test_pressure_and_temperature_shift_normal_force_rows():
@@ -197,8 +214,7 @@ def _random_state(model, rng):
     x = np.zeros(model.n_dofs)
     x[0:3 * n] = rng.uniform(-1.5, 1.5, 3 * n)
     x[3 * n:6 * n] = rng.uniform(-0.5, 0.5, 3 * n) * model.scales.displacement
-    if model.has_pressure:
-        x[6 * n:7 * n] = rng.uniform(-1.0, 1.0, n)
+    x[6 * n:7 * n] = rng.uniform(-1.0, 1.0, n)
     if model.has_temperature:
         x[7 * n:8 * n] = rng.uniform(-1.0, 1.0, n)
     return x
@@ -215,7 +231,7 @@ def _fd_jacobian(model, x, h=1e-7, columns=None):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("physics", [Physics.ELASTIC, Physics.PORO, Physics.THERMOPORO])
+@pytest.mark.parametrize("physics", [Physics.PORO, Physics.THERMOPORO])
 def test_jacobian_matches_finite_differences(physics):
     model = make_single_fracture(cells_per_side=3, physics=physics)
     rng = np.random.default_rng(41)
@@ -317,7 +333,7 @@ def test_multi_fracture_families_are_nested():
 def _two_fracture_assembly():
     fractures = [Fracture(shape=shape, external_traction=np.zeros((shape[0] * shape[1], 3)),
                           edges=NO_EDGES, cell_area=1.0) for shape in ((2, 3), (1, 1), (2, 2))]
-    return FractureAssembly(fractures, ContactParameters(), Physics.ELASTIC,
+    return FractureAssembly(fractures, ContactParameters(), Physics.PORO,
                             CharacteristicScales(displacement=0.01))
 
 
@@ -337,16 +353,15 @@ def test_fracture_cells_are_consecutive_ranges_in_fracture_order(build):
     lambda physics: make_multi_fracture(4, seed=0, dilation_angle=0.2, physics=physics),
 ], ids=["single-3", "single-6", "multi4"])
 def test_physics_picks_the_unknowns_not_the_data(build):
-    """Every physics builds the same problem: boundary values, flow field and contact law."""
-    elastic, *coupled = [build(physics) for physics in Physics]
-    assert all(fr.dirichlet_pressure and fr.dirichlet_temperature for fr in elastic.fractures)
-    for model in [elastic, *coupled]:
+    """Both physics build the same problem: boundary values, flow field and contact law."""
+    poro, thermoporo = [build(physics) for physics in Physics]
+    assert all(fr.dirichlet_pressure and fr.dirichlet_temperature for fr in poro.fractures)
+    for model in (poro, thermoporo):
         assert model.params == ContactParameters(dilation_angle=0.2)
-    for model in coupled:
-        for a, b in zip(elastic.fractures, model.fractures, strict=True):
-            assert a.dirichlet_pressure == b.dirichlet_pressure
-            assert a.dirichlet_temperature == b.dirichlet_temperature
-            np.testing.assert_array_equal(a.advection_rates, b.advection_rates)
+    for a, b in zip(poro.fractures, thermoporo.fractures, strict=True):
+        assert a.dirichlet_pressure == b.dirichlet_pressure
+        assert a.dirichlet_temperature == b.dirichlet_temperature
+        np.testing.assert_array_equal(a.advection_rates, b.advection_rates)
 
 
 def test_multi_fracture_alternating_wells():

@@ -1,5 +1,7 @@
 """Semismooth Newton driver: linear algebra, convergence, divergence, costs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,7 @@ from fracsolve.linesearch import (
 from fracsolve.models import preset
 from fracsolve.newton import (
     DIVERGENCE_FACTOR,
+    MAX_ITERATIONS,
     ConvergenceCriterion,
     CriterionKind,
     LinearSolveFailed,
@@ -217,8 +220,9 @@ def test_overflow_is_reported_as_divergence():
 
 
 def test_residual_growth_is_reported_as_divergence():
-    # |cbrt(x)| grows by 2 ** (1/3) per step and passes 1e10 at step 100
-    report = solve(CubeRootModel(), options=_options("none", max_iterations=150))
+    # |cbrt(x)| grows by 2 ** (1/3) per step and passes 1e10 at step 100,
+    # the last one the iteration cap allows
+    report = solve(CubeRootModel(), options=_options("none"))
     assert report.status is SolveStatus.DIVERGED
     assert report.iterations == 100
     assert "residual grew past 1e+10 of initial" in report.divergence_reason
@@ -231,10 +235,11 @@ def test_residual_search_divergence_propagates():
 
 
 def test_iteration_cap_reports_no_convergence():
-    report = solve(preset("single-pm"), options=_options(
-        "constraint-adaptive", max_iterations=3))
+    # NC at the cap of 100 in the default sweep
+    report = solve(preset("single-pm", characteristic_displacement=1e-4),
+                   options=_options("residual"))
     assert report.status is SolveStatus.NO_CONVERGENCE
-    assert report.iterations == 3
+    assert report.iterations == MAX_ITERATIONS
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +390,10 @@ def test_options_hold_the_strategy_and_the_parameters_are_the_paper_values():
     assert (TRANSITION_TOLERANCE, TRANSITION_FRACTION, SAMPLE_COUNT, MAX_TIGHTENINGS,
             ALPHA_MIN) == (0.3, 0.2, 5, 10, 1e-3)
     assert DIVERGENCE_FACTOR == 1e10
+    assert MAX_ITERATIONS == 100
     assert P_MEAN_EXPONENT == 5.0
-
-
-def test_options_reject_nonpositive_iteration_cap():
-    with pytest.raises(ValueError):
-        NewtonOptions(max_iterations=0)
+    assert [f.name for f in dataclasses.fields(NewtonOptions)] == [
+        "criterion", "line_search", "force_unit_scale"]
 
 
 def test_criterion_rejects_nonpositive_tolerance():
