@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import math
 import os
 import sys
 import time
@@ -33,7 +32,6 @@ __all__ = [
 ]
 
 CSV_SCHEMA_COMMENT = "# fracsolve sweep schema v1"
-CSV_HEADER = "strategy,model,physics,phi,cells,u_c,seed,status,iterations,final_norm,ls_evals,tightenings"
 
 ALL_STRATEGIES = tuple(s.value for s in Strategy)
 DEFAULT_U_C_SWEEP = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -82,7 +80,7 @@ class SweepSpec:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ResultRow:
     strategy: str
     model: str
@@ -98,9 +96,9 @@ class ResultRow:
     tightenings: int
     wall_time: float = dataclasses.field(default=0.0, compare=False)
 
-    def sort_key(self):
-        return (self.strategy, self.model, self.physics, self.phi, self.cells,
-                self.u_c, self.seed)
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow) if f.compare)
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def resolve_criterion(model_name: str) -> ConvergenceCriterion:
@@ -122,9 +120,6 @@ def solve_cell(cell: tuple) -> ResultRow:
     report = solve(model, options=options)
     elapsed = time.perf_counter() - started
 
-    final_norm = float(report.final_norm)
-    if math.isnan(final_norm):
-        final_norm = math.inf
     return ResultRow(
         strategy=strategy,
         model=model_name,
@@ -135,7 +130,7 @@ def solve_cell(cell: tuple) -> ResultRow:
         seed=seed,
         status=report.status.value,
         iterations=report.iterations,
-        final_norm=final_norm,
+        final_norm=report.final_norm,
         ls_evals=report.ls_evaluations,
         tightenings=report.tightening_rounds,
         wall_time=elapsed,
@@ -154,7 +149,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[ResultRow]:
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(solve_cell, cells))
-    rows.sort(key=ResultRow.sort_key)
+    rows.sort()
     return rows
 
 
@@ -163,11 +158,7 @@ def emit_csv(rows: list[ResultRow], path: str) -> None:
         raise ValueError("no rows to emit")
     lines = [CSV_SCHEMA_COMMENT, CSV_HEADER]
     for r in rows:
-        lines.append(",".join([
-            r.strategy, r.model, r.physics, repr(r.phi), str(r.cells), repr(r.u_c),
-            str(r.seed), r.status, str(r.iterations), repr(r.final_norm),
-            str(r.ls_evals), str(r.tightenings),
-        ]))
+        lines.append(",".join(str(getattr(r, name)) for name in CSV_COLUMNS))
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -98,7 +98,6 @@ def search_residual(objective, reference_value: float) -> LineSearchOutcome:
     knots = np.concatenate(([0.0], trial_alphas[finite]))
     samples = np.concatenate(([float(reference_value)], values[finite]))
     alpha, value = find_minimum(fit(knots, samples), (ALPHA_MIN, knots[-1]))
-    alpha = float(min(max(alpha, ALPHA_MIN), 1.0))
     return LineSearchOutcome(
         alpha=alpha,
         evaluations=trial_alphas.size,

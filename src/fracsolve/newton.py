@@ -4,8 +4,9 @@ Each iteration assembles the residual and generalized Jacobian once, solves
 the linear system by direct factorization, picks a step length with the
 chosen strategy, and applies the update. Convergence is declared on the
 root-mean-square norm of either the increment or the residual; divergence on
-non-finite values, a residual blow-up past ``DIVERGENCE_FACTOR`` times the
-initial residual, or a failed factorization. The options are the criterion,
+a non-finite initial residual, a failed factorization, a residual search with
+no finite trial value, a non-finite residual or iterate, or a residual past
+``DIVERGENCE_FACTOR`` times the initial one. The options are the criterion,
 the strategy and one diagnostic switch; the iteration cap and the search
 parameters are constants, here and in ``linesearch``.
 
@@ -122,6 +123,10 @@ class LinearSolveFailed(RuntimeError):
     pass
 
 
+class _Diverged(RuntimeError):
+    """A divergence the driver detects itself; the message is the reason."""
+
+
 def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct factorization solve with a residual check.
 
@@ -197,62 +202,49 @@ def solve(model, x0: np.ndarray | None = None,
 
     report = NewtonReport(status=SolveStatus.NO_CONVERGENCE, iterations=0,
                           criterion=criterion, scale_history=[scale])
+    try:
+        residual = model.residual(x)
+        norm0 = float(np.linalg.norm(residual))
+        if not np.isfinite(norm0):
+            raise _Diverged("non-finite initial residual")
+        report.residual_norms.append(norm0 / sqrt_n)
 
-    def diverged(reason: str) -> NewtonReport:
-        report.status = SolveStatus.DIVERGED
-        report.divergence_reason = reason
-        report.x = x
-        return report
+        while (report.final_norm >= criterion.tolerance
+               and report.iterations < MAX_ITERATIONS):
+            jacobian = model.jacobian(x)
+            try:
+                step = linear_solve(jacobian, -residual)
+            except LinearSolveFailed as err:
+                raise _Diverged(f"linear solve failed: {err}") from err
+            report.increment_norms.append(float(np.linalg.norm(step)) / sqrt_n)
 
-    residual = model.residual(x)
-    norm0 = float(np.linalg.norm(residual))
-    if not np.isfinite(norm0):
-        return diverged("non-finite initial residual")
-    report.residual_norms.append(norm0 / sqrt_n)
-    if report.final_norm < criterion.tolerance:
-        report.status = SolveStatus.CONVERGED
-        report.x = x
-        return report
-
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        jacobian = model.jacobian(x)
-        try:
-            step = linear_solve(jacobian, -residual)
-        except LinearSolveFailed as err:
-            return diverged(f"linear solve failed: {err}")
-
-        increment_norm = float(np.linalg.norm(step)) / sqrt_n
-        report.increment_norms.append(increment_norm)
-
-        try:
             outcome = _run_search(model, x, step, residual, options.line_search,
                                   scale, contact)
-        except SearchDiverged as err:
-            return diverged(str(err))
-        report.alphas.append(outcome.alpha)
-        report.ls_evaluations += outcome.evaluations
-        report.tightening_rounds += outcome.tightening_rounds
+            report.alphas.append(outcome.alpha)
+            report.ls_evaluations += outcome.evaluations
+            report.tightening_rounds += outcome.tightening_rounds
 
-        x = x + outcome.alpha * step
-        report.iterations = iteration
-        if contact:
-            report.regime_history.append(_regime_census(model, x))
+            x = x + outcome.alpha * step
+            report.iterations += 1
+            if contact:
+                report.regime_history.append(_regime_census(model, x))
 
-        residual = model.residual(x)
-        norm = float(np.linalg.norm(residual))
-        if not np.isfinite(norm) or not np.all(np.isfinite(x)):
-            return diverged("non-finite residual or iterate")
-        if norm > DIVERGENCE_FACTOR * max(norm0, 1e-300):
-            return diverged(f"residual grew past {DIVERGENCE_FACTOR:g} of initial")
-        report.residual_norms.append(norm / sqrt_n)
+            residual = model.residual(x)
+            norm = float(np.linalg.norm(residual))
+            if not np.isfinite(norm) or not np.all(np.isfinite(x)):
+                raise _Diverged("non-finite residual or iterate")
+            if norm > DIVERGENCE_FACTOR * max(norm0, 1e-300):
+                raise _Diverged(f"residual grew past {DIVERGENCE_FACTOR:g} of initial")
+            report.residual_norms.append(norm / sqrt_n)
 
-        if adapt:
-            scale = p_mean_scale(cell_scale_estimate(model.contact_states(x)))
-        report.scale_history.append(scale)
+            if adapt:
+                scale = p_mean_scale(cell_scale_estimate(model.contact_states(x)))
+            report.scale_history.append(scale)
 
-        if report.final_norm < criterion.tolerance:
-            report.status = SolveStatus.CONVERGED
-            break
-
+        report.status = (SolveStatus.CONVERGED if report.final_norm < criterion.tolerance
+                         else SolveStatus.NO_CONVERGENCE)
+    except (_Diverged, SearchDiverged) as err:
+        report.status = SolveStatus.DIVERGED
+        report.divergence_reason = str(err)
     report.x = x
     return report

@@ -212,26 +212,53 @@ def test_final_norm_tracks_criterion_kind():
 # divergence
 
 
-def test_overflow_is_reported_as_divergence():
-    report = solve(BlowupModel(), options=_options("none"))
+class SingularModel:
+    """x = 1 with a zero Jacobian: the first linear solve fails."""
+
+    def residual(self, x):
+        return x - 1.0
+
+    def jacobian(self, x):
+        return np.zeros((1, 1))
+
+    def initial_guess(self):
+        return np.zeros(1)
+
+
+# Each way a run diverges: model, initial point, strategy, iterations, lengths
+# of the residual, increment, alpha and scale histories, and reason. The
+# scale of an iteration that diverges after its update is not recorded. In
+# the blow-up, |cbrt(x)| grows by 2 ** (1/3) per step and passes 1e10 at step
+# 100, the last one the iteration cap allows.
+DIVERGENCE_EXITS = {
+    "initial-residual": (LinearModel(), np.full(8, np.nan), "none", 0, (0, 0, 0, 1),
+                         "non-finite initial residual"),
+    "linear-solve": (SingularModel(), None, "none", 0, (1, 0, 0, 1),
+                     "linear solve failed: "),
+    "search": (BlowupModel(), None, "residual", 0, (1, 1, 0, 1),
+               "residual objective non-finite at every trial step"),
+    "non-finite-update": (BlowupModel(), None, "none", 1, (1, 1, 1, 1),
+                          "non-finite residual or iterate"),
+    "blow-up": (CubeRootModel(), None, "none", 100, (100, 100, 100, 100),
+                "residual grew past 1e+10 of initial"),
+}
+
+
+@pytest.mark.parametrize("exit_name", DIVERGENCE_EXITS)
+def test_every_divergence_exit_reports_its_state(exit_name):
+    model, x0, strategy, iterations, lengths, reason = DIVERGENCE_EXITS[exit_name]
+    report = solve(model, x0=x0, options=_options(strategy))
     assert report.status is SolveStatus.DIVERGED
-    assert report.iterations == 1
-    assert "non-finite" in report.divergence_reason
-
-
-def test_residual_growth_is_reported_as_divergence():
-    # |cbrt(x)| grows by 2 ** (1/3) per step and passes 1e10 at step 100,
-    # the last one the iteration cap allows
-    report = solve(CubeRootModel(), options=_options("none"))
-    assert report.status is SolveStatus.DIVERGED
-    assert report.iterations == 100
-    assert "residual grew past 1e+10 of initial" in report.divergence_reason
-
-
-def test_residual_search_divergence_propagates():
-    report = solve(BlowupModel(), options=_options("residual"))
-    assert report.status is SolveStatus.DIVERGED
-    assert "non-finite at every trial step" in report.divergence_reason
+    assert report.iterations == iterations
+    assert (len(report.residual_norms), len(report.increment_norms), len(report.alphas),
+            len(report.scale_history)) == lengths
+    assert report.scale_history == [1.0] * lengths[3]
+    if exit_name == "linear-solve":
+        # the rest of the message is the factorization's own
+        assert report.divergence_reason.startswith(reason)
+    else:
+        assert report.divergence_reason == reason
+    assert report.x is not None
 
 
 def test_iteration_cap_reports_no_convergence():
