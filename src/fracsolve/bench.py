@@ -117,7 +117,10 @@ def solve_cell(cell: tuple) -> ResultRow:
         line_search=Strategy(strategy),
     )
     started = time.perf_counter()
-    report = solve(model, options=options)
+    try:
+        report = solve(model, options=options)
+    except Exception as exc:  # a solver fault, never a usage error for main to report
+        raise RuntimeError(f"solve of sweep cell {cell} raised {exc!r}") from exc
     elapsed = time.perf_counter() - started
 
     return ResultRow(

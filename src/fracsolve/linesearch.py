@@ -1,12 +1,12 @@
 """Globalization strategies for the semismooth Newton driver.
 
-Four strategies share one interface: accept the full step, minimize a cubic
-model of the residual norm along the step, or damp the step so that per-cell
-contact-state transitions stay controlled. The constraint-oriented searches
-never evaluate the residual; they work entirely on the cheap state indicators,
-sampling them along the ray, fitting monotone cubics, and solving for the step
-length at which a transitioning cell overshoots its branch boundary by exactly
-the transition tolerance. The indicators (``contact.evaluate_field``) arrive
+Four strategies share one outcome type: take the full step (no search),
+minimize a cubic model of the residual norm along the step, or damp the step
+so that per-cell contact-state transitions stay controlled. The constraint
+searches never evaluate the residual; they work on the cheap state
+indicators, sampling them along the ray, fitting monotone cubics, and solving
+for the step length at which a transitioning cell overshoots its branch
+boundary by exactly the transition tolerance. The indicators (``contact.evaluate_field``) arrive
 as one ``(2, n)`` array per trial step (row 0 normal, row 1 tangential), so
 both families share one cache, one transition test and one sample stack of
 shape ``(2, n, SAMPLE_COUNT)``. Every tolerance flags a subset of the
@@ -32,7 +32,6 @@ __all__ = [
     "Strategy",
     "LineSearchOutcome",
     "SearchDiverged",
-    "search_none",
     "search_residual",
     "search_constraint",
 ]
@@ -70,11 +69,6 @@ class LineSearchOutcome:
     final_tolerance: float | None = None
     transitions_per_fracture: tuple[int, ...] = ()
     diagnostics: dict = field(default_factory=dict)
-
-
-def search_none() -> LineSearchOutcome:
-    """Always take the full step."""
-    return LineSearchOutcome(alpha=1.0)
 
 
 def search_residual(objective, reference_value: float) -> LineSearchOutcome:
@@ -162,7 +156,10 @@ def search_constraint(indicator_evaluator, fracture_cells,
             if solvable.any():
                 rows = flagged & finite
                 spline = MonotoneCubic(grid, samples[rows], slopes[rows])
-                found = find_root(spline.shifted(delta * sign[rows]))
+                try:
+                    found = find_root(spline.shifted(delta * sign[rows]))
+                except (ValueError, RuntimeError) as err:  # NaN profile, no convergence
+                    raise SearchDiverged(f"constraint root search failed: {err}") from err
                 roots[solvable] = np.where(np.isnan(found), roots[solvable], found)
             candidate = float(roots.min())
 

@@ -4,31 +4,29 @@ Each iteration assembles the residual and generalized Jacobian once, solves
 the linear system by direct factorization, picks a step length with the
 chosen strategy, and applies the update. Convergence is declared on the
 root-mean-square norm of either the increment or the residual; divergence on
-a non-finite initial residual, a failed factorization, a residual search with
-no finite trial value, a non-finite residual or iterate, or a residual past
-``DIVERGENCE_FACTOR`` times the initial one. The options are the criterion,
-the strategy and one diagnostic switch; the iteration cap and the search
-parameters are constants, here and in ``linesearch``.
+a non-finite initial residual, a failed factorization or search, a
+non-finite residual or iterate, or a residual past ``DIVERGENCE_FACTOR``
+times the initial one. The iteration cap is a constant too.
+
+``NewtonReport.trace`` holds one ``IterationRecord`` per iteration, record 0
+the initial state. A record holds what its iteration computed and ``None``
+for what it did not reach; the report's lists and counters derive from it.
 
 Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
-``initial_guess()``. ``residual`` maps the last axis: it takes one point
-``(n_dofs,)`` or a stack ``(k, n_dofs)`` of points and returns one residual
-row per point, and the residual search evaluates its ``SAMPLE_COUNT`` trial
-points in one stacked call. Contact-aware models additionally expose
-``contact_states(x)``, a read-only ``ContactStates`` of per-cell arrays that
-carries the model's contact parameters and complementarity weight, and
-``fracture_cells()``, the consecutive cell range of each fracture. The
-constraint searches, the regime census and the adaptive magnitude estimate
-evaluate the array-valued kernels of ``contact`` and ``scaling`` on those
-states alone, one call per evaluation. ``contact_states`` marks a model as
-contact-aware (a missing ``fracture_cells`` raises); models without it run
-with full steps under the constraint strategies.
+``initial_guess()``. ``residual`` maps the last axis, one point ``(n_dofs,)``
+or a stack ``(k, n_dofs)`` giving one residual row per point, so a residual
+search evaluates its trial points in one stacked call. Contact-aware models
+also expose ``contact_states(x)``, a read-only ``ContactStates`` of per-cell
+arrays that the searches, the census and the adaptive scale read, and
+``fracture_cells()``, the cell range of each fracture. ``contact_states``
+marks a model as contact-aware (a missing ``fracture_cells`` raises); models
+without it take full steps under the constraint strategies.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,7 +38,6 @@ from .linesearch import (
     SearchDiverged,
     Strategy,
     search_constraint,
-    search_none,
     search_residual,
 )
 from .scaling import cell_scale_estimate, p_mean_scale
@@ -50,6 +47,7 @@ __all__ = [
     "CriterionKind",
     "ConvergenceCriterion",
     "NewtonOptions",
+    "IterationRecord",
     "NewtonReport",
     "LinearSolveFailed",
     "linear_solve",
@@ -88,8 +86,7 @@ class ConvergenceCriterion:
 class NewtonOptions:
     criterion: ConvergenceCriterion = ConvergenceCriterion()
     line_search: Strategy = Strategy.CONSTRAINT_ADAPTIVE
-    # Diagnostic: pin the adaptive scale at 1 (reproduces the constant
-    # variant bitwise).
+    # Diagnostic: pin the adaptive scale at 1 (reproduces constraint-const bitwise).
     force_unit_scale: bool = False
 
     def __post_init__(self):
@@ -98,19 +95,42 @@ class NewtonOptions:
 
 
 @dataclass
+class IterationRecord:
+    """One iteration's values; ``census`` is (open, sticking, sliding) cells."""
+
+    increment_norm: float | None = None
+    search: LineSearchOutcome | None = None
+    census: tuple[int, int, int] | None = None
+    residual_norm: float | None = None
+    scale: float | None = None
+
+
+def _recorded(name: str, attribute: str | None = None, reduce=list) -> property:
+    """``reduce`` of one record field's non-``None`` values, or of one attribute of each."""
+    def derived(report: NewtonReport):
+        present = [getattr(record, name) for record in report.trace
+                   if getattr(record, name) is not None]
+        return reduce(present if attribute is None else [getattr(v, attribute) for v in present])
+    return property(derived)
+
+
+@dataclass
 class NewtonReport:
     status: SolveStatus
-    iterations: int
     criterion: ConvergenceCriterion
-    residual_norms: list[float] = dataclass_field(default_factory=list)
-    increment_norms: list[float] = dataclass_field(default_factory=list)
-    alphas: list[float] = dataclass_field(default_factory=list)
-    regime_history: list[tuple[int, int, int]] = dataclass_field(default_factory=list)
-    scale_history: list[float] = dataclass_field(default_factory=list)
-    ls_evaluations: int = 0
-    tightening_rounds: int = 0
+    trace: list[IterationRecord]
     divergence_reason: str | None = None
     x: np.ndarray | None = None
+
+    # Read-only values derived from the trace.
+    residual_norms = _recorded("residual_norm")
+    increment_norms = _recorded("increment_norm")
+    alphas = _recorded("search", "alpha")
+    regime_history = _recorded("census")
+    scale_history = _recorded("scale")
+    iterations = _recorded("search", reduce=len)
+    ls_evaluations = _recorded("search", "evaluations", sum)
+    tightening_rounds = _recorded("search", "tightening_rounds", sum)
 
     @property
     def final_norm(self) -> float:
@@ -154,18 +174,8 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     return solution
 
 
-def _regime_census(model, x: np.ndarray) -> tuple[int, int, int]:
-    """(open, sticking, sliding) cell counts at ``x``."""
-    regimes = classify_regime(model.contact_states(x))
-    open_, sticking, sliding = np.bincount(regimes, minlength=3)
-    return int(open_), int(sticking), int(sliding)
-
-
 def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray,
                 strategy: Strategy, scale: float, contact: bool) -> LineSearchOutcome:
-    if strategy is Strategy.NONE:
-        return search_none()
-
     if strategy is Strategy.RESIDUAL:
         def objective(alphas: np.ndarray) -> np.ndarray:
             stacked = model.residual(x + alphas[:, None] * step)
@@ -173,9 +183,9 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
         reference = 0.5 * float(residual_now @ residual_now)
         return search_residual(objective, reference)
 
-    # Constraint strategies; contactless models just take the full step.
-    if not contact:
-        return search_none()
+    # No search, or a constraint strategy on a contactless model: the full step.
+    if strategy is Strategy.NONE or not contact:
+        return LineSearchOutcome(alpha=1.0)
     mask = reference_mask(model.contact_states(x))
 
     def evaluator(alpha: float):
@@ -196,38 +206,34 @@ def solve(model, x0: np.ndarray | None = None,
     contact = hasattr(model, "contact_states")
     adapt = (options.line_search is Strategy.CONSTRAINT_ADAPTIVE
              and contact and not options.force_unit_scale)
-    # Frozen magnitude estimate: computed at the end of iteration k, used by
-    # iteration k+1's line search.
+    # Frozen magnitude estimate: set at the end of iteration k, used by k+1's search.
     scale = 1.0
 
-    report = NewtonReport(status=SolveStatus.NO_CONVERGENCE, iterations=0,
-                          criterion=criterion, scale_history=[scale])
+    report = NewtonReport(status=SolveStatus.NO_CONVERGENCE, criterion=criterion,
+                          trace=[IterationRecord(scale=scale)])
     try:
         residual = model.residual(x)
         norm0 = float(np.linalg.norm(residual))
         if not np.isfinite(norm0):
             raise _Diverged("non-finite initial residual")
-        report.residual_norms.append(norm0 / sqrt_n)
+        report.trace[0].residual_norm = norm0 / sqrt_n
 
         while (report.final_norm >= criterion.tolerance
                and report.iterations < MAX_ITERATIONS):
-            jacobian = model.jacobian(x)
+            record = IterationRecord()
+            report.trace.append(record)
             try:
-                step = linear_solve(jacobian, -residual)
+                step = linear_solve(model.jacobian(x), -residual)
             except LinearSolveFailed as err:
                 raise _Diverged(f"linear solve failed: {err}") from err
-            report.increment_norms.append(float(np.linalg.norm(step)) / sqrt_n)
+            record.increment_norm = float(np.linalg.norm(step)) / sqrt_n
 
-            outcome = _run_search(model, x, step, residual, options.line_search,
-                                  scale, contact)
-            report.alphas.append(outcome.alpha)
-            report.ls_evaluations += outcome.evaluations
-            report.tightening_rounds += outcome.tightening_rounds
-
-            x = x + outcome.alpha * step
-            report.iterations += 1
+            record.search = _run_search(model, x, step, residual, options.line_search,
+                                        scale, contact)
+            x = x + record.search.alpha * step
             if contact:
-                report.regime_history.append(_regime_census(model, x))
+                regimes = classify_regime(model.contact_states(x))
+                record.census = tuple(np.bincount(regimes, minlength=3).tolist())
 
             residual = model.residual(x)
             norm = float(np.linalg.norm(residual))
@@ -235,11 +241,11 @@ def solve(model, x0: np.ndarray | None = None,
                 raise _Diverged("non-finite residual or iterate")
             if norm > DIVERGENCE_FACTOR * max(norm0, 1e-300):
                 raise _Diverged(f"residual grew past {DIVERGENCE_FACTOR:g} of initial")
-            report.residual_norms.append(norm / sqrt_n)
+            record.residual_norm = norm / sqrt_n
 
             if adapt:
                 scale = p_mean_scale(cell_scale_estimate(model.contact_states(x)))
-            report.scale_history.append(scale)
+            record.scale = scale
 
         report.status = (SolveStatus.CONVERGED if report.final_norm < criterion.tolerance
                          else SolveStatus.NO_CONVERGENCE)

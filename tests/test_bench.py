@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+import fracsolve.bench
 from fracsolve.bench import (
     ALL_STRATEGIES,
     CSV_HEADER,
@@ -243,6 +244,21 @@ def test_main_rejects_nan_characteristic_displacement(tmp_path, capsys, value):
                  "--uc", value, "--out", str(out), "--workers", "1", "--no-table"])
     assert code == 1
     assert "error: characteristic quantities must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_does_not_report_a_solve_fault_as_a_usage_error(tmp_path, capsys, monkeypatch):
+    # a model that cannot be built is a usage error (exit 1, above); an
+    # exception from inside a solve is a fault and names its sweep cell
+    def faulty_solve(model, options):
+        raise ValueError("estimates must be finite")
+
+    monkeypatch.setattr(fracsolve.bench, "solve", faulty_solve)
+    out = tmp_path / "x.csv"
+    with pytest.raises(RuntimeError, match=r"^solve of sweep cell \('none', 'single-pm'"):
+        main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
+              "--uc", "0.01", "--out", str(out), "--workers", "1", "--no-table"])
+    assert "error:" not in capsys.readouterr().err
     assert not out.exists()
 
 

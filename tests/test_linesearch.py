@@ -14,7 +14,6 @@ from fracsolve.linesearch import (
     SearchDiverged,
     Strategy,
     search_constraint,
-    search_none,
     search_residual,
 )
 
@@ -26,13 +25,6 @@ from fracsolve.linesearch import (
 def test_strategy_values():
     assert {s.value for s in Strategy} == {
         "none", "residual", "constraint-const", "constraint-adaptive"}
-
-
-def test_search_none_takes_full_step():
-    outcome = search_none()
-    assert outcome.alpha == 1.0
-    assert outcome.evaluations == 0
-    assert outcome.final_tolerance is None
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +251,23 @@ def test_constraint_search_matches_per_family_reference(seed):
     outcome = search_constraint(evaluator, cells, scale=scale)
     expected = scalar_oracle.search_constraint(evaluator, cells, scale=scale)
     assert _summary(outcome) == _summary(expected)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the fit's overflow is not under test
+def test_constraint_search_reports_a_failed_root_search():
+    # Near the float limit the fitted profiles are NaN inside their spans, so
+    # the root finder raises; the search reports why instead of letting the
+    # finder's exception escape. Under the default warning filters the fit's
+    # overflow only warns, so this is how a run outside pytest meets it.
+    big = 1.7e308
+
+    def evaluator(alpha):
+        normal = np.array([big * (0.3 - alpha), -big * (0.5 - alpha), big * (alpha - 0.9), 1.0])
+        return np.stack([normal, np.zeros(4)])
+
+    with pytest.raises(SearchDiverged, match=r"^constraint root search failed: "
+                                             r"The function value at x=0.3 is NaN"):
+        search_constraint(evaluator, [np.arange(4)])
 
 
 def test_constraint_search_falls_back_to_alpha_min():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fracsolve.linesearch
 from fracsolve.contact import friction_bound, gap
 from fracsolve.linesearch import (
     ALPHA_MIN,
@@ -21,8 +22,10 @@ from fracsolve.newton import (
     MAX_ITERATIONS,
     ConvergenceCriterion,
     CriterionKind,
+    IterationRecord,
     LinearSolveFailed,
     NewtonOptions,
+    NewtonReport,
     SolveStatus,
     linear_solve,
     solve,
@@ -226,39 +229,61 @@ class SingularModel:
 
 
 # Each way a run diverges: model, initial point, strategy, iterations, lengths
-# of the residual, increment, alpha and scale histories, and reason. The
-# scale of an iteration that diverges after its update is not recorded. In
-# the blow-up, |cbrt(x)| grows by 2 ** (1/3) per step and passes 1e10 at step
-# 100, the last one the iteration cap allows.
+# of the residual, increment, alpha and scale histories, the fields the last
+# trace record holds, and reason. The scale of an iteration that diverges
+# after its update is not recorded. In the blow-up, |cbrt(x)| grows by
+# 2 ** (1/3) per step and passes 1e10 at step 100, the last one the iteration
+# cap allows.
 DIVERGENCE_EXITS = {
     "initial-residual": (LinearModel(), np.full(8, np.nan), "none", 0, (0, 0, 0, 1),
-                         "non-finite initial residual"),
+                         {"scale"}, "non-finite initial residual"),
     "linear-solve": (SingularModel(), None, "none", 0, (1, 0, 0, 1),
-                     "linear solve failed: "),
+                     set(), "linear solve failed: "),
     "search": (BlowupModel(), None, "residual", 0, (1, 1, 0, 1),
-               "residual objective non-finite at every trial step"),
+               {"increment_norm"}, "residual objective non-finite at every trial step"),
     "non-finite-update": (BlowupModel(), None, "none", 1, (1, 1, 1, 1),
-                          "non-finite residual or iterate"),
+                          {"increment_norm", "search"}, "non-finite residual or iterate"),
     "blow-up": (CubeRootModel(), None, "none", 100, (100, 100, 100, 100),
-                "residual grew past 1e+10 of initial"),
+                {"increment_norm", "search"}, "residual grew past 1e+10 of initial"),
 }
+
+
+def _held(record):
+    """The names of the fields a trace record holds."""
+    return {f.name for f in dataclasses.fields(record) if getattr(record, f.name) is not None}
 
 
 @pytest.mark.parametrize("exit_name", DIVERGENCE_EXITS)
 def test_every_divergence_exit_reports_its_state(exit_name):
-    model, x0, strategy, iterations, lengths, reason = DIVERGENCE_EXITS[exit_name]
+    model, x0, strategy, iterations, lengths, held, reason = DIVERGENCE_EXITS[exit_name]
     report = solve(model, x0=x0, options=_options(strategy))
     assert report.status is SolveStatus.DIVERGED
     assert report.iterations == iterations
     assert (len(report.residual_norms), len(report.increment_norms), len(report.alphas),
             len(report.scale_history)) == lengths
     assert report.scale_history == [1.0] * lengths[3]
+    assert _held(report.trace[-1]) == held
     if exit_name == "linear-solve":
         # the rest of the message is the factorization's own
         assert report.divergence_reason.startswith(reason)
     else:
         assert report.divergence_reason == reason
     assert report.x is not None
+
+
+def test_failed_constraint_root_search_is_reported_as_divergence(monkeypatch):
+    # the root finder's own exceptions (a NaN profile value, no convergence)
+    # end the run as Div with the finder's message as the reason
+    def failing_find_root(spline):
+        raise ValueError("The function value at x=0.3 is NaN; solver cannot continue.")
+
+    monkeypatch.setattr(fracsolve.linesearch, "find_root", failing_find_root)
+    report = solve(preset("single-pm", cells_per_side=4), options=_options("constraint-adaptive"))
+    assert report.status is SolveStatus.DIVERGED
+    assert report.divergence_reason == ("constraint root search failed: "
+                                        "The function value at x=0.3 is NaN; "
+                                        "solver cannot continue.")
+    assert _held(report.trace[-1]) == {"increment_norm"}
 
 
 def test_iteration_cap_reports_no_convergence():
@@ -397,6 +422,36 @@ def test_regime_history_is_recorded_per_iteration():
     assert len(report.regime_history) == report.iterations
     n = model.n_cells
     assert all(sum(census) == n for census in report.regime_history)
+
+
+def test_report_stores_the_trace_and_derives_the_rest():
+    assert [f.name for f in dataclasses.fields(NewtonReport)] == [
+        "status", "criterion", "trace", "divergence_reason", "x"]
+    assert [f.name for f in dataclasses.fields(IterationRecord)] == [
+        "increment_norm", "search", "census", "residual_norm", "scale"]
+    report = solve(preset("single-pm"), options=_options("constraint-adaptive"))
+    first, *steps = report.trace
+    assert _held(first) == {"residual_norm", "scale"}
+    assert first.scale == 1.0
+    assert all(_held(record) == {f.name for f in dataclasses.fields(IterationRecord)}
+               for record in steps)
+    assert report.iterations == len(steps)
+    assert report.alphas == [record.search.alpha for record in steps]
+    assert report.residual_norms == [record.residual_norm for record in report.trace]
+    with pytest.raises(AttributeError):
+        report.alphas = []
+
+
+def test_report_keeps_every_search_outcome():
+    # the outcome fields the cost counters do not sum stay on the records
+    model = preset("single-tpm", cells_per_side=6)
+    report = solve(model, options=_options("constraint-adaptive"))
+    searches = [record.search for record in report.trace[1:]]
+    assert any(search.tightening_rounds for search in searches)
+    for search in searches:
+        assert search.final_tolerance == TRANSITION_TOLERANCE * 0.5 ** search.tightening_rounds
+        assert len(search.transitions_per_fracture) == len(model.fracture_cells())
+    assert sum(search.evaluations for search in searches) == report.ls_evaluations
 
 
 # ---------------------------------------------------------------------------
