@@ -59,9 +59,10 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {name} repeats a value")
         for s in self.strategies:
             Strategy(s)  # raises on unknown names
-        for m in self.models:
-            if m not in PRESET_NAMES:
-                raise ValueError(f"unknown model preset {m!r}")
+        # Build each distinct model of the sweep once, before any solve: the
+        # models' own checks reject an unknown name or a bad axis value.
+        for model, phi, size, u_c, seed in dict.fromkeys(cell[1:] for cell in self.cells()):
+            preset(model, phi, u_c, size, seed)
 
     def cells(self) -> list[tuple]:
         out = []
@@ -140,13 +141,17 @@ def solve_cell(cell: tuple) -> ResultRow:
     )
 
 
+def _worker_count(workers: int | None) -> int:
+    """The worker processes to run: the available parallelism when None, else ``workers``."""
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be positive")
+    return (os.cpu_count() or 1) if workers is None else workers
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[ResultRow]:
     """Run every sweep cell, possibly in parallel, and sort the rows."""
     cells = spec.cells()
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    workers = _worker_count(workers)
     if workers == 1 or len(cells) == 1:
         rows = [solve_cell(cell) for cell in cells]
     else:
@@ -238,10 +243,15 @@ def main(argv: list[str] | None = None) -> int:
             if value is not None:
                 fields[field.name] = tuple(value) if field.name in SWEEP_AXES else value
         spec = SweepSpec(**fields)
+        workers = _worker_count(args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-        rows = run_sweep(spec, workers=args.workers)
+    rows = run_sweep(spec, workers=workers)
+    try:
         emit_csv(rows, spec.output_path)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -90,19 +90,20 @@ def fit(knots, values) -> MonotoneCubic:
     if (h <= 0.0).any():
         raise ValueError("knots must be strictly increasing")
 
-    sec = np.diff(y) / h
-    if x.size == 2:
-        return MonotoneCubic(x, y, np.repeat(sec, 2, axis=-1))
+    with np.errstate(over="ignore"):  # data near the float limit: signs and caps still hold
+        sec = np.diff(y) / h
+        if x.size == 2:
+            return MonotoneCubic(x, y, np.repeat(sec, 2, axis=-1))
 
-    left, right = sec[..., :-1], sec[..., 1:]
-    avg = 0.5 * (left + right)
-    cap = 3.0 * _first_unless_less(np.abs(left), np.abs(right))
-    # Local extremum (or flat spot) of the data: flat tangent.
-    interior = np.where(left * right <= 0.0, 0.0,
-                        np.sign(avg) * _first_unless_less(np.abs(avg), cap))
-    # Both ends at once: the first and last pieces, then their neighbours.
-    ends = _endpoint_slope(h.take([0, -1]), h.take([1, -2]),
-                           sec.take([0, -1], axis=-1), sec.take([1, -2], axis=-1))
+        left, right = sec[..., :-1], sec[..., 1:]
+        avg = 0.5 * (left + right)
+        cap = 3.0 * _first_unless_less(np.abs(left), np.abs(right))
+        # Local extremum (or flat spot) of the data: flat tangent.
+        interior = np.where(left * right <= 0.0, 0.0,
+                            np.sign(avg) * _first_unless_less(np.abs(avg), cap))
+        # Both ends at once: the first and last pieces, then their neighbours.
+        ends = _endpoint_slope(h.take([0, -1]), h.take([1, -2]),
+                               sec.take([0, -1], axis=-1), sec.take([1, -2], axis=-1))
     return MonotoneCubic(x, y, np.concatenate([ends[..., :1], interior, ends[..., 1:]], axis=-1))
 
 
@@ -192,7 +193,8 @@ def _brent(spline: MonotoneCubic, rows, xpre, xcur, fpre, fcur) -> np.ndarray:
         spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
         xpre, fpre = xcur, fcur
         xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = _evaluate_lanes(spline, rows, xcur)
+        with np.errstate(invalid="ignore"):  # a NaN value is reported below
+            fcur = _evaluate_lanes(spline, rows, xcur)
         if np.isnan(fcur).any():
             at = xcur[np.isnan(fcur)][0]
             raise ValueError(f"The function value at x={at} is NaN; solver cannot continue.")

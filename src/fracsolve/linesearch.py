@@ -15,7 +15,8 @@ when the first tolerance flags a cell; each round finds the roots of its
 flagged profiles in one batched call. When too many cells of one fracture
 still transition at the damped step, the tolerance is halved and the cached
 fits are shifted by the new tolerance. The search parameters are the
-paper's fixed values, module constants below.
+paper's fixed values, module constants below. A search that cannot produce
+a step raises ``Diverged``, the one exception that ends a run as diverged.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .interpolation import MonotoneCubic, find_minimum, find_root, fit
 __all__ = [
     "Strategy",
     "LineSearchOutcome",
-    "SearchDiverged",
+    "Diverged",
     "search_residual",
     "search_constraint",
 ]
@@ -46,8 +47,8 @@ class Strategy(enum.Enum):
     CONSTRAINT_ADAPTIVE = "constraint-adaptive"
 
 
-class SearchDiverged(RuntimeError):
-    """Raised when a search cannot produce any usable step length."""
+class Diverged(RuntimeError):
+    """Why a run cannot go on, raised by the searches and by the Newton driver."""
 
 
 # The paper's search parameters: the overshoot allowed past a branch boundary,
@@ -87,7 +88,7 @@ def search_residual(objective, reference_value: float) -> LineSearchOutcome:
     values = np.asarray(objective(trial_alphas), dtype=float)
     finite = np.isfinite(values)
     if not finite.any():
-        raise SearchDiverged("residual objective non-finite at every trial step")
+        raise Diverged("residual objective non-finite at every trial step")
 
     knots = np.concatenate(([0.0], trial_alphas[finite]))
     samples = np.concatenate(([float(reference_value)], values[finite]))
@@ -159,7 +160,7 @@ def search_constraint(indicator_evaluator, fracture_cells,
                 try:
                     found = find_root(spline.shifted(delta * sign[rows]))
                 except (ValueError, RuntimeError) as err:  # NaN profile, no convergence
-                    raise SearchDiverged(f"constraint root search failed: {err}") from err
+                    raise Diverged(f"constraint root search failed: {err}") from err
                 roots[solvable] = np.where(np.isnan(found), roots[solvable], found)
             candidate = float(roots.min())
 

@@ -22,13 +22,13 @@ Residual rows follow the same order: force balance, contact complementarity,
 mass balance, energy balance.
 
 Assembly is array-valued throughout. The Jacobian is filled into a sorted CSC
-pattern cached at construction, the layout the sparse LU factorizes, together
-with its constant force-balance entries and the slot of every contribution
-that changes with the iterate; an evaluation fills one ``data`` array. Mass
-and energy rows take every edge term from one helper, ``_edge_terms``, and
-scatter in a fixed edge order, so every evaluation is bitwise reproducible.
-The residual maps the last axis of its argument: a stack of points ``(k,
-n_dofs)`` gives one row per point, each bitwise that point's own residual.
+pattern cached at construction, with its constant force-balance entries and
+the slot of every contribution that changes with the iterate. The mass and
+energy rows are one balance block, whose row scales and Dirichlet values are
+arrays built at construction; its rows take every edge term from one helper,
+``_edge_terms``, and scatter in a fixed edge order, so every evaluation is
+bitwise reproducible. The residual maps the last axis of its argument: a stack
+``(k, n_dofs)`` gives one row per point, each bitwise that point's residual.
 """
 
 from __future__ import annotations
@@ -223,22 +223,25 @@ class FractureAssembly:
         self._heat_ends = _interleave(self._edge_a, self._edge_b,
                                       self._edge_a, self._edge_b)[self._heat_kept]
 
-        self._dir_p = np.full(self.n_cells, np.nan)
-        self._dir_T = np.full(self.n_cells, np.nan)
-        for fr, start in zip(fractures, self._starts):
-            for local, value in fr.dirichlet_pressure.items():
-                self._dir_p[start + local] = value
-            for local, value in fr.dirichlet_temperature.items():
-                self._dir_T[start + local] = value
         self._areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in fractures])
         self._external_traction = np.vstack([fr.external_traction for fr in fractures])  # Pa
 
-        # Row scales keeping mass/energy residuals O(1).
+        # The balance block, mass then energy rows: Dirichlet values in unit
+        # scale (NaN where free), and row scales keeping the rest O(1).
         flux_scale = transmissibility(params.residual_aperture)
         self._mass_scale = flux_scale * PRESSURE_SCALE
         advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
         conductive = THERMAL_CONDUCTIVITY * params.residual_aperture
         self._energy_scale = (conductive + advective) * TEMPERATURE_SCALE
+        blocks = [("dirichlet_pressure", PRESSURE_SCALE, self._mass_scale)]
+        if self.has_temperature:
+            blocks.append(("dirichlet_temperature", TEMPERATURE_SCALE, self._energy_scale))
+        self._fixed = np.full(len(blocks) * self.n_cells, np.nan)
+        for k, (name, unit, _) in enumerate(blocks):
+            for fr, start in zip(fractures, self._starts):
+                for local, value in getattr(fr, name).items():
+                    self._fixed[k * self.n_cells + start + local] = value / unit
+        self._row_scale = np.repeat([row_scale for *_, row_scale in blocks], self.n_cells)
 
         self._build_jacobian_pattern()
 
@@ -369,28 +372,25 @@ class FractureAssembly:
                      "biot": -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c}
         ra, rb = mass_row[a], mass_row[b]
         storage_cols = [jump_col, pressure_col] + ([temperature_col] if self.has_temperature else [])
-        groups["mass"] = (
-            np.concatenate([np.tile(mass_row, len(storage_cols)),
-                            _interleave(ra, ra, rb, rb, ra, rb, ra, rb)]),
-            np.concatenate(storage_cols + [_interleave(
-                pressure_col[a], pressure_col[b], pressure_col[b], pressure_col[a],
-                jump_col[a], jump_col[a], jump_col[b], jump_col[b])]))
+        balance_rows = [np.tile(mass_row, len(storage_cols)),
+                        _interleave(ra, ra, rb, rb, ra, rb, ra, rb)]
+        balance_cols = storage_cols + [_interleave(
+            pressure_col[a], pressure_col[b], pressure_col[b], pressure_col[a],
+            jump_col[a], jump_col[a], jump_col[b], jump_col[b])]
         if self.has_temperature:
             groups["thermal"] = (3 * cells, temperature_col)
             constants["thermal"] = 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
                 * TEMPERATURE_SCALE / sigma_c
             ra, rb = energy_row[a], energy_row[b]
-            groups["energy"] = (
-                np.concatenate([energy_row, energy_row,
-                                _interleave(ra, ra, rb, rb, ra, rb, ra, rb, ra, rb)]),
-                np.concatenate([temperature_col, jump_col, _interleave(
-                    temperature_col[a], temperature_col[b], temperature_col[b], temperature_col[a],
-                    jump_col[a], jump_col[a], jump_col[b], jump_col[b],
-                    temperature_col[up], temperature_col[up])]))
-        # A Dirichlet cell's mass or energy row keeps only its diagonal entry.
-        fixed_rows = np.concatenate([mass_row[np.isfinite(self._dir_p)],
-                                     energy_row[np.isfinite(self._dir_T)] if self.has_temperature
-                                     else []]).astype(int)
+            balance_rows += [energy_row, energy_row,
+                             _interleave(ra, ra, rb, rb, ra, rb, ra, rb, ra, rb)]
+            balance_cols += [temperature_col, jump_col, _interleave(
+                temperature_col[a], temperature_col[b], temperature_col[b], temperature_col[a],
+                jump_col[a], jump_col[a], jump_col[b], jump_col[b],
+                temperature_col[up], temperature_col[up])]
+        groups["balance"] = (np.concatenate(balance_rows), np.concatenate(balance_cols))
+        # A Dirichlet unknown's balance row keeps only its diagonal entry.
+        fixed_rows = 6 * n + np.flatnonzero(np.isfinite(self._fixed))
         groups["dirichlet"] = (fixed_rows, fixed_rows)
 
         indptr, indices, slots = _pattern(self.n_dofs, list(groups.values()))
@@ -400,11 +400,9 @@ class FractureAssembly:
         for name, value in constants.items():
             self._constant_data[slot[name]] = value
         self._contact_slots = slot["contact"]
-        self._mass_slots = slot["mass"]
-        self._mass_data = np.flatnonzero((indices >= 6 * n) & (indices < 7 * n))
-        if self.has_temperature:
-            self._energy_slots = slot["energy"]
-            self._energy_data = np.flatnonzero(indices >= 7 * n)
+        self._balance_slots = slot["balance"]
+        # Every slot's divisor: its row scale on the balance rows, 1 elsewhere.
+        self._divisor = np.concatenate([np.ones(6 * n), self._row_scale])[indices]
         self._dirichlet_slots = np.flatnonzero(np.isin(indices, fixed_rows))
         self._dirichlet_diagonal = slot["dirichlet"]
 
@@ -451,11 +449,13 @@ class FractureAssembly:
         contact = np.concatenate([
             normal_complementarity(states)[..., None], tangential_complementarity(states)], axis=-1)
 
-        blocks = [force.reshape(lead + (-1,)), contact.reshape(lead + (-1,)),
-                  self._mass_rows(jump, pressure, temperature)]
+        balance = [self._mass_rows(jump, pressure, temperature)]
         if self.has_temperature:
-            blocks.append(self._energy_rows(jump, temperature))
-        return np.concatenate(blocks, axis=-1)
+            balance.append(self._energy_rows(jump, temperature))
+        balance = np.concatenate(balance, axis=-1) / self._row_scale
+        np.copyto(balance, x[..., 6 * self.n_cells:] - self._fixed, where=np.isfinite(self._fixed))
+        return np.concatenate([force.reshape(lead + (-1,)), contact.reshape(lead + (-1,)), balance],
+                              axis=-1)
 
     def _mass_rows(self, jump, pressure, temperature) -> np.ndarray:
         apertures = self._apertures(jump)
@@ -474,11 +474,6 @@ class FractureAssembly:
         _, floored, drop = self._edge_terms(apertures, pressure)
         flux = transmissibility(floored) * PRESSURE_SCALE * drop
         _scatter_add(rows, self._flux_ends, _interleave(flux, _negated(flux)))
-
-        rows /= self._mass_scale
-
-        fixed = np.isfinite(self._dir_p)
-        np.copyto(rows, pressure - self._dir_p / PRESSURE_SCALE, where=fixed)
         return rows
 
     def _energy_rows(self, jump, temperature) -> np.ndarray:
@@ -495,11 +490,6 @@ class FractureAssembly:
             * np.take(temperature, self._edge_up, axis=-1)
         _scatter_add(rows, self._heat_ends, np.compress(self._heat_kept, _interleave(
             conduction, _negated(conduction), advected, _negated(advected)), axis=-1))
-
-        rows /= self._energy_scale
-
-        fixed = np.isfinite(self._dir_T)
-        np.copyto(rows, temperature - self._dir_T / TEMPERATURE_SCALE, where=fixed)
         return rows
 
     # ----- Jacobian ------------------------------------------------------
@@ -509,11 +499,11 @@ class FractureAssembly:
         data = self._constant_data.copy()
         derivative = contact_generalized_derivative(self.contact_states(x))
         data[self._contact_slots] = derivative.ravel()
-        np.add.at(data, self._mass_slots, self._mass_entries(jump, pressure, temperature))
-        data[self._mass_data] /= self._mass_scale
+        entries = [self._mass_entries(jump, pressure, temperature)]
         if self.has_temperature:
-            np.add.at(data, self._energy_slots, self._energy_entries(jump, temperature))
-            data[self._energy_data] /= self._energy_scale
+            entries.append(self._energy_entries(jump, temperature))
+        np.add.at(data, self._balance_slots, np.concatenate(entries))
+        data /= self._divisor
         data[self._dirichlet_slots] = 0.0
         data[self._dirichlet_diagonal] = 1.0
         matrix = sp.csc_matrix((data, self._indices.copy(), self._indptr.copy()),
@@ -522,7 +512,7 @@ class FractureAssembly:
         return matrix
 
     def _mass_entries(self, jump, pressure, temperature) -> np.ndarray:
-        """Unscaled mass-row contributions, in the order of ``_mass_slots``.
+        """Unscaled mass-row contributions, in the order of ``_balance_slots``.
 
         Subtractions are added negated; ``x - y == x + (-y)`` bit for bit
         unless ``y`` is NaN, and Newton takes the Jacobian at finite iterates.
@@ -547,7 +537,7 @@ class FractureAssembly:
                                                      dflux, -dflux, dflux, -dflux)])
 
     def _energy_entries(self, jump, temperature) -> np.ndarray:
-        """Unscaled energy-row contributions, in the order of ``_energy_slots``.
+        """Unscaled energy-row contributions, after the mass ones in ``_balance_slots``.
 
         Edges with a zero advection rate add exact zeros to the upwind slots.
         """

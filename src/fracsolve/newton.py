@@ -3,10 +3,11 @@
 Each iteration assembles the residual and generalized Jacobian once, solves
 the linear system by direct factorization, picks a step length with the
 chosen strategy, and applies the update. Convergence is declared on the
-root-mean-square norm of either the increment or the residual; divergence on
-a non-finite initial residual, a failed factorization or search, a
-non-finite residual or iterate, or a residual past ``DIVERGENCE_FACTOR``
-times the initial one. The iteration cap is a constant too.
+root-mean-square norm of the increment or the residual, below ``TOLERANCE``.
+Each divergence raises the one ``Diverged``, whose message is the reason: a
+non-finite initial residual, a failed factorization or search, a non-finite
+residual or iterate, or a residual past ``DIVERGENCE_FACTOR`` times the
+initial one. The iteration cap is a constant too.
 
 ``NewtonReport.trace`` holds one ``IterationRecord`` per iteration, record 0
 the initial state. A record holds what its iteration computed and ``None``
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,8 +36,8 @@ import scipy.sparse.linalg as spla
 
 from .contact import classify_regime, evaluate_field, reference_mask
 from .linesearch import (
+    Diverged,
     LineSearchOutcome,
-    SearchDiverged,
     Strategy,
     search_constraint,
     search_residual,
@@ -49,7 +51,7 @@ __all__ = [
     "NewtonOptions",
     "IterationRecord",
     "NewtonReport",
-    "LinearSolveFailed",
+    "Diverged",
     "linear_solve",
     "solve",
 ]
@@ -62,9 +64,10 @@ class SolveStatus(enum.Enum):
 
 
 # The residual norm past which a run is declared diverged, relative to the
-# initial one, and the iteration cap of every run.
+# initial one, the iteration cap and the convergence tolerance of every run.
 DIVERGENCE_FACTOR = 1e10
 MAX_ITERATIONS = 100
+TOLERANCE = 1e-10
 
 
 class CriterionKind(enum.Enum):
@@ -75,11 +78,7 @@ class CriterionKind(enum.Enum):
 @dataclass(frozen=True)
 class ConvergenceCriterion:
     kind: CriterionKind = CriterionKind.INCREMENT
-    tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < np.inf:
-            raise ValueError("tolerance must be positive and finite")
+    tolerance: ClassVar[float] = TOLERANCE  # not a field: every run shares it
 
 
 @dataclass(frozen=True)
@@ -139,20 +138,12 @@ class NewtonReport:
         return seq[-1] if seq else float("inf")
 
 
-class LinearSolveFailed(RuntimeError):
-    pass
-
-
-class _Diverged(RuntimeError):
-    """A divergence the driver detects itself; the message is the reason."""
-
-
 def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct factorization solve with a residual check.
 
     One step of iterative refinement keeps the backward error near machine
-    level; the solution is rejected (singular or ill-conditioned system) when
-    the final residual exceeds 1e-10 of the right-hand side norm.
+    level. A singular or ill-conditioned system, or a final residual above
+    1e-10 of the right-hand side norm, raises ``Diverged("linear solve failed: …")``.
     """
     rhs = np.asarray(rhs, dtype=float)
     try:
@@ -165,12 +156,12 @@ def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
             solution = np.linalg.solve(dense, rhs)
             solution = solution + np.linalg.solve(dense, rhs - dense @ solution)
     except (RuntimeError, np.linalg.LinAlgError) as err:
-        raise LinearSolveFailed(str(err)) from err
+        raise Diverged(f"linear solve failed: {err}") from err
     if not np.all(np.isfinite(solution)):
-        raise LinearSolveFailed("non-finite solution from factorization")
+        raise Diverged("linear solve failed: non-finite solution from factorization")
     residual = float(np.linalg.norm(matrix @ solution - rhs))
     if residual > 1e-10 * float(np.linalg.norm(rhs)) + 1e-300:
-        raise LinearSolveFailed(f"factorization residual too large ({residual:.3e})")
+        raise Diverged(f"linear solve failed: factorization residual too large ({residual:.3e})")
     return solution
 
 
@@ -199,7 +190,6 @@ def solve(model, x0: np.ndarray | None = None,
           options: NewtonOptions | None = None) -> NewtonReport:
     """Run the Newton iteration until convergence, divergence or the cap."""
     options = options or NewtonOptions()
-    criterion = options.criterion
     x = np.array(model.initial_guess() if x0 is None else x0, dtype=float)
     sqrt_n = float(np.sqrt(x.size))
 
@@ -209,23 +199,19 @@ def solve(model, x0: np.ndarray | None = None,
     # Frozen magnitude estimate: set at the end of iteration k, used by k+1's search.
     scale = 1.0
 
-    report = NewtonReport(status=SolveStatus.NO_CONVERGENCE, criterion=criterion,
+    report = NewtonReport(status=SolveStatus.NO_CONVERGENCE, criterion=options.criterion,
                           trace=[IterationRecord(scale=scale)])
     try:
         residual = model.residual(x)
         norm0 = float(np.linalg.norm(residual))
         if not np.isfinite(norm0):
-            raise _Diverged("non-finite initial residual")
+            raise Diverged("non-finite initial residual")
         report.trace[0].residual_norm = norm0 / sqrt_n
 
-        while (report.final_norm >= criterion.tolerance
-               and report.iterations < MAX_ITERATIONS):
+        while report.final_norm >= TOLERANCE and report.iterations < MAX_ITERATIONS:
             record = IterationRecord()
             report.trace.append(record)
-            try:
-                step = linear_solve(model.jacobian(x), -residual)
-            except LinearSolveFailed as err:
-                raise _Diverged(f"linear solve failed: {err}") from err
+            step = linear_solve(model.jacobian(x), -residual)
             record.increment_norm = float(np.linalg.norm(step)) / sqrt_n
 
             record.search = _run_search(model, x, step, residual, options.line_search,
@@ -238,18 +224,18 @@ def solve(model, x0: np.ndarray | None = None,
             residual = model.residual(x)
             norm = float(np.linalg.norm(residual))
             if not np.isfinite(norm) or not np.all(np.isfinite(x)):
-                raise _Diverged("non-finite residual or iterate")
+                raise Diverged("non-finite residual or iterate")
             if norm > DIVERGENCE_FACTOR * max(norm0, 1e-300):
-                raise _Diverged(f"residual grew past {DIVERGENCE_FACTOR:g} of initial")
+                raise Diverged(f"residual grew past {DIVERGENCE_FACTOR:g} of initial")
             record.residual_norm = norm / sqrt_n
 
             if adapt:
                 scale = p_mean_scale(cell_scale_estimate(model.contact_states(x)))
             record.scale = scale
 
-        report.status = (SolveStatus.CONVERGED if report.final_norm < criterion.tolerance
+        report.status = (SolveStatus.CONVERGED if report.final_norm < TOLERANCE
                          else SolveStatus.NO_CONVERGENCE)
-    except (_Diverged, SearchDiverged) as err:
+    except Diverged as err:
         report.status = SolveStatus.DIVERGED
         report.divergence_reason = str(err)
     report.x = x

@@ -33,7 +33,7 @@ from fracsolve.linesearch import (
     TRANSITION_FRACTION,
     TRANSITION_TOLERANCE,
     LineSearchOutcome,
-    SearchDiverged,
+    Diverged,
 )
 from fracsolve.models import (
     BIOT_COEFFICIENT,
@@ -298,7 +298,7 @@ def search_residual(objective, reference_value):
         if np.isfinite(v):
             samples.append((float(a), v))
     if len(samples) < 2:
-        raise SearchDiverged("residual objective non-finite at every trial step")
+        raise Diverged("residual objective non-finite at every trial step")
     alpha, value = find_minimum(fit(samples), (ALPHA_MIN, samples[-1][0]))
     return LineSearchOutcome(
         alpha=float(min(max(alpha, ALPHA_MIN), 1.0)),
@@ -368,8 +368,9 @@ def _mass_rows(model, jump, pressure, temperature):
         * PRESSURE_SCALE * (pressure[a] - pressure[b])
     np.add.at(rows, model._flux_ends, _interleave(flux, _negated(flux)))
     rows /= model._mass_scale
-    fixed = np.isfinite(model._dir_p)
-    rows[fixed] = pressure[fixed] - model._dir_p[fixed] / PRESSURE_SCALE
+    dir_p = _dirichlet(model, "dirichlet_pressure")
+    fixed = np.isfinite(dir_p)
+    rows[fixed] = pressure[fixed] - dir_p[fixed] / PRESSURE_SCALE
     return rows
 
 
@@ -388,6 +389,18 @@ def _energy_rows(model, jump, temperature):
     np.add.at(rows, model._heat_ends, _interleave(
         conduction, _negated(conduction), advected, _negated(advected))[model._heat_kept])
     rows /= model._energy_scale
-    fixed = np.isfinite(model._dir_T)
-    rows[fixed] = temperature[fixed] - model._dir_T[fixed] / TEMPERATURE_SCALE
+    dir_T = _dirichlet(model, "dirichlet_temperature")
+    fixed = np.isfinite(dir_T)
+    rows[fixed] = temperature[fixed] - dir_T[fixed] / TEMPERATURE_SCALE
     return rows
+
+
+def _dirichlet(model, name):
+    """One field's Dirichlet values per global cell, read from the fractures; NaN where free."""
+    values = np.full(model.n_cells, np.nan)
+    start = 0
+    for fr in model.fractures:
+        for local, value in getattr(fr, name).items():
+            values[start + local] = value
+        start += fr.n_cells
+    return values

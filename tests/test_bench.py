@@ -19,7 +19,7 @@ from fracsolve.bench import (
     solve_cell,
 )
 from fracsolve.models import MULTI_CELLS_PER_SIDE
-from fracsolve.newton import CriterionKind
+from fracsolve.newton import CriterionKind, solve
 
 SMALL = SweepSpec(strategies=("constraint-adaptive",), models=("single-pm",),
                   phi_values=(0.1,), cells_values=(4,), u_c_values=(0.01,), seeds=(0,))
@@ -244,6 +244,24 @@ def test_main_rejects_nan_characteristic_displacement(tmp_path, capsys, value):
                  "--uc", value, "--out", str(out), "--workers", "1", "--no-table"])
     assert code == 1
     assert "error: characteristic quantities must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_rejects_a_bad_axis_value_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the last u_c value cannot be built; no cell before it is solved
+    solves = []
+
+    def counting_solve(model, options):
+        solves.append(model)
+        return solve(model, options=options)
+
+    monkeypatch.setattr(fracsolve.bench, "solve", counting_solve)
+    out = tmp_path / "x.csv"
+    code = main(["--model", "single-pm", "--strategy", "none", "--cells", "6", "--phi", "0.1",
+                 "--uc", "1e-4", "1e-2", "nan", "--out", str(out), "--workers", "1", "--no-table"])
+    assert code == 1
+    assert "error: characteristic quantities must be positive" in capsys.readouterr().err
+    assert solves == []
     assert not out.exists()
 
 

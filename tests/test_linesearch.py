@@ -11,7 +11,7 @@ from fracsolve.linesearch import (
     MAX_TIGHTENINGS,
     SAMPLE_COUNT,
     TRANSITION_TOLERANCE,
-    SearchDiverged,
+    Diverged,
     Strategy,
     search_constraint,
     search_residual,
@@ -72,7 +72,7 @@ def test_residual_search_monotone_decrease_takes_full_step():
 
 
 def test_residual_search_diverges_when_nothing_is_finite():
-    with pytest.raises(SearchDiverged):
+    with pytest.raises(Diverged):
         search_residual(lambda a: np.full_like(a, np.nan), 1.0)
 
 
@@ -253,21 +253,26 @@ def test_constraint_search_matches_per_family_reference(seed):
     assert _summary(outcome) == _summary(expected)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the fit's overflow is not under test
-def test_constraint_search_reports_a_failed_root_search():
-    # Near the float limit the fitted profiles are NaN inside their spans, so
-    # the root finder raises; the search reports why instead of letting the
-    # finder's exception escape. Under the default warning filters the fit's
-    # overflow only warns, so this is how a run outside pytest meets it.
-    big = 1.7e308
-
+def _near_float_limit(big):
+    # 4 cells whose normal indicator samples overflow the fit's secant products
     def evaluator(alpha):
         normal = np.array([big * (0.3 - alpha), -big * (0.5 - alpha), big * (alpha - 0.9), 1.0])
         return np.stack([normal, np.zeros(4)])
+    return evaluator
 
-    with pytest.raises(SearchDiverged, match=r"^constraint root search failed: "
-                                             r"The function value at x=0.3 is NaN"):
-        search_constraint(evaluator, [np.arange(4)])
+
+def test_constraint_search_fits_profiles_near_the_float_limit():
+    # the fit's overflow is no error: the first cell still limits the step
+    assert search_constraint(_near_float_limit(1e300), [np.arange(4)]).alpha == 0.3
+
+
+def test_constraint_search_reports_a_failed_root_search():
+    # Nearer the float limit the fitted profiles are NaN inside their spans,
+    # so the root finder raises; the search reports why instead of letting
+    # the finder's exception escape.
+    with pytest.raises(Diverged, match=r"^constraint root search failed: "
+                                       r"The function value at x=0.3 is NaN"):
+        search_constraint(_near_float_limit(1.7e308), [np.arange(4)])
 
 
 def test_constraint_search_falls_back_to_alpha_min():

@@ -132,7 +132,7 @@ def test_branch_ties_and_dirichlet_cells(name):
     assert np.any((q_norm == b) & (b > 0.0))
     regimes = np.concatenate([classify_regime(model.contact_states(row)) for row in stack])
     assert set(regimes.tolist()) == {0, 1, 2}
-    assert np.any(np.isfinite(model._dir_p))
+    assert np.any(np.isfinite(model._fixed))
 
 
 # ---------------------------------------------------------------------------
