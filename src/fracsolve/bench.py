@@ -161,14 +161,17 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[ResultRow]:
     return rows
 
 
-def emit_csv(rows: list[ResultRow], path: str) -> None:
+def _csv_text(rows: list[ResultRow]) -> str:
     if not rows:
         raise ValueError("no rows to emit")
-    lines = [CSV_SCHEMA_COMMENT, CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(str(getattr(r, name)) for name in CSV_COLUMNS))
+    lines = [",".join(str(getattr(r, name)) for name in CSV_COLUMNS) for r in rows]
+    return "\n".join([CSV_SCHEMA_COMMENT, CSV_HEADER] + lines) + "\n"
+
+
+def emit_csv(rows: list[ResultRow], path: str) -> None:
+    text = _csv_text(rows)
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text)
 
 
 def _cell_text(row: ResultRow) -> str:
@@ -244,16 +247,18 @@ def main(argv: list[str] | None = None) -> int:
                 fields[field.name] = tuple(value) if field.name in SWEEP_AXES else value
         spec = SweepSpec(**fields)
         workers = _worker_count(args.workers)
-    except ValueError as exc:
+        out = open(spec.output_path, "w")  # before any cell: a bad path costs no solve
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    rows = run_sweep(spec, workers=workers)
-    try:
-        emit_csv(rows, spec.output_path)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with out:
+        try:
+            rows = run_sweep(spec, workers=workers)
+            out.write(_csv_text(rows))
+        except BaseException:
+            os.remove(spec.output_path)  # a failed sweep leaves no partial CSV
+            raise
 
     if not args.no_table:
         print(emit_table(rows))

@@ -22,9 +22,10 @@ tangential, zero on cells open at the reference iterate), and
 ``transition_values`` turns a sign change along a Newton direction into a
 per-cell damping signal.
 
-Sign conventions: a negative normal traction is compressive; the slip
-increment of a consistently sliding cell is a nonnegative multiple of the
-tangential traction.
+Every model solves one implicit step from rest, so a cell's tangential jump is
+also its slip in the step. Sign conventions: a negative normal traction is
+compressive; the tangential jump of a consistently sliding cell is a
+nonnegative multiple of the tangential traction.
 """
 
 from __future__ import annotations
@@ -76,32 +77,24 @@ class ContactStates:
     Shapes are ``(n,)`` for the normal components and ``(n, 2)`` for the
     tangential ones; the complementarity residuals also take the states of a
     stack of points, ``(k, n)`` and ``(k, n, 2)``. Tractions are scaled
-    (dimensionless); the jumps are physical displacements in meters.
-    ``previous_tangential_jump`` is the converged value of the preceding time
-    step, so the tangential slip increment is ``tangential_jump -
-    previous_tangential_jump``. The arrays are read-only views; the caller's
-    arrays are not copied. ``params`` and ``weight``, the complementarity
-    weight, are the contact law every kernel here reads from the states.
+    (dimensionless); the jumps are physical displacements in meters. The
+    arrays are read-only views; the caller's arrays are not copied.
+    ``params`` and ``weight``, the complementarity weight, are the contact law
+    every kernel here reads from the states.
     """
 
     normal_traction: np.ndarray
     tangential_traction: np.ndarray
     normal_jump: np.ndarray
     tangential_jump: np.ndarray
-    previous_tangential_jump: np.ndarray
     params: ContactParameters
     weight: float
 
     def __post_init__(self):
-        for name in ("normal_traction", "tangential_traction", "normal_jump",
-                     "tangential_jump", "previous_tangential_jump"):
+        for name in ("normal_traction", "tangential_traction", "normal_jump", "tangential_jump"):
             view = np.asarray(getattr(self, name), dtype=float).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    @property
-    def slip_increment(self) -> np.ndarray:
-        return self.tangential_jump - self.previous_tangential_jump
 
 
 class ContactRegime(enum.IntEnum):
@@ -148,7 +141,7 @@ def normal_indicator(states: ContactStates) -> np.ndarray:
 def _slip_drive(states: ContactStates):
     """Friction bound ``b``, shape ``(n,)``, and slip drive ``q``, shape ``(n, 2)``."""
     b = friction_bound(states.normal_traction, states.params.friction_coefficient)
-    return b, states.tangential_traction + states.weight * states.slip_increment
+    return b, states.tangential_traction + states.weight * states.tangential_jump
 
 
 def normal_complementarity(states: ContactStates) -> np.ndarray:
@@ -165,8 +158,8 @@ def tangential_complementarity(states: ContactStates) -> np.ndarray:
 
     On an open cell (friction bound <= 0) this is the tangential traction
     itself. On a closed cell the residual vanishes exactly for stick (zero
-    slip increment, traction within the bound) and for consistent slide
-    (traction at the bound, slip increment a nonnegative multiple of it).
+    tangential jump, traction within the bound) and for consistent slide
+    (traction at the bound, tangential jump a nonnegative multiple of it).
     """
     b, q = _slip_drive(states)
     b = b[..., None]
@@ -196,7 +189,6 @@ def contact_generalized_derivative(states: ContactStates) -> np.ndarray:
     c = float(states.weight)
     sig_t = states.tangential_traction
     u_t = states.tangential_jump
-    slip = states.slip_increment
     eye = np.eye(2)
 
     D = np.zeros(states.normal_traction.shape + (3, 6))
@@ -229,8 +221,8 @@ def contact_generalized_derivative(states: ContactStates) -> np.ndarray:
     D[sliding, 1:3, 1:3] = n_s[:, None, None] * eye + outer - b_s * eye
     D[sliding, 1:3, 4:6] = c * (outer - b_s * eye)
 
-    # Sticking branch: residual reduces to -b * c * slip increment.
-    D[sticking, 1:3, 0] = F * c * slip[sticking]
+    # Sticking branch: residual reduces to -b * c * tangential jump.
+    D[sticking, 1:3, 0] = F * c * u_t[sticking]
     D[sticking, 1:3, 4:6] = (-b[sticking] * c)[:, None, None] * eye
     return D
 

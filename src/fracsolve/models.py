@@ -13,6 +13,8 @@ All model construction is deterministic: multi-fracture geometries derive from
 an integer seed, and the first fractures of a larger family coincide with the
 smaller family at the same seed. A constructor describes the whole problem,
 boundary values and flow field included; the physics only picks the unknowns.
+Each model is one implicit step of ``TIME_STEP`` from rest (zero jumps,
+pressures and temperatures), so an evaluation reads nothing but its ``x``.
 
 Unknown layout (n fracture cells, numbered fracture by fracture and row-major
 within each grid): scaled traction (3 per cell, local frame [normal,
@@ -185,7 +187,7 @@ class FractureAssembly:
     construction: its sorted CSC pattern, the constant force-balance entries
     (identity, influence operator, Biot and thermal columns), and the slot in
     ``data`` of every contribution that changes with the iterate. ``scales``
-    is read there too; the previous-step fields are read at every evaluation.
+    is read there too.
     """
 
     def __init__(self, fractures: list[Fracture], params: ContactParameters,
@@ -198,9 +200,6 @@ class FractureAssembly:
         sizes = [fr.n_cells for fr in fractures]
         self._starts = np.cumsum([0] + sizes[:-1])
         self.n_cells = sum(sizes)
-        self.previous_jump = np.zeros((self.n_cells, 3))
-        self.previous_pressure = np.zeros(self.n_cells)     # scaled
-        self.previous_temperature = np.zeros(self.n_cells)  # scaled
 
         # Grid edges in global cell indices, fracture by fracture; the
         # influence operator and the flow rows share them.
@@ -283,8 +282,7 @@ class FractureAssembly:
         """Read-only per-cell views of the tractions and jumps in ``x``, with the contact law."""
         traction, jump, _, _ = self.split(x)
         return ContactStates(traction[..., 0], traction[..., 1:3], jump[..., 0], jump[..., 1:3],
-                             self.previous_jump[:, 1:3], self.params,
-                             self.scales.complementarity_weight)
+                             self.params, self.scales.complementarity_weight)
 
     def initial_guess(self) -> np.ndarray:
         """Zero jumps and reference pressures/temperatures, seeded tractions.
@@ -459,17 +457,16 @@ class FractureAssembly:
 
     def _mass_rows(self, jump, pressure, temperature) -> np.ndarray:
         apertures = self._apertures(jump)
-        prev_ap = self._apertures(self.previous_jump)
         rows = np.zeros(apertures.shape)
 
         # Storage: aperture change plus compressibility/thermal expansion of
-        # the resident fluid, per unit time.
-        rows += self._areas * (apertures - prev_ap) / TIME_STEP
+        # the resident fluid over the step from rest, per unit time.
+        rows += self._areas * (apertures - self.params.residual_aperture) / TIME_STEP
         rows += self._areas * apertures * FLUID_COMPRESSIBILITY \
-            * PRESSURE_SCALE * (pressure - self.previous_pressure) / TIME_STEP
+            * PRESSURE_SCALE * pressure / TIME_STEP
         if temperature is not None:
             rows -= self._areas * apertures * FLUID_THERMAL_EXPANSION \
-                * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / TIME_STEP
+                * TEMPERATURE_SCALE * temperature / TIME_STEP
 
         _, floored, drop = self._edge_terms(apertures, pressure)
         flux = transmissibility(floored) * PRESSURE_SCALE * drop
@@ -481,8 +478,7 @@ class FractureAssembly:
         rows = np.zeros(apertures.shape)
 
         heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
-        rows += self._areas * apertures * heat * TEMPERATURE_SCALE \
-            * (temperature - self.previous_temperature) / TIME_STEP
+        rows += self._areas * apertures * heat * TEMPERATURE_SCALE * temperature / TIME_STEP
 
         _, floored, drop = self._edge_terms(apertures, temperature)
         conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE * drop
@@ -520,12 +516,10 @@ class FractureAssembly:
         area, dt = self._areas, TIME_STEP
         apertures = self._apertures(jump)
 
-        storage_u = area / dt + area * FLUID_COMPRESSIBILITY * PRESSURE_SCALE \
-            * (pressure - self.previous_pressure) / dt
+        storage_u = area / dt + area * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * pressure / dt
         storage = [storage_u, area * apertures * FLUID_COMPRESSIBILITY * PRESSURE_SCALE / dt]
         if temperature is not None:
-            storage_u -= area * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE \
-                * (temperature - self.previous_temperature) / dt
+            storage_u -= area * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE * temperature / dt
             storage.append(-area * apertures * FLUID_THERMAL_EXPANSION * TEMPERATURE_SCALE / dt)
 
         mean, floored, drop = self._edge_terms(apertures, pressure)
@@ -545,7 +539,7 @@ class FractureAssembly:
         heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
         apertures = self._apertures(jump)
         storage_T = area * apertures * heat * TEMPERATURE_SCALE / dt
-        storage_u = area * heat * TEMPERATURE_SCALE * (temperature - self.previous_temperature) / dt
+        storage_u = area * heat * TEMPERATURE_SCALE * temperature / dt
 
         mean, floored, drop = self._edge_terms(apertures, temperature)
         cond = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE

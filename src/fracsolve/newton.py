@@ -138,6 +138,12 @@ class NewtonReport:
         return seq[-1] if seq else float("inf")
 
 
+def _squared_norm(vector: np.ndarray) -> float:
+    """``vector @ vector``: inf past the float range, without an overflow warning."""
+    with np.errstate(over="ignore"):
+        return float(vector @ vector)
+
+
 def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:
     """Direct factorization solve with a residual check.
 
@@ -170,8 +176,8 @@ def _run_search(model, x: np.ndarray, step: np.ndarray, residual_now: np.ndarray
     if strategy is Strategy.RESIDUAL:
         def objective(alphas: np.ndarray) -> np.ndarray:
             stacked = model.residual(x + alphas[:, None] * step)
-            return np.array([0.5 * float(row @ row) for row in stacked])
-        reference = 0.5 * float(residual_now @ residual_now)
+            return np.array([0.5 * _squared_norm(row) for row in stacked])
+        reference = 0.5 * _squared_norm(residual_now)
         return search_residual(objective, reference)
 
     # No search, or a constraint strategy on a contactless model: the full step.
@@ -203,7 +209,7 @@ def solve(model, x0: np.ndarray | None = None,
                           trace=[IterationRecord(scale=scale)])
     try:
         residual = model.residual(x)
-        norm0 = float(np.linalg.norm(residual))
+        norm0 = float(np.sqrt(_squared_norm(residual)))
         if not np.isfinite(norm0):
             raise Diverged("non-finite initial residual")
         report.trace[0].residual_norm = norm0 / sqrt_n
@@ -212,7 +218,7 @@ def solve(model, x0: np.ndarray | None = None,
             record = IterationRecord()
             report.trace.append(record)
             step = linear_solve(model.jacobian(x), -residual)
-            record.increment_norm = float(np.linalg.norm(step)) / sqrt_n
+            record.increment_norm = float(np.sqrt(_squared_norm(step))) / sqrt_n
 
             record.search = _run_search(model, x, step, residual, options.line_search,
                                         scale, contact)
@@ -222,7 +228,7 @@ def solve(model, x0: np.ndarray | None = None,
                 record.census = tuple(np.bincount(regimes, minlength=3).tolist())
 
             residual = model.residual(x)
-            norm = float(np.linalg.norm(residual))
+            norm = float(np.sqrt(_squared_norm(residual)))
             if not np.isfinite(norm) or not np.all(np.isfinite(x)):
                 raise Diverged("non-finite residual or iterate")
             if norm > DIVERGENCE_FACTOR * max(norm0, 1e-300):

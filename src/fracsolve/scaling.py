@@ -60,17 +60,19 @@ def cell_scale_estimate(states: ContactStates) -> np.ndarray:
 
     Sum of the scaled traction norm and the weighted norm of the jump with
     the dilation gap removed along the normal. Both terms are dimensionless
-    and O(1) when the characteristic displacement is well chosen.
+    and O(1) when the characteristic displacement is well chosen. A cell
+    past the float range estimates inf, without an overflow warning.
     """
     # float_power squares through the C library's pow, exactly like Python's
     # float ** in the per-cell reference formula; numpy's ** multiplies,
     # which differs from it in the last bit on ~0.1% of cells.
     sig_t = states.tangential_traction
     u_t = states.tangential_jump
-    traction_norm = np.sqrt(np.float_power(states.normal_traction, 2) + np.vecdot(sig_t, sig_t))
-    g = gap(u_t, states.params.dilation_angle)
-    jump_norm = np.sqrt(np.float_power(states.normal_jump - g, 2) + np.vecdot(u_t, u_t))
-    return traction_norm + states.weight * jump_norm
+    with np.errstate(over="ignore"):
+        traction_sq = np.float_power(states.normal_traction, 2) + np.vecdot(sig_t, sig_t)
+        g = gap(u_t, states.params.dilation_angle)
+        jump_sq = np.float_power(states.normal_jump - g, 2) + np.vecdot(u_t, u_t)
+        return np.sqrt(traction_sq) + states.weight * np.sqrt(jump_sq)
 
 
 def p_mean_scale(values) -> float:
@@ -78,12 +80,12 @@ def p_mean_scale(values) -> float:
     to [1e-8, 1e8].
 
     The mean sits between the smallest and largest input and leans toward the
-    maximum, so a few large cells set the scale without a hard max.
+    maximum, so a few large cells set the scale without a hard max. An
+    infinite estimate, or a power past the float range, gives the ceiling.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ValueError("need at least one cell estimate")
-    if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
-        raise ValueError("cell estimates must be finite and nonnegative")
-    mean = float(np.mean(vals ** P_MEAN_EXPONENT) ** (1.0 / P_MEAN_EXPONENT))
+    if vals.size == 0 or not np.all(vals >= 0.0):
+        raise ValueError("need one or more cell estimates, each nonnegative and not NaN")
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(vals ** P_MEAN_EXPONENT) ** (1.0 / P_MEAN_EXPONENT))
     return float(min(max(mean, SCALE_FLOOR), SCALE_CEILING))

@@ -340,7 +340,7 @@ def residual(model, x):
     r[0:3 * n] = force.ravel()
 
     states = ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
-                           model.previous_jump[:, 1:3], model.params, weight)
+                           model.params, weight)
     contact = r[3 * n:6 * n].reshape(n, 3)
     contact[:, 0] = normal_complementarity(states)
     contact[:, 1:3] = tangential_complementarity(states)
@@ -353,15 +353,13 @@ def residual(model, x):
 
 def _mass_rows(model, jump, pressure, temperature):
     apertures = model.params.residual_aperture + jump[:, 0]
-    prev_ap = model.params.residual_aperture + model.previous_jump[:, 0]
     rows = np.zeros(model.n_cells)
     dt = TIME_STEP
-    rows += model._areas * (apertures - prev_ap) / dt
-    rows += model._areas * apertures * FLUID_COMPRESSIBILITY \
-        * PRESSURE_SCALE * (pressure - model.previous_pressure) / dt
+    rows += model._areas * (apertures - model.params.residual_aperture) / dt
+    rows += model._areas * apertures * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * pressure / dt
     if temperature is not None:
         rows -= model._areas * apertures * FLUID_THERMAL_EXPANSION \
-            * TEMPERATURE_SCALE * (temperature - model.previous_temperature) / dt
+            * TEMPERATURE_SCALE * temperature / dt
     a, b = model._edge_a, model._edge_b
     mean = 0.5 * (apertures[a] + apertures[b])
     flux = transmissibility(np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)) \
@@ -378,8 +376,7 @@ def _energy_rows(model, jump, temperature):
     apertures = model.params.residual_aperture + jump[:, 0]
     rows = np.zeros(model.n_cells)
     heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
-    rows += model._areas * apertures * heat * TEMPERATURE_SCALE \
-        * (temperature - model.previous_temperature) / TIME_STEP
+    rows += model._areas * apertures * heat * TEMPERATURE_SCALE * temperature / TIME_STEP
     a, b = model._edge_a, model._edge_b
     mean = 0.5 * (apertures[a] + apertures[b])
     floored = np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)

@@ -80,7 +80,7 @@ def _branch_margin(model, x):
     g = gap(st.tangential_jump, params.dilation_angle)
     reach = -st.normal_traction - w * (st.normal_jump - g)
     b = friction_bound(st.normal_traction, params.friction_coefficient)
-    q = st.tangential_traction + w * st.slip_increment
+    q = st.tangential_traction + w * st.tangential_jump
     return float(np.min([np.abs(reach), np.abs(b), np.abs(np.linalg.norm(q, axis=1) - b),
                          np.linalg.norm(st.tangential_jump, axis=1)]))
 
@@ -150,7 +150,7 @@ def test_criterion_01_complementarity_kkt_equivalence(criterion_verdict):
             state = ContactStates(
                 normal_traction=np.array([a]), tangential_traction=np.array([[b, 0.0]]),
                 normal_jump=np.array([d]), tangential_jump=np.array([[c, 0.0]]),
-                previous_tangential_jump=np.zeros((1, 2)), params=params, weight=WEIGHT)
+                params=params, weight=WEIGHT)
             cn_o, ct_o = _oracle_complementarity(
                 np.array([a]), np.array([b]), np.array([d]), np.array([c]))
             assert normal_complementarity(state)[0] == cn_o[0]

@@ -265,6 +265,17 @@ def test_main_rejects_a_bad_axis_value_before_any_solve(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_main_rejects_an_unwritable_output_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(cell):
+        raise AssertionError(f"cell {cell} solved before the output was opened")
+
+    monkeypatch.setattr(fracsolve.bench, "solve_cell", no_solve)
+    code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2", "--uc", "0.01",
+                 "--out", str(tmp_path / "missing" / "x.csv"), "--workers", "1", "--no-table"])
+    assert code == 1
+    assert "error: [Errno 2] No such file or directory" in capsys.readouterr().err
+
+
 def test_main_does_not_report_a_solve_fault_as_a_usage_error(tmp_path, capsys, monkeypatch):
     # a model that cannot be built is a usage error (exit 1, above); an
     # exception from inside a solve is a fault and names its sweep cell

@@ -22,15 +22,13 @@ PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
 DILATING = ContactParameters(friction_coefficient=1.0, dilation_angle=0.1)
 
 
-def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), ut_prev=(0.0, 0.0),
-               params=PARAMS, weight=1.0):
+def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), params=PARAMS, weight=1.0):
     """States of a single cell; kernels return arrays with one row."""
     return ContactStates(
         normal_traction=np.array([sn], dtype=float),
         tangential_traction=np.array([st], dtype=float),
         normal_jump=np.array([un], dtype=float),
         tangential_jump=np.array([ut], dtype=float),
-        previous_tangential_jump=np.array([ut_prev], dtype=float),
         params=params,
         weight=weight,
     )
@@ -216,7 +214,7 @@ def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
         g = gap(state.tangential_jump[0], params.dilation_angle)
         reach = -state.normal_traction[0] - weight * (state.normal_jump[0] - g)
         b = friction_bound(state.normal_traction[0], params.friction_coefficient)
-        q = state.tangential_traction[0] + weight * state.slip_increment[0]
+        q = state.tangential_traction[0] + weight * state.tangential_jump[0]
         dist = min(abs(reach), abs(b), abs(float(np.linalg.norm(q)) - b),
                    float(np.linalg.norm(state.tangential_jump[0])))
         if dist > margin:
@@ -226,7 +224,6 @@ def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
 def _fd_derivative(state, h=1e-7):
     def residual(vec):
         s = make_state(sn=vec[0], st=vec[1:3], un=vec[3], ut=vec[4:6],
-                       ut_prev=state.previous_tangential_jump[0],
                        params=state.params, weight=state.weight)
         return np.concatenate([
             normal_complementarity(s),
@@ -283,15 +280,9 @@ def test_parameters_validated():
         ContactParameters(residual_aperture=np.inf)
 
 
-def test_slip_increment_uses_previous_jump():
-    state = make_state(ut=(0.5, 0.2), ut_prev=(0.1, 0.2))
-    np.testing.assert_allclose(state.slip_increment[0], [0.4, 0.0])
-
-
 def test_states_are_read_only_views():
     jump = np.zeros((4, 2))
-    states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, np.zeros((4, 2)),
-                           PARAMS, 1.0)
+    states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, PARAMS, 1.0)
     assert states.normal_traction.shape == (4,)
     assert np.shares_memory(states.tangential_jump, jump)
     with pytest.raises(ValueError):

@@ -25,9 +25,8 @@ PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
 
 def _states(sn, st, un, ut, params=PARAMS, weight=1.0):
     """States of several cells from per-cell sequences."""
-    st = np.asarray(st, float)
-    return ContactStates(np.asarray(sn, float), st, np.asarray(un, float),
-                         np.asarray(ut, float), np.zeros_like(st), params, weight)
+    return ContactStates(np.asarray(sn, float), np.asarray(st, float), np.asarray(un, float),
+                         np.asarray(ut, float), params, weight)
 
 
 def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), params=PARAMS, weight=1.0):

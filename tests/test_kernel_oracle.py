@@ -5,8 +5,9 @@ derivative, indicators and magnitude estimate one cell at a time, with Python
 scalars and 2-vectors, in the same operation order as the formulas in the
 module docstrings. The shipped kernels evaluate all cells at once; the two
 must agree bit for bit (NaN where NaN), on random states and on the edge
-cases where branches tie, the slip or the gap subgradient vanishes, the
-friction bound is zero, or entries are not finite.
+cases where branches tie, the tangential jump (the step's slip, and with it
+the gap subgradient) vanishes, the friction bound is zero, or entries are not
+finite.
 """
 
 import numpy as np
@@ -26,7 +27,7 @@ from fracsolve.contact import (
 from fracsolve.scaling import cell_scale_estimate
 
 # ---------------------------------------------------------------------------
-# scalar oracle: one cell is (sn, st, un, ut, ut_prev), floats and 2-vectors
+# scalar oracle: one cell is (sn, st, un, ut), floats and 2-vectors
 
 
 def _gap(ut, params):
@@ -34,36 +35,35 @@ def _gap(ut, params):
 
 
 def oracle_normal(cell, params, weight):
-    sn, _, un, ut, _ = cell
+    sn, _, un, ut = cell
     reach = -sn - weight * (un - _gap(ut, params))
     return -sn - max(0.0, reach)
 
 
 def oracle_tangential(cell, params, weight):
-    sn, st, _, ut, ut_prev = cell
+    sn, st, _, ut = cell
     b = -params.friction_coefficient * sn
     if b <= 0.0:
         return st.copy()
-    q = st + weight * (ut - ut_prev)
+    q = st + weight * ut
     return st * max(b, float(np.linalg.norm(q))) - b * q
 
 
 def oracle_regime(cell, params, weight):
-    sn, st, _, ut, ut_prev = cell
+    sn, st, _, ut = cell
     b = -params.friction_coefficient * sn
     if b <= 0.0:
         return ContactRegime.OPEN
-    q = st + weight * (ut - ut_prev)
+    q = st + weight * ut
     if float(np.linalg.norm(q)) > b:
         return ContactRegime.SLIDING
     return ContactRegime.STICKING
 
 
 def oracle_derivative(cell, params, weight):
-    sn, st, un, ut, ut_prev = cell
+    sn, st, un, ut = cell
     F = params.friction_coefficient
     c = float(weight)
-    slip = ut - ut_prev
     D = np.zeros((3, 6))
 
     ut_norm = float(np.linalg.norm(ut))
@@ -82,7 +82,7 @@ def oracle_derivative(cell, params, weight):
     if b <= 0.0:
         D[1:3, 1:3] = np.eye(2)
         return D
-    q = st + c * slip
+    q = st + c * ut
     q_norm = float(np.linalg.norm(q))
     if q_norm >= b:
         q_hat = q / q_norm if q_norm > 0.0 else np.zeros(2)
@@ -90,27 +90,27 @@ def oracle_derivative(cell, params, weight):
         D[1:3, 1:3] = q_norm * np.eye(2) + np.outer(st, q_hat) - b * np.eye(2)
         D[1:3, 4:6] = c * (np.outer(st, q_hat) - b * np.eye(2))
     else:
-        D[1:3, 0] = F * c * slip
+        D[1:3, 0] = F * c * ut
         D[1:3, 4:6] = -b * c * np.eye(2)
     return D
 
 
 def oracle_normal_indicator(cell, params, weight):
-    sn, _, un, ut, _ = cell
+    sn, _, un, ut = cell
     return -sn - weight * (un - _gap(ut, params))
 
 
 def oracle_tangential_indicator(cell, params, weight, active):
     if not active:
         return 0.0
-    sn, st, _, ut, ut_prev = cell
+    sn, st, _, ut = cell
     b = -params.friction_coefficient * sn
-    q = st + weight * (ut - ut_prev)
+    q = st + weight * ut
     return float(np.linalg.norm(q)) - b
 
 
 def oracle_scale_estimate(cell, params, weight):
-    sn, st, un, ut, _ = cell
+    sn, st, un, ut = cell
     traction_norm = float(np.sqrt(sn ** 2 + float(st @ st)))
     jump_norm = float(np.sqrt((un - _gap(ut, params)) ** 2 + float(ut @ ut)))
     return traction_norm + weight * jump_norm
@@ -121,29 +121,31 @@ def oracle_scale_estimate(cell, params, weight):
 
 
 def _random_columns(rng, n):
-    """(n, 8) columns sn, st1, st2, un, ut1, ut2, ut_prev1, ut_prev2."""
-    cols = rng.uniform(-2.0, 2.0, (n, 8))
-    cols[:, 3:8] *= 10.0 ** rng.integers(-3, 1, (n, 1))   # jumps of several magnitudes
+    """(n, 6) columns sn, st1, st2, un, ut1, ut2."""
+    cols = rng.uniform(-2.0, 2.0, (n, 6))
+    cols[:, 3:6] *= 10.0 ** rng.integers(-3, 1, (n, 1))   # jumps of several magnitudes
     return cols
 
 
 def _edge_columns(rng, n):
-    """Exact branch ties, zero slip, zero jump, zero bound and non-finite entries."""
+    """Exact branch ties, zero tangential jump, zero bound and non-finite entries."""
     cols = _random_columns(rng, 6 * n)
     k = 2.0 ** rng.integers(-4, 4, n)
     zero = np.zeros(n)
-    # ||q|| == b exactly at zero slip: st = (3k, 4k) or (-4k, 3k), sn = -5k, F = 1
-    blocks = [np.column_stack([-5 * k, 3 * k, 4 * k, cols[:n, 3], cols[:n, 4], cols[:n, 5],
-                               cols[:n, 4], cols[:n, 5]]),
-              np.column_stack([-5 * k, -4 * k, 3 * k, cols[n:2 * n, 3], zero, zero, zero, zero])]
+    # ||q|| == b exactly with sn = -5k and F = 1: q = st = (3k, 4k) at zero
+    # tangential jump, and q = (-4k, 3k) at a nonzero dyadic jump ut when the
+    # weight is 2, from st = (-4k, 3k) - 2 ut (every sum exact)
+    ut = k[:, None] * rng.integers(-4, 5, (n, 2)) / 4.0
+    blocks = [np.column_stack([-5 * k, 3 * k, 4 * k, cols[:n, 3], zero, zero]),
+              np.column_stack([-5 * k, -4 * k - 2 * ut[:, 0], 3 * k - 2 * ut[:, 1],
+                               cols[n:2 * n, 3], ut])]
     # reach == 0 exactly without dilation: un = -sn / w with w a power of two
     ties = cols[2 * n:3 * n].copy()
     ties[:, 3] = -ties[:, 0] / 2.0
     blocks.append(ties)
-    # zero slip, and zero tangential jump (the gap subgradient)
+    # zero tangential jump: zero slip and the gap subgradient's kink
     stuck = cols[3 * n:4 * n].copy()
-    stuck[:, 6:8] = stuck[:, 4:6]
-    stuck[::2, 4:8] = 0.0
+    stuck[::2, 4:6] = 0.0
     blocks.append(stuck)
     # zero friction bound, with both signs of zero
     unloaded = cols[4 * n:5 * n].copy()
@@ -158,13 +160,11 @@ def _edge_columns(rng, n):
 
 
 def _states(cols, params, weight):
-    return ContactStates(cols[:, 0], cols[:, 1:3], cols[:, 3], cols[:, 4:6], cols[:, 6:8],
-                         params, weight)
+    return ContactStates(cols[:, 0], cols[:, 1:3], cols[:, 3], cols[:, 4:6], params, weight)
 
 
 def _cells(cols):
-    return [(float(r[0]), r[1:3].copy(), float(r[3]), r[4:6].copy(), r[6:8].copy())
-            for r in cols]
+    return [(float(r[0]), r[1:3].copy(), float(r[3]), r[4:6].copy()) for r in cols]
 
 
 RNG = np.random.default_rng(2024)
@@ -206,6 +206,7 @@ def test_edge_inputs_hit_every_tie():
     q_minus_b = np.array([oracle_tangential_indicator(c, params, 2.0, True) for c in cells])
     assert np.sum(reach == 0.0) >= 400
     assert np.sum(q_minus_b == 0.0) >= 800
+    assert np.sum((q_minus_b == 0.0) & np.any(EDGES[:, 4:6] != 0.0, axis=1)) >= 300
     assert np.sum(EDGES[:, 0] == 0.0) >= 400
     assert np.sum(np.all(EDGES[:, 4:6] == 0.0, axis=1)) >= 200
     assert np.sum(~np.isfinite(EDGES)) > 0

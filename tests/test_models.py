@@ -204,7 +204,7 @@ def _branch_margin(model, x):
     g = gap(st.tangential_jump, params.dilation_angle)
     reach = -st.normal_traction - w * (st.normal_jump - g)
     b = friction_bound(st.normal_traction, params.friction_coefficient)
-    q = st.tangential_traction + w * st.slip_increment
+    q = st.tangential_traction + w * st.tangential_jump
     return float(np.min([np.abs(reach), np.abs(b), np.abs(np.linalg.norm(q, axis=1) - b),
                          np.linalg.norm(st.tangential_jump, axis=1)]))
 

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import fracsolve.linesearch
-from fracsolve.contact import friction_bound, gap
+from fracsolve.contact import ContactParameters, ContactStates, friction_bound, gap
 from fracsolve.linesearch import (
     ALPHA_MIN,
     MAX_TIGHTENINGS,
@@ -31,7 +31,7 @@ from fracsolve.newton import (
     linear_solve,
     solve,
 )
-from fracsolve.scaling import P_MEAN_EXPONENT
+from fracsolve.scaling import P_MEAN_EXPONENT, SCALE_CEILING
 
 ALL_STRATEGIES = ("none", "residual", "constraint-const", "constraint-adaptive")
 
@@ -229,21 +229,41 @@ class SingularModel:
         return np.zeros(1)
 
 
+class TinyJacobianModel:
+    """x = 1 with a 1e-170 Jacobian: the first step's norm is past the float range."""
+
+    def residual(self, x):
+        return x - 1.0
+
+    def jacobian(self, x):
+        return 1e-170 * np.eye(2)
+
+    def initial_guess(self):
+        return np.zeros(2)
+
+
 # Each way a run diverges: model, initial point, strategy, iterations, lengths
 # of the residual, increment, alpha and scale histories, the fields the last
 # trace record holds, and reason. The scale of an iteration that diverges
 # after its update is not recorded. In the blow-up, |cbrt(x)| grows by
 # 2 ** (1/3) per step and passes 1e10 at step 100, the last one the iteration
-# cap allows.
+# cap allows. Norms and squares past the float range are inf, and no
+# overflow warning leaves the run.
 DIVERGENCE_EXITS = {
     "initial-residual": (LinearModel(), np.full(8, np.nan), "none", 0, (0, 0, 0, 1),
                          {"scale"}, "non-finite initial residual"),
+    "overflowing-initial-residual": (LinearModel(), np.full(8, 1e160), "none", 0, (0, 0, 0, 1),
+                                     {"scale"}, "non-finite initial residual"),
     "linear-solve": (SingularModel(), None, "none", 0, (1, 0, 0, 1),
                      set(), "linear solve failed: "),
     "search": (BlowupModel(), None, "residual", 0, (1, 1, 0, 1),
                {"increment_norm"}, "residual objective non-finite at every trial step"),
     "non-finite-update": (BlowupModel(), None, "none", 1, (1, 1, 1, 1),
                           {"increment_norm", "search"}, "non-finite residual or iterate"),
+    "overflowing-step": (TinyJacobianModel(), None, "none", 1, (1, 1, 1, 1),
+                         {"increment_norm", "search"}, "non-finite residual or iterate"),
+    "overflowing-trials": (TinyJacobianModel(), None, "residual", 0, (1, 1, 0, 1),
+                           {"increment_norm"}, "residual objective non-finite at every trial step"),
     "blow-up": (CubeRootModel(), None, "none", 100, (100, 100, 100, 100),
                 {"increment_norm", "search"}, "residual grew past 1e+10 of initial"),
 }
@@ -270,6 +290,38 @@ def test_every_divergence_exit_reports_its_state(exit_name):
     else:
         assert report.divergence_reason == reason
     assert report.x is not None
+
+
+class LoadedContactModel:
+    """x = 1 with an identity Jacobian; every cell carries the normal traction ``sn``."""
+
+    def __init__(self, sn):
+        self.sn = sn
+
+    def residual(self, x):
+        return x - 1.0
+
+    def jacobian(self, x):
+        return np.eye(4)
+
+    def initial_guess(self):
+        return np.zeros(4)
+
+    def contact_states(self, x):
+        zeros = np.zeros(x.shape + (2,))
+        return ContactStates(np.full(x.shape, self.sn), zeros, x, zeros, ContactParameters(), 1.0)
+
+    def fracture_cells(self):
+        return [np.arange(4)]
+
+
+@pytest.mark.parametrize("sn", [-1e70, -1e200, -np.inf])
+def test_scale_estimate_past_the_float_range_is_the_ceiling(sn):
+    # an estimate or its fifth power past the float range takes the ceiling
+    # and ends no run, even under the RuntimeWarning error policy
+    report = solve(LoadedContactModel(sn), options=_options("constraint-adaptive"))
+    assert report.status is SolveStatus.CONVERGED
+    assert report.scale_history == [1.0] + [SCALE_CEILING] * report.iterations
 
 
 def test_failed_constraint_root_search_is_reported_as_divergence(monkeypatch):
@@ -378,7 +430,7 @@ def _kkt_ok(states, tol=1e-8):
     params = states.params
     g = gap(states.tangential_jump, params.dilation_angle)
     b = friction_bound(states.normal_traction, params.friction_coefficient)
-    slip = states.slip_increment
+    slip = states.tangential_jump
     penetration = states.normal_jump - g
     traction_norm = np.linalg.norm(states.tangential_traction, axis=1)
     slip_norm = np.linalg.norm(slip, axis=1)

@@ -42,7 +42,7 @@ def test_scales_reject_nonpositive_inputs():
 def _state(params, weight, sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0)):
     """States of a single cell; the estimate is an array with one entry."""
     return ContactStates(np.array([sn], float), np.array([st], float), np.array([un], float),
-                         np.array([ut], float), np.zeros((1, 2)), params, weight)
+                         np.array([ut], float), params, weight)
 
 
 def test_cell_estimate_zero_state():
@@ -84,7 +84,9 @@ def test_p_mean_clamped_below():
 
 
 def test_p_mean_clamped_above():
-    assert p_mean_scale([1e20]) == SCALE_CEILING
+    # an infinite estimate, or a fifth power past the float range, too
+    for values in ([1e20], [1e70], [1.0, np.inf]):
+        assert p_mean_scale(values) == SCALE_CEILING
 
 
 def test_p_mean_between_min_and_max():
@@ -119,3 +121,5 @@ def test_p_mean_rejects_bad_input():
         p_mean_scale([1.0, -0.5])
     with pytest.raises(ValueError):
         p_mean_scale([1.0, np.nan])
+    with pytest.raises(ValueError):
+        p_mean_scale([1.0, -np.inf])

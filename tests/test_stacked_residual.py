@@ -21,7 +21,7 @@ from fracsolve.contact import classify_regime, normal_indicator
 from fracsolve.linesearch import Strategy
 from fracsolve.models import PRESET_NAMES, Physics, preset
 from fracsolve.newton import ConvergenceCriterion, CriterionKind, NewtonOptions, solve
-from test_assembly_oracle import hand_built, random_iterate, with_previous_step
+from test_assembly_oracle import hand_built, random_iterate
 
 U_C = (1e-4, 1e-2, 1.0)
 
@@ -68,7 +68,6 @@ def test_random_stacks_equal_per_point_residual(name, u_c):
     for k in (1, 2, 5):
         for stack in _layouts(_random_stack(model, rng, k)).values():
             assert_rows_equal_oracle(model, stack)
-    with_previous_step(model, rng)
     assert_rows_equal_oracle(model, _random_stack(model, rng, 5))
 
 
@@ -121,14 +120,14 @@ def test_branch_ties_and_dirichlet_cells(name):
         tie = pick >= 2
         traction[tie, 0] = -1.0 / params.friction_coefficient
         traction[tie, 1:3] = [0.0, -1.0]
-        jump[tie, 1:3] = model.previous_jump[tie, 1:3]
+        jump[tie, 1:3] = 0.0
     assert_rows_equal_oracle(model, stack)
 
     # the ties are really on the boundaries, and every regime is present
     states = model.contact_states(stack)
     assert np.any(normal_indicator(states) == 0.0)
     b = -params.friction_coefficient * states.normal_traction
-    q_norm = np.linalg.norm(states.tangential_traction + weight * states.slip_increment, axis=-1)
+    q_norm = np.linalg.norm(states.tangential_traction + weight * states.tangential_jump, axis=-1)
     assert np.any((q_norm == b) & (b > 0.0))
     regimes = np.concatenate([classify_regime(model.contact_states(row)) for row in stack])
     assert set(regimes.tolist()) == {0, 1, 2}
