@@ -18,9 +18,11 @@ import sys
 import time
 from dataclasses import dataclass
 
+from .contact import ContactParameters
 from .linesearch import Strategy
 from .models import MULTI_CELLS_PER_SIDE, PRESET_NAMES, preset
 from .newton import ConvergenceCriterion, CriterionKind, NewtonOptions, SolveStatus, solve
+from .scaling import CharacteristicScales
 
 __all__ = [
     "SweepSpec",
@@ -59,10 +61,14 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {name} repeats a value")
         for s in self.strategies:
             Strategy(s)  # raises on unknown names
-        # Build each distinct model of the sweep once, before any solve: the
-        # models' own checks reject an unknown name or a bad axis value.
-        for model, phi, size, u_c, seed in dict.fromkeys(cell[1:] for cell in self.cells()):
-            preset(model, phi, u_c, size, seed)
+        # Before any solve, a build's checks reject a bad name or axis value:
+        # phi and u_c meet only these two constructors' checks in a build.
+        for model, size, seed in dict.fromkeys((c[1], c[3], c[5]) for c in self.cells()):
+            preset(model, cells_per_side=size, seed=seed)
+        for phi in self.phi_values:
+            ContactParameters(dilation_angle=phi)
+        for u_c in self.u_c_values:
+            CharacteristicScales(u_c)
 
     def cells(self) -> list[tuple]:
         out = []

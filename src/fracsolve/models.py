@@ -23,14 +23,16 @@ per cell), then scaled temperature (1 per cell) when the physics includes it.
 Residual rows follow the same order: force balance, contact complementarity,
 mass balance, energy balance.
 
-Assembly is array-valued throughout. The Jacobian is filled into a sorted CSC
-pattern cached at construction, with its constant force-balance entries and
-the slot of every contribution that changes with the iterate. The mass and
-energy rows are one balance block, whose row scales and Dirichlet values are
-arrays built at construction; its rows take every edge term from one helper,
-``_edge_terms``, and scatter in a fixed edge order, so every evaluation is
-bitwise reproducible. The residual maps the last axis of its argument: a stack
-``(k, n_dofs)`` gives one row per point, each bitwise that point's residual.
+Assembly is array-valued throughout. The influence operator is summed and
+checked once on the cell grid, which the three jump components share. The
+Jacobian is filled into a sorted CSC pattern cached at construction, with its
+constant force-balance entries and the slot of every contribution that
+changes with the iterate. The mass and energy rows are one balance block,
+whose row scales and Dirichlet values are arrays built at construction; its
+rows take every edge term from one helper, ``_edge_terms``, and scatter in a
+fixed edge order, so every evaluation is bitwise reproducible. The residual
+maps the last axis of its argument: a stack ``(k, n_dofs)`` gives one row per
+point, each bitwise that point's residual.
 """
 
 from __future__ import annotations
@@ -184,10 +186,10 @@ class FractureAssembly:
 
     The fractures own consecutive global cell ranges in list order. Everything
     about the Jacobian that depends only on topology is built once, at
-    construction: its sorted CSC pattern, the constant force-balance entries
-    (identity, influence operator, Biot and thermal columns), and the slot in
-    ``data`` of every contribution that changes with the iterate. ``scales``
-    is read there too.
+    construction: the influence operator of the cell grid, the sorted CSC
+    pattern, the constant force-balance entries (identity, influence operator,
+    Biot and thermal columns), and the slot in ``data`` of every contribution
+    that changes with the iterate. ``scales`` is read there too.
     """
 
     def __init__(self, fractures: list[Fracture], params: ContactParameters,
@@ -207,7 +209,6 @@ class FractureAssembly:
             np.reshape(np.asarray(fr.edges, dtype=int), (-1, 2)) + start
             for fr, start in zip(fractures, self._starts)]).T
         self._stiffness = self._build_stiffness()
-        self._check_positive_definite(self._stiffness)
 
         self._edge_rate = np.concatenate([
             np.zeros(len(fr.edges)) if fr.advection_rates is None
@@ -301,41 +302,54 @@ class FractureAssembly:
         """Dimensionless influence operator acting on jump / u_c.
 
         Per fracture ``STIFFNESS_DIAGONAL * I + STIFFNESS_NEIGHBOR * L`` with L
-        the grid-graph Laplacian, repeated for each of the three jump
-        components, plus weak ties between the center cells of consecutive
-        fractures. Entries are summed in a fixed order: diagonal, edges, ties.
+        the grid-graph Laplacian, plus weak ties between the center cells of
+        consecutive fractures: one grid operator, summed in a fixed order
+        (diagonal, edges, ties) and checked once, for all three jump components.
         """
+        n = self.n_cells
         centers = self._starts + np.array([_center_cell(fr.shape) for fr in self.fractures])
-        cells = np.arange(self.n_cells)
+        cells = np.arange(n)
         a, b = self._edge_a, self._edge_b
         ta, tb = centers[:-1], centers[1:]
         rows = np.concatenate([cells, _interleave(a, b, a, b), _interleave(ta, tb, ta, tb)])
         cols = np.concatenate([cells, _interleave(a, b, b, a), _interleave(ta, tb, tb, ta)])
         neighbor, tie = STIFFNESS_NEIGHBOR, CROSS_FRACTURE_WEIGHT
-        values = np.concatenate([np.full(self.n_cells, STIFFNESS_DIAGONAL),
+        values = np.concatenate([np.full(n, STIFFNESS_DIAGONAL),
                                  np.tile([neighbor, neighbor, -neighbor, -neighbor], len(a)),
                                  np.tile([tie, tie, -tie, -tie], len(ta))])
-        component = np.arange(3)
-        size = 3 * self.n_cells
-        indptr, indices, (slots,) = _pattern(size, [((3 * rows[:, None] + component).ravel(),
-                                                     (3 * cols[:, None] + component).ravel())])
+        # Rows and columns swapped: the sorted CSC pattern of the transpose is the sorted CSR.
+        indptr, indices, (slots,) = _pattern(n, [(cols, rows)])
         data = np.zeros(len(indices))
-        np.add.at(data, slots, np.repeat(values, 3))
-        stiffness = sp.csc_matrix((data, indices, indptr), shape=(size, size)).tocsr()
-        stiffness.eliminate_zeros()
-        return stiffness
+        np.add.at(data, slots, values)
+        grid = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        grid.eliminate_zeros()
+        self._check_positive_definite(grid)
+        # Row 3i + c holds grid row i's entries, in order, at columns 3j + c.
+        count = np.repeat(np.diff(grid.indptr), 3)
+        row = np.repeat(np.arange(3 * n), count)
+        indptr = np.concatenate([[0], np.cumsum(count)]).astype(np.int32)
+        entry = np.arange(len(row)) - indptr[row] + grid.indptr[row // 3]
+        indices = (3 * grid.indices[entry] + row % 3).astype(np.int32)
+        return sp.csr_matrix((grid.data[entry], indices, indptr), shape=(3 * n, 3 * n))
 
     @staticmethod
-    def _check_positive_definite(matrix: sp.spmatrix):
+    def _check_positive_definite(matrix: sp.csr_matrix):
         """Reject an operator that is not provably symmetric positive definite.
 
         A symmetric matrix whose positive diagonal strictly dominates every
-        row is positive definite (Gershgorin), so two sparse checks suffice.
+        row is positive definite (Gershgorin). Both checks read the arrays of
+        a canonical CSR matrix without stored zeros: each entry must equal its
+        mirror image, and each row sums its off-diagonal magnitudes in order.
         """
-        if abs(matrix - matrix.T).max() != 0.0:
+        n = matrix.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        cols, data = matrix.indices.astype(np.int64), matrix.data
+        mirror = np.argsort(cols * n + rows)  # the transpose's entries, in CSR order
+        if not (np.array_equal(cols[mirror], rows) and np.array_equal(rows[mirror], cols)
+                and np.all(data[mirror] - data == 0.0)):
             raise ValueError("influence operator must be symmetric")
         diagonal = matrix.diagonal()
-        off_diagonal = np.asarray(abs(matrix - sp.diags(diagonal)).sum(axis=1)).ravel()
+        off_diagonal = np.bincount(rows, np.where(rows == cols, 0.0, np.abs(data)), minlength=n)
         if not np.all(diagonal > off_diagonal):
             raise ValueError("influence operator must be strictly diagonally dominant")
 
@@ -401,7 +415,8 @@ class FractureAssembly:
         self._balance_slots = slot["balance"]
         # Every slot's divisor: its row scale on the balance rows, 1 elsewhere.
         self._divisor = np.concatenate([np.ones(6 * n), self._row_scale])[indices]
-        self._dirichlet_slots = np.flatnonzero(np.isin(indices, fixed_rows))
+        fixed = np.concatenate([np.zeros(6 * n, dtype=bool), np.isfinite(self._fixed)])
+        self._dirichlet_slots = np.flatnonzero(fixed[indices])
         self._dirichlet_diagonal = slot["dirichlet"]
 
     # ----- residual ------------------------------------------------------
@@ -589,7 +604,13 @@ def _pattern(size: int, groups: list[tuple[np.ndarray, np.ndarray]]):
     """
     rows = np.concatenate([np.ravel(r) for r, _ in groups])
     cols = np.concatenate([np.ravel(c) for _, c in groups]).astype(np.int64)
-    keys, slots = np.unique(cols * size + rows, return_inverse=True)
+    keys = cols * size + rows
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0  # the first position of each distinct key
+    slots = np.empty_like(order)
+    slots[order] = np.cumsum(first) - 1
+    keys = keys[first]
     indptr = np.zeros(size + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
     indices = (keys % size).astype(np.int32)

@@ -214,7 +214,10 @@ def solve(model, x0: np.ndarray | None = None,
             raise Diverged("non-finite initial residual")
         report.trace[0].residual_norm = norm0 / sqrt_n
 
-        while report.final_norm >= TOLERANCE and report.iterations < MAX_ITERATIONS:
+        # The criterion's norm in the last record; len(trace) - 1 iterations are done.
+        increment = options.criterion.kind is CriterionKind.INCREMENT
+        checked = float("inf") if increment else report.trace[0].residual_norm
+        while checked >= TOLERANCE and len(report.trace) <= MAX_ITERATIONS:
             record = IterationRecord()
             report.trace.append(record)
             step = linear_solve(model.jacobian(x), -residual)
@@ -238,9 +241,9 @@ def solve(model, x0: np.ndarray | None = None,
             if adapt:
                 scale = p_mean_scale(cell_scale_estimate(model.contact_states(x)))
             record.scale = scale
+            checked = record.increment_norm if increment else record.residual_norm
 
-        report.status = (SolveStatus.CONVERGED if report.final_norm < TOLERANCE
-                         else SolveStatus.NO_CONVERGENCE)
+        report.status = SolveStatus.CONVERGED if checked < TOLERANCE else SolveStatus.NO_CONVERGENCE
     except Diverged as err:
         report.status = SolveStatus.DIVERGED
         report.divergence_reason = str(err)

@@ -9,13 +9,16 @@ two must agree byte for byte: residual values, and the Jacobian's ``data``,
 iterates and on the edge cases where the mean aperture sits below or exactly
 at the hydraulic floor, heat is advected against the edge direction, cells
 carry Dirichlet values, fractures are tied together, or the iterate holds NaN
-or infinite entries.
+or infinite entries. The pattern builder ``_pattern`` must agree byte for byte
+with the ``np.unique`` formulation it replaced, on every call a preset build
+makes and on random groups.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fracsolve.models
 from fracsolve.contact import (
     ContactParameters,
     contact_generalized_derivative,
@@ -32,6 +35,7 @@ from fracsolve.models import (
     FLUID_THERMAL_EXPANSION,
     FLUID_VISCOSITY,
     HYDRAULIC_APERTURE_FLOOR,
+    PRESET_NAMES,
     PRESSURE_SCALE,
     SOLID_THERMAL_EXPANSION,
     STIFFNESS_DIAGONAL,
@@ -43,6 +47,7 @@ from fracsolve.models import (
     FractureAssembly,
     Physics,
     _grid_edges,
+    _pattern,
     preset,
 )
 from fracsolve.scaling import CharacteristicScales
@@ -395,6 +400,73 @@ def test_influence_operator_matches_sequential_build(name):
     want = oracle_stiffness(model.fractures)
     for field in ("data", "indices", "indptr"):
         assert_same_bytes(getattr(model._stiffness, field), getattr(want, field))
+
+
+# ---------------------------------------------------------------------------
+# sparse patterns: the np.unique formulation that one argsort replaced
+
+
+def unique_pattern(size, groups):
+    """``_pattern`` with its keys and slots from ``np.unique(..., return_inverse=True)``."""
+    rows = np.concatenate([np.ravel(r) for r, _ in groups])
+    cols = np.concatenate([np.ravel(c) for _, c in groups]).astype(np.int64)
+    keys, slots = np.unique(cols * size + rows, return_inverse=True)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
+    indices = (keys % size).astype(np.int32)
+    return indptr, indices, np.split(slots, np.cumsum([np.size(r) for r, _ in groups])[:-1])
+
+
+def assert_same_pattern(size, groups):
+    (indptr, indices, slots), (want_indptr, want_indices, want_slots) = (
+        _pattern(size, groups), unique_pattern(size, groups))
+    assert_same_bytes(indptr, want_indptr)
+    assert_same_bytes(indices, want_indices)
+    assert len(slots) == len(want_slots) == len(groups)
+    for got, want in zip(slots, want_slots):
+        assert_same_bytes(got, want)
+
+
+def recorded_patterns(monkeypatch, name, cells):
+    """A preset and the arguments of every ``_pattern`` call its build made."""
+    calls = []
+
+    def recording(size, groups):
+        calls.append((size, groups))
+        return _pattern(size, groups)
+
+    monkeypatch.setattr(fracsolve.models, "_pattern", recording)
+    model = preset(name, cells_per_side=cells)
+    monkeypatch.undo()
+    return model, calls
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_pattern_matches_the_unique_formulation_on_every_preset(name, monkeypatch):
+    for cells in (6, 12, 16, 36):
+        model, calls = recorded_patterns(monkeypatch, name, cells)
+        # the grid operator's pattern, then the Jacobian's
+        assert [size for size, _ in calls] == [model.n_cells, model.n_dofs]
+        for size, groups in calls:
+            assert_same_pattern(size, groups)
+
+
+def test_pattern_matches_the_unique_formulation_on_random_groups():
+    # positions repeat within each group and across groups; one group is
+    # empty, one is two-dimensional and one holds int32 columns
+    rng = np.random.default_rng(19)
+    for size in (1, 2, 7, 50):
+        groups = [(rng.integers(0, size, shape), rng.integers(0, size, shape))
+                  for shape in [(30,), (4, 5), (0,), (200,)]]
+        groups.append((groups[0][0][::-1], groups[0][1][::-1].astype(np.int32)))
+        assert_same_pattern(size, groups)
+
+
+def test_pattern_matches_the_unique_formulation_at_the_size_goal(monkeypatch):
+    _, calls = recorded_patterns(monkeypatch, "single-tpm", 96)
+    assert sum(np.size(rows) for rows, _ in calls[-1][1]) > 650_000
+    for size, groups in calls:
+        assert_same_pattern(size, groups)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))

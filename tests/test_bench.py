@@ -18,7 +18,7 @@ from fracsolve.bench import (
     run_sweep,
     solve_cell,
 )
-from fracsolve.models import MULTI_CELLS_PER_SIDE
+from fracsolve.models import MULTI_CELLS_PER_SIDE, preset
 from fracsolve.newton import CriterionKind, solve
 
 SMALL = SweepSpec(strategies=("constraint-adaptive",), models=("single-pm",),
@@ -87,10 +87,28 @@ def test_cells_order_is_deterministic():
     {"models": ("single-xyz",)},
     {"u_c_values": ()},
     {"u_c_values": (0.01, 0.01)},
+    {"phi_values": (2.0,)},
+    {"cells_values": (1,)},
+    {"u_c_values": (0.0,)},
+    {"models": ("multi4-pm",), "seeds": (-1,)},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
         SweepSpec(**kwargs)
+
+
+def test_spec_builds_each_distinct_mesh_once(monkeypatch):
+    # phi and u_c reach a build only through their two constructors, so the
+    # default spec builds its 2 models x 2 sizes, not its 40 models
+    builds = []
+
+    def counting_preset(*args, **kwargs):
+        builds.append((args, kwargs))
+        return preset(*args, **kwargs)
+
+    monkeypatch.setattr(fracsolve.bench, "preset", counting_preset)
+    SweepSpec()
+    assert len(builds) == 4
 
 
 def test_resolve_criterion():

@@ -110,7 +110,9 @@ def test_influence_operator_rows_dominate_by_the_diagonal_weight(name):
     [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],   # symmetric, singular
     [[1.0, -2.0], [-2.0, 1.0]],                            # symmetric, indefinite
     [[1.0, 0.0], [0.0, -1.0]],                             # negative diagonal
-], ids=["nonsymmetric", "singular", "indefinite", "negative"])
+    [[3.0, 1.0], [0.0, 3.0]],                              # pattern not symmetric
+    [[3.0, np.nan], [np.nan, 3.0]],                        # NaN entry
+], ids=["nonsymmetric", "singular", "indefinite", "negative", "pattern", "nan"])
 def test_positive_definiteness_check_rejects(dense):
     with pytest.raises(ValueError):
         FractureAssembly._check_positive_definite(sp.csr_matrix(dense))
