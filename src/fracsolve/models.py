@@ -23,8 +23,8 @@ per cell), then scaled temperature (1 per cell) when the physics includes it.
 Residual rows follow the same order: force balance, contact complementarity,
 mass balance, energy balance.
 
-Assembly is array-valued throughout. The influence operator is summed and
-checked once on the cell grid, which the three jump components share. The
+Assembly is array-valued throughout. The influence operator is stored once,
+as the n x n operator of the cell grid that the three jump components share. The
 Jacobian is filled into a sorted CSC pattern cached at construction, with its
 constant force-balance entries and the slot of every contribution that
 changes with the iterate. The mass and energy rows are one balance block,
@@ -186,10 +186,10 @@ class FractureAssembly:
 
     The fractures own consecutive global cell ranges in list order. Everything
     about the Jacobian that depends only on topology is built once, at
-    construction: the influence operator of the cell grid, the sorted CSC
-    pattern, the constant force-balance entries (identity, influence operator,
-    Biot and thermal columns), and the slot in ``data`` of every contribution
-    that changes with the iterate. ``scales`` is read there too.
+    construction: the n x n influence operator of the cell grid, the sorted CSC
+    pattern, the constant force-balance entries (identity, influence operator
+    per jump component, Biot and thermal columns), and the slot in ``data`` of
+    every contribution that changes with the iterate. ``scales`` is read there too.
     """
 
     def __init__(self, fractures: list[Fracture], params: ContactParameters,
@@ -299,12 +299,12 @@ class FractureAssembly:
     # ----- construction helpers -----------------------------------------
 
     def _build_stiffness(self) -> sp.csr_matrix:
-        """Dimensionless influence operator acting on jump / u_c.
+        """Dimensionless n x n influence operator, acting on each jump component / u_c.
 
         Per fracture ``STIFFNESS_DIAGONAL * I + STIFFNESS_NEIGHBOR * L`` with L
         the grid-graph Laplacian, plus weak ties between the center cells of
         consecutive fractures: one grid operator, summed in a fixed order
-        (diagonal, edges, ties) and checked once, for all three jump components.
+        (diagonal, edges, ties), checked once and shared by all three components.
         """
         n = self.n_cells
         centers = self._starts + np.array([_center_cell(fr.shape) for fr in self.fractures])
@@ -324,13 +324,7 @@ class FractureAssembly:
         grid = sp.csr_matrix((data, indices, indptr), shape=(n, n))
         grid.eliminate_zeros()
         self._check_positive_definite(grid)
-        # Row 3i + c holds grid row i's entries, in order, at columns 3j + c.
-        count = np.repeat(np.diff(grid.indptr), 3)
-        row = np.repeat(np.arange(3 * n), count)
-        indptr = np.concatenate([[0], np.cumsum(count)]).astype(np.int32)
-        entry = np.arange(len(row)) - indptr[row] + grid.indptr[row // 3]
-        indices = (3 * grid.indices[entry] + row % 3).astype(np.int32)
-        return sp.csr_matrix((grid.data[entry], indices, indptr), shape=(3 * n, 3 * n))
+        return grid
 
     @staticmethod
     def _check_positive_definite(matrix: sp.csr_matrix):
@@ -369,18 +363,18 @@ class FractureAssembly:
         pressure_col = mass_row = 6 * n + cells
         temperature_col = energy_row = 7 * n + cells
 
-        stiffness = self._stiffness.tocoo()
+        grid = self._stiffness.tocoo()
         traction_cols = 3 * cells[:, None] + np.arange(3)
         contact_cols = np.hstack([traction_cols, 3 * n + traction_cols])[:, None, :]
         groups = {
             "identity": (np.arange(3 * n), np.arange(3 * n)),
-            "stiffness": (stiffness.row, 3 * n + stiffness.col),
+            "stiffness": (traction_cols[grid.row], 3 * n + traction_cols[grid.col]),
             "contact": (np.broadcast_to(3 * n + traction_cols[:, :, None], (n, 3, 6)),
                         np.broadcast_to(contact_cols, (n, 3, 6))),
             "biot": (3 * cells, pressure_col),
         }
         constants = {"identity": 1.0,
-                     "stiffness": stiffness.data * self.scales.complementarity_weight,
+                     "stiffness": np.repeat(grid.data * self.scales.complementarity_weight, 3),
                      "biot": -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c}
         ra, rb = mass_row[a], mass_row[b]
         storage_cols = [jump_col, pressure_col] + ([temperature_col] if self.has_temperature else [])
@@ -447,11 +441,12 @@ class FractureAssembly:
 
         # Force balance: traction responds to the jump through the influence
         # operator; pressure and cooling shift the normal component toward
-        # tension (effective contact traction). One sparse product takes the
-        # stack as columns, each summed in the order of a single product.
-        scaled_jump = (weight * jump).reshape(-1, 3 * self.n_cells)
-        coupled = (self._stiffness @ scaled_jump.T).T.reshape(traction.shape)
-        force = traction + coupled - self._external_traction / sigma_c
+        # tension (effective contact traction). One sparse product, cells first,
+        # treats each jump component of each point as a column summed on its own.
+        cells_first = (weight * jump).swapaxes(0, -2)
+        coupled = self._stiffness @ cells_first.reshape(self.n_cells, -1)
+        force = traction + coupled.reshape(cells_first.shape).swapaxes(0, -2) \
+            - self._external_traction / sigma_c
         force[..., 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
         if self.has_temperature:
             force[..., 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \

@@ -42,8 +42,11 @@ class CharacteristicScales:
     displacement: float          # u_c, meters
 
     def __post_init__(self):
-        if not 0.0 < self.displacement < np.inf:
-            raise ValueError("characteristic quantities must be positive and finite")
+        with np.errstate(over="ignore"):  # kernels multiply two weight-scaled quantities
+            if not (0.0 < self.displacement < np.inf and np.isfinite(self.stress)
+                    and np.isfinite(self.complementarity_weight * self.complementarity_weight)):
+                raise ValueError("characteristic quantities must be positive and finite, "
+                                 "with a finite stress and a finite squared weight")
 
     @property
     def stress(self) -> float:

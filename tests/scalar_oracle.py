@@ -330,7 +330,7 @@ def residual(model, x):
     weight = model.scales.complementarity_weight
 
     r = np.zeros(model.n_dofs)
-    force = traction.ravel() + model._stiffness @ (weight * jump.ravel()) \
+    force = traction.ravel() + (model._stiffness @ (weight * jump)).ravel() \
         - model._external_traction.ravel() / sigma_c
     force = force.reshape(n, 3)
     force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c

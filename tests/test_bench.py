@@ -19,7 +19,7 @@ from fracsolve.bench import (
     solve_cell,
 )
 from fracsolve.models import MULTI_CELLS_PER_SIDE, preset
-from fracsolve.newton import CriterionKind, solve
+from fracsolve.newton import CriterionKind, SolveStatus, solve
 
 SMALL = SweepSpec(strategies=("constraint-adaptive",), models=("single-pm",),
                   phi_values=(0.1,), cells_values=(4,), u_c_values=(0.01,), seeds=(0,))
@@ -128,6 +128,14 @@ def test_solve_cell_records_model_metadata():
     assert row.iterations > 0
     assert row.final_norm < 1e-10
     assert row.wall_time > 0.0
+
+
+@pytest.mark.parametrize("model", ["single-pm", "single-tpm"])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_smallest_accepted_displacement_ends_with_a_status(model, strategy):
+    # the smallest u_c whose squared weight is finite; at 1e-155 the kernels overflowed
+    row = solve_cell((strategy, model, 0.1, 4, 7.5e-155, 0))
+    assert row.status in {status.value for status in SolveStatus}
 
 
 def test_iteration_cap_renders_as_nc():
@@ -255,8 +263,13 @@ def test_main_rejects_nonpositive_workers(tmp_path, capsys, workers):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_main_rejects_nan_characteristic_displacement(tmp_path, capsys, value):
+@pytest.mark.parametrize("value", ["nan", "inf", "1e-155", "1e-310", "1e308"])
+def test_main_rejects_nan_characteristic_displacement(tmp_path, capsys, monkeypatch, value):
+    # 1e-155's squared weight and 1e308's stress are past the float range
+    def no_solve(cell):
+        raise AssertionError(f"cell {cell} solved with a displacement that cannot be scaled")
+
+    monkeypatch.setattr(fracsolve.bench, "solve_cell", no_solve)
     out = tmp_path / "x.csv"
     code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
                  "--uc", value, "--out", str(out), "--workers", "1", "--no-table"])

@@ -133,7 +133,8 @@ def _random_mechanics_state(model, rng):
 def _elastic_rows(model, x):
     """Force balance and contact rows with every flow and heat term left out."""
     n = model.n_cells
-    force = x[0:3 * n] + model._stiffness @ (model.scales.complementarity_weight * x[3 * n:6 * n]) \
+    jump = x[3 * n:6 * n].reshape(n, 3)
+    force = x[0:3 * n] + (model._stiffness @ (model.scales.complementarity_weight * jump)).ravel() \
         - model._external_traction.ravel() / model.scales.stress
     states = model.contact_states(x)
     contact = np.column_stack([normal_complementarity(states), tangential_complementarity(states)])

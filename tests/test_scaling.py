@@ -30,9 +30,19 @@ def test_unit_scales():
 
 
 def test_scales_reject_nonpositive_inputs():
-    for displacement in (0.0, -0.01, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    # past the float range: the squared weight (1e-155, 1e-310, 5e-324) or the stress (1e308, max)
+    for displacement in (0.0, -0.01, np.nan, np.inf, 1e-155, 1e-310, 5e-324, 1e308,
+                         1.7976931348623157e308):
+        with pytest.raises(ValueError, match="^characteristic quantities must be positive"):
             CharacteristicScales(displacement=displacement)
+
+
+def test_scales_accept_displacements_whose_derived_scales_are_finite():
+    # 1 / 7.5e-155 squared is about 1.8e308, just inside the float range
+    for displacement in (7.5e-155, 1e300):
+        scales = CharacteristicScales(displacement=displacement)
+        assert np.isfinite(scales.stress)
+        assert np.isfinite(scales.complementarity_weight * scales.complementarity_weight)
 
 
 # ---------------------------------------------------------------------------
