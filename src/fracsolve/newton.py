@@ -7,7 +7,9 @@ root-mean-square norm of the increment or the residual, below ``TOLERANCE``.
 Each divergence raises the one ``Diverged``, whose message is the reason: a
 non-finite initial residual, a failed factorization or search, a non-finite
 residual or iterate, or a residual past ``DIVERGENCE_FACTOR`` times the
-initial one. The iteration cap is a constant too.
+initial one. The iteration cap is a constant too. Importing the module fixes
+glibc's malloc thresholds for the whole process (``_keep_freed_heap``), so
+each factorization reuses the memory the previous one freed.
 
 ``NewtonReport.trace`` holds one ``IterationRecord`` per iteration, record 0
 the initial state. A record holds what its iteration computed and ``None``
@@ -26,7 +28,9 @@ without it take full steps under the constraint strategies.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import os
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -142,6 +146,48 @@ def _squared_norm(vector: np.ndarray) -> float:
     """``vector @ vector``: inf past the float range, without an overflow warning."""
     with np.errstate(over="ignore"):
         return float(vector @ vector)
+
+
+# glibc's mallopt options (malloc.h) and the ceiling of its adaptive mmap
+# threshold, 4 MiB times the size of a C long (32 MiB on 64-bit hosts); the
+# adaptive trim threshold is twice the mmap threshold.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+
+def _keep_freed_heap(libc=None) -> bool:
+    """Fix glibc's malloc thresholds at their adaptive ceilings, for the whole process.
+
+    SuperLU mallocs its factors and work arrays on every ``splu`` and frees
+    them after. Below these thresholds glibc trims that memory at the top of
+    the heap after each factorization, and the next one faults the same pages
+    back in. With them the freed memory stays in the process for the next
+    factorization: up to twice ``_MMAP_THRESHOLD_MAX`` more resident memory,
+    and blocks under it come from the heap, not from their own mapping.
+    Returns whether both ``mallopt`` calls succeeded; where the C library is
+    not glibc, or ``libc`` has no ``mallopt``, it does nothing.
+    """
+    if libc is None:
+        try:
+            glibc = os.confstr("CS_GNU_LIBC_VERSION")
+        except (AttributeError, ValueError, OSError):
+            glibc = None
+        if not glibc:
+            return False
+        libc = ctypes.CDLL(None)
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    done = [mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX),
+            mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)]
+    return done == [1, 1]
+
+
+# Whether both thresholds were set; False where the C library is not glibc.
+_HEAP_KEPT = _keep_freed_heap()
 
 
 def linear_solve(matrix, rhs: np.ndarray) -> np.ndarray:

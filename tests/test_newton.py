@@ -1,12 +1,16 @@
 """Semismooth Newton driver: linear algebra, convergence, divergence, costs."""
 
 import dataclasses
+import platform
+import resource
+import types
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import fracsolve.linesearch
+import fracsolve.newton
 from fracsolve.contact import ContactParameters, ContactStates, friction_bound, gap
 from fracsolve.linesearch import (
     ALPHA_MIN,
@@ -170,6 +174,41 @@ def test_linear_solve_rejects_singular():
         linear_solve(singular, np.array([1.0, 0.0]))
     with pytest.raises(Diverged, match="^linear solve failed: "):
         linear_solve(sp.csr_matrix(singular), np.array([1.0, 0.0]))
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the malloc thresholds are glibc's")
+def test_repeated_factorizations_reuse_the_freed_heap():
+    # Importing the module set both thresholds; with glibc's defaults each
+    # factorization here faults about 300 freed-and-trimmed pages back in.
+    assert fracsolve.newton._HEAP_KEPT
+    model = preset("single-tpm", cells_per_side=16)
+    x = model.initial_guess()
+    matrix, rhs = model.jacobian(x), -model.residual(x)
+    for _ in range(3):
+        linear_solve(matrix, rhs)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        linear_solve(matrix, rhs)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 50 * 10
+
+
+def test_heap_thresholds_set_through_mallopt():
+    calls = []
+
+    def mallopt(option, value):
+        calls.append((option, value))
+        return 1
+
+    assert fracsolve.newton._keep_freed_heap(types.SimpleNamespace(mallopt=mallopt))
+    ceiling = fracsolve.newton._MMAP_THRESHOLD_MAX
+    assert calls == [(-3, ceiling), (-1, 2 * ceiling)]
+    assert not fracsolve.newton._keep_freed_heap(
+        types.SimpleNamespace(mallopt=lambda option, value: 0))
+
+
+def test_heap_thresholds_skip_a_c_library_without_mallopt():
+    assert fracsolve.newton._keep_freed_heap(types.SimpleNamespace()) is False
 
 
 # ---------------------------------------------------------------------------
