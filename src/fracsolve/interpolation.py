@@ -14,13 +14,16 @@ bracketed rows together with a lock-step Brent iteration (Brent, *Algorithms
 for Minimization Without Derivatives*, 1973, ch. 4). Each lane repeats the
 update rules of scipy's ``brentq`` in the same operation order and with the
 same tolerances, so every root is bitwise the one the scalar solver returns.
-``find_minimum`` takes one profile; the closed-form stationary points of all
-its cubic pieces are one array expression, and every candidate is evaluated
-in one call.
+``find_minimum`` takes one profile of a handful of knots and runs on Python
+floats, where a numpy call per operation would cost more than the arithmetic:
+the closed-form stationary points piece by piece, and each candidate through
+the ``_hermite`` that ``evaluate`` uses.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +93,10 @@ def fit(knots, values) -> MonotoneCubic:
     if (h <= 0.0).any():
         raise ValueError("knots must be strictly increasing")
 
-    with np.errstate(over="ignore"):  # data near the float limit: signs and caps still hold
+    # Data near the float limit: inf - inf and inf * 0 make NaNs that the
+    # limiter discards (flat slope where left * right <= 0, zero end slope
+    # where the sign test fails), so signs and caps still hold.
+    with np.errstate(over="ignore", invalid="ignore"):
         sec = np.diff(y) / h
         if x.size == 2:
             return MonotoneCubic(x, y, np.repeat(sec, 2, axis=-1))
@@ -237,28 +243,49 @@ def find_minimum(spline: MonotoneCubic, interval: tuple[float, float]) -> tuple[
 
     Candidates are the interval endpoints, the interior knots, and the
     stationary points of every cubic piece that meets the interval; exact
-    ties go to the smaller abscissa.
+    ties go to the smaller abscissa, and a NaN value wins, as in ``np.argmin``.
     """
     a, b = float(interval[0]), float(interval[1])
     if b < a:
         raise ValueError("empty interval")
-    x, y, m = spline.knots, spline.values, spline.derivatives
-    h = np.diff(x)
-    y0, y1, m0, m1 = y[:-1], y[1:], m[:-1], m[1:]
-    # d/ds of each Hermite piece in its unit parameter s is qa s^2 + qb s + qc.
-    qa = 6.0 * y0 + 3.0 * h * m0 - 6.0 * y1 + 3.0 * h * m1
-    qb = -6.0 * y0 - 4.0 * h * m0 + 6.0 * y1 - 2.0 * h * m1
-    qc = h * m0
-    # Both the linear (qa == 0) and the quadratic roots of every piece; the
-    # quadratic ones are inf or NaN where qa == 0 or the discriminant is
-    # negative, and every non-finite s fails the (0, 1) test below.
-    with np.errstate(all="ignore"):
-        sq = np.sqrt(qb * qb - 4.0 * qa * qc)
-        s = np.stack([np.where(qa == 0.0, -qc / qb, np.nan),
-                      (-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa)])
-    t = x[:-1] + s * h
-    keep = (0.0 < s) & (s < 1.0) & (x[1:] > a) & (x[:-1] < b) & (a <= t) & (t <= b)
-    cand = np.unique(np.concatenate(([a, b], x[(x > a) & (x < b)], t[keep])))
-    vals = evaluate(spline, cand)
-    best = int(np.argmin(vals))
-    return float(cand[best]), float(vals[best])
+    x, y, m = spline.knots.tolist(), spline.values.tolist(), spline.derivatives.tolist()
+    stationary = []
+    for j in range(len(x) - 1):
+        x0, x1 = x[j], x[j + 1]
+        if not (x1 > a and x0 < b):
+            continue
+        h = x1 - x0
+        y0, y1, m0, m1 = y[j], y[j + 1], m[j], m[j + 1]
+        # d/ds of the Hermite piece in its unit parameter s is qa s^2 + qb s + qc.
+        qa = 6.0 * y0 + 3.0 * h * m0 - 6.0 * y1 + 3.0 * h * m1
+        qb = -6.0 * y0 - 4.0 * h * m0 + 6.0 * y1 - 2.0 * h * m1
+        qc = h * m0
+        if qa == 0.0:
+            roots = (-qc / qb,) if qb != 0.0 else ()
+        else:
+            disc = qb * qb - 4.0 * qa * qc
+            if disc >= 0.0:
+                sq = math.sqrt(disc)
+                roots = ((-qb - sq) / (2.0 * qa), (-qb + sq) / (2.0 * qa))
+            else:
+                roots = ()
+        for s in roots:
+            if 0.0 < s < 1.0:
+                t = x0 + s * h
+                if a <= t <= b:
+                    stationary.append(t)
+    # The set keeps the first of 0.0 and -0.0; a stationary point is never
+    # -0.0, so only the ends and knots, listed first, can decide which.
+    cand = sorted(set([a, b, *(k for k in x if a < k < b), *stationary]))
+
+    best, best_value = cand[0], math.inf
+    last = len(x) - 2
+    for t in cand:
+        j = min(max(bisect_right(x, t) - 1, 0), last)
+        h = x[j + 1] - x[j]
+        value = _hermite((t - x[j]) / h, h, y[j], m[j], y[j + 1], m[j + 1])
+        if value != value:  # the first NaN wins, as in np.argmin
+            return t, value
+        if value < best_value:
+            best, best_value = t, value
+    return best, best_value

@@ -61,6 +61,10 @@ SAMPLE_COUNT = 5
 MAX_TIGHTENINGS = 10
 ALPHA_MIN = 1e-3
 
+# The residual search's trial steps, shared by every search and read-only.
+TRIAL_ALPHAS = np.linspace(ALPHA_MIN, 1.0, SAMPLE_COUNT)
+TRIAL_ALPHAS.flags.writeable = False
+
 
 @dataclass
 class LineSearchOutcome:
@@ -84,18 +88,17 @@ def search_residual(objective, reference_value: float) -> LineSearchOutcome:
     Non-finite samples are excluded and the minimization is restricted to the
     largest finite sampled step.
     """
-    trial_alphas = np.linspace(ALPHA_MIN, 1.0, SAMPLE_COUNT)
-    values = np.asarray(objective(trial_alphas), dtype=float)
+    values = np.asarray(objective(TRIAL_ALPHAS), dtype=float)
     finite = np.isfinite(values)
     if not finite.any():
         raise Diverged("residual objective non-finite at every trial step")
 
-    knots = np.concatenate(([0.0], trial_alphas[finite]))
+    knots = np.concatenate(([0.0], TRIAL_ALPHAS[finite]))
     samples = np.concatenate(([float(reference_value)], values[finite]))
     alpha, value = find_minimum(fit(knots, samples), (ALPHA_MIN, knots[-1]))
     return LineSearchOutcome(
         alpha=alpha,
-        evaluations=trial_alphas.size,
+        evaluations=TRIAL_ALPHAS.size,
         diagnostics={"knots": knots, "samples": samples, "model_minimum": value},
     )
 

@@ -442,11 +442,13 @@ class FractureAssembly:
         # Force balance: traction responds to the jump through the influence
         # operator; pressure and cooling shift the normal component toward
         # tension (effective contact traction). One sparse product, cells first,
-        # treats each jump component of each point as a column summed on its own.
+        # treats each jump component of each point as a column summed on its own;
+        # the product is copied back to points first, which adds faster than
+        # its transposed view.
         cells_first = (weight * jump).swapaxes(0, -2)
         coupled = self._stiffness @ cells_first.reshape(self.n_cells, -1)
-        force = traction + coupled.reshape(cells_first.shape).swapaxes(0, -2) \
-            - self._external_traction / sigma_c
+        points_first = np.ascontiguousarray(coupled.reshape(cells_first.shape).swapaxes(0, -2))
+        force = traction + points_first - self._external_traction / sigma_c
         force[..., 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
         if self.has_temperature:
             force[..., 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \

@@ -4,8 +4,8 @@ The batched ``fit`` and ``find_root`` must return, bit for bit, what the
 scalar kernels of ``scalar_oracle`` (a per-knot slope loop and
 ``scipy.optimize.brentq``) return row by row, fail the way they fail, and
 leave every Newton trajectory as the scalar constraint search leaves it.
-``find_minimum``, whose stationary points are one array expression over the
-pieces, must return the scalar per-piece oracle's abscissa and value.
+``find_minimum``, which runs on Python floats, must return the scalar
+per-piece oracle's abscissa and value, inf and NaN included, as Python floats.
 """
 
 import warnings
@@ -19,7 +19,7 @@ import scalar_oracle
 from fracsolve import interpolation
 from fracsolve.bench import resolve_criterion
 from fracsolve.interpolation import MonotoneCubic, evaluate, find_minimum, find_root, fit
-from fracsolve.linesearch import Strategy
+from fracsolve.linesearch import TRIAL_ALPHAS, Strategy
 from fracsolve.models import preset
 from fracsolve.newton import NewtonOptions, SolveStatus, solve
 
@@ -199,6 +199,65 @@ def test_find_minimum_equals_scalar_oracle_bitwise(m):
     assert (t == intervals[:, 0]).any() and (t == intervals[:, 1]).any()
     assert m == 2 or np.count_nonzero(on_knot & inside) > MINIMUM_ROWS // 100
     assert m == 2 or np.count_nonzero(~on_knot & inside) > MINIMUM_ROWS // 100
+
+
+def _assert_same_minimum(spline, interval):
+    with np.errstate(all="ignore"):  # the oracle's array evaluation warns on inf and NaN
+        expected = scalar_oracle.find_minimum(spline, interval)
+    found = find_minimum(spline, interval)
+    assert type(found[0]) is float and type(found[1]) is float
+    assert np.array(found).tobytes() == np.array(expected, dtype=float).tobytes()
+    return found
+
+
+_RESIDUAL_KNOTS = np.concatenate(([0.0], TRIAL_ALPHAS))
+
+
+@pytest.mark.parametrize("knots, values, slopes, interval, minimum", [
+    # Every knot from 1 on is NaN (0 * inf in the Hermite form): the first
+    # NaN candidate wins, not the finite 0 before it nor the last NaN.
+    ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4], [1, 1, np.inf, np.inf, 1], (0, 4), (1.0, np.nan)),
+    # Samples near the float limit fit a model that is NaN at its last two
+    # knots; the residual search steps to the first of them.
+    (_RESIDUAL_KNOTS, [1, 1e307, 1e300, 1, 1e308, 1], None, (ALPHA_MIN, 1.0), (0.75025, np.nan)),
+    # Linear data: qa == qb == 0 on every piece, so no stationary point.
+    ([0, 0.5, 1], [0, 1, 2], None, (0, 1), (0.0, 0.0)),
+    # qa == 0, qb != 0: the linear root s = 1/2 is the minimum.
+    ([0, 1], [0, 0], [-1, 1], (0, 1), (0.5, -0.25)),
+    # qa == 3, qb == -2, qc == 1: negative discriminant, no stationary point.
+    ([0, 1], [0, 1], [1, 2], (0, 1), (0.0, 0.0)),
+    # a == b on a knot, inside a piece, and past the last knot.
+    ([0, 0.5, 1], [0.3, -0.1, 0.4], None, (0.5, 0.5), (0.5, -0.1)),
+    ([0, 0.5, 1], [0.3, -0.1, 0.4], None, (0.25, 0.25), (0.25, None)),
+    ([0, 0.5, 1], [0.3, -0.1, 0.4], None, (1.5, 1.5), (1.5, None)),
+], ids=["first-nan", "nan-model", "qa-qb-zero", "linear-root", "negative-discriminant",
+        "point-on-knot", "point-in-piece", "point-past-knots"])
+def test_find_minimum_equals_scalar_oracle_on_edge_profiles(knots, values, slopes, interval,
+                                                            minimum):
+    knots, values = np.array(knots, dtype=float), np.array(values, dtype=float)
+    with np.errstate(all="ignore"):
+        spline = (fit(knots, values) if slopes is None
+                  else MonotoneCubic(knots, values, np.array(slopes, dtype=float)))
+    t, v = _assert_same_minimum(spline, interval)
+    assert t == minimum[0]
+    assert minimum[1] is None or np.array_equal(v, minimum[1], equal_nan=True)
+
+
+def test_find_minimum_equals_scalar_oracle_near_the_float_limit():
+    # Samples at the float limit on the residual search's knots: the fitted
+    # slopes are often infinite, so candidate values are inf or NaN.
+    rng = np.random.default_rng(23)
+    extremes = np.array([-1.7e308, -1e308, -1e300, -1.0, 0.0, 1.0, 1e300, 1e308, 1.7e308])
+    minima = []
+    for r in range(2000):
+        m = rng.integers(2, 7)
+        knots = np.concatenate(([0.0], np.sort(rng.choice(_RESIDUAL_KNOTS[1:], m - 1,
+                                                          replace=False))))
+        with np.errstate(all="ignore"):
+            spline = fit(knots, rng.choice(extremes, m))
+        interval = (ALPHA_MIN, knots[-1]) if r % 2 else (0.0, 1.0)
+        minima.append(_assert_same_minimum(spline, interval)[1])
+    assert np.isnan(minima).any() and np.isneginf(minima).any()
 
 
 def test_nan_iterate_raises_value_error_like_brentq():

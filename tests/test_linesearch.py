@@ -1,11 +1,14 @@
 """Step-length selection: residual-model and transition-controlled searches."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import fracsolve.linesearch
 import scalar_oracle
 from fracsolve.contact import transition_values
+from fracsolve.interpolation import fit
 from fracsolve.linesearch import (
     ALPHA_MIN,
     MAX_TIGHTENINGS,
@@ -69,6 +72,23 @@ def test_residual_search_stops_at_the_largest_finite_step():
 def test_residual_search_monotone_decrease_takes_full_step():
     outcome = search_residual(lambda a: 1.0 / (1.0 + a), 1.0)
     assert outcome.alpha == 1.0
+
+
+@pytest.mark.parametrize("trials, alpha", [
+    ([1.7e308, 1.0, 1.0, 1.0, 1.0], 0.25075),
+    ([1.0, 1.7e308, 1.0, 1.0, 1.0], 0.001),
+    ([1e307, 1e300, 1.0, 1e308, 1.0], 0.75025),
+])
+def test_residual_search_fits_samples_near_the_float_limit(trials, alpha):
+    # inf - inf and inf * 0 in the slope limiter are no error: the limiter
+    # discards their NaNs. The last model is NaN at its last two knots, and
+    # the search steps to the first, as np.argmin picks it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = search_residual(lambda a: np.array(trials), 1.0)
+        slopes = fit(outcome.diagnostics["knots"], outcome.diagnostics["samples"]).derivatives
+    assert outcome.alpha == alpha
+    assert not np.isnan(slopes).any()
 
 
 def test_residual_search_diverges_when_nothing_is_finite():
