@@ -4,9 +4,13 @@ Fritsch-Carlson construction (SIAM J. Numer. Anal. 17(2), 1980): knot slopes
 are limited so the interpolant is monotone wherever the data is monotone
 (zero slope at local extrema of the data, magnitudes capped at three times
 the adjacent secants). A fit holds one profile, values of shape ``(m,)``, or
-a batch of profiles over shared knots, shape ``(k, m)``; every slope is one
-array expression over the batch, and ``evaluate`` returns one row of values
-per profile with no scalar special case.
+a batch of profiles over shared knots, shape ``(k, m)``. The slope rule is
+written once, over a ``select(cond, a, b)`` and a ``sign``: over a batch they
+are ``np.where`` and ``np.sign`` and every slope is one array expression; for
+one profile the rule is evaluated knot by knot on Python floats, where a
+numpy call per operation would cost more than the arithmetic. Both round
+every operation alike, so a profile's slopes are bitwise its batch row's.
+``evaluate`` returns one row of values per profile with no scalar special case.
 
 ``find_root`` takes a batch and searches the span of its knots. It scans the
 knot intervals of every row for the first zero or sign change and solves all
@@ -14,10 +18,9 @@ bracketed rows together with a lock-step Brent iteration (Brent, *Algorithms
 for Minimization Without Derivatives*, 1973, ch. 4). Each lane repeats the
 update rules of scipy's ``brentq`` in the same operation order and with the
 same tolerances, so every root is bitwise the one the scalar solver returns.
-``find_minimum`` takes one profile of a handful of knots and runs on Python
-floats, where a numpy call per operation would cost more than the arithmetic:
-the closed-form stationary points piece by piece, and each candidate through
-the ``_hermite`` that ``evaluate`` uses.
+``find_minimum`` takes one profile of a handful of knots and also runs on
+Python floats: the closed-form stationary points piece by piece, and each
+candidate through the ``_hermite`` that ``evaluate`` uses.
 """
 
 from __future__ import annotations
@@ -64,11 +67,43 @@ def _first_unless_less(a, b):
     return np.where(b < a, b, a)
 
 
-def _endpoint_slope(h0, h1, d0, d1):
+def _select(cond, a, b):
+    return a if cond else b
+
+
+def _sign(v):
+    # np.sign of one float, in its order of tests: NaN stays NaN, ±0 gives 0.0.
+    return 1.0 if v > 0.0 else -1.0 if v < 0.0 else 0.0 if v == 0.0 else v
+
+
+def _interior_slope(left, right, select, sign):
+    # Local extremum (or flat spot) of the data: flat tangent. Elsewhere the
+    # mean secant, its magnitude capped at three times the smaller secant's.
+    avg = 0.5 * (left + right)
+    cap = 3.0 * select(abs(right) < abs(left), abs(right), abs(left))
+    return select(left * right <= 0.0, 0.0, sign(avg) * select(cap < abs(avg), cap, abs(avg)))
+
+
+def _endpoint_slope(h0, h1, d0, d1, select, sign):
     # Non-centered three-point estimate, pulled back into the monotone region.
     slope = ((2.0 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
-    overshoot = (np.sign(d0) != np.sign(d1)) & (np.abs(slope) > 3.0 * np.abs(d0))
-    return np.where(np.sign(slope) != np.sign(d0), 0.0, np.where(overshoot, 3.0 * d0, slope))
+    overshoot = (sign(d0) != sign(d1)) & (abs(slope) > 3.0 * abs(d0))
+    return select(sign(slope) != sign(d0), 0.0, select(overshoot, 3.0 * d0, slope))
+
+
+def _profile_slopes(x: list, y: list) -> list:
+    # One profile: the batch path's checks and the limiter, knot by knot.
+    if not all(map(math.isfinite, x + y)):
+        raise ValueError("interpolation data must be finite")
+    h = [b - a for a, b in zip(x, x[1:])]
+    if min(h) <= 0.0:
+        raise ValueError("knots must be strictly increasing")
+    sec = [(b - a) / w for a, b, w in zip(y, y[1:], h)]
+    if len(sec) == 1:
+        return sec * 2
+    return [_endpoint_slope(h[0], h[1], sec[0], sec[1], _select, _sign),
+            *(_interior_slope(left, right, _select, _sign) for left, right in zip(sec, sec[1:])),
+            _endpoint_slope(h[-1], h[-2], sec[-1], sec[-2], _select, _sign)]
 
 
 def fit(knots, values) -> MonotoneCubic:
@@ -87,6 +122,8 @@ def fit(knots, values) -> MonotoneCubic:
     y = np.array(values, dtype=float)
     if x.ndim != 1 or x.size < 2 or y.ndim not in (1, 2) or y.shape[-1] != x.size:
         raise ValueError("need at least two knots and one value per knot in every row")
+    if y.ndim == 1:
+        return MonotoneCubic(x, y, np.array(_profile_slopes(x.tolist(), y.tolist())))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("interpolation data must be finite")
     h = np.diff(x)
@@ -100,16 +137,10 @@ def fit(knots, values) -> MonotoneCubic:
         sec = np.diff(y) / h
         if x.size == 2:
             return MonotoneCubic(x, y, np.repeat(sec, 2, axis=-1))
-
-        left, right = sec[..., :-1], sec[..., 1:]
-        avg = 0.5 * (left + right)
-        cap = 3.0 * _first_unless_less(np.abs(left), np.abs(right))
-        # Local extremum (or flat spot) of the data: flat tangent.
-        interior = np.where(left * right <= 0.0, 0.0,
-                            np.sign(avg) * _first_unless_less(np.abs(avg), cap))
+        interior = _interior_slope(sec[..., :-1], sec[..., 1:], np.where, np.sign)
         # Both ends at once: the first and last pieces, then their neighbours.
-        ends = _endpoint_slope(h.take([0, -1]), h.take([1, -2]),
-                               sec.take([0, -1], axis=-1), sec.take([1, -2], axis=-1))
+        ends = _endpoint_slope(h.take([0, -1]), h.take([1, -2]), sec.take([0, -1], axis=-1),
+                               sec.take([1, -2], axis=-1), np.where, np.sign)
     return MonotoneCubic(x, y, np.concatenate([ends[..., :1], interior, ends[..., 1:]], axis=-1))
 
 

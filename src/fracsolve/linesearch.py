@@ -22,6 +22,7 @@ a step raises ``Diverged``, the one exception that ends a run as diverged.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +62,12 @@ SAMPLE_COUNT = 5
 MAX_TIGHTENINGS = 10
 ALPHA_MIN = 1e-3
 
-# The residual search's trial steps, shared by every search and read-only.
+# The residual search's trial steps and the constraint search's sample grid
+# (0, .25, .5, .75, 1), shared by every search and read-only.
 TRIAL_ALPHAS = np.linspace(ALPHA_MIN, 1.0, SAMPLE_COUNT)
-TRIAL_ALPHAS.flags.writeable = False
+SAMPLE_GRID = np.linspace(0.0, 1.0, SAMPLE_COUNT)
+TRIAL_ALPHAS.flags.writeable = SAMPLE_GRID.flags.writeable = False
+_TRIAL_STEPS = tuple(TRIAL_ALPHAS.tolist())
 
 
 @dataclass
@@ -88,13 +92,11 @@ def search_residual(objective, reference_value: float) -> LineSearchOutcome:
     Non-finite samples are excluded and the minimization is restricted to the
     largest finite sampled step.
     """
-    values = np.asarray(objective(TRIAL_ALPHAS), dtype=float)
-    finite = np.isfinite(values)
-    if not finite.any():
+    values = objective(TRIAL_ALPHAS).tolist()
+    knots = [0.0, *(a for a, v in zip(_TRIAL_STEPS, values) if math.isfinite(v))]
+    samples = [float(reference_value), *filter(math.isfinite, values)]
+    if len(knots) == 1:
         raise Diverged("residual objective non-finite at every trial step")
-
-    knots = np.concatenate(([0.0], TRIAL_ALPHAS[finite]))
-    samples = np.concatenate(([float(reference_value)], values[finite]))
     alpha, value = find_minimum(fit(knots, samples), (ALPHA_MIN, knots[-1]))
     return LineSearchOutcome(
         alpha=alpha,
@@ -132,7 +134,6 @@ def search_constraint(indicator_evaluator, fracture_cells,
     ref = field_at(0.0)
     sign = np.sign(ref)
     trans_full = transition_values(ref, field_at(1.0))
-    grid = np.linspace(0.0, 1.0, SAMPLE_COUNT)
     samples = None  # (2, n, SAMPLE_COUNT), stacked once a cell is flagged
 
     delta = TRANSITION_TOLERANCE
@@ -143,23 +144,23 @@ def search_constraint(indicator_evaluator, fracture_cells,
         candidate = 1.0
         if flagged.any():
             if samples is None:
-                samples = np.stack([field_at(a) for a in grid], axis=-1)
+                samples = np.stack([field_at(a) for a in SAMPLE_GRID], axis=-1)
                 finite = np.isfinite(samples).all(axis=-1)
                 # Unfittable samples or no root: the largest sampled step
                 # whose indicator still has the reference sign.
                 kept = np.isfinite(samples) & (np.sign(samples) == sign[..., None])
-                last = grid.size - 1 - np.argmax(kept[..., ::-1], axis=-1)
-                fallback = np.where(kept.any(axis=-1), grid[last], ALPHA_MIN)
+                last = SAMPLE_GRID.size - 1 - np.argmax(kept[..., ::-1], axis=-1)
+                fallback = np.where(kept.any(axis=-1), SAMPLE_GRID[last], ALPHA_MIN)
                 # Any tolerance flags only profiles that move at the full step.
                 slopes = np.empty_like(samples)
                 movable = finite & (trans_full > 0.0)
                 if movable.any():
-                    slopes[movable] = fit(grid, samples[movable]).derivatives
+                    slopes[movable] = fit(SAMPLE_GRID, samples[movable]).derivatives
             roots = fallback[flagged]
             solvable = finite[flagged]
             if solvable.any():
                 rows = flagged & finite
-                spline = MonotoneCubic(grid, samples[rows], slopes[rows])
+                spline = MonotoneCubic(SAMPLE_GRID, samples[rows], slopes[rows])
                 try:
                     found = find_root(spline.shifted(delta * sign[rows]))
                 except (ValueError, RuntimeError) as err:  # NaN profile, no convergence

@@ -134,6 +134,64 @@ MINIMUM_ROWS = 17_000  # per knot count, 102k over the six counts
 ALPHA_MIN = 1e-3
 
 
+PROFILE_ROWS = 3000  # single profiles on 2 to 6 knots
+EXTREMES = [-1.7e308, -1e308, -1e300, -1.0, -0.0, 0.0, 1e-320, 1.0, 1e300, 1e308, 1.7e308]
+
+
+def _single_profiles(rng, count):
+    """count (knots, values) pairs on 2 to 6 knots.
+
+    Knots are uniform on [0, 1], random with ends 0 and 1, or 0 and m - 1 of
+    the residual search's trial steps. Row r is of kind r % 5: generic values
+    of magnitude 1e-8 to 1e8; magnitudes 1e-300 to 1e300; small integers
+    (flat spots and ties); signed zeros and 1e-320; values near the float
+    limit, whose secants reach inf and -inf.
+    """
+    cases = []
+    for r in range(count):
+        m = int(rng.integers(2, 7))
+        knot_kind = r // 5 % 3
+        if knot_kind == 0:
+            knots = np.linspace(0.0, 1.0, m)
+        elif knot_kind == 1:
+            knots = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, m - 2)), [1.0]))
+        else:
+            knots = np.concatenate(([0.0], np.sort(rng.choice(TRIAL_ALPHAS, m - 1,
+                                                              replace=False))))
+        kind = r % 5
+        if kind < 2:
+            top = 8.0 if kind == 0 else 300.0
+            values = rng.standard_normal(m) * 10.0 ** rng.uniform(-top, top, m)
+        elif kind == 2:
+            values = rng.integers(-2, 3, m).astype(float)
+        elif kind == 3:
+            values = rng.choice([-0.0, 0.0, 1e-320, -1e-320], m)
+        else:
+            values = rng.choice(EXTREMES, m)
+        cases.append((knots, values))
+    return cases
+
+
+def test_single_profile_fit_equals_its_batch_row_and_scalar_oracle_bitwise():
+    rng = np.random.default_rng(230)
+    seen = {"two knots": 0, "inf - inf": 0, "inf * 0": 0, "tie": 0, "-0.0 slope": 0}
+    for knots, values in _single_profiles(rng, PROFILE_ROWS):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            single = fit(knots, values).derivatives
+        row = fit(knots, values[None]).derivatives[0]
+        with np.errstate(all="ignore"):  # the oracle's numpy scalars warn near the float limit
+            oracle = scalar_oracle.fit(np.column_stack([knots, values])).derivatives
+            sec = np.diff(values) / np.diff(knots)
+            seen["inf - inf"] += bool(np.isnan(sec[:-1] + sec[1:]).any())
+            seen["inf * 0"] += bool(np.isnan(sec[:-1] * sec[1:]).any())
+            seen["tie"] += bool((np.diff(values) == 0.0).any())
+        assert single.tobytes() == row.tobytes() == oracle.tobytes(), (knots, values)
+        seen["two knots"] += len(knots) == 2
+        seen["-0.0 slope"] += bool((np.signbit(single) & (single == 0.0)).any())
+    assert min(seen.values()) > PROFILE_ROWS // 100, seen
+
+
 def _minimum_cases(rng, k, m):
     """k (knots, values, interval) cases on m knots.
 

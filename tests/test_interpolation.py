@@ -79,14 +79,24 @@ def test_shifted_adds_constant():
 
 
 def test_fit_rejects_bad_data():
-    with pytest.raises(ValueError):
-        fit([0.0], [1.0])
-    with pytest.raises(ValueError):
-        fit([0.0, 0.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        fit([1.0, 0.0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        fit([0.0, 1.0], [np.inf, 0.0])
+    # One profile and a batch of it fail alike: the same error, the same message.
+    cases = [
+        ([0.0], [1.0]),
+        ([0.0, 1.0], [1.0]),
+        ([0.0, 0.0], [1.0, 2.0]),
+        ([1.0, 0.0], [0.0, 1.0]),
+        ([0.0, 1.0], [np.inf, 0.0]),
+        ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+        ([0.0, -np.inf], [0.0, 1.0]),
+        ([1.0, 0.0, 2.0], [0.0, 1.0, np.nan]),  # unsorted and non-finite: finiteness first
+    ]
+    for knots, values in cases:
+        with pytest.raises(ValueError) as single:
+            fit(knots, values)
+        with pytest.raises(ValueError) as batch:
+            fit(knots, [values])
+        assert str(single.value) == str(batch.value)
+    assert str(single.value) == "interpolation data must be finite"
 
 
 # ---------------------------------------------------------------------------

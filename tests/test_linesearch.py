@@ -1,6 +1,7 @@
 """Step-length selection: residual-model and transition-controlled searches."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fracsolve.linesearch import (
     MAX_TIGHTENINGS,
     SAMPLE_COUNT,
     TRANSITION_TOLERANCE,
+    TRIAL_ALPHAS,
     Diverged,
     Strategy,
     search_constraint,
@@ -94,6 +96,67 @@ def test_residual_search_fits_samples_near_the_float_limit(trials, alpha):
 def test_residual_search_diverges_when_nothing_is_finite():
     with pytest.raises(Diverged):
         search_residual(lambda a: np.full_like(a, np.nan), 1.0)
+
+
+SEARCH_ROWS = 2500
+
+
+def _residual_objective(rng, r):
+    """The trial values of row r, an objective on them and the value at 0.
+
+    Values are generic (1e-8 to 1e8), small integers (ties and flat spots)
+    or an exact quadratic; each trial step is inf or NaN with probability
+    0.35, so every count of finite steps from 0 to 5 occurs.
+    """
+    kind = r % 3
+    if kind == 0:
+        values = rng.random(SAMPLE_COUNT + 1) * 10.0 ** rng.uniform(-8.0, 8.0)
+    elif kind == 1:
+        values = rng.integers(0, 4, SAMPLE_COUNT + 1).astype(float)
+    else:
+        values = (np.concatenate(([0.0], TRIAL_ALPHAS)) - rng.uniform(0.0, 1.0)) ** 2
+    reference, values = float(values[0]), values[1:]
+    lost = rng.random(SAMPLE_COUNT) < 0.35
+    values[lost] = rng.choice([np.inf, np.nan], lost.sum())
+    table = dict(zip(TRIAL_ALPHAS.tolist(), values.tolist()))
+    return values, lambda alphas: np.array([table[a] for a in alphas.tolist()]), reference
+
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def test_residual_search_equals_scalar_oracle():
+    rng = np.random.default_rng(231)
+    knot_counts = Counter()
+    lost_at = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in range(SEARCH_ROWS):
+            values, objective, reference = _residual_objective(rng, r)
+            lost_at |= {(i, np.isnan(v)) for i, v in enumerate(values) if not np.isfinite(v)}
+            if not np.isfinite(values).any():
+                with pytest.raises(Diverged):
+                    scalar_oracle.search_residual(objective, reference)
+                with pytest.raises(Diverged):
+                    search_residual(objective, reference)
+                knot_counts[1] += 1
+                continue
+            expected = scalar_oracle.search_residual(objective, reference)
+            outcome = search_residual(objective, reference)
+            knots, samples = zip(*expected.diagnostics["samples"])
+            assert _bits(outcome.alpha) == _bits(expected.alpha)
+            assert outcome.evaluations == expected.evaluations
+            found = outcome.diagnostics["model_minimum"]
+            model = expected.diagnostics["model_minimum"]
+            assert _bits(found) == _bits(model) or np.isnan(found) and np.isnan(model)
+            assert outcome.diagnostics["knots"] == list(knots)
+            assert np.array(outcome.diagnostics["samples"]).tobytes() == np.array(samples).tobytes()
+            knot_counts[len(knots)] += 1
+    # Every knot count occurs (1, the reference alone, is the diverged case),
+    # and inf and NaN are lost at every trial step.
+    assert set(knot_counts) == set(range(1, SAMPLE_COUNT + 2)), knot_counts
+    assert lost_at == {(i, nan) for i in range(SAMPLE_COUNT) for nan in (False, True)}
 
 
 # ---------------------------------------------------------------------------
