@@ -11,11 +11,11 @@ output is deterministic regardless of execution order.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .contact import ContactParameters
@@ -50,7 +50,6 @@ class SweepSpec:
     cells_values: tuple[int, ...] = (6, 12)
     u_c_values: tuple[float, ...] = DEFAULT_U_C_SWEEP
     seeds: tuple[int, ...] = (0,)
-    output_path: str = "sweep.csv"
 
     def __post_init__(self):
         for name in SWEEP_AXES:
@@ -157,27 +156,23 @@ def _worker_count(workers: int | None) -> int:
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[ResultRow]:
     """Run every sweep cell, possibly in parallel, and sort the rows."""
     cells = spec.cells()
-    workers = _worker_count(workers)
-    if workers == 1 or len(cells) == 1:
+    # The pool starts all its workers at once, so it gets no more than there are cells.
+    workers = min(_worker_count(workers), len(cells))
+    if workers == 1:
         rows = [solve_cell(cell) for cell in cells]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(solve_cell, cells))
     rows.sort()
     return rows
 
 
-def _csv_text(rows: list[ResultRow]) -> str:
+def emit_csv(rows: list[ResultRow]) -> str:
+    """The CSV text: the schema comment, the header and one line per row."""
     if not rows:
         raise ValueError("no rows to emit")
     lines = [",".join(str(getattr(r, name)) for name in CSV_COLUMNS) for r in rows]
     return "\n".join([CSV_SCHEMA_COMMENT, CSV_HEADER] + lines) + "\n"
-
-
-def emit_csv(rows: list[ResultRow], path: str) -> None:
-    text = _csv_text(rows)
-    with open(path, "w") as handle:
-        handle.write(text)
 
 
 def _cell_text(row: ResultRow) -> str:
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="characteristic displacements")
     parser.add_argument("--seed", nargs="+", type=int, dest="seeds",
                         help="seeds (multi-fracture presets)")
-    parser.add_argument("--out", dest="output_path", help="CSV output path (default sweep.csv)")
+    parser.add_argument("--out", default="sweep.csv", help="CSV output path (default sweep.csv)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (default: available parallelism)")
     parser.add_argument("--no-table", action="store_true", help="skip the text table")
@@ -246,14 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        fields = {}
-        for field in dataclasses.fields(SweepSpec):
-            value = getattr(args, field.name)
-            if value is not None:
-                fields[field.name] = tuple(value) if field.name in SWEEP_AXES else value
-        spec = SweepSpec(**fields)
+        spec = SweepSpec(**{name: tuple(getattr(args, name)) for name in SWEEP_AXES
+                            if getattr(args, name) is not None})
         workers = _worker_count(args.workers)
-        out = open(spec.output_path, "w")  # before any cell: a bad path costs no solve
+        out = open(args.out, "w")  # before any cell: a bad path costs no solve
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -261,15 +252,15 @@ def main(argv: list[str] | None = None) -> int:
     with out:
         try:
             rows = run_sweep(spec, workers=workers)
-            out.write(_csv_text(rows))
+            out.write(emit_csv(rows))
         except BaseException:
-            os.remove(spec.output_path)  # a failed sweep leaves no partial CSV
+            os.remove(args.out)  # a failed sweep leaves no partial CSV
             raise
 
     if not args.no_table:
         print(emit_table(rows))
     converged = sum(1 for r in rows if r.status == SolveStatus.CONVERGED.value)
-    print(f"wrote {len(rows)} rows to {spec.output_path} "
+    print(f"wrote {len(rows)} rows to {args.out} "
           f"({converged} converged, {len(rows) - converged} NC/Div)")
     return 0
 

@@ -13,7 +13,7 @@ each factorization reuses the memory the previous one freed.
 
 ``NewtonReport.trace`` holds one ``IterationRecord`` per iteration, record 0
 the initial state. A record holds what its iteration computed and ``None``
-for what it did not reach; the report's lists and counters derive from it.
+for what it did not reach; the report's counters and final norm read it.
 
 Models are duck-typed: they provide ``residual(x)``, ``jacobian(x)`` and
 ``initial_guess()``. ``residual`` maps the last axis, one point ``(n_dofs,)``
@@ -84,6 +84,10 @@ class ConvergenceCriterion:
     kind: CriterionKind = CriterionKind.INCREMENT
     tolerance: ClassVar[float] = TOLERANCE  # not a field: every run shares it
 
+    def __post_init__(self):
+        if not isinstance(self.kind, CriterionKind):
+            raise TypeError("kind must be a CriterionKind")
+
 
 @dataclass(frozen=True)
 class NewtonOptions:
@@ -108,13 +112,10 @@ class IterationRecord:
     scale: float | None = None
 
 
-def _recorded(name: str, attribute: str | None = None, reduce=list) -> property:
-    """``reduce`` of one record field's non-``None`` values, or of one attribute of each."""
-    def derived(report: NewtonReport):
-        present = [getattr(record, name) for record in report.trace
-                   if getattr(record, name) is not None]
-        return reduce(present if attribute is None else [getattr(v, attribute) for v in present])
-    return property(derived)
+def _searched(attribute: str | None = None) -> property:
+    """The sum of one attribute over the trace's searches; without one, their count."""
+    return property(lambda report: sum(1 if attribute is None else getattr(r.search, attribute)
+                                       for r in report.trace if r.search is not None))
 
 
 @dataclass
@@ -125,21 +126,17 @@ class NewtonReport:
     divergence_reason: str | None = None
     x: np.ndarray | None = None
 
-    # Read-only values derived from the trace.
-    residual_norms = _recorded("residual_norm")
-    increment_norms = _recorded("increment_norm")
-    alphas = _recorded("search", "alpha")
-    regime_history = _recorded("census")
-    scale_history = _recorded("scale")
-    iterations = _recorded("search", reduce=len)
-    ls_evaluations = _recorded("search", "evaluations", sum)
-    tightening_rounds = _recorded("search", "tightening_rounds", sum)
+    # Read-only counts derived from the trace.
+    iterations = _searched()
+    ls_evaluations = _searched("evaluations")
+    tightening_rounds = _searched("tightening_rounds")
 
     @property
     def final_norm(self) -> float:
-        seq = (self.increment_norms if self.criterion.kind is CriterionKind.INCREMENT
-               else self.residual_norms)
-        return seq[-1] if seq else float("inf")
+        """The criterion's last recorded norm; inf when none was recorded."""
+        name = "increment_norm" if self.criterion.kind is CriterionKind.INCREMENT else "residual_norm"
+        norms = [getattr(r, name) for r in self.trace if getattr(r, name) is not None]
+        return norms[-1] if norms else float("inf")
 
 
 def _squared_norm(vector: np.ndarray) -> float:

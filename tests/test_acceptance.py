@@ -296,20 +296,17 @@ def test_criterion_10_unit_scale_reproduces_const_bitwise(criterion_verdict):
             forced = solve(preset(name), options=NewtonOptions(
                 line_search=Strategy("constraint-adaptive"), force_unit_scale=True))
             assert const.iterations == forced.iterations
-            assert const.alphas == forced.alphas
+            assert ([r.search.alpha for r in const.trace if r.search is not None]
+                    == [r.search.alpha for r in forced.trace if r.search is not None])
             assert np.array_equal(const.x, forced.x)
 
 
-def test_criterion_11_sweep_is_reproducible(criterion_verdict, tmp_path):
+def test_criterion_11_sweep_is_reproducible(criterion_verdict):
     with criterion_verdict("criterion 11 (sweep reruns byte-identical)"):
         spec = SweepSpec(strategies=("none", "constraint-adaptive"),
                          models=("single-pm",), phi_values=(0.1,), cells_values=(4,),
                          u_c_values=(0.01, 0.1), seeds=(0,))
-        first = tmp_path / "first.csv"
-        second = tmp_path / "second.csv"
-        emit_csv(run_sweep(spec, workers=1), str(first))
-        emit_csv(run_sweep(spec, workers=1), str(second))
-        assert first.read_bytes() == second.read_bytes()
+        assert emit_csv(run_sweep(spec, workers=1)) == emit_csv(run_sweep(spec, workers=1))
 
 
 def test_criterion_12_residual_evaluation_budget(criterion_verdict):

@@ -362,10 +362,11 @@ def test_solve_trajectory_equals_scalar_search(monkeypatch, name, cells, strateg
     batched = _solve(name, cells, strategy, u_c)
     monkeypatch.setattr(fracsolve.newton, "search_constraint", scalar_oracle.search_constraint)
     scalar = _solve(name, cells, strategy, u_c)
-    assert batched.alphas == scalar.alphas
+    alphas = [record.search.alpha for record in batched.trace if record.search is not None]
+    assert alphas == [record.search.alpha for record in scalar.trace if record.search is not None]
     assert batched.tightening_rounds == scalar.tightening_rounds
     assert batched.x.tobytes() == scalar.x.tobytes()
-    assert min(batched.alphas) < 1.0  # the search damped at least one step
+    assert min(alphas) < 1.0  # the search damped at least one step
 
 
 def test_constraint_solve_raises_no_warning():

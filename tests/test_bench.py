@@ -1,6 +1,7 @@
 """Benchmark harness: sweep bookkeeping, CSV round-trips, CLI behavior."""
 
 import csv
+import dataclasses
 
 import pytest
 
@@ -23,6 +24,7 @@ from fracsolve.newton import CriterionKind, SolveStatus, solve
 
 SMALL = SweepSpec(strategies=("constraint-adaptive",), models=("single-pm",),
                   phi_values=(0.1,), cells_values=(4,), u_c_values=(0.01,), seeds=(0,))
+TWO_CELLS = dataclasses.replace(SMALL, strategies=("none", "constraint-adaptive"))
 
 
 # Typed columns of the sweep CSV; the rest are strings.
@@ -152,29 +154,49 @@ def test_iteration_cap_renders_as_nc():
 def test_csv_round_trip(tmp_path):
     rows = run_sweep(SMALL, workers=1)
     path = tmp_path / "sweep.csv"
-    emit_csv(rows, str(path))
+    path.write_text(emit_csv(rows))
     assert _read_csv(path) == rows
 
 
-def test_csv_structure_single_row(tmp_path):
-    path = tmp_path / "one.csv"
-    emit_csv([_row()], str(path))
-    lines = path.read_text().splitlines()
+def test_csv_structure_single_row():
+    lines = emit_csv([_row()]).splitlines()
     assert lines[0] == CSV_SCHEMA_COMMENT
     assert lines[1] == CSV_HEADER
     assert len(lines) == 3
     assert sum(1 for ln in lines if not ln.startswith("#")) == 2
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    spec = SweepSpec(strategies=("none", "constraint-adaptive"), models=("single-pm",),
-                     phi_values=(0.1,), cells_values=(4,), u_c_values=(0.01,), seeds=(0,))
-    paths = [tmp_path / name for name in ("a.csv", "b.csv", "c.csv")]
-    emit_csv(run_sweep(spec, workers=1), str(paths[0]))
-    emit_csv(run_sweep(spec, workers=1), str(paths[1]))
-    emit_csv(run_sweep(spec, workers=2), str(paths[2]))
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
+def test_rerun_is_byte_identical():
+    texts = [emit_csv(run_sweep(TWO_CELLS, workers=workers)) for workers in (1, 1, 2)]
+    assert texts[0] == texts[1] == texts[2]
+
+
+class _SerialPool:
+    """A stand-in process pool: records its ``max_workers`` and maps in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable):
+        return list(map(fn, iterable))
+
+
+@pytest.mark.parametrize("workers, cpus", [(500, 1), (None, 64), (2, 1)])
+def test_pool_is_no_larger_than_the_sweep(monkeypatch, workers, cpus):
+    # the pool forks every worker it is given at start, so a 2-cell sweep gets 2
+    monkeypatch.setattr(fracsolve.bench, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(fracsolve.bench.os, "cpu_count", lambda: cpus)
+    assert run_sweep(TWO_CELLS, workers=workers) == run_sweep(TWO_CELLS, workers=1)
+    assert _SerialPool.sizes == [2]
 
 
 def test_emit_table_rendering():
@@ -193,9 +215,9 @@ def test_emit_table_rendering():
     assert "-" in text
 
 
-def test_empty_outputs_raise(tmp_path):
+def test_empty_outputs_raise():
     with pytest.raises(ValueError):
-        emit_csv([], str(tmp_path / "never.csv"))
+        emit_csv([])
     with pytest.raises(ValueError):
         emit_table([])
 
@@ -213,6 +235,17 @@ def test_main_happy_path(tmp_path, capsys):
     assert out.exists()
     captured = capsys.readouterr()
     assert "wrote 1 rows" in captured.out
+
+
+def test_out_defaults_to_sweep_csv_in_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(["--model", "single-pm", "--strategy", "none", "--phi", "0.1", "--cells", "4",
+                 "--uc", "0.01", "--workers", "1", "--no-table"])
+    assert code == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[:2] == [CSV_SCHEMA_COMMENT, CSV_HEADER]
+    assert len(lines) == 3
+    assert "wrote 1 rows to sweep.csv" in capsys.readouterr().out
 
 
 def test_every_flag_lands_on_its_spec_field(tmp_path):

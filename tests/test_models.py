@@ -407,7 +407,7 @@ def test_factory_validation():
 def test_converged_solution_shows_all_three_regimes():
     report = solve(preset("single-pm"))
     assert report.status is SolveStatus.CONVERGED
-    census = report.regime_history[-1]
+    census = report.trace[-1].census
     assert sum(census) == 36
     assert all(count > 0 for count in census)
 

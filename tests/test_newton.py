@@ -138,6 +138,16 @@ def _options(strategy, **kwargs):
     return NewtonOptions(line_search=Strategy(strategy), **kwargs)
 
 
+def _recorded(report, name):
+    """The non-``None`` values of one trace record field, in iteration order."""
+    return [getattr(record, name) for record in report.trace
+            if getattr(record, name) is not None]
+
+
+def _alphas(report):
+    return [search.alpha for search in _recorded(report, "search")]
+
+
 # ---------------------------------------------------------------------------
 # linear solve
 
@@ -221,7 +231,7 @@ def test_linear_problem_converges_in_one_full_step(strategy):
         strategy, criterion=ConvergenceCriterion(kind=CriterionKind.RESIDUAL)))
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 1
-    assert report.alphas == [1.0]
+    assert _alphas(report) == [1.0]
 
 
 def test_cubic_model_converges_superlinearly():
@@ -229,7 +239,7 @@ def test_cubic_model_converges_superlinearly():
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations < 10
     assert abs(report.x[0] - 1.0) < 1e-10
-    tail = report.residual_norms[-3:]
+    tail = _recorded(report, "residual_norm")[-3:]
     assert tail[2] <= tail[1] ** 1.5
     assert tail[1] <= tail[0] ** 1.5
 
@@ -240,15 +250,16 @@ def test_residual_criterion_early_exit_at_root():
         "none", criterion=ConvergenceCriterion(kind=CriterionKind.RESIDUAL)))
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 0
-    assert len(report.residual_norms) == 1
+    assert len(report.trace) == 1
+    assert report.final_norm == report.trace[0].residual_norm < TOLERANCE
 
 
 def test_final_norm_tracks_criterion_kind():
     increment = solve(CubicModel(), options=_options("none"))
-    assert increment.final_norm == increment.increment_norms[-1]
+    assert increment.final_norm == increment.trace[-1].increment_norm
     residual = solve(LinearModel(), options=_options(
         "none", criterion=ConvergenceCriterion(kind=CriterionKind.RESIDUAL)))
-    assert residual.final_norm == residual.residual_norms[-1]
+    assert residual.final_norm == residual.trace[-1].residual_norm
 
 
 # ---------------------------------------------------------------------------
@@ -281,30 +292,38 @@ class TinyJacobianModel:
         return np.zeros(2)
 
 
-# Each way a run diverges: model, initial point, strategy, iterations, lengths
-# of the residual, increment, alpha and scale histories, the fields the last
-# trace record holds, and reason. The scale of an iteration that diverges
-# after its update is not recorded. In the blow-up, |cbrt(x)| grows by
-# 2 ** (1/3) per step and passes 1e10 at step 100, the last one the iteration
-# cap allows. Norms and squares past the float range are inf, and no
+# Each way a run diverges: model, initial point, strategy, iterations, the
+# number of trace records holding a residual norm, an increment norm, a
+# search and a scale, the fields the last record holds, the final norm, and
+# reason. The scale of an iteration that diverges after its update is not
+# recorded. The final norm is the last recorded increment norm, inf where
+# none was recorded: BlowupModel's first full step is 3 e^40 - 1 and
+# CubeRootModel's last is 3 |x| at |x| = 2 ** 99. In the blow-up, |cbrt(x)|
+# grows by 2 ** (1/3) per step and passes 1e10 at step 100, the last one the
+# iteration cap allows. Norms and squares past the float range are inf, and no
 # overflow warning leaves the run.
+BLOWUP_STEP = 3.0 * np.exp(40.0) - 1.0
 DIVERGENCE_EXITS = {
     "initial-residual": (LinearModel(), np.full(8, np.nan), "none", 0, (0, 0, 0, 1),
-                         {"scale"}, "non-finite initial residual"),
+                         {"scale"}, np.inf, "non-finite initial residual"),
     "overflowing-initial-residual": (LinearModel(), np.full(8, 1e160), "none", 0, (0, 0, 0, 1),
-                                     {"scale"}, "non-finite initial residual"),
+                                     {"scale"}, np.inf, "non-finite initial residual"),
     "linear-solve": (SingularModel(), None, "none", 0, (1, 0, 0, 1),
-                     set(), "linear solve failed: "),
+                     set(), np.inf, "linear solve failed: "),
     "search": (BlowupModel(), None, "residual", 0, (1, 1, 0, 1),
-               {"increment_norm"}, "residual objective non-finite at every trial step"),
+               {"increment_norm"}, BLOWUP_STEP,
+               "residual objective non-finite at every trial step"),
     "non-finite-update": (BlowupModel(), None, "none", 1, (1, 1, 1, 1),
-                          {"increment_norm", "search"}, "non-finite residual or iterate"),
+                          {"increment_norm", "search"}, BLOWUP_STEP,
+                          "non-finite residual or iterate"),
     "overflowing-step": (TinyJacobianModel(), None, "none", 1, (1, 1, 1, 1),
-                         {"increment_norm", "search"}, "non-finite residual or iterate"),
+                         {"increment_norm", "search"}, np.inf, "non-finite residual or iterate"),
     "overflowing-trials": (TinyJacobianModel(), None, "residual", 0, (1, 1, 0, 1),
-                           {"increment_norm"}, "residual objective non-finite at every trial step"),
+                           {"increment_norm"}, np.inf,
+                           "residual objective non-finite at every trial step"),
     "blow-up": (CubeRootModel(), None, "none", 100, (100, 100, 100, 100),
-                {"increment_norm", "search"}, "residual grew past 1e+10 of initial"),
+                {"increment_norm", "search"}, 3.0 * 2.0 ** 99,
+                "residual grew past 1e+10 of initial"),
 }
 
 
@@ -315,20 +334,34 @@ def _held(record):
 
 @pytest.mark.parametrize("exit_name", DIVERGENCE_EXITS)
 def test_every_divergence_exit_reports_its_state(exit_name):
-    model, x0, strategy, iterations, lengths, held, reason = DIVERGENCE_EXITS[exit_name]
+    model, x0, strategy, iterations, counts, held, final_norm, reason = DIVERGENCE_EXITS[exit_name]
     report = solve(model, x0=x0, options=_options(strategy))
     assert report.status is SolveStatus.DIVERGED
     assert report.iterations == iterations
-    assert (len(report.residual_norms), len(report.increment_norms), len(report.alphas),
-            len(report.scale_history)) == lengths
-    assert report.scale_history == [1.0] * lengths[3]
+    names = ("residual_norm", "increment_norm", "search", "scale")
+    assert tuple(len(_recorded(report, name)) for name in names) == counts
+    assert _recorded(report, "scale") == [1.0] * counts[3]
     assert _held(report.trace[-1]) == held
+    assert report.final_norm == final_norm
     if exit_name == "linear-solve":
         # the rest of the message is the factorization's own
         assert report.divergence_reason.startswith(reason)
     else:
         assert report.divergence_reason == reason
     assert report.x is not None
+
+
+@pytest.mark.parametrize("exit_name, final_norm", [
+    ("linear-solve", 1.0), ("non-finite-update", 3.0), ("blow-up", 2.0 ** 33)])
+def test_final_norm_of_a_divergence_is_the_last_recorded_residual_norm(exit_name, final_norm):
+    # the last record holds no residual norm, so the final norm is the one
+    # before: the initial |x - 1| and |e^-40 - 3|, or |cbrt(x)| at |x| = 2 ** 99
+    model, x0, strategy = DIVERGENCE_EXITS[exit_name][:3]
+    report = solve(model, x0=x0, options=_options(
+        strategy, criterion=ConvergenceCriterion(kind=CriterionKind.RESIDUAL)))
+    assert report.status is SolveStatus.DIVERGED
+    assert report.trace[-1].residual_norm is None
+    assert report.final_norm == final_norm
 
 
 class LoadedContactModel:
@@ -360,7 +393,7 @@ def test_scale_estimate_past_the_float_range_is_the_ceiling(sn):
     # and ends no run, even under the RuntimeWarning error policy
     report = solve(LoadedContactModel(sn), options=_options("constraint-adaptive"))
     assert report.status is SolveStatus.CONVERGED
-    assert report.scale_history == [1.0] + [SCALE_CEILING] * report.iterations
+    assert _recorded(report, "scale") == [1.0] + [SCALE_CEILING] * report.iterations
 
 
 def test_failed_constraint_root_search_is_reported_as_divergence(monkeypatch):
@@ -451,7 +484,7 @@ def test_contact_states_and_fracture_cells_suffice():
     inner = preset("single-pm", cells_per_side=4)
     expected = solve(inner, options=_options("constraint-adaptive"))
     report = solve(ContactHooksModel(inner), options=_options("constraint-adaptive"))
-    assert report.alphas == expected.alphas
+    assert _alphas(report) == _alphas(expected)
     assert report.x.tobytes() == expected.x.tobytes()
 
 
@@ -459,9 +492,9 @@ def test_determinism_bitwise():
     first = solve(preset("single-pm"), options=_options("constraint-adaptive"))
     second = solve(preset("single-pm"), options=_options("constraint-adaptive"))
     assert np.array_equal(first.x, second.x)
-    assert first.alphas == second.alphas
-    assert first.residual_norms == second.residual_norms
-    assert first.scale_history == second.scale_history
+    assert _alphas(first) == _alphas(second)
+    assert _recorded(first, "residual_norm") == _recorded(second, "residual_norm")
+    assert _recorded(first, "scale") == _recorded(second, "scale")
 
 
 def _kkt_ok(states, tol=1e-8):
@@ -492,28 +525,30 @@ def test_converged_iterate_satisfies_contact_conditions():
     assert np.all(_kkt_ok(model.contact_states(report.x)))
 
 
-def test_scale_history_semantics():
-    const = solve(preset("single-pm"), options=_options("constraint-const"))
-    assert const.scale_history[0] == 1.0
-    assert all(s == 1.0 for s in const.scale_history)
+def test_recorded_scale_semantics():
+    const = _recorded(solve(preset("single-pm"), options=_options("constraint-const")), "scale")
+    assert const[0] == 1.0
+    assert all(s == 1.0 for s in const)
 
     adaptive = solve(preset("single-pm"), options=_options("constraint-adaptive"))
-    assert adaptive.scale_history[0] == 1.0
-    assert len(adaptive.scale_history) == adaptive.iterations + 1
-    assert all(1e-8 <= s <= 1e8 for s in adaptive.scale_history)
-    assert any(s != 1.0 for s in adaptive.scale_history[1:])
+    scales = _recorded(adaptive, "scale")
+    assert scales[0] == 1.0
+    assert len(scales) == adaptive.iterations + 1
+    assert all(1e-8 <= s <= 1e8 for s in scales)
+    assert any(s != 1.0 for s in scales[1:])
 
     forced = solve(preset("single-pm"), options=_options(
         "constraint-adaptive", force_unit_scale=True))
-    assert all(s == 1.0 for s in forced.scale_history)
+    assert all(s == 1.0 for s in _recorded(forced, "scale"))
 
 
-def test_regime_history_is_recorded_per_iteration():
+def test_census_is_recorded_per_iteration():
     model = preset("single-pm")
     report = solve(model, options=_options("constraint-adaptive"))
-    assert len(report.regime_history) == report.iterations
+    censuses = _recorded(report, "census")
+    assert len(censuses) == report.iterations
     n = model.n_cells
-    assert all(sum(census) == n for census in report.regime_history)
+    assert all(sum(census) == n for census in censuses)
 
 
 def test_report_stores_the_trace_and_derives_the_rest():
@@ -528,10 +563,11 @@ def test_report_stores_the_trace_and_derives_the_rest():
     assert all(_held(record) == {f.name for f in dataclasses.fields(IterationRecord)}
                for record in steps)
     assert report.iterations == len(steps)
-    assert report.alphas == [record.search.alpha for record in steps]
-    assert report.residual_norms == [record.residual_norm for record in report.trace]
+    assert report.ls_evaluations == sum(record.search.evaluations for record in steps)
+    assert report.tightening_rounds == sum(record.search.tightening_rounds for record in steps)
+    assert report.final_norm == steps[-1].increment_norm
     with pytest.raises(AttributeError):
-        report.alphas = []
+        report.iterations = 0
 
 
 def test_report_keeps_every_search_outcome():
@@ -561,6 +597,11 @@ def test_options_hold_the_strategy_and_the_parameters_are_the_paper_values():
     # a strategy's name is not a strategy: it would run the constraint search
     with pytest.raises(TypeError):
         NewtonOptions(line_search="residual")
+    # nor is a criterion's name a criterion: it would run the residual criterion
+    for kind in CriterionKind:
+        assert ConvergenceCriterion(kind=kind).kind is kind
+    with pytest.raises(TypeError):
+        ConvergenceCriterion(kind="increment")
     assert (TRANSITION_TOLERANCE, TRANSITION_FRACTION, SAMPLE_COUNT, MAX_TIGHTENINGS,
             ALPHA_MIN) == (0.3, 0.2, 5, 10, 1e-3)
     assert DIVERGENCE_FACTOR == 1e10

@@ -162,5 +162,6 @@ def test_residual_solve_equals_per_point_path(monkeypatch, name, geometry, u_c):
     assert stacked.status is per_point.status
     assert stacked.iterations == per_point.iterations
     assert stacked.ls_evaluations == per_point.ls_evaluations == 5 * stacked.iterations
-    assert stacked.alphas == per_point.alphas
+    assert ([r.search.alpha for r in stacked.trace if r.search is not None]
+            == [r.search.alpha for r in per_point.trace if r.search is not None])
     assert stacked.x.tobytes() == per_point.x.tobytes()

@@ -5,9 +5,11 @@ the ``fracsolve`` of its own checkout. The solves are every preset in
 (single-pm, single-tpm, multi4-pm, multi4-tpm), times every line-search
 ``Strategy`` in enum order, times u_c in (1e-4, 1e-2, 1.0), each with default
 ``NewtonOptions`` otherwise. One hash is updated per solve with the ``repr``
-of its (status value, iterations, alphas, line-search evaluations, tightening
-rounds, scale history, regime history, divergence reason), then with the
-bytes of its final iterate. A change that keeps every trajectory bitwise
+of a tuple built from its report's trace: (status value, iterations, the
+step lengths, line-search evaluations, tightening rounds, the recorded
+scales, the recorded regime censuses, divergence reason), each list holding
+the non-``None`` values of one record field in iteration order; then with
+the bytes of its final iterate. A change that keeps every trajectory bitwise
 keeps the printed hash. Given an expected hash, the script exits 1 when the
 printed one differs.
 
@@ -55,12 +57,19 @@ def outcome(name: str, strategy: str, u_c: float, report) -> dict:
             "divergence_reason": report.divergence_reason}
 
 
+def recorded(report, name: str) -> list:
+    """The non-``None`` values of one trace record field, in iteration order."""
+    return [getattr(record, name) for record in report.trace
+            if getattr(record, name) is not None]
+
+
 def trajectory_hash() -> str:
     digest = hashlib.sha256()
     for _, _, _, report in reference_solves():
-        digest.update(repr((report.status.value, report.iterations, report.alphas,
+        alphas = [search.alpha for search in recorded(report, "search")]
+        digest.update(repr((report.status.value, report.iterations, alphas,
                             report.ls_evaluations, report.tightening_rounds,
-                            report.scale_history, report.regime_history,
+                            recorded(report, "scale"), recorded(report, "census"),
                             report.divergence_reason)).encode())
         digest.update(report.x.tobytes())
     return digest.hexdigest()
