@@ -13,12 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .contact import ContactParameters
+from .contact import check_dilation_angle
 from .linesearch import Strategy
 from .models import MULTI_CELLS_PER_SIDE, PRESET_NAMES, preset
 from .newton import ConvergenceCriterion, CriterionKind, NewtonOptions, SolveStatus, solve
@@ -61,11 +62,11 @@ class SweepSpec:
         for s in self.strategies:
             Strategy(s)  # raises on unknown names
         # Before any solve, a build's checks reject a bad name or axis value:
-        # phi and u_c meet only these two constructors' checks in a build.
+        # phi and u_c meet only these two checks in a build.
         for model, size, seed in dict.fromkeys((c[1], c[3], c[5]) for c in self.cells()):
             preset(model, cells_per_side=size, seed=seed)
         for phi in self.phi_values:
-            ContactParameters(dilation_angle=phi)
+            check_dilation_angle(phi)
         for u_c in self.u_c_values:
             CharacteristicScales(u_c)
 
@@ -254,7 +255,9 @@ def main(argv: list[str] | None = None) -> int:
             rows = run_sweep(spec, workers=workers)
             out.write(emit_csv(rows))
         except BaseException:
-            os.remove(args.out)  # a failed sweep leaves no partial CSV
+            # A failed sweep leaves no partial CSV, but never unlinks a symlink or a device.
+            if stat.S_ISREG(os.lstat(args.out).st_mode):
+                os.remove(args.out)
             raise
 
     if not args.no_table:

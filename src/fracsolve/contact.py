@@ -10,8 +10,9 @@ enter through the complementarity weight, the reciprocal characteristic
 displacement.
 
 The state of all cells is one ``ContactStates`` of per-cell arrays that also
-carries the contact law (parameters and complementarity weight), and every
-kernel here maps it alone to per-cell arrays in a single vectorized pass.
+carries the contact law (dilation angle and complementarity weight; the
+friction coefficient is ``FRICTION_COEFFICIENT``), and every kernel here maps
+it alone to per-cell arrays in a single vectorized pass.
 
 The residuals, the regime census, the generalized derivative and the state
 indicators share one open/closed test, ``normal_indicator``, and one
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ContactParameters",
+    "FRICTION_COEFFICIENT",
+    "check_dilation_angle",
     "ContactStates",
     "ContactRegime",
     "friction_bound",
@@ -53,21 +55,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ContactParameters:
-    """Cell-wise contact constants; the defaults are the contact law of the shipped problems."""
+# Coulomb friction coefficient of every fracture cell.
+FRICTION_COEFFICIENT = 1.0
 
-    friction_coefficient: float = 1.0
-    dilation_angle: float = 0.0       # radians, in [0, pi/2)
-    residual_aperture: float = 1e-3   # meters, hydraulic aperture at closed contact
 
-    def __post_init__(self):
-        if not 0.0 <= self.friction_coefficient < np.inf:
-            raise ValueError("friction coefficient must be nonnegative and finite")
-        if not 0.0 <= self.dilation_angle < 0.5 * np.pi:
-            raise ValueError("dilation angle must lie in [0, pi/2)")
-        if not 0.0 < self.residual_aperture < np.inf:
-            raise ValueError("residual aperture must be positive and finite")
+def check_dilation_angle(angle: float) -> None:
+    """Reject a dilation angle (radians) outside [0, pi/2), NaN included."""
+    if not 0.0 <= angle < 0.5 * np.pi:
+        raise ValueError("dilation angle must lie in [0, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -79,15 +74,15 @@ class ContactStates:
     stack of points, ``(k, n)`` and ``(k, n, 2)``. Tractions are scaled
     (dimensionless); the jumps are physical displacements in meters. The
     arrays are read-only views; the caller's arrays are not copied.
-    ``params`` and ``weight``, the complementarity weight, are the contact law
-    every kernel here reads from the states.
+    ``dilation_angle`` (radians) and ``weight``, the complementarity weight,
+    are the contact law every kernel here reads from the states.
     """
 
     normal_traction: np.ndarray
     tangential_traction: np.ndarray
     normal_jump: np.ndarray
     tangential_jump: np.ndarray
-    params: ContactParameters
+    dilation_angle: float
     weight: float
 
     def __post_init__(self):
@@ -114,13 +109,13 @@ def _norms(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(vectors, vectors))
 
 
-def friction_bound(normal_traction, friction_coefficient: float):
+def friction_bound(normal_traction):
     """Coulomb bound on the tangential traction magnitude.
 
     Positive only under compression; nonpositive values mean the cell cannot
     sustain any shear (open contact).
     """
-    return -friction_coefficient * normal_traction
+    return -FRICTION_COEFFICIENT * normal_traction
 
 
 def gap(tangential_jump: np.ndarray, dilation_angle: float):
@@ -134,13 +129,13 @@ def normal_indicator(states: ContactStates) -> np.ndarray:
     Positive exactly when the penetration term in the normal complementarity
     residual is on its active (contact) branch.
     """
-    g = gap(states.tangential_jump, states.params.dilation_angle)
+    g = gap(states.tangential_jump, states.dilation_angle)
     return -states.normal_traction - states.weight * (states.normal_jump - g)
 
 
 def _slip_drive(states: ContactStates):
     """Friction bound ``b``, shape ``(n,)``, and slip drive ``q``, shape ``(n, 2)``."""
-    b = friction_bound(states.normal_traction, states.params.friction_coefficient)
+    b = friction_bound(states.normal_traction)
     return b, states.tangential_traction + states.weight * states.tangential_jump
 
 
@@ -185,7 +180,7 @@ def contact_generalized_derivative(states: ContactStates) -> np.ndarray:
     tie. The dilation gap is nonsmooth at zero tangential jump, where its
     subgradient is taken as zero.
     """
-    F = states.params.friction_coefficient
+    F = FRICTION_COEFFICIENT
     c = float(states.weight)
     sig_t = states.tangential_traction
     u_t = states.tangential_jump
@@ -193,7 +188,7 @@ def contact_generalized_derivative(states: ContactStates) -> np.ndarray:
 
     D = np.zeros(states.normal_traction.shape + (3, 6))
 
-    tan_psi = np.tan(states.params.dilation_angle)
+    tan_psi = np.tan(states.dilation_angle)
     u_t_norm = _norms(u_t)
     dg_dut = np.zeros_like(u_t)
     moving = u_t_norm > 0.0

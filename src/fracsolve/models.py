@@ -11,8 +11,9 @@ sliding cells and the couplings carry comparable weight, at desk-problem cost.
 
 All model construction is deterministic: multi-fracture geometries derive from
 an integer seed, and the first fractures of a larger family coincide with the
-smaller family at the same seed. A constructor describes the whole problem,
-boundary values and flow field included; the physics only picks the unknowns.
+smaller family at the same seed. ``preset``, the one public constructor,
+describes the whole problem, boundary values and flow field included; the
+physics only picks the unknowns.
 Each model is one implicit step of ``TIME_STEP`` from rest (zero jumps,
 pressures and temperatures), so an evaluation reads nothing but its ``x``.
 
@@ -44,8 +45,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .contact import (
-    ContactParameters,
     ContactStates,
+    check_dilation_angle,
     contact_generalized_derivative,
     normal_complementarity,
     tangential_complementarity,
@@ -57,8 +58,6 @@ __all__ = [
     "Fracture",
     "FractureAssembly",
     "transmissibility",
-    "make_single_fracture",
-    "make_multi_fracture",
     "preset",
     "PRESET_NAMES",
 ]
@@ -119,6 +118,8 @@ FAR_FIELD_STRESS = np.array([
 MULTI_CELLS_PER_SIDE = 4
 
 
+# Hydraulic aperture of a cell at zero normal jump (closed contact).
+RESIDUAL_APERTURE = 1.0e-3   # m
 # Minimum hydraulic aperture: closed or interpenetrating trial states keep a
 # small positive conductance so the flow block stays elliptic. Converged
 # states always sit above the floor (contact enforces nonnegative openings).
@@ -189,13 +190,15 @@ class FractureAssembly:
     construction: the n x n influence operator of the cell grid, the sorted CSC
     pattern, the constant force-balance entries (identity, influence operator
     per jump component, Biot and thermal columns), and the slot in ``data`` of
-    every contribution that changes with the iterate. ``scales`` is read there too.
+    every contribution that changes with the iterate. ``scales`` is read there
+    too; ``dilation_angle`` (radians) is the contact law's one setting.
     """
 
-    def __init__(self, fractures: list[Fracture], params: ContactParameters,
+    def __init__(self, fractures: list[Fracture], dilation_angle: float,
                  physics: Physics, scales: CharacteristicScales):
+        check_dilation_angle(dilation_angle)
         self.fractures = fractures
-        self.params = params
+        self.dilation_angle = dilation_angle
         self.physics = physics
         self.scales = scales
 
@@ -228,10 +231,10 @@ class FractureAssembly:
 
         # The balance block, mass then energy rows: Dirichlet values in unit
         # scale (NaN where free), and row scales keeping the rest O(1).
-        flux_scale = transmissibility(params.residual_aperture)
+        flux_scale = transmissibility(RESIDUAL_APERTURE)
         self._mass_scale = flux_scale * PRESSURE_SCALE
         advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
-        conductive = THERMAL_CONDUCTIVITY * params.residual_aperture
+        conductive = THERMAL_CONDUCTIVITY * RESIDUAL_APERTURE
         self._energy_scale = (conductive + advective) * TEMPERATURE_SCALE
         blocks = [("dirichlet_pressure", PRESSURE_SCALE, self._mass_scale)]
         if self.has_temperature:
@@ -283,7 +286,7 @@ class FractureAssembly:
         """Read-only per-cell views of the tractions and jumps in ``x``, with the contact law."""
         traction, jump, _, _ = self.split(x)
         return ContactStates(traction[..., 0], traction[..., 1:3], jump[..., 0], jump[..., 1:3],
-                             self.params, self.scales.complementarity_weight)
+                             self.dilation_angle, self.scales.complementarity_weight)
 
     def initial_guess(self) -> np.ndarray:
         """Zero jumps and reference pressures/temperatures, seeded tractions.
@@ -416,7 +419,7 @@ class FractureAssembly:
     # ----- residual ------------------------------------------------------
 
     def _apertures(self, jump: np.ndarray) -> np.ndarray:
-        return self.params.residual_aperture + jump[..., 0]
+        return RESIDUAL_APERTURE + jump[..., 0]
 
     def _edge_terms(self, apertures: np.ndarray, values: np.ndarray):
         """Per-edge mean aperture, the same floored for flow, and the drop in ``values``.
@@ -473,7 +476,7 @@ class FractureAssembly:
 
         # Storage: aperture change plus compressibility/thermal expansion of
         # the resident fluid over the step from rest, per unit time.
-        rows += self._areas * (apertures - self.params.residual_aperture) / TIME_STEP
+        rows += self._areas * (apertures - RESIDUAL_APERTURE) / TIME_STEP
         rows += self._areas * apertures * FLUID_COMPRESSIBILITY \
             * PRESSURE_SCALE * pressure / TIME_STEP
         if temperature is not None:
@@ -617,16 +620,13 @@ def _pattern(size: int, groups: list[tuple[np.ndarray, np.ndarray]]):
 # ----- constructors -------------------------------------------------------
 
 
-def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
-                         characteristic_displacement: float = 0.01,
-                         physics: Physics = Physics.PORO) -> FractureAssembly:
+def _single_fracture(cells_per_side: int) -> list[Fracture]:
     """A unit-square fracture under a normal load ramp and uniform shear.
 
     Flow enters through a fixed-pressure left cell column and leaves through
     the right column; the thermal variant also fixes inlet/outlet
     temperatures and advects heat along the pressure drop in a frozen flow
-    field. ``characteristic_displacement`` only changes the scaling, never the
-    physical problem.
+    field.
     """
     if cells_per_side < 2:
         raise ValueError("need at least a 2x2 fracture grid")
@@ -650,14 +650,12 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
     dirichlet_T = dict.fromkeys(inlet, INLET_TEMPERATURE) \
         | dict.fromkeys(outlet, OUTLET_TEMPERATURE)
 
-    params = ContactParameters(dilation_angle=dilation_angle)
-
     # Frozen flow field along the ramp axis at residual-aperture rate.
-    base_rate = transmissibility(params.residual_aperture) * (INLET_PRESSURE - OUTLET_PRESSURE) / m
+    base_rate = transmissibility(RESIDUAL_APERTURE) * (INLET_PRESSURE - OUTLET_PRESSURE) / m
     along_flow = edges[:, 1] == edges[:, 0] + m
     advection = np.where(along_flow, base_rate, 0.0)
 
-    fracture = Fracture(
+    return [Fracture(
         shape=(m, m),
         external_traction=external,
         edges=edges,
@@ -665,16 +663,10 @@ def make_single_fracture(cells_per_side: int = 6, dilation_angle: float = 0.1,
         dirichlet_pressure=dirichlet_p,
         dirichlet_temperature=dirichlet_T,
         advection_rates=advection,
-    )
-
-    return FractureAssembly([fracture], params, physics,
-                            CharacteristicScales(characteristic_displacement))
+    )]
 
 
-def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
-                        dilation_angle: float = 0.1,
-                        characteristic_displacement: float = 0.01,
-                        physics: Physics = Physics.PORO) -> FractureAssembly:
+def _multi_fracture(n_fractures: int, seed: int) -> list[Fracture]:
     """Randomly oriented small fractures under a shared far-field load.
 
     Fractures are generated one at a time from the seed, so the first k
@@ -682,8 +674,6 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
     hosts a well with alternating injection/production pressure (and
     temperature for the thermal variant).
     """
-    if n_fractures < 1:
-        raise ValueError("need at least one fracture")
     rng = np.random.default_rng(seed)
     sigma_ref = CharacteristicScales(REFERENCE_DISPLACEMENT).stress
     far_field = sigma_ref * FAR_FIELD_STRESS
@@ -691,7 +681,6 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
     m = MULTI_CELLS_PER_SIDE
     n_local = m * m
     edges = _grid_edges((m, m))
-    params = ContactParameters(dilation_angle=dilation_angle)
 
     fractures = []
     for i in range(n_fractures):
@@ -722,9 +711,7 @@ def make_multi_fracture(n_fractures: int = 4, seed: int = 0,
             dirichlet_pressure=dirichlet_p,
             dirichlet_temperature=dirichlet_T,
         ))
-
-    return FractureAssembly(fractures, params, physics,
-                            CharacteristicScales(characteristic_displacement))
+    return fractures
 
 
 PRESET_NAMES = ("single-pm", "single-tpm", "multi4-pm", "multi4-tpm",
@@ -734,13 +721,17 @@ PRESET_NAMES = ("single-pm", "single-tpm", "multi4-pm", "multi4-tpm",
 def preset(name: str, dilation_angle: float = 0.1,
            characteristic_displacement: float = 0.01,
            cells_per_side: int = 6, seed: int = 0) -> FractureAssembly:
-    """Construct one of the models named in ``PRESET_NAMES``."""
+    """Construct one of the models named in ``PRESET_NAMES``.
+
+    ``characteristic_displacement`` only changes the scaling, never the problem.
+    """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}")
     head, kind = name.split("-")
     physics = Physics.PORO if kind == "pm" else Physics.THERMOPORO
     if head == "single":
-        return make_single_fracture(cells_per_side, dilation_angle,
-                                    characteristic_displacement, physics)
-    return make_multi_fracture(int(head.removeprefix("multi")), seed, dilation_angle,
-                               characteristic_displacement, physics)
+        fractures = _single_fracture(cells_per_side)
+    else:
+        fractures = _multi_fracture(int(head.removeprefix("multi")), seed)
+    return FractureAssembly(fractures, dilation_angle, physics,
+                            CharacteristicScales(characteristic_displacement))

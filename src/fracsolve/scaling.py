@@ -73,7 +73,7 @@ def cell_scale_estimate(states: ContactStates) -> np.ndarray:
     u_t = states.tangential_jump
     with np.errstate(over="ignore"):
         traction_sq = np.float_power(states.normal_traction, 2) + np.vecdot(sig_t, sig_t)
-        g = gap(u_t, states.params.dilation_angle)
+        g = gap(u_t, states.dilation_angle)
         jump_sq = np.float_power(states.normal_jump - g, 2) + np.vecdot(u_t, u_t)
         return np.sqrt(traction_sq) + states.weight * np.sqrt(jump_sq)
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+import fracsolve.models
 from fracsolve.contact import (
     ContactStates,
     normal_complementarity,
@@ -340,7 +341,7 @@ def residual(model, x):
     r[0:3 * n] = force.ravel()
 
     states = ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
-                           model.params, weight)
+                           model.dilation_angle, weight)
     contact = r[3 * n:6 * n].reshape(n, 3)
     contact[:, 0] = normal_complementarity(states)
     contact[:, 1:3] = tangential_complementarity(states)
@@ -352,10 +353,10 @@ def residual(model, x):
 
 
 def _mass_rows(model, jump, pressure, temperature):
-    apertures = model.params.residual_aperture + jump[:, 0]
+    apertures = fracsolve.models.RESIDUAL_APERTURE + jump[:, 0]
     rows = np.zeros(model.n_cells)
     dt = TIME_STEP
-    rows += model._areas * (apertures - model.params.residual_aperture) / dt
+    rows += model._areas * (apertures - fracsolve.models.RESIDUAL_APERTURE) / dt
     rows += model._areas * apertures * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * pressure / dt
     if temperature is not None:
         rows -= model._areas * apertures * FLUID_THERMAL_EXPANSION \
@@ -373,7 +374,7 @@ def _mass_rows(model, jump, pressure, temperature):
 
 
 def _energy_rows(model, jump, temperature):
-    apertures = model.params.residual_aperture + jump[:, 0]
+    apertures = fracsolve.models.RESIDUAL_APERTURE + jump[:, 0]
     rows = np.zeros(model.n_cells)
     heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
     rows += model._areas * apertures * heat * TEMPERATURE_SCALE * temperature / TIME_STEP

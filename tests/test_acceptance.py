@@ -12,14 +12,13 @@ import pytest
 
 from fracsolve.bench import SweepSpec, emit_csv, run_sweep
 from fracsolve.contact import (
-    ContactParameters,
     ContactStates,
     normal_complementarity,
     tangential_complementarity,
 )
 from fracsolve.interpolation import evaluate, fit
 from fracsolve.linesearch import Strategy, search_constraint
-from fracsolve.models import Physics, make_single_fracture, preset
+from fracsolve.models import preset
 from fracsolve.newton import (
     ConvergenceCriterion,
     CriterionKind,
@@ -76,10 +75,10 @@ def _branch_margin(model, x):
     from fracsolve.contact import friction_bound, gap
 
     st = model.contact_states(x)
-    params, w = st.params, st.weight
-    g = gap(st.tangential_jump, params.dilation_angle)
+    w = st.weight
+    g = gap(st.tangential_jump, st.dilation_angle)
     reach = -st.normal_traction - w * (st.normal_jump - g)
-    b = friction_bound(st.normal_traction, params.friction_coefficient)
+    b = friction_bound(st.normal_traction)
     q = st.tangential_traction + w * st.tangential_jump
     return float(np.min([np.abs(reach), np.abs(b), np.abs(np.linalg.norm(q, axis=1) - b),
                          np.linalg.norm(st.tangential_jump, axis=1)]))
@@ -142,7 +141,6 @@ def test_criterion_01_complementarity_kkt_equivalence(criterion_verdict):
         assert residual_zero.sum() > 0
 
         # the vectorized oracle and the shipped kernel are the same function
-        params = ContactParameters(friction_coefficient=FRICTION, dilation_angle=DILATION)
         rng = np.random.default_rng(7)
         for _ in range(200):
             a, b, c = rng.uniform(-2, 2, 3)
@@ -150,7 +148,7 @@ def test_criterion_01_complementarity_kkt_equivalence(criterion_verdict):
             state = ContactStates(
                 normal_traction=np.array([a]), tangential_traction=np.array([[b, 0.0]]),
                 normal_jump=np.array([d]), tangential_jump=np.array([[c, 0.0]]),
-                params=params, weight=WEIGHT)
+                dilation_angle=DILATION, weight=WEIGHT)
             cn_o, ct_o = _oracle_complementarity(
                 np.array([a]), np.array([b]), np.array([d]), np.array([c]))
             assert normal_complementarity(state)[0] == cn_o[0]
@@ -163,7 +161,7 @@ def test_criterion_01_complementarity_kkt_equivalence(criterion_verdict):
 def test_criterion_02_generalized_jacobian_matches_fd(criterion_verdict):
     with criterion_verdict("criterion 2 (assembled Jacobian matches central FD)"):
         started = time.perf_counter()
-        model = make_single_fracture(cells_per_side=3, physics=Physics.THERMOPORO)
+        model = preset("single-tpm", cells_per_side=3)
         rng = np.random.default_rng(42)
         n = model.n_cells
         checked = 0
@@ -231,14 +229,14 @@ def test_criterion_06_adaptive_scaling_rescues_hard_sweep(criterion_verdict):
         started = time.perf_counter()
         none_failures = 0
         for u_c in U_C_SWEEP:
-            model = make_single_fracture(cells_per_side=12, dilation_angle=0.2,
-                                         characteristic_displacement=u_c)
+            model = preset("single-pm", dilation_angle=0.2, characteristic_displacement=u_c,
+                           cells_per_side=12)
             report = solve(model, options=NewtonOptions(line_search=Strategy("none")))
             if report.status is not SolveStatus.CONVERGED:
                 none_failures += 1
 
-            adaptive = solve(make_single_fracture(cells_per_side=12, dilation_angle=0.2,
-                                                  characteristic_displacement=u_c),
+            adaptive = solve(preset("single-pm", dilation_angle=0.2,
+                                    characteristic_displacement=u_c, cells_per_side=12),
                              options=NewtonOptions(
                                  line_search=Strategy("constraint-adaptive")))
             assert adaptive.status is SolveStatus.CONVERGED

@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import fracsolve.contact
 import fracsolve.models
 from fracsolve.contact import (
-    ContactParameters,
     contact_generalized_derivative,
     normal_complementarity,
     tangential_complementarity,
@@ -75,16 +75,17 @@ class Oracle:
                 self.dir_T[start + loc] = val
             start += fr.n_cells
         self.areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in model.fractures])
-        params = model.params
-        flux_scale = (params.residual_aperture ** 3 / (12.0 * FLUID_VISCOSITY))
+        # Read at evaluation time: a hand-built model patches the module's value.
+        self.closed_aperture = fracsolve.models.RESIDUAL_APERTURE
+        flux_scale = (self.closed_aperture ** 3 / (12.0 * FLUID_VISCOSITY))
         self.mass_scale = flux_scale * PRESSURE_SCALE
         advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
-        conductive = THERMAL_CONDUCTIVITY * params.residual_aperture
+        conductive = THERMAL_CONDUCTIVITY * self.closed_aperture
         self.energy_scale = (conductive + advective) * TEMPERATURE_SCALE
         self.stiffness = oracle_stiffness(model.fractures)
 
     def apertures(self, jump):
-        return self.model.params.residual_aperture + jump[:, 0]
+        return self.closed_aperture + jump[:, 0]
 
 
 def oracle_transmissibility(left, right, viscosity):
@@ -128,7 +129,7 @@ def oracle_mass_rows(o, jump, pressure, temperature):
     m = o.model
     apertures = o.apertures(jump)
     rows = np.zeros(m.n_cells)
-    rows += o.areas * (apertures - m.params.residual_aperture) / TIME_STEP
+    rows += o.areas * (apertures - o.closed_aperture) / TIME_STEP
     rows += o.areas * apertures * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * pressure / TIME_STEP
     if temperature is not None:
         rows -= o.areas * apertures * FLUID_THERMAL_EXPANSION \
@@ -347,13 +348,20 @@ def random_iterate(model, rng):
     n = model.n_cells
     x = np.zeros(model.n_dofs)
     x[0:3 * n] = rng.uniform(-1.5, 1.5, 3 * n)
-    x[3 * n:6 * n] = rng.uniform(-0.5, 0.5, 3 * n) * model.params.residual_aperture
+    x[3 * n:6 * n] = rng.uniform(-0.5, 0.5, 3 * n) * fracsolve.models.RESIDUAL_APERTURE
     x[6 * n:] = rng.uniform(-1.0, 1.0, x.size - 6 * n)
     return x
 
 
-def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
-    """A 4x3 fracture with advection along and against its edges and random wells."""
+def hand_built(monkeypatch, physics=Physics.THERMOPORO, seed=0, closed_aperture=1.0e-3):
+    """A 4x3 fracture with advection along and against its edges and random wells.
+
+    Its contact law is not the presets': friction 0.8, dilation 0.2 and a
+    residual aperture of ``closed_aperture``. The friction coefficient and the
+    residual aperture are module constants, patched for the rest of the calling test.
+    """
+    monkeypatch.setattr(fracsolve.contact, "FRICTION_COEFFICIENT", 0.8)
+    monkeypatch.setattr(fracsolve.models, "RESIDUAL_APERTURE", closed_aperture)
     rng = np.random.default_rng(seed)
     shape = (4, 3)
     n = shape[0] * shape[1]
@@ -370,9 +378,7 @@ def hand_built(physics=Physics.THERMOPORO, seed=0, residual_aperture=1.0e-3):
         dirichlet_temperature={2: -10.0, 5: 3.0},
         advection_rates=rates,
     )
-    params = ContactParameters(friction_coefficient=0.8, dilation_angle=0.2,
-                               residual_aperture=residual_aperture)
-    return FractureAssembly([fracture], params, physics, scales)
+    return FractureAssembly([fracture], 0.2, physics, scales)
 
 
 def tied_family(physics=Physics.PORO):
@@ -381,16 +387,17 @@ def tied_family(physics=Physics.PORO):
     fractures = [Fracture(shape=shape, external_traction=np.zeros((shape[0] * shape[1], 3)),
                           edges=_grid_edges(shape), cell_area=1.0)
                  for shape in ((2, 3), (5, 5), (3, 2), (4, 4))]
-    return FractureAssembly(fractures, ContactParameters(), physics, scales)
+    return FractureAssembly(fractures, 0.0, physics, scales)
 
 
+# Each builder takes the test's monkeypatch, which the hand-built models use.
 MODELS = {
-    "single-pm": lambda: preset("single-pm", cells_per_side=5),
-    "single-tpm": lambda: preset("single-tpm", cells_per_side=5),
-    "multi4-pm": lambda: preset("multi4-pm", seed=1),
-    "multi4-tpm": lambda: preset("multi4-tpm"),
+    "single-pm": lambda _: preset("single-pm", cells_per_side=5),
+    "single-tpm": lambda _: preset("single-tpm", cells_per_side=5),
+    "multi4-pm": lambda _: preset("multi4-pm", seed=1),
+    "multi4-tpm": lambda _: preset("multi4-tpm"),
     "hand-built-tpm": hand_built,
-    "hand-built-pm": lambda: hand_built(Physics.PORO, seed=1),
+    "hand-built-pm": lambda monkeypatch: hand_built(monkeypatch, Physics.PORO, seed=1),
 }
 
 
@@ -474,8 +481,8 @@ def test_pattern_matches_the_unique_formulation_at_the_size_goal(monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
-def test_random_iterates(name):
-    model = MODELS[name]()
+def test_random_iterates(name, monkeypatch):
+    model = MODELS[name](monkeypatch)
     oracle = Oracle(model)
     rng = np.random.default_rng(50)
     for _ in range(8):
@@ -490,18 +497,19 @@ FLOOR_MODELS = {
     # a residual aperture within a factor two of the floor makes the floor
     # reachable exactly: floor - residual and residual + (floor - residual)
     # are exact (Sterbenz)
-    "hand-built-tpm": lambda: hand_built(residual_aperture=0.8e-4),
-    "hand-built-pm": lambda: hand_built(Physics.PORO, residual_aperture=0.6e-4),
+    "hand-built-tpm": lambda monkeypatch: hand_built(monkeypatch, closed_aperture=0.8e-4),
+    "hand-built-pm": lambda monkeypatch: hand_built(monkeypatch, Physics.PORO,
+                                                    closed_aperture=0.6e-4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FLOOR_MODELS))
-def test_apertures_below_and_at_the_hydraulic_floor(name):
-    model = FLOOR_MODELS[name]()
+def test_apertures_below_and_at_the_hydraulic_floor(name, monkeypatch):
+    model = FLOOR_MODELS[name](monkeypatch)
     oracle = Oracle(model)
     rng = np.random.default_rng(51)
     n = model.n_cells
-    residual = model.params.residual_aperture
+    residual = oracle.closed_aperture
     at_floor = HYDRAULIC_APERTURE_FLOOR - residual
     exact = residual + at_floor == HYDRAULIC_APERTURE_FLOOR
     assert exact or not name.startswith("hand-built")
@@ -521,14 +529,14 @@ def test_apertures_below_and_at_the_hydraulic_floor(name):
 
 
 @pytest.mark.parametrize("name", ["single-tpm", "hand-built-pm"])
-def test_powers_round_as_the_c_library_pow(name):
+def test_powers_round_as_the_c_library_pow(name, monkeypatch):
     # numpy's ``**`` multiplies for small integer exponents and can differ in
     # the last bit from ``pow``; pick a uniform aperture where both the square
     # and the cube differ, so every edge mean hits such a value
-    model = MODELS[name]()
+    model = MODELS[name](monkeypatch)
     oracle = Oracle(model)
     rng = np.random.default_rng(55)
-    residual = model.params.residual_aperture
+    residual = oracle.closed_aperture
     jumps = rng.uniform(-0.5, 0.5, 4000) * residual
     apertures = residual + jumps
     differs = (apertures ** 2 != [float(v) ** 2 for v in apertures]) \
@@ -541,8 +549,8 @@ def test_powers_round_as_the_c_library_pow(name):
     assert_same_jacobian(model, oracle, x)
 
 
-def test_hand_built_fracture_advects_against_edge_direction():
-    model = hand_built()
+def test_hand_built_fracture_advects_against_edge_direction(monkeypatch):
+    model = hand_built(monkeypatch)
     oracle = Oracle(model)
     rates = np.array([rate for _, _, rate in oracle.edges])
     assert np.any(rates < 0.0) and np.any(rates > 0.0) and np.any(rates == 0.0)
@@ -569,9 +577,9 @@ NON_FINITE = {"nan": (np.nan, True), "inf": (np.inf, True), "-inf": (-np.inf, Tr
 
 @pytest.mark.parametrize("name", ["single-tpm", "multi4-tpm", "hand-built-tpm", "hand-built-pm"])
 @pytest.mark.parametrize("kind", sorted(NON_FINITE))
-def test_residual_at_non_finite_iterates(name, kind):
+def test_residual_at_non_finite_iterates(name, kind, monkeypatch):
     bad, nan_signs = NON_FINITE[kind]
-    model = MODELS[name]()
+    model = MODELS[name](monkeypatch)
     oracle = Oracle(model)
     rng = np.random.default_rng(53)
     for _ in range(6):

@@ -2,6 +2,8 @@
 
 import csv
 import dataclasses
+import math
+import os
 
 import pytest
 
@@ -93,6 +95,10 @@ def test_cells_order_is_deterministic():
     {"cells_values": (1,)},
     {"u_c_values": (0.0,)},
     {"models": ("multi4-pm",), "seeds": (-1,)},
+    {"phi_values": (-0.1,)},
+    {"phi_values": (math.pi / 2,)},
+    {"phi_values": (math.nan,)},
+    {"phi_values": (math.inf,)},
 ])
 def test_spec_validation(kwargs):
     with pytest.raises(ValueError):
@@ -329,6 +335,19 @@ def test_main_rejects_a_bad_axis_value_before_any_solve(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+def test_main_rejects_a_nan_dilation_angle_before_any_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(cell):
+        raise AssertionError(f"cell {cell} solved with a dilation angle out of range")
+
+    monkeypatch.setattr(fracsolve.bench, "solve_cell", no_solve)
+    out = tmp_path / "x.csv"
+    code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2", "--phi", "nan",
+                 "--uc", "0.01", "--out", str(out), "--workers", "1", "--no-table"])
+    assert code == 1
+    assert "error: dilation angle must lie in [0, pi/2)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_rejects_an_unwritable_output_before_any_solve(tmp_path, capsys, monkeypatch):
     def no_solve(cell):
         raise AssertionError(f"cell {cell} solved before the output was opened")
@@ -353,6 +372,22 @@ def test_main_does_not_report_a_solve_fault_as_a_usage_error(tmp_path, capsys, m
               "--uc", "0.01", "--out", str(out), "--workers", "1", "--no-table"])
     assert "error:" not in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_interrupted_sweep_keeps_a_symlinked_output(tmp_path, monkeypatch):
+    # only a regular file at the output path is removed; a link to one stays
+    def interrupted(spec, workers):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(fracsolve.bench, "run_sweep", interrupted)
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("kept\n")
+    os.symlink(target, link)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
+              "--uc", "0.01", "--out", str(link), "--workers", "1", "--no-table"])
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.exists()
 
 
 def test_all_strategies_constant():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from fracsolve.contact import (
-    ContactParameters,
     ContactRegime,
     ContactStates,
+    check_dilation_angle,
     classify_regime,
     contact_generalized_derivative,
     friction_bound,
@@ -18,18 +18,17 @@ from fracsolve.contact import (
 )
 
 
-PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
-DILATING = ContactParameters(friction_coefficient=1.0, dilation_angle=0.1)
+DILATING = 0.1  # dilation angle, radians; the default state does not dilate
 
 
-def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), params=PARAMS, weight=1.0):
+def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), angle=0.0, weight=1.0):
     """States of a single cell; kernels return arrays with one row."""
     return ContactStates(
         normal_traction=np.array([sn], dtype=float),
         tangential_traction=np.array([st], dtype=float),
         normal_jump=np.array([un], dtype=float),
         tangential_jump=np.array([ut], dtype=float),
-        params=params,
+        dilation_angle=angle,
         weight=weight,
     )
 
@@ -39,15 +38,15 @@ def make_state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), params=PARAMS, weig
 
 
 def test_friction_bound_compressive():
-    assert friction_bound(-1.0, 1.0) == 1.0
+    assert friction_bound(-1.0) == 1.0
 
 
 def test_friction_bound_zero_traction_is_open_boundary():
-    assert friction_bound(0.0, 1.0) == 0.0
+    assert friction_bound(0.0) == 0.0
 
 
 def test_friction_bound_tensile():
-    assert friction_bound(0.5, 1.0) == -0.5
+    assert friction_bound(0.5) == -0.5
 
 
 def test_gap_zero_dilation():
@@ -201,19 +200,19 @@ def test_derivative_tie_takes_state_change_branch():
     assert tie_block[1, 0] == pytest.approx(1.0)  # F * q1 on the sliding branch
 
 
-def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
+def _random_nondegenerate_state(rng, angle, weight, margin=1e-3):
     while True:
         state = make_state(
             sn=rng.uniform(-2.0, 2.0),
             st=rng.uniform(-2.0, 2.0, 2),
             un=rng.uniform(-1.0, 1.0),
             ut=rng.uniform(-1.0, 1.0, 2),
-            params=params,
+            angle=angle,
             weight=weight,
         )
-        g = gap(state.tangential_jump[0], params.dilation_angle)
+        g = gap(state.tangential_jump[0], angle)
         reach = -state.normal_traction[0] - weight * (state.normal_jump[0] - g)
-        b = friction_bound(state.normal_traction[0], params.friction_coefficient)
+        b = friction_bound(state.normal_traction[0])
         q = state.tangential_traction[0] + weight * state.tangential_jump[0]
         dist = min(abs(reach), abs(b), abs(float(np.linalg.norm(q)) - b),
                    float(np.linalg.norm(state.tangential_jump[0])))
@@ -224,7 +223,7 @@ def _random_nondegenerate_state(rng, params, weight, margin=1e-3):
 def _fd_derivative(state, h=1e-7):
     def residual(vec):
         s = make_state(sn=vec[0], st=vec[1:3], un=vec[3], ut=vec[4:6],
-                       params=state.params, weight=state.weight)
+                       angle=state.dilation_angle, weight=state.weight)
         return np.concatenate([
             normal_complementarity(s),
             tangential_complementarity(s)[0],
@@ -254,7 +253,7 @@ def test_derivative_matches_finite_differences():
 
 def test_dilation_chain_rule_zero_at_zero_slip():
     # the gap has no smooth derivative at zero slip; the kernel takes zero
-    state = make_state(sn=-1.0, un=0.0, params=DILATING)
+    state = make_state(sn=-1.0, un=0.0, angle=DILATING)
     block = contact_generalized_derivative(state)[0]
     np.testing.assert_array_equal(block[0, 4:6], [0.0, 0.0])
 
@@ -264,25 +263,16 @@ def test_dilation_chain_rule_zero_at_zero_slip():
 
 
 def test_parameters_validated():
-    with pytest.raises(ValueError):
-        ContactParameters(friction_coefficient=-1.0)
-    with pytest.raises(ValueError):
-        ContactParameters(dilation_angle=2.0)
-    with pytest.raises(ValueError):
-        ContactParameters(residual_aperture=0.0)
-    with pytest.raises(ValueError):
-        ContactParameters(friction_coefficient=np.nan)
-    with pytest.raises(ValueError):
-        ContactParameters(residual_aperture=np.nan)
-    with pytest.raises(ValueError):
-        ContactParameters(friction_coefficient=np.inf)
-    with pytest.raises(ValueError):
-        ContactParameters(residual_aperture=np.inf)
+    for angle in (-0.1, 0.5 * np.pi, 2.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"dilation angle must lie in \[0, pi/2\)"):
+            check_dilation_angle(angle)
+    for angle in (0.0, 0.1, np.nextafter(0.5 * np.pi, 0.0)):
+        check_dilation_angle(angle)
 
 
 def test_states_are_read_only_views():
     jump = np.zeros((4, 2))
-    states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, PARAMS, 1.0)
+    states = ContactStates(np.zeros(4), np.zeros((4, 2)), np.zeros(4), jump, 0.0, 1.0)
     assert states.normal_traction.shape == (4,)
     assert np.shares_memory(states.tangential_jump, jump)
     with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fracsolve.contact import (
-    ContactParameters,
     ContactRegime,
     ContactStates,
     classify_regime,
@@ -20,18 +19,15 @@ from fracsolve.contact import (
 )
 
 
-PARAMS = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
-
-
-def _states(sn, st, un, ut, params=PARAMS, weight=1.0):
-    """States of several cells from per-cell sequences."""
+def _states(sn, st, un, ut, angle=0.0, weight=1.0):
+    """States of several cells from per-cell sequences; no dilation by default."""
     return ContactStates(np.asarray(sn, float), np.asarray(st, float), np.asarray(un, float),
-                         np.asarray(ut, float), params, weight)
+                         np.asarray(ut, float), angle, weight)
 
 
-def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), params=PARAMS, weight=1.0):
+def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), angle=0.0, weight=1.0):
     """States of a single cell; indicators return arrays with one entry."""
-    return _states([sn], [st], [un], [ut], params, weight)
+    return _states([sn], [st], [un], [ut], angle, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -39,9 +35,8 @@ def _state(sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0), params=PARAMS, weight=1
 
 
 def test_normal_indicator_compressed_at_gap():
-    params = ContactParameters(dilation_angle=0.1)
     ut = np.array([0.2, 0.0])
-    state = _state(sn=-1.0, un=gap(ut, params.dilation_angle), ut=ut, params=params)
+    state = _state(sn=-1.0, un=gap(ut, 0.1), ut=ut, angle=0.1)
     assert normal_indicator(state)[0] == pytest.approx(1.0, rel=1e-14)
 
 
@@ -56,18 +51,18 @@ def test_normal_indicator_boundary_is_zero():
 def test_normal_indicator_linear_along_ray():
     # with the gap frozen by a fixed tangential jump the indicator is affine
     # in (normal traction, normal jump)
-    params = ContactParameters(dilation_angle=0.3)
+    angle = 0.3
     ut = np.array([0.1, -0.2])
     w = 7.0
     rng = np.random.default_rng(11)
-    base = _state(sn=-0.4, un=0.05, ut=ut, params=params, weight=w)
+    base = _state(sn=-0.4, un=0.05, ut=ut, angle=angle, weight=w)
     direction = (0.8, -0.03)
     i0 = normal_indicator(base)[0]
     i1 = normal_indicator(_state(sn=-0.4 + direction[0], un=0.05 + direction[1], ut=ut,
-                                 params=params, weight=w))[0]
+                                 angle=angle, weight=w))[0]
     for alpha in rng.uniform(0.0, 1.0, 20):
         trial = _state(sn=-0.4 + alpha * direction[0], un=0.05 + alpha * direction[1], ut=ut,
-                       params=params, weight=w)
+                       angle=angle, weight=w)
         assert normal_indicator(trial)[0] == pytest.approx(
             (1 - alpha) * i0 + alpha * i1, abs=1e-13)
 

@@ -10,11 +10,13 @@ the gap subgradient) vanishes, the friction bound is zero, or entries are not
 finite.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
+from fracsolve import contact
 from fracsolve.contact import (
-    ContactParameters,
     ContactRegime,
     ContactStates,
     classify_regime,
@@ -29,29 +31,33 @@ from fracsolve.scaling import cell_scale_estimate
 # ---------------------------------------------------------------------------
 # scalar oracle: one cell is (sn, st, un, ut), floats and 2-vectors
 
+# A contact law: the kernels read the friction coefficient from
+# ``contact.FRICTION_COEFFICIENT`` (patched per case) and the angle from the states.
+Law = namedtuple("Law", "friction angle")
 
-def _gap(ut, params):
-    return float(np.tan(params.dilation_angle) * np.linalg.norm(ut))
+
+def _gap(ut, law):
+    return float(np.tan(law.angle) * np.linalg.norm(ut))
 
 
-def oracle_normal(cell, params, weight):
+def oracle_normal(cell, law, weight):
     sn, _, un, ut = cell
-    reach = -sn - weight * (un - _gap(ut, params))
+    reach = -sn - weight * (un - _gap(ut, law))
     return -sn - max(0.0, reach)
 
 
-def oracle_tangential(cell, params, weight):
+def oracle_tangential(cell, law, weight):
     sn, st, _, ut = cell
-    b = -params.friction_coefficient * sn
+    b = -law.friction * sn
     if b <= 0.0:
         return st.copy()
     q = st + weight * ut
     return st * max(b, float(np.linalg.norm(q))) - b * q
 
 
-def oracle_regime(cell, params, weight):
+def oracle_regime(cell, law, weight):
     sn, st, _, ut = cell
-    b = -params.friction_coefficient * sn
+    b = -law.friction * sn
     if b <= 0.0:
         return ContactRegime.OPEN
     q = st + weight * ut
@@ -60,18 +66,18 @@ def oracle_regime(cell, params, weight):
     return ContactRegime.STICKING
 
 
-def oracle_derivative(cell, params, weight):
+def oracle_derivative(cell, law, weight):
     sn, st, un, ut = cell
-    F = params.friction_coefficient
+    F = law.friction
     c = float(weight)
     D = np.zeros((3, 6))
 
     ut_norm = float(np.linalg.norm(ut))
     if ut_norm > 0.0:
-        dg_dut = np.tan(params.dilation_angle) * ut / ut_norm
+        dg_dut = np.tan(law.angle) * ut / ut_norm
     else:
         dg_dut = np.zeros(2)
-    reach = -sn - c * (un - _gap(ut, params))
+    reach = -sn - c * (un - _gap(ut, law))
     if reach >= 0.0:
         D[0, 3] = c
         D[0, 4:6] = -c * dg_dut
@@ -95,24 +101,24 @@ def oracle_derivative(cell, params, weight):
     return D
 
 
-def oracle_normal_indicator(cell, params, weight):
+def oracle_normal_indicator(cell, law, weight):
     sn, _, un, ut = cell
-    return -sn - weight * (un - _gap(ut, params))
+    return -sn - weight * (un - _gap(ut, law))
 
 
-def oracle_tangential_indicator(cell, params, weight, active):
+def oracle_tangential_indicator(cell, law, weight, active):
     if not active:
         return 0.0
     sn, st, _, ut = cell
-    b = -params.friction_coefficient * sn
+    b = -law.friction * sn
     q = st + weight * ut
     return float(np.linalg.norm(q)) - b
 
 
-def oracle_scale_estimate(cell, params, weight):
+def oracle_scale_estimate(cell, law, weight):
     sn, st, un, ut = cell
     traction_norm = float(np.sqrt(sn ** 2 + float(st @ st)))
-    jump_norm = float(np.sqrt((un - _gap(ut, params)) ** 2 + float(ut @ ut)))
+    jump_norm = float(np.sqrt((un - _gap(ut, law)) ** 2 + float(ut @ ut)))
     return traction_norm + weight * jump_norm
 
 
@@ -159,8 +165,10 @@ def _edge_columns(rng, n):
     return np.vstack(blocks)
 
 
-def _states(cols, params, weight):
-    return ContactStates(cols[:, 0], cols[:, 1:3], cols[:, 3], cols[:, 4:6], params, weight)
+def _states(cols, law, weight, monkeypatch):
+    """States of the columns under ``law``, its friction coefficient patched into ``contact``."""
+    monkeypatch.setattr(contact, "FRICTION_COEFFICIENT", law.friction)
+    return ContactStates(cols[:, 0], cols[:, 1:3], cols[:, 3], cols[:, 4:6], law.angle, weight)
 
 
 def _cells(cols):
@@ -172,14 +180,10 @@ RANDOM = _random_columns(RNG, 10_000)
 EDGES = _edge_columns(RNG, 400)
 
 CASES = [
-    pytest.param(RANDOM, ContactParameters(friction_coefficient=1.0, dilation_angle=0.1),
-                 1.7, id="random-dilating"),
-    pytest.param(RANDOM, ContactParameters(friction_coefficient=0.6, dilation_angle=0.0),
-                 100.0, id="random-flat"),
-    pytest.param(EDGES, ContactParameters(friction_coefficient=1.0, dilation_angle=0.0),
-                 2.0, id="edges-flat"),
-    pytest.param(EDGES, ContactParameters(friction_coefficient=1.0, dilation_angle=0.3),
-                 1.0, id="edges-dilating"),
+    pytest.param(RANDOM, Law(1.0, 0.1), 1.7, id="random-dilating"),
+    pytest.param(RANDOM, Law(0.6, 0.0), 100.0, id="random-flat"),
+    pytest.param(EDGES, Law(1.0, 0.0), 2.0, id="edges-flat"),
+    pytest.param(EDGES, Law(1.0, 0.3), 1.0, id="edges-dilating"),
 ]
 
 
@@ -200,10 +204,10 @@ def _quiet_nonfinite():
 
 
 def test_edge_inputs_hit_every_tie():
-    params = ContactParameters(friction_coefficient=1.0, dilation_angle=0.0)
+    law = Law(1.0, 0.0)
     cells = _cells(EDGES)
-    reach = np.array([oracle_normal_indicator(c, params, 2.0) for c in cells])
-    q_minus_b = np.array([oracle_tangential_indicator(c, params, 2.0, True) for c in cells])
+    reach = np.array([oracle_normal_indicator(c, law, 2.0) for c in cells])
+    q_minus_b = np.array([oracle_tangential_indicator(c, law, 2.0, True) for c in cells])
     assert np.sum(reach == 0.0) >= 400
     assert np.sum(q_minus_b == 0.0) >= 800
     assert np.sum((q_minus_b == 0.0) & np.any(EDGES[:, 4:6] != 0.0, axis=1)) >= 300
@@ -212,39 +216,42 @@ def test_edge_inputs_hit_every_tie():
     assert np.sum(~np.isfinite(EDGES)) > 0
 
 
-@pytest.mark.parametrize("cols, params, weight", CASES)
-def test_complementarity_equals_oracle(cols, params, weight):
-    states, cells = _states(cols, params, weight), _cells(cols)
+@pytest.mark.parametrize("cols, law, weight", CASES)
+def test_complementarity_equals_oracle(cols, law, weight, monkeypatch):
+    states, cells = _states(cols, law, weight, monkeypatch), _cells(cols)
     _assert_exact(normal_complementarity(states),
-                  np.array([oracle_normal(c, params, weight) for c in cells]))
+                  np.array([oracle_normal(c, law, weight) for c in cells]))
     _assert_exact(tangential_complementarity(states),
-                  np.array([oracle_tangential(c, params, weight) for c in cells]))
+                  np.array([oracle_tangential(c, law, weight) for c in cells]))
 
 
-@pytest.mark.parametrize("cols, params, weight", CASES)
-def test_classify_regime_equals_oracle(cols, params, weight):
-    expected = np.array([oracle_regime(c, params, weight) for c in _cells(cols)])
-    np.testing.assert_array_equal(classify_regime(_states(cols, params, weight)), expected)
+@pytest.mark.parametrize("cols, law, weight", CASES)
+def test_classify_regime_equals_oracle(cols, law, weight, monkeypatch):
+    expected = np.array([oracle_regime(c, law, weight) for c in _cells(cols)])
+    states = _states(cols, law, weight, monkeypatch)
+    np.testing.assert_array_equal(classify_regime(states), expected)
 
 
-@pytest.mark.parametrize("cols, params, weight", CASES)
-def test_generalized_derivative_equals_oracle(cols, params, weight):
-    expected = np.array([oracle_derivative(c, params, weight) for c in _cells(cols)])
-    _assert_exact(contact_generalized_derivative(_states(cols, params, weight)), expected)
+@pytest.mark.parametrize("cols, law, weight", CASES)
+def test_generalized_derivative_equals_oracle(cols, law, weight, monkeypatch):
+    expected = np.array([oracle_derivative(c, law, weight) for c in _cells(cols)])
+    states = _states(cols, law, weight, monkeypatch)
+    _assert_exact(contact_generalized_derivative(states), expected)
 
 
-@pytest.mark.parametrize("cols, params, weight", CASES)
-def test_indicators_equal_oracle(cols, params, weight):
-    states, cells = _states(cols, params, weight), _cells(cols)
+@pytest.mark.parametrize("cols, law, weight", CASES)
+def test_indicators_equal_oracle(cols, law, weight, monkeypatch):
+    states, cells = _states(cols, law, weight, monkeypatch), _cells(cols)
     mask = np.random.default_rng(3).random(len(cells)) < 0.7
     _assert_exact(normal_indicator(states),
-                  np.array([oracle_normal_indicator(c, params, weight) for c in cells]))
+                  np.array([oracle_normal_indicator(c, law, weight) for c in cells]))
     _assert_exact(tangential_indicator(states, mask),
-                  np.array([oracle_tangential_indicator(c, params, weight, m)
+                  np.array([oracle_tangential_indicator(c, law, weight, m)
                             for c, m in zip(cells, mask)]))
 
 
-@pytest.mark.parametrize("cols, params, weight", CASES)
-def test_cell_scale_estimate_equals_oracle(cols, params, weight):
-    expected = np.array([oracle_scale_estimate(c, params, weight) for c in _cells(cols)])
-    _assert_exact(cell_scale_estimate(_states(cols, params, weight)), expected)
+@pytest.mark.parametrize("cols, law, weight", CASES)
+def test_cell_scale_estimate_equals_oracle(cols, law, weight, monkeypatch):
+    expected = np.array([oracle_scale_estimate(c, law, weight) for c in _cells(cols)])
+    states = _states(cols, law, weight, monkeypatch)
+    _assert_exact(cell_scale_estimate(states), expected)

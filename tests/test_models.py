@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from fracsolve.contact import (
-    ContactParameters,
     friction_bound,
     gap,
     normal_complementarity,
@@ -18,12 +17,11 @@ from fracsolve.models import (
     FLUID_VISCOSITY,
     HYDRAULIC_APERTURE_FLOOR,
     PRESET_NAMES,
+    RESIDUAL_APERTURE,
     SOLID_THERMAL_EXPANSION,
     Fracture,
     FractureAssembly,
     Physics,
-    make_multi_fracture,
-    make_single_fracture,
     preset,
     transmissibility,
 )
@@ -31,6 +29,11 @@ from fracsolve.newton import NewtonOptions, SolveStatus, solve
 from fracsolve.scaling import YOUNGS_MODULUS, CharacteristicScales
 
 NO_EDGES = np.zeros((0, 2), dtype=int)
+
+
+def _single(physics=Physics.PORO, **kwargs):
+    """The single-fracture preset of ``physics``."""
+    return preset("single-pm" if physics is Physics.PORO else "single-tpm", **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +49,7 @@ def test_transmissibility_floor_for_closed_cells():
     """The edge terms floor the mean aperture of closed and interpenetrating pairs."""
     fracture = Fracture(shape=(1, 2), external_traction=np.zeros((2, 3)),
                         edges=np.array([[0, 1]]), cell_area=0.25)
-    model = FractureAssembly([fracture], ContactParameters(), Physics.PORO,
+    model = FractureAssembly([fracture], 0.0, Physics.PORO,
                              CharacteristicScales(displacement=0.01))
     pairs = np.array([[0.0, 0.0], [-1e-3, 0.0]])
     _, floored, _ = model._edge_terms(pairs, np.zeros(2))
@@ -65,7 +68,7 @@ def _unloaded(m=2):
         shape=(m, m),
         external_traction=np.zeros((n, 3)), edges=NO_EDGES, cell_area=0.25,
     )
-    return FractureAssembly([fracture], ContactParameters(), Physics.PORO,
+    return FractureAssembly([fracture], 0.0, Physics.PORO,
                             CharacteristicScales(displacement=0.01))
 
 
@@ -84,7 +87,7 @@ def test_single_cell_compressed_fixed_point():
         external_traction=np.array([[-scales.stress, 0.0, 0.0]]),
         edges=NO_EDGES, cell_area=1.0,
     )
-    model = FractureAssembly([fracture], ContactParameters(), Physics.PORO, scales)
+    model = FractureAssembly([fracture], 0.0, Physics.PORO, scales)
     x = np.array([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(model.residual(x), np.zeros(7))
 
@@ -147,7 +150,7 @@ def test_every_physics_carries_the_flow():
 
 @pytest.mark.parametrize("physics", [Physics.PORO, Physics.THERMOPORO])
 def test_mechanics_rows_reduce_to_elastic_at_reference_conditions(physics):
-    model = make_single_fracture(cells_per_side=3, physics=physics)
+    model = _single(physics, cells_per_side=3)
     rng = np.random.default_rng(40)
     n = model.n_cells
     for _ in range(3):
@@ -156,7 +159,7 @@ def test_mechanics_rows_reduce_to_elastic_at_reference_conditions(physics):
 
 
 def test_pressure_and_temperature_shift_normal_force_rows():
-    model = make_single_fracture(cells_per_side=3, physics=Physics.THERMOPORO)
+    model = _single(Physics.THERMOPORO, cells_per_side=3)
     n = model.n_cells
     sigma_c = model.scales.stress
     base = model.residual(np.zeros(model.n_dofs))
@@ -179,7 +182,7 @@ def test_pressure_and_temperature_shift_normal_force_rows():
 
 
 def test_dirichlet_rows_at_reference_state():
-    model = make_single_fracture(cells_per_side=4, physics=Physics.THERMOPORO)
+    model = _single(Physics.THERMOPORO, cells_per_side=4)
     n = model.n_cells
     r = model.residual(np.zeros(model.n_dofs))
     mass = r[6 * n:7 * n]
@@ -203,10 +206,10 @@ def test_dirichlet_rows_at_reference_state():
 
 def _branch_margin(model, x):
     st = model.contact_states(x)
-    params, w = st.params, st.weight
-    g = gap(st.tangential_jump, params.dilation_angle)
+    w = st.weight
+    g = gap(st.tangential_jump, st.dilation_angle)
     reach = -st.normal_traction - w * (st.normal_jump - g)
-    b = friction_bound(st.normal_traction, params.friction_coefficient)
+    b = friction_bound(st.normal_traction)
     q = st.tangential_traction + w * st.tangential_jump
     return float(np.min([np.abs(reach), np.abs(b), np.abs(np.linalg.norm(q, axis=1) - b),
                          np.linalg.norm(st.tangential_jump, axis=1)]))
@@ -236,7 +239,7 @@ def _fd_jacobian(model, x, h=1e-7, columns=None):
 
 @pytest.mark.parametrize("physics", [Physics.PORO, Physics.THERMOPORO])
 def test_jacobian_matches_finite_differences(physics):
-    model = make_single_fracture(cells_per_side=3, physics=physics)
+    model = _single(physics, cells_per_side=3)
     rng = np.random.default_rng(41)
     checked = 0
     while checked < 3:
@@ -303,7 +306,7 @@ def test_jacobian_stores_no_explicit_zeros(name):
 
 
 def test_single_fracture_load_profile():
-    model = make_single_fracture(cells_per_side=6)
+    model = preset("single-pm", cells_per_side=6)
     ext = model.fractures[0].external_traction
     sigma_ref = YOUNGS_MODULUS * 0.01
     # normal ramp from -2.2 to -1.0 along the flow axis, uniform shear 0.75
@@ -324,8 +327,8 @@ def test_initial_guess_variants():
 
 
 def test_multi_fracture_families_are_nested():
-    small = make_multi_fracture(4, seed=0)
-    large = make_multi_fracture(8, seed=0)
+    small = preset("multi4-pm", seed=0)
+    large = preset("multi8-pm", seed=0)
     for a, b in zip(small.fractures, large.fractures[:4]):
         assert np.array_equal(a.external_traction, b.external_traction)
         assert a.dirichlet_pressure == b.dirichlet_pressure
@@ -336,7 +339,7 @@ def test_multi_fracture_families_are_nested():
 def _two_fracture_assembly():
     fractures = [Fracture(shape=shape, external_traction=np.zeros((shape[0] * shape[1], 3)),
                           edges=NO_EDGES, cell_area=1.0) for shape in ((2, 3), (1, 1), (2, 2))]
-    return FractureAssembly(fractures, ContactParameters(), Physics.PORO,
+    return FractureAssembly(fractures, 0.0, Physics.PORO,
                             CharacteristicScales(displacement=0.01))
 
 
@@ -351,16 +354,17 @@ def test_fracture_cells_are_consecutive_ranges_in_fracture_order(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda physics: make_single_fracture(3, 0.2, physics=physics),
-    lambda physics: make_single_fracture(6, 0.2, physics=physics),
-    lambda physics: make_multi_fracture(4, seed=0, dilation_angle=0.2, physics=physics),
+    lambda kind: preset(f"single-{kind}", 0.2, cells_per_side=3),
+    lambda kind: preset(f"single-{kind}", 0.2, cells_per_side=6),
+    lambda kind: preset(f"multi4-{kind}", 0.2, seed=0),
 ], ids=["single-3", "single-6", "multi4"])
 def test_physics_picks_the_unknowns_not_the_data(build):
     """Both physics build the same problem: boundary values, flow field and contact law."""
-    poro, thermoporo = [build(physics) for physics in Physics]
+    poro, thermoporo = [build(kind) for kind in ("pm", "tpm")]
+    assert (poro.physics, thermoporo.physics) == (Physics.PORO, Physics.THERMOPORO)
     assert all(fr.dirichlet_pressure and fr.dirichlet_temperature for fr in poro.fractures)
     for model in (poro, thermoporo):
-        assert model.params == ContactParameters(dilation_angle=0.2)
+        assert model.dilation_angle == 0.2
     for a, b in zip(poro.fractures, thermoporo.fractures, strict=True):
         assert a.dirichlet_pressure == b.dirichlet_pressure
         assert a.dirichlet_temperature == b.dirichlet_temperature
@@ -368,7 +372,7 @@ def test_physics_picks_the_unknowns_not_the_data(build):
 
 
 def test_multi_fracture_alternating_wells():
-    model = make_multi_fracture(4, seed=0)
+    model = preset("multi4-pm", seed=0)
     pressures = [next(iter(fr.dirichlet_pressure.values())) for fr in model.fractures]
     assert pressures == [1.5e5, -1.0e5, 1.5e5, -1.0e5]
     # each well sits at the centermost cell of its 4x4 grid
@@ -395,9 +399,14 @@ def test_preset_rejects_unknown_names(name):
 
 def test_factory_validation():
     with pytest.raises(ValueError):
-        make_single_fracture(1)
-    with pytest.raises(ValueError):
-        make_multi_fracture(0)
+        preset("single-pm", cells_per_side=1)
+
+
+@pytest.mark.parametrize("angle", [-0.1, 0.5 * np.pi, 2.0, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["single-pm", "multi4-tpm"])
+def test_preset_rejects_dilation_angles_outside_the_range(name, angle):
+    with pytest.raises(ValueError, match=r"dilation angle must lie in \[0, pi/2\)"):
+        preset(name, dilation_angle=angle)
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +425,14 @@ def test_converged_apertures_stay_physical():
     model = preset("single-pm")
     report = solve(model)
     assert report.status is SolveStatus.CONVERGED
-    apertures = model.params.residual_aperture + model.contact_states(report.x).normal_jump
-    assert np.all(apertures >= model.params.residual_aperture - 1e-8)
+    apertures = RESIDUAL_APERTURE + model.contact_states(report.x).normal_jump
+    assert np.all(apertures >= RESIDUAL_APERTURE - 1e-8)
 
 
 def test_characteristic_displacement_does_not_change_the_physics():
     solutions = {}
     for u_c in (0.01, 0.1):
-        model = make_single_fracture(cells_per_side=4, characteristic_displacement=u_c)
+        model = preset("single-pm", characteristic_displacement=u_c, cells_per_side=4)
         report = solve(model)
         assert report.status is SolveStatus.CONVERGED
         traction, jump, pressure, _ = model.split(report.x)

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import fracsolve.linesearch
 import fracsolve.newton
-from fracsolve.contact import ContactParameters, ContactStates, friction_bound, gap
+from fracsolve.contact import ContactStates, friction_bound, gap
 from fracsolve.linesearch import (
     ALPHA_MIN,
     MAX_TIGHTENINGS,
@@ -381,7 +381,7 @@ class LoadedContactModel:
 
     def contact_states(self, x):
         zeros = np.zeros(x.shape + (2,))
-        return ContactStates(np.full(x.shape, self.sn), zeros, x, zeros, ContactParameters(), 1.0)
+        return ContactStates(np.full(x.shape, self.sn), zeros, x, zeros, 0.0, 1.0)
 
     def fracture_cells(self):
         return [np.arange(4)]
@@ -499,9 +499,8 @@ def test_determinism_bitwise():
 
 def _kkt_ok(states, tol=1e-8):
     """Per-cell frictional-contact optimality conditions, a boolean array."""
-    params = states.params
-    g = gap(states.tangential_jump, params.dilation_angle)
-    b = friction_bound(states.normal_traction, params.friction_coefficient)
+    g = gap(states.tangential_jump, states.dilation_angle)
+    b = friction_bound(states.normal_traction)
     slip = states.tangential_jump
     penetration = states.normal_jump - g
     traction_norm = np.linalg.norm(states.tangential_traction, axis=1)

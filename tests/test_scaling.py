@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracsolve.contact import ContactParameters, ContactStates, gap
+from fracsolve.contact import ContactStates, gap
 from fracsolve.scaling import (
     DOMAIN_LENGTH,
     SCALE_CEILING,
@@ -49,28 +49,26 @@ def test_scales_accept_displacements_whose_derived_scales_are_finite():
 # per-cell estimates
 
 
-def _state(params, weight, sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0)):
+def _state(angle, weight, sn=0.0, st=(0.0, 0.0), un=0.0, ut=(0.0, 0.0)):
     """States of a single cell; the estimate is an array with one entry."""
     return ContactStates(np.array([sn], float), np.array([st], float), np.array([un], float),
-                         np.array([ut], float), params, weight)
+                         np.array([ut], float), angle, weight)
 
 
 def test_cell_estimate_zero_state():
-    params = ContactParameters()
-    assert cell_scale_estimate(_state(params, 100.0))[0] == 0.0
+    assert cell_scale_estimate(_state(0.0, 100.0))[0] == 0.0
 
 
 def test_cell_estimate_unit_traction():
-    params = ContactParameters()
-    assert cell_scale_estimate(_state(params, 100.0, sn=-1.0))[0] == 1.0
+    assert cell_scale_estimate(_state(0.0, 100.0, sn=-1.0))[0] == 1.0
 
 
 def test_cell_estimate_combines_traction_and_gap_removed_jump():
     # dilation tan = 0.2 with slip 0.05 gives gap 0.01; the normal jump
     # contributes through its excess over that gap.
-    params = ContactParameters(dilation_angle=np.arctan(0.2))
-    state = _state(params, 100.0, un=0.02, ut=(0.05, 0.0))
-    g = gap(state.tangential_jump[0], params.dilation_angle)
+    angle = np.arctan(0.2)
+    state = _state(angle, 100.0, un=0.02, ut=(0.05, 0.0))
+    g = gap(state.tangential_jump[0], angle)
     assert g == pytest.approx(0.01, rel=1e-12)
     expected = 100.0 * np.sqrt((0.02 - g) ** 2 + 0.05 ** 2)
     assert cell_scale_estimate(state)[0] == pytest.approx(expected, rel=1e-12)

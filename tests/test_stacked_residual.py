@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+import fracsolve.contact
 import fracsolve.newton
 import scalar_oracle
 from fracsolve.contact import classify_regime, normal_indicator
@@ -26,11 +27,11 @@ from test_assembly_oracle import hand_built, random_iterate
 U_C = (1e-4, 1e-2, 1.0)
 
 
-def _model(name, u_c):
+def _model(name, u_c, monkeypatch):
     if name == "hand-built-tpm":
-        return hand_built()
+        return hand_built(monkeypatch)
     if name == "hand-built-pm":
-        return hand_built(Physics.PORO, seed=1)
+        return hand_built(monkeypatch, Physics.PORO, seed=1)
     return preset(name, characteristic_displacement=u_c, cells_per_side=4, seed=1)
 
 
@@ -62,8 +63,8 @@ def assert_rows_equal_oracle(model, stack):
 
 @pytest.mark.parametrize("u_c", U_C)
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_random_stacks_equal_per_point_residual(name, u_c):
-    model = _model(name, u_c)
+def test_random_stacks_equal_per_point_residual(name, u_c, monkeypatch):
+    model = _model(name, u_c, monkeypatch)
     rng = np.random.default_rng(70)
     for k in (1, 2, 5):
         for stack in _layouts(_random_stack(model, rng, k)).values():
@@ -72,8 +73,8 @@ def test_random_stacks_equal_per_point_residual(name, u_c):
 
 
 @pytest.mark.parametrize("name", ["single-tpm", "multi4-pm", "hand-built-tpm", "hand-built-pm"])
-def test_one_point_equals_per_point_residual(name):
-    model = _model(name, 1e-2)
+def test_one_point_equals_per_point_residual(name, monkeypatch):
+    model = _model(name, 1e-2, monkeypatch)
     rng = np.random.default_rng(71)
     for x in (model.initial_guess(), random_iterate(model, rng)):
         got = model.residual(x)
@@ -87,8 +88,8 @@ def test_one_point_equals_per_point_residual(name):
 @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf],
                          ids=["nan", "-nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["single-tpm", "multi4-tpm", "hand-built-tpm", "hand-built-pm"])
-def test_non_finite_rows(name, bad):
-    model = _model(name, 1e-2)
+def test_non_finite_rows(name, bad, monkeypatch):
+    model = _model(name, 1e-2, monkeypatch)
     rng = np.random.default_rng(72)
     stack = _random_stack(model, rng, 5)
     n = model.n_cells
@@ -103,10 +104,10 @@ def test_non_finite_rows(name, bad):
 
 
 @pytest.mark.parametrize("name", ["single-pm", "multi4-tpm", "hand-built-tpm"])
-def test_branch_ties_and_dirichlet_cells(name):
-    model = _model(name, 1e-2)
+def test_branch_ties_and_dirichlet_cells(name, monkeypatch):
+    model = _model(name, 1e-2, monkeypatch)
     rng = np.random.default_rng(73)
-    params, weight = model.params, model.scales.complementarity_weight
+    friction, weight = fracsolve.contact.FRICTION_COEFFICIENT, model.scales.complementarity_weight
     n = model.n_cells
     stack = _random_stack(model, rng, 5)
     for row in stack:
@@ -118,7 +119,7 @@ def test_branch_ties_and_dirichlet_cells(name):
         jump[pick == 0] = 0.0
         # stick/slide tie: |q| equals the friction bound at zero slip
         tie = pick >= 2
-        traction[tie, 0] = -1.0 / params.friction_coefficient
+        traction[tie, 0] = -1.0 / friction
         traction[tie, 1:3] = [0.0, -1.0]
         jump[tie, 1:3] = 0.0
     assert_rows_equal_oracle(model, stack)
@@ -126,7 +127,7 @@ def test_branch_ties_and_dirichlet_cells(name):
     # the ties are really on the boundaries, and every regime is present
     states = model.contact_states(stack)
     assert np.any(normal_indicator(states) == 0.0)
-    b = -params.friction_coefficient * states.normal_traction
+    b = -friction * states.normal_traction
     q_norm = np.linalg.norm(states.tangential_traction + weight * states.tangential_jump, axis=-1)
     assert np.any((q_norm == b) & (b > 0.0))
     regimes = np.concatenate([classify_regime(model.contact_states(row)) for row in stack])
