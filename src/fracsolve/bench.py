@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
-import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -238,6 +237,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_output(path: str):
+    """The file to write the CSV to, and the path it replaces once written, or None.
+
+    A link is followed, and stays a link. A device or a pipe is written in
+    place; anything else gets a new file beside it, so that a failed sweep
+    leaves whatever was at ``path`` as it was.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        return open(target, "w"), None
+    return open(f"{target}.{os.getpid()}.partial", "x"), target
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -245,20 +257,21 @@ def main(argv: list[str] | None = None) -> int:
         spec = SweepSpec(**{name: tuple(getattr(args, name)) for name in SWEEP_AXES
                             if getattr(args, name) is not None})
         workers = _worker_count(args.workers)
-        out = open(args.out, "w")  # before any cell: a bad path costs no solve
+        out, target = _open_output(args.out)  # before any cell: a bad path costs no solve
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    with out:
-        try:
+    try:
+        with out:
             rows = run_sweep(spec, workers=workers)
             out.write(emit_csv(rows))
-        except BaseException:
-            # A failed sweep leaves no partial CSV, but never unlinks a symlink or a device.
-            if stat.S_ISREG(os.lstat(args.out).st_mode):
-                os.remove(args.out)
-            raise
+        if target is not None:
+            os.replace(out.name, target)
+    except BaseException:
+        if target is not None:
+            os.remove(out.name)
+        raise
 
     if not args.no_table:
         print(emit_table(rows))

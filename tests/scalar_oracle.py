@@ -1,5 +1,4 @@
-"""Scalar reference implementations of the interpolation kernels, the
-constraint and residual searches, and the model residual.
+"""The independent oracle: reference implementations the tests compare against.
 
 The interpolation kernels as they were before they were batched: one profile
 per fit with a per-knot slope loop, ``find_root`` scanning the knot intervals
@@ -7,26 +6,25 @@ and handing the first sign change to ``scipy.optimize.brentq``, and
 ``find_minimum`` solving for the stationary points piece by piece and
 evaluating its candidates one at a time. The constraint search on top of
 them fits and solves one (family, cell) at a time, and the residual search
-evaluates one trial point per objective call. ``residual`` is the
-``FractureAssembly`` residual of one point, as it was before the model took
-stacks of points. Tests compare the batched kernels, searches and residual
-against these, so nothing here imports ``fracsolve.interpolation``.
+evaluates one trial point per objective call.
+
+The contact law is stated once, for one cell and for an array of cells
+alike. An ``Oracle`` reads a model's topology from its fractures and takes
+its friction coefficient and residual aperture as arguments; ``residual`` is
+the ``FractureAssembly`` residual of one point built from it. From
+``fracsolve`` this module reads only constants and the line-search outcome
+types, never a kernel, so a wrong formula there cannot agree with itself here.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
-import fracsolve.models
-from fracsolve.contact import (
-    ContactStates,
-    normal_complementarity,
-    tangential_complementarity,
-    transition_values,
-)
 from fracsolve.linesearch import (
     ALPHA_MIN,
     MAX_TIGHTENINGS,
@@ -38,18 +36,21 @@ from fracsolve.linesearch import (
 )
 from fracsolve.models import (
     BIOT_COEFFICIENT,
+    CROSS_FRACTURE_WEIGHT,
     DRAINED_BULK_MODULUS,
     FLUID_COMPRESSIBILITY,
     FLUID_DENSITY,
     FLUID_HEAT_CAPACITY,
     FLUID_THERMAL_EXPANSION,
+    FLUID_VISCOSITY,
     HYDRAULIC_APERTURE_FLOOR,
     PRESSURE_SCALE,
     SOLID_THERMAL_EXPANSION,
+    STIFFNESS_DIAGONAL,
+    STIFFNESS_NEIGHBOR,
     TEMPERATURE_SCALE,
     THERMAL_CONDUCTIVITY,
     TIME_STEP,
-    transmissibility,
 )
 
 
@@ -60,9 +61,6 @@ class MonotoneCubic:
     knots: np.ndarray
     values: np.ndarray
     derivatives: np.ndarray
-
-    def __call__(self, t):
-        return evaluate(self, t)
 
     def shifted(self, offset: float) -> "MonotoneCubic":
         """The interpolant of the data shifted by a constant.
@@ -236,12 +234,12 @@ def search_constraint(indicator_evaluator, fracture_cells, scale=1.0):
         return float(grid[np.where(ok)[0][-1]]) if np.any(ok) else ALPHA_MIN
 
     ref, full = field_at(0.0), field_at(1.0)
-    trans_full = {f: transition_values(ref[f], full[f]) for f in families}
     grid = np.linspace(0.0, 1.0, SAMPLE_COUNT)
     values, splines = None, {}
     delta, rounds, candidates = TRANSITION_TOLERANCE, 0, []
     while True:
-        flagged = [(f, int(c)) for f in families for c in np.where(trans_full[f] > delta)[0]]
+        flagged = [(f, int(c)) for f in families
+                   for c in np.where(crossed(ref[f], full[f], delta))[0]]
         if not flagged:
             candidate = 1.0
         else:
@@ -264,8 +262,8 @@ def search_constraint(indicator_evaluator, fracture_cells, scale=1.0):
             candidate = min(roots)
         candidates.append(candidate)
         at = field_at(candidate)
-        moved = ((transition_values(ref["normal"], at["normal"]) > 0.0)
-                 | (transition_values(ref["tangential"], at["tangential"]) > 0.0))
+        moved = crossed(ref["normal"], at["normal"], 0.0) \
+            | crossed(ref["tangential"], at["tangential"], 0.0)
         counts = tuple(int(np.count_nonzero(moved[idx])) for idx in fracture_cells)
         crowded = any(c > max(1.0, TRANSITION_FRACTION * len(idx))
                       for c, idx in zip(counts, fracture_cells))
@@ -309,7 +307,263 @@ def search_residual(objective, reference_value):
 
 
 # ---------------------------------------------------------------------------
-# model residual of one point
+# the contact law of one cell or of an array of cells
+
+
+# A contact law: the Coulomb friction coefficient, the dilation angle (radians)
+# and the complementarity weight.
+Law = namedtuple("Law", "friction angle weight")
+
+# A cell is (normal traction, tangential traction, normal jump, tangential
+# jump). The law is written once over the operations below and reads either of
+# two layouts: one cell, Python floats and numpy 2-vectors, with Python's
+# conditional, max and pow; or an array of cells, columns of shape (..., n, 1)
+# and (..., n, 2), with np.where, np.fmax and np.float_power. Both evaluate the
+# same operations in the same order.
+Ops = namedtuple("Ops", "select fmax pow dot")
+ONE_CELL = Ops(lambda cond, a, b: a if cond else b, max, lambda x, y: float(x) ** y,
+               lambda v: float(v @ v))
+CELLS = Ops(np.where, np.fmax, np.float_power, lambda v: np.vecdot(v, v)[..., None])
+
+# Regime codes, in census order.
+OPEN, STICKING, SLIDING = 0, 1, 2
+
+
+def _norm(v, ops):
+    return np.sqrt(ops.dot(v))
+
+
+def gap(ut, law, ops):
+    return np.tan(law.angle) * _norm(ut, ops)
+
+
+def normal_indicator(cell, law, ops):
+    sn, _, un, ut = cell
+    return -sn - law.weight * (un - gap(ut, law, ops))
+
+
+def _slip_drive(cell, law):
+    """Friction bound ``b`` and slip drive ``q``."""
+    sn, st, _, ut = cell
+    return -law.friction * sn, st + law.weight * ut
+
+
+def normal_residual(cell, law, ops):
+    return -cell[0] - ops.fmax(0.0, normal_indicator(cell, law, ops))
+
+
+def tangential_residual(cell, law, ops):
+    st = cell[1]
+    b, q = _slip_drive(cell, law)
+    return ops.select(b <= 0.0, st, st * ops.fmax(b, _norm(q, ops)) - b * q)
+
+
+def regime(cell, law, ops):
+    b, q = _slip_drive(cell, law)
+    return ops.select(b <= 0.0, OPEN, ops.select(_norm(q, ops) > b, SLIDING, STICKING))
+
+
+def tangential_indicator(cell, law, ops, active):
+    b, q = _slip_drive(cell, law)
+    return ops.select(active, _norm(q, ops) - b, 0.0)
+
+
+def scale_estimate(cell, law, ops):
+    sn, st, un, ut = cell
+    traction = np.sqrt(ops.pow(sn, 2) + ops.dot(st))
+    jump = np.sqrt(ops.pow(un - gap(ut, law, ops), 2) + ops.dot(ut))
+    return traction + law.weight * jump
+
+
+_UNIT = np.eye(2)
+
+
+def _row(*parts):
+    # Column groups, each (..., 1) or (..., 2), side by side.
+    return np.concatenate(parts, axis=-1)
+
+
+def derivative(cell, law, ops):
+    """The contact rows' generalized derivative, ``(..., 3, 6)``.
+
+    Rows: normal residual, tangential residual x2; columns: normal traction,
+    tangential traction x2, normal jump, tangential jump x2. Ties take the
+    penetration term and the sliding branch; the gap's subgradient at zero
+    tangential jump is zero.
+    """
+    _, st, _, ut = cell
+    F, c = law.friction, float(law.weight)
+    zeros = np.zeros_like(st)
+    zero = zeros[..., :1]
+    ut_norm = _norm(ut, ops)
+    dg = ops.select(ut_norm > 0.0, np.tan(law.angle) * ut / ut_norm, zeros)
+    normal = ops.select(normal_indicator(cell, law, ops) >= 0.0,
+                        _row(zero, zeros, zero + c, -c * dg),
+                        _row(zero - 1.0, zeros, zero, zeros))
+    b, q = _slip_drive(cell, law)
+    q_norm = _norm(q, ops)
+    q_hat = q / q_norm
+    opened, sliding, sticking = [], [], []  # both tangential rows of each branch
+    for i, e in enumerate(_UNIT):
+        outer, be = st[..., i:i + 1] * q_hat, b * e
+        opened += [zero, e + zeros, zero, zeros]
+        sliding += [F * q[..., i:i + 1], q_norm * e + outer - be, zero, c * (outer - be)]
+        sticking += [F * c * ut[..., i:i + 1], zeros, zero, -b * c * e]
+    tangential = ops.select(b <= 0.0, _row(*opened),
+                            ops.select(q_norm >= b, _row(*sliding), _row(*sticking)))
+    rows = _row(normal, tangential)
+    return rows.reshape(rows.shape[:-1] + (3, 6))
+
+
+def crossed(reference, trial, margin):
+    """Where an indicator changed sign (zero has none) and ``|trial| > margin``."""
+    return (np.sign(reference) * np.sign(trial) < 0.0) & (np.abs(trial) > margin)
+
+
+def oracle_transmissibility(left, right, viscosity):
+    """Cubic-law transmissibility of an edge, or of arrays of edges, from its two apertures."""
+    mean = np.maximum(0.5 * (left + right), HYDRAULIC_APERTURE_FLOOR)
+    return np.float_power(mean, 3) / (12.0 * viscosity)
+
+
+# ---------------------------------------------------------------------------
+# a model's topology and the residual of one point
+
+
+# Volumetric heat capacity of the fluid.
+HEAT_CAPACITY = FLUID_DENSITY * FLUID_HEAT_CAPACITY
+
+# Row-major centermost cell of each grid shape tested: where a cross-fracture
+# tie ends (and a multi-fracture well sits).
+CENTER_CELLS = {(4, 4): 10, (5, 5): 12, (2, 3): 4, (3, 2): 3}
+
+
+def oracle_stiffness(fractures):
+    """The 3n x 3n influence operator, summed one edge and one tie at a time."""
+    blocks = []
+    for fr in fractures:
+        n = fr.n_cells
+        lap = sp.lil_matrix((n, n))
+        for a, b in fr.edges:
+            lap[a, a] += 1.0
+            lap[b, b] += 1.0
+            lap[a, b] -= 1.0
+            lap[b, a] -= 1.0
+        shape_op = STIFFNESS_DIAGONAL * sp.eye(n) + STIFFNESS_NEIGHBOR * lap.tocsr()
+        blocks.append(sp.kron(shape_op, sp.eye(3)))
+    stiff = sp.block_diag(blocks, format="lil")
+    starts = np.cumsum([0] + [fr.n_cells for fr in fractures[:-1]])
+    for f in range(len(fractures) - 1):
+        ca = starts[f] + CENTER_CELLS[fractures[f].shape]
+        cb = starts[f + 1] + CENTER_CELLS[fractures[f + 1].shape]
+        for comp in range(3):
+            i = 3 * ca + comp
+            j = 3 * cb + comp
+            stiff[i, i] += CROSS_FRACTURE_WEIGHT
+            stiff[j, j] += CROSS_FRACTURE_WEIGHT
+            stiff[i, j] -= CROSS_FRACTURE_WEIGHT
+            stiff[j, i] -= CROSS_FRACTURE_WEIGHT
+    return stiff.tocsr()
+
+
+class Oracle:
+    """A model's data read from its fractures, and a contact law of its own.
+
+    ``friction`` and ``residual_aperture`` default to the presets' law; the
+    dilation angle and the complementarity weight are the model's settings.
+    """
+
+    def __init__(self, model, friction=1.0, residual_aperture=1.0e-3):
+        self.model = model
+        self.n = n = model.n_cells
+        self.law = Law(friction, model.dilation_angle, model.scales.complementarity_weight)
+        self.residual_aperture = residual_aperture
+        self.edges = []
+        self.dir_p = np.full(n, np.nan)
+        self.dir_T = np.full(n, np.nan)
+        start = 0  # the fractures own consecutive cell ranges in list order
+        for fr in model.fractures:
+            for k, (a, b) in enumerate(fr.edges):
+                rate = 0.0 if fr.advection_rates is None else float(fr.advection_rates[k])
+                self.edges.append((start + int(a), start + int(b), rate))
+            for loc, val in fr.dirichlet_pressure.items():
+                self.dir_p[start + loc] = val
+            for loc, val in fr.dirichlet_temperature.items():
+                self.dir_T[start + loc] = val
+            start += fr.n_cells
+        a, b, rate = (np.array(column) for column in zip(*self.edges))
+        self.ends, self.rate = (a, b), rate
+        self.areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in model.fractures])
+        self.external_traction = np.vstack([fr.external_traction for fr in model.fractures])
+        flux_scale = residual_aperture ** 3 / (12.0 * FLUID_VISCOSITY)
+        self.mass_scale = flux_scale * PRESSURE_SCALE
+        advective = HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
+        conductive = THERMAL_CONDUCTIVITY * residual_aperture
+        self.energy_scale = (conductive + advective) * TEMPERATURE_SCALE
+        self.stiffness = oracle_stiffness(model.fractures)
+
+    def split(self, x):
+        """Traction and jump ``(n, 3)``; pressure, and temperature or None, ``(n,)``."""
+        n = self.n
+        temperature = x[7 * n:8 * n] if self.model.has_temperature else None
+        return x[:3 * n].reshape(n, 3), x[3 * n:6 * n].reshape(n, 3), x[6 * n:7 * n], temperature
+
+    def cells(self, x):
+        """Every cell of one point or of a stack of points, in the law's array layout."""
+        n, lead = self.n, x.shape[:-1]
+        traction = x[..., :3 * n].reshape(lead + (n, 3))
+        jump = x[..., 3 * n:6 * n].reshape(lead + (n, 3))
+        return traction[..., 0:1], traction[..., 1:3], jump[..., 0:1], jump[..., 1:3]
+
+    def apertures(self, jump):
+        return self.residual_aperture + jump[:, 0]
+
+    def mass_rows(self, jump, pressure, temperature):
+        apertures = self.apertures(jump)
+        rows = np.zeros(self.n)
+        rows += self.areas * (apertures - self.residual_aperture) / TIME_STEP
+        rows += self.areas * apertures * FLUID_COMPRESSIBILITY \
+            * PRESSURE_SCALE * pressure / TIME_STEP
+        if temperature is not None:
+            rows -= self.areas * apertures * FLUID_THERMAL_EXPANSION \
+                * TEMPERATURE_SCALE * temperature / TIME_STEP
+        self.add_flux(rows, apertures, pressure)
+        rows /= self.mass_scale
+        return _fixed(rows, pressure, self.dir_p, PRESSURE_SCALE)
+
+    def energy_rows(self, jump, temperature):
+        apertures = self.apertures(jump)
+        rows = np.zeros(self.n)
+        rows += self.areas * apertures * HEAT_CAPACITY * TEMPERATURE_SCALE * temperature / TIME_STEP
+        self.add_heat(rows, apertures, temperature)
+        rows /= self.energy_scale
+        return _fixed(rows, temperature, self.dir_T, TEMPERATURE_SCALE)
+
+    def add_flux(self, rows, apertures, pressure):
+        """Every edge's flux into its first cell and out of its second, in one ``np.add.at``."""
+        a, b = self.ends
+        flux = oracle_transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY) \
+            * PRESSURE_SCALE * (pressure[a] - pressure[b])
+        np.add.at(rows, _interleave(a, b), _interleave(flux, _negated(flux)))
+
+    def add_heat(self, rows, apertures, temperature):
+        """Every edge's conduction, then its upwind advection, in one ``np.add.at``."""
+        (a, b), rate = self.ends, self.rate
+        floored = np.maximum(0.5 * (apertures[a] + apertures[b]), HYDRAULIC_APERTURE_FLOOR)
+        conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE \
+            * (temperature[a] - temperature[b])
+        upwind = temperature[np.where(rate > 0.0, a, b)]
+        advected = HEAT_CAPACITY * rate * TEMPERATURE_SCALE * upwind
+        kept = _interleave(*np.broadcast_arrays(True, True, rate != 0.0, rate != 0.0))
+        np.add.at(rows, _interleave(a, b, a, b)[kept], _interleave(
+            conduction, _negated(conduction), advected, _negated(advected))[kept])
+
+
+def _fixed(rows, unknowns, values, unit):
+    """``rows`` with each Dirichlet cell's row replaced by its unknown minus its value."""
+    fixed = np.isfinite(values)
+    rows[fixed] = unknowns[fixed] - values[fixed] / unit
+    return rows
 
 
 def _interleave(*columns):
@@ -320,85 +574,19 @@ def _negated(values):
     return np.where(np.isnan(values), values, -values)
 
 
-def residual(model, x):
+def residual(oracle, x):
     """``FractureAssembly.residual`` of one point ``x`` of shape ``(n_dofs,)``."""
-    n = model.n_cells
-    traction = x[0:3 * n].reshape(n, 3)
-    jump = x[3 * n:6 * n].reshape(n, 3)
-    pressure = x[6 * n:7 * n]
-    temperature = x[7 * n:8 * n] if model.has_temperature else None
-    sigma_c = model.scales.stress
-    weight = model.scales.complementarity_weight
-
-    r = np.zeros(model.n_dofs)
-    force = traction.ravel() + (model._stiffness @ (weight * jump)).ravel() \
-        - model._external_traction.ravel() / sigma_c
-    force = force.reshape(n, 3)
+    traction, jump, pressure, temperature = oracle.split(x)
+    sigma_c = oracle.model.scales.stress
+    coupled = oracle.stiffness @ (oracle.law.weight * jump.ravel())
+    force = traction + coupled.reshape(-1, 3) - oracle.external_traction / sigma_c
     force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
-    if model.has_temperature:
+    if temperature is not None:
         force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
             * TEMPERATURE_SCALE * temperature / sigma_c
-    r[0:3 * n] = force.ravel()
-
-    states = ContactStates(traction[:, 0], traction[:, 1:3], jump[:, 0], jump[:, 1:3],
-                           model.dilation_angle, weight)
-    contact = r[3 * n:6 * n].reshape(n, 3)
-    contact[:, 0] = normal_complementarity(states)
-    contact[:, 1:3] = tangential_complementarity(states)
-
-    r[6 * n:7 * n] = _mass_rows(model, jump, pressure, temperature)
-    if model.has_temperature:
-        r[7 * n:8 * n] = _energy_rows(model, jump, temperature)
-    return r
-
-
-def _mass_rows(model, jump, pressure, temperature):
-    apertures = fracsolve.models.RESIDUAL_APERTURE + jump[:, 0]
-    rows = np.zeros(model.n_cells)
-    dt = TIME_STEP
-    rows += model._areas * (apertures - fracsolve.models.RESIDUAL_APERTURE) / dt
-    rows += model._areas * apertures * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * pressure / dt
+    cells, law = oracle.cells(x), oracle.law
+    contact = [normal_residual(cells, law, CELLS), tangential_residual(cells, law, CELLS)]
+    rows = [force, np.concatenate(contact, axis=-1), oracle.mass_rows(jump, pressure, temperature)]
     if temperature is not None:
-        rows -= model._areas * apertures * FLUID_THERMAL_EXPANSION \
-            * TEMPERATURE_SCALE * temperature / dt
-    a, b = model._edge_a, model._edge_b
-    mean = 0.5 * (apertures[a] + apertures[b])
-    flux = transmissibility(np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)) \
-        * PRESSURE_SCALE * (pressure[a] - pressure[b])
-    np.add.at(rows, model._flux_ends, _interleave(flux, _negated(flux)))
-    rows /= model._mass_scale
-    dir_p = _dirichlet(model, "dirichlet_pressure")
-    fixed = np.isfinite(dir_p)
-    rows[fixed] = pressure[fixed] - dir_p[fixed] / PRESSURE_SCALE
-    return rows
-
-
-def _energy_rows(model, jump, temperature):
-    apertures = fracsolve.models.RESIDUAL_APERTURE + jump[:, 0]
-    rows = np.zeros(model.n_cells)
-    heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
-    rows += model._areas * apertures * heat * TEMPERATURE_SCALE * temperature / TIME_STEP
-    a, b = model._edge_a, model._edge_b
-    mean = 0.5 * (apertures[a] + apertures[b])
-    floored = np.maximum(mean, HYDRAULIC_APERTURE_FLOOR)
-    conduction = THERMAL_CONDUCTIVITY * floored * TEMPERATURE_SCALE \
-        * (temperature[a] - temperature[b])
-    advected = heat * model._edge_rate * TEMPERATURE_SCALE * temperature[model._edge_up]
-    np.add.at(rows, model._heat_ends, _interleave(
-        conduction, _negated(conduction), advected, _negated(advected))[model._heat_kept])
-    rows /= model._energy_scale
-    dir_T = _dirichlet(model, "dirichlet_temperature")
-    fixed = np.isfinite(dir_T)
-    rows[fixed] = temperature[fixed] - dir_T[fixed] / TEMPERATURE_SCALE
-    return rows
-
-
-def _dirichlet(model, name):
-    """One field's Dirichlet values per global cell, read from the fractures; NaN where free."""
-    values = np.full(model.n_cells, np.nan)
-    start = 0
-    for fr in model.fractures:
-        for local, value in getattr(fr, name).items():
-            values[start + local] = value
-        start += fr.n_cells
-    return values
+        rows.append(oracle.energy_rows(jump, temperature))
+    return np.concatenate([np.ravel(r) for r in rows])

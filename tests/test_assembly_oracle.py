@@ -1,8 +1,11 @@
 """Array-valued assembly against the sequential sparse-loop assembly it replaced.
 
-The oracle below builds the influence operator, the mass and energy residual
-rows and the whole Jacobian one cell and one edge at a time: Python scalars,
-``lil_matrix`` item writes and ``sp.bmat`` over per-block matrices. The
+The oracle, ``scalar_oracle.Oracle`` with its balance rows' edge terms added
+one edge at a time, builds the influence operator, the mass and energy
+residual rows and the whole Jacobian one cell and one edge at a time: Python
+scalars, ``lil_matrix`` item writes and ``sp.bmat`` over per-block matrices.
+Its contact rows and their derivative blocks come from its own contact law,
+with the friction coefficient and residual aperture it is given. The
 shipped ``FractureAssembly`` fills a CSC pattern cached at construction. The
 two must agree byte for byte: residual values, and the Jacobian's ``data``,
 ``indices`` and ``indptr`` against the oracle's converted to CSC, on random
@@ -20,26 +23,17 @@ import scipy.sparse as sp
 
 import fracsolve.contact
 import fracsolve.models
-from fracsolve.contact import (
-    contact_generalized_derivative,
-    normal_complementarity,
-    tangential_complementarity,
-)
+import scalar_oracle
 from fracsolve.models import (
     BIOT_COEFFICIENT,
-    CROSS_FRACTURE_WEIGHT,
     DRAINED_BULK_MODULUS,
     FLUID_COMPRESSIBILITY,
-    FLUID_DENSITY,
-    FLUID_HEAT_CAPACITY,
     FLUID_THERMAL_EXPANSION,
     FLUID_VISCOSITY,
     HYDRAULIC_APERTURE_FLOOR,
     PRESET_NAMES,
     PRESSURE_SCALE,
     SOLID_THERMAL_EXPANSION,
-    STIFFNESS_DIAGONAL,
-    STIFFNESS_NEIGHBOR,
     TEMPERATURE_SCALE,
     THERMAL_CONDUCTIVITY,
     TIME_STEP,
@@ -51,146 +45,34 @@ from fracsolve.models import (
     preset,
 )
 from fracsolve.scaling import CharacteristicScales
+from scalar_oracle import HEAT_CAPACITY, Oracle, oracle_stiffness, oracle_transmissibility
 
 # ---------------------------------------------------------------------------
 # oracle: sequential assembly over cells and edges
 
 
-class Oracle:
-    """The model's data, flattened the way the sequential assembly read it."""
+class SequentialOracle(Oracle):
+    """``scalar_oracle.Oracle`` adding the balance rows' edge terms one edge at a time."""
 
-    def __init__(self, model):
-        self.model = model
-        self.edges = []
-        self.dir_p = np.full(model.n_cells, np.nan)
-        self.dir_T = np.full(model.n_cells, np.nan)
-        start = 0  # the fractures own consecutive cell ranges in list order
-        for fr in model.fractures:
-            for k, (a, b) in enumerate(fr.edges):
-                rate = 0.0 if fr.advection_rates is None else float(fr.advection_rates[k])
-                self.edges.append((start + int(a), start + int(b), rate))
-            for loc, val in fr.dirichlet_pressure.items():
-                self.dir_p[start + loc] = val
-            for loc, val in fr.dirichlet_temperature.items():
-                self.dir_T[start + loc] = val
-            start += fr.n_cells
-        self.areas = np.concatenate([np.full(fr.n_cells, fr.cell_area) for fr in model.fractures])
-        # Read at evaluation time: a hand-built model patches the module's value.
-        self.closed_aperture = fracsolve.models.RESIDUAL_APERTURE
-        flux_scale = (self.closed_aperture ** 3 / (12.0 * FLUID_VISCOSITY))
-        self.mass_scale = flux_scale * PRESSURE_SCALE
-        advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
-        conductive = THERMAL_CONDUCTIVITY * self.closed_aperture
-        self.energy_scale = (conductive + advective) * TEMPERATURE_SCALE
-        self.stiffness = oracle_stiffness(model.fractures)
+    def add_flux(self, rows, apertures, pressure):
+        for a, b, _rate in self.edges:
+            trans = oracle_transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY)
+            flux = trans * PRESSURE_SCALE * (pressure[a] - pressure[b])
+            rows[a] += flux
+            rows[b] -= flux
 
-    def apertures(self, jump):
-        return self.closed_aperture + jump[:, 0]
-
-
-def oracle_transmissibility(left, right, viscosity):
-    mean = max(0.5 * (left + right), HYDRAULIC_APERTURE_FLOOR)
-    return mean ** 3 / (12.0 * viscosity)
-
-
-# Row-major centermost cell of each grid shape tested: where a cross-fracture
-# tie ends (and a multi-fracture well sits).
-CENTER_CELLS = {(4, 4): 10, (5, 5): 12, (2, 3): 4, (3, 2): 3}
-
-
-def oracle_stiffness(fractures):
-    blocks = []
-    for fr in fractures:
-        n = fr.n_cells
-        lap = sp.lil_matrix((n, n))
-        for a, b in fr.edges:
-            lap[a, a] += 1.0
-            lap[b, b] += 1.0
-            lap[a, b] -= 1.0
-            lap[b, a] -= 1.0
-        shape_op = STIFFNESS_DIAGONAL * sp.eye(n) + STIFFNESS_NEIGHBOR * lap.tocsr()
-        blocks.append(sp.kron(shape_op, sp.eye(3)))
-    stiff = sp.block_diag(blocks, format="lil")
-    starts = np.cumsum([0] + [fr.n_cells for fr in fractures[:-1]])
-    for f in range(len(fractures) - 1):
-        ca = starts[f] + CENTER_CELLS[fractures[f].shape]
-        cb = starts[f + 1] + CENTER_CELLS[fractures[f + 1].shape]
-        for comp in range(3):
-            i = 3 * ca + comp
-            j = 3 * cb + comp
-            stiff[i, i] += CROSS_FRACTURE_WEIGHT
-            stiff[j, j] += CROSS_FRACTURE_WEIGHT
-            stiff[i, j] -= CROSS_FRACTURE_WEIGHT
-            stiff[j, i] -= CROSS_FRACTURE_WEIGHT
-    return stiff.tocsr()
-
-
-def oracle_mass_rows(o, jump, pressure, temperature):
-    m = o.model
-    apertures = o.apertures(jump)
-    rows = np.zeros(m.n_cells)
-    rows += o.areas * (apertures - o.closed_aperture) / TIME_STEP
-    rows += o.areas * apertures * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * pressure / TIME_STEP
-    if temperature is not None:
-        rows -= o.areas * apertures * FLUID_THERMAL_EXPANSION \
-            * TEMPERATURE_SCALE * temperature / TIME_STEP
-    for a, b, _rate in o.edges:
-        trans = oracle_transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY)
-        flux = trans * PRESSURE_SCALE * (pressure[a] - pressure[b])
-        rows[a] += flux
-        rows[b] -= flux
-    rows /= o.mass_scale
-    fixed = np.isfinite(o.dir_p)
-    rows[fixed] = pressure[fixed] - o.dir_p[fixed] / PRESSURE_SCALE
-    return rows
-
-
-def oracle_energy_rows(o, jump, temperature):
-    m = o.model
-    apertures = o.apertures(jump)
-    rows = np.zeros(m.n_cells)
-    heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
-    rows += o.areas * apertures * heat * TEMPERATURE_SCALE * temperature / TIME_STEP
-    for a, b, rate in o.edges:
-        mean_ap = max(0.5 * (apertures[a] + apertures[b]), HYDRAULIC_APERTURE_FLOOR)
-        conduction = THERMAL_CONDUCTIVITY * mean_ap * TEMPERATURE_SCALE \
-            * (temperature[a] - temperature[b])
-        rows[a] += conduction
-        rows[b] -= conduction
-        if rate != 0.0:
-            upwind = temperature[a] if rate > 0.0 else temperature[b]
-            advected = heat * rate * TEMPERATURE_SCALE * upwind
-            rows[a] += advected
-            rows[b] -= advected
-    rows /= o.energy_scale
-    fixed = np.isfinite(o.dir_T)
-    rows[fixed] = temperature[fixed] - o.dir_T[fixed] / TEMPERATURE_SCALE
-    return rows
-
-
-def oracle_residual(o, x):
-    m = o.model
-    traction, jump, pressure, temperature = m.split(x)
-    n = m.n_cells
-    sigma_c = m.scales.stress
-    weight = m.scales.complementarity_weight
-    r = np.zeros(m.n_dofs)
-    force = traction.ravel() + o.stiffness @ (weight * jump.ravel()) \
-        - m._external_traction.ravel() / sigma_c
-    force = force.reshape(n, 3)
-    force[:, 0] -= BIOT_COEFFICIENT * PRESSURE_SCALE * pressure / sigma_c
-    if m.has_temperature:
-        force[:, 0] += 3.0 * DRAINED_BULK_MODULUS * SOLID_THERMAL_EXPANSION \
-            * TEMPERATURE_SCALE * temperature / sigma_c
-    r[0:3 * n] = force.ravel()
-    states = m.contact_states(x)
-    contact = r[3 * n:6 * n].reshape(n, 3)
-    contact[:, 0] = normal_complementarity(states)
-    contact[:, 1:3] = tangential_complementarity(states)
-    r[6 * n:7 * n] = oracle_mass_rows(o, jump, pressure, temperature)
-    if m.has_temperature:
-        r[7 * n:8 * n] = oracle_energy_rows(o, jump, temperature)
-    return r
+    def add_heat(self, rows, apertures, temperature):
+        for a, b, rate in self.edges:
+            mean_ap = max(0.5 * (apertures[a] + apertures[b]), HYDRAULIC_APERTURE_FLOOR)
+            conduction = THERMAL_CONDUCTIVITY * mean_ap * TEMPERATURE_SCALE \
+                * (temperature[a] - temperature[b])
+            rows[a] += conduction
+            rows[b] -= conduction
+            if rate != 0.0:
+                upwind = temperature[a] if rate > 0.0 else temperature[b]
+                advected = HEAT_CAPACITY * rate * TEMPERATURE_SCALE * upwind
+                rows[a] += advected
+                rows[b] -= advected
 
 
 def _block_diagonal(blocks):
@@ -206,12 +88,11 @@ def _normal_column(n, coefficient):
 
 
 def oracle_mass_jacobian(o, jump, pressure, temperature):
-    m = o.model
-    n = m.n_cells
+    n = o.n
     apertures = o.apertures(jump)
     mass_u = sp.lil_matrix((n, 3 * n))
     mass_p = sp.lil_matrix((n, n))
-    mass_T = sp.lil_matrix((n, n)) if m.has_temperature else None
+    mass_T = sp.lil_matrix((n, n)) if temperature is not None else None
     for v in range(n):
         storage_u = o.areas[v] / TIME_STEP \
             + o.areas[v] * FLUID_COMPRESSIBILITY * PRESSURE_SCALE * pressure[v] / TIME_STEP
@@ -227,7 +108,7 @@ def oracle_mass_jacobian(o, jump, pressure, temperature):
     for a, b, _rate in o.edges:
         mean = 0.5 * (apertures[a] + apertures[b])
         floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
-        trans = floored ** 3 / (12.0 * FLUID_VISCOSITY)
+        trans = oracle_transmissibility(apertures[a], apertures[b], FLUID_VISCOSITY)
         dtrans = 0.0 if mean < HYDRAULIC_APERTURE_FLOOR \
             else 3.0 * floored ** 2 * 0.5 / (12.0 * FLUID_VISCOSITY)
         dp_ab = PRESSURE_SCALE * (pressure[a] - pressure[b])
@@ -252,15 +133,14 @@ def oracle_mass_jacobian(o, jump, pressure, temperature):
 
 
 def oracle_energy_jacobian(o, jump, temperature):
-    m = o.model
-    n = m.n_cells
+    n = o.n
     apertures = o.apertures(jump)
-    heat = FLUID_DENSITY * FLUID_HEAT_CAPACITY
     energy_u = sp.lil_matrix((n, 3 * n))
     energy_T = sp.lil_matrix((n, n))
     for v in range(n):
-        energy_T[v, v] = o.areas[v] * apertures[v] * heat * TEMPERATURE_SCALE / TIME_STEP
-        energy_u[v, 3 * v] = o.areas[v] * heat * TEMPERATURE_SCALE * temperature[v] / TIME_STEP
+        energy_T[v, v] = o.areas[v] * apertures[v] * HEAT_CAPACITY * TEMPERATURE_SCALE / TIME_STEP
+        energy_u[v, 3 * v] = o.areas[v] * HEAT_CAPACITY * TEMPERATURE_SCALE \
+            * temperature[v] / TIME_STEP
     for a, b, rate in o.edges:
         mean = 0.5 * (apertures[a] + apertures[b])
         floored = max(mean, HYDRAULIC_APERTURE_FLOOR)
@@ -276,7 +156,7 @@ def oracle_energy_jacobian(o, jump, temperature):
             energy_u[b, 3 * cell] -= dcond
         if rate != 0.0:
             up = a if rate > 0.0 else b
-            coeff = heat * rate * TEMPERATURE_SCALE
+            coeff = HEAT_CAPACITY * rate * TEMPERATURE_SCALE
             energy_T[a, up] += coeff
             energy_T[b, up] -= coeff
     energy_u /= o.energy_scale
@@ -289,23 +169,22 @@ def oracle_energy_jacobian(o, jump, temperature):
 
 
 def oracle_jacobian(o, x):
-    m = o.model
-    _, jump, pressure, temperature = m.split(x)
-    n = m.n_cells
-    sigma_c = m.scales.stress
-    weight = m.scales.complementarity_weight
-    blocks = [[sp.eye(3 * n, format="csr"), o.stiffness * weight], [None, None]]
-    derivative = contact_generalized_derivative(m.contact_states(x))
+    _, jump, pressure, temperature = o.split(x)
+    n = o.n
+    sigma_c = o.model.scales.stress
+    blocks = [[sp.eye(3 * n, format="csr"), o.stiffness * o.law.weight], [None, None]]
+    with np.errstate(all="ignore"):  # the law evaluates every branch, then selects
+        derivative = scalar_oracle.derivative(o.cells(x), o.law, scalar_oracle.CELLS)
     blocks[1][0] = _block_diagonal(derivative[:, :, 0:3])
     blocks[1][1] = _block_diagonal(derivative[:, :, 3:6])
     blocks[0].append(_normal_column(n, -BIOT_COEFFICIENT * PRESSURE_SCALE / sigma_c))
     blocks[1].append(None)
     mass_u, mass_p, mass_T = oracle_mass_jacobian(o, jump, pressure, temperature)
     row = [None, mass_u, mass_p]
-    if m.has_temperature:
+    if temperature is not None:
         row.append(mass_T)
     blocks.append(row)
-    if m.has_temperature:
+    if temperature is not None:
         blocks[0].append(_normal_column(n, 3.0 * DRAINED_BULK_MODULUS
                                         * SOLID_THERMAL_EXPANSION
                                         * TEMPERATURE_SCALE / sigma_c))
@@ -325,18 +204,18 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-def assert_same_residual(model, oracle, x, nan_signs=True):
+def assert_same_residual(oracle, x, nan_signs=True):
     with np.errstate(all="ignore"):
-        got = model.residual(x)
-        want = oracle_residual(oracle, x)
+        got = oracle.model.residual(x)
+        want = scalar_oracle.residual(oracle, x)
     if not nan_signs:
         assert np.array_equal(np.isnan(got), np.isnan(want))
         got, want = got[~np.isnan(got)], want[~np.isnan(want)]
     assert_same_bytes(got, want)
 
 
-def assert_same_jacobian(model, oracle, x):
-    got = model.jacobian(x)
+def assert_same_jacobian(oracle, x):
+    got = oracle.model.jacobian(x)
     want = oracle_jacobian(oracle, x).tocsc()
     assert type(got) is type(want)
     assert got.shape == want.shape
@@ -344,21 +223,23 @@ def assert_same_jacobian(model, oracle, x):
         assert_same_bytes(getattr(got, name), getattr(want, name))
 
 
-def random_iterate(model, rng):
-    n = model.n_cells
-    x = np.zeros(model.n_dofs)
+def random_iterate(oracle, rng):
+    n = oracle.n
+    x = np.zeros(oracle.model.n_dofs)
     x[0:3 * n] = rng.uniform(-1.5, 1.5, 3 * n)
-    x[3 * n:6 * n] = rng.uniform(-0.5, 0.5, 3 * n) * fracsolve.models.RESIDUAL_APERTURE
+    x[3 * n:6 * n] = rng.uniform(-0.5, 0.5, 3 * n) * oracle.residual_aperture
     x[6 * n:] = rng.uniform(-1.0, 1.0, x.size - 6 * n)
     return x
 
 
-def hand_built(monkeypatch, physics=Physics.THERMOPORO, seed=0, closed_aperture=1.0e-3):
-    """A 4x3 fracture with advection along and against its edges and random wells.
+def hand_built(monkeypatch, physics=Physics.THERMOPORO, seed=0, closed_aperture=1.0e-3,
+               oracle=SequentialOracle):
+    """The ``oracle`` of a 4x3 fracture with advection along and against its edges and random wells.
 
     Its contact law is not the presets': friction 0.8, dilation 0.2 and a
-    residual aperture of ``closed_aperture``. The friction coefficient and the
-    residual aperture are module constants, patched for the rest of the calling test.
+    residual aperture of ``closed_aperture``. The model's friction coefficient
+    and residual aperture are module constants, patched for the rest of the
+    calling test; the oracle is given them as arguments.
     """
     monkeypatch.setattr(fracsolve.contact, "FRICTION_COEFFICIENT", 0.8)
     monkeypatch.setattr(fracsolve.models, "RESIDUAL_APERTURE", closed_aperture)
@@ -378,7 +259,8 @@ def hand_built(monkeypatch, physics=Physics.THERMOPORO, seed=0, closed_aperture=
         dirichlet_temperature={2: -10.0, 5: 3.0},
         advection_rates=rates,
     )
-    return FractureAssembly([fracture], 0.2, physics, scales)
+    return oracle(FractureAssembly([fracture], 0.2, physics, scales),
+                  friction=0.8, residual_aperture=closed_aperture)
 
 
 def tied_family(physics=Physics.PORO):
@@ -390,12 +272,13 @@ def tied_family(physics=Physics.PORO):
     return FractureAssembly(fractures, 0.0, physics, scales)
 
 
-# Each builder takes the test's monkeypatch, which the hand-built models use.
+# Each builder takes the test's monkeypatch, which the hand-built models use,
+# and returns the model's oracle.
 MODELS = {
-    "single-pm": lambda _: preset("single-pm", cells_per_side=5),
-    "single-tpm": lambda _: preset("single-tpm", cells_per_side=5),
-    "multi4-pm": lambda _: preset("multi4-pm", seed=1),
-    "multi4-tpm": lambda _: preset("multi4-tpm"),
+    "single-pm": lambda _: SequentialOracle(preset("single-pm", cells_per_side=5)),
+    "single-tpm": lambda _: SequentialOracle(preset("single-tpm", cells_per_side=5)),
+    "multi4-pm": lambda _: SequentialOracle(preset("multi4-pm", seed=1)),
+    "multi4-tpm": lambda _: SequentialOracle(preset("multi4-tpm")),
     "hand-built-tpm": hand_built,
     "hand-built-pm": lambda monkeypatch: hand_built(monkeypatch, Physics.PORO, seed=1),
 }
@@ -482,13 +365,12 @@ def test_pattern_matches_the_unique_formulation_at_the_size_goal(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_random_iterates(name, monkeypatch):
-    model = MODELS[name](monkeypatch)
-    oracle = Oracle(model)
+    oracle = MODELS[name](monkeypatch)
     rng = np.random.default_rng(50)
     for _ in range(8):
-        x = random_iterate(model, rng)
-        assert_same_residual(model, oracle, x)
-        assert_same_jacobian(model, oracle, x)
+        x = random_iterate(oracle, rng)
+        assert_same_residual(oracle, x)
+        assert_same_jacobian(oracle, x)
 
 
 FLOOR_MODELS = {
@@ -505,16 +387,16 @@ FLOOR_MODELS = {
 
 @pytest.mark.parametrize("name", sorted(FLOOR_MODELS))
 def test_apertures_below_and_at_the_hydraulic_floor(name, monkeypatch):
-    model = FLOOR_MODELS[name](monkeypatch)
-    oracle = Oracle(model)
+    oracle = FLOOR_MODELS[name](monkeypatch)
+    model = oracle.model
     rng = np.random.default_rng(51)
     n = model.n_cells
-    residual = oracle.closed_aperture
+    residual = oracle.residual_aperture
     at_floor = HYDRAULIC_APERTURE_FLOOR - residual
     exact = residual + at_floor == HYDRAULIC_APERTURE_FLOOR
     assert exact or not name.startswith("hand-built")
     for _ in range(4):
-        x = random_iterate(model, rng)
+        x = random_iterate(oracle, rng)
         normal = x[3 * n:6 * n].reshape(n, 3)[:, 0]
         pick = rng.integers(0, 3, n)
         normal[pick == 0] = at_floor
@@ -524,8 +406,8 @@ def test_apertures_below_and_at_the_hydraulic_floor(name, monkeypatch):
         means = np.array([0.5 * (apertures[a] + apertures[b]) for a, b, _ in oracle.edges])
         assert np.any(means < HYDRAULIC_APERTURE_FLOOR)
         assert np.any(means == HYDRAULIC_APERTURE_FLOOR) == exact
-        assert_same_residual(model, oracle, x)
-        assert_same_jacobian(model, oracle, x)
+        assert_same_residual(oracle, x)
+        assert_same_jacobian(oracle, x)
 
 
 @pytest.mark.parametrize("name", ["single-tpm", "hand-built-pm"])
@@ -533,31 +415,31 @@ def test_powers_round_as_the_c_library_pow(name, monkeypatch):
     # numpy's ``**`` multiplies for small integer exponents and can differ in
     # the last bit from ``pow``; pick a uniform aperture where both the square
     # and the cube differ, so every edge mean hits such a value
-    model = MODELS[name](monkeypatch)
-    oracle = Oracle(model)
+    oracle = MODELS[name](monkeypatch)
+    model = oracle.model
     rng = np.random.default_rng(55)
-    residual = oracle.closed_aperture
+    residual = oracle.residual_aperture
     jumps = rng.uniform(-0.5, 0.5, 4000) * residual
     apertures = residual + jumps
     differs = (apertures ** 2 != [float(v) ** 2 for v in apertures]) \
         & (apertures ** 3 != [float(v) ** 3 for v in apertures])
     assert np.any(differs)
     n = model.n_cells
-    x = random_iterate(model, rng)
+    x = random_iterate(oracle, rng)
     x[3 * n:6 * n].reshape(n, 3)[:, 0] = jumps[np.argmax(differs)]
-    assert_same_residual(model, oracle, x)
-    assert_same_jacobian(model, oracle, x)
+    assert_same_residual(oracle, x)
+    assert_same_jacobian(oracle, x)
 
 
 def test_hand_built_fracture_advects_against_edge_direction(monkeypatch):
-    model = hand_built(monkeypatch)
-    oracle = Oracle(model)
+    oracle = hand_built(monkeypatch)
+    model = oracle.model
     rates = np.array([rate for _, _, rate in oracle.edges])
     assert np.any(rates < 0.0) and np.any(rates > 0.0) and np.any(rates == 0.0)
     rng = np.random.default_rng(52)
-    x = random_iterate(model, rng)
-    assert_same_residual(model, oracle, x)
-    assert_same_jacobian(model, oracle, x)
+    x = random_iterate(oracle, rng)
+    assert_same_residual(oracle, x)
+    assert_same_jacobian(oracle, x)
     # Dirichlet rows keep only their unit diagonal
     n = model.n_cells
     jacobian = model.jacobian(x)
@@ -579,28 +461,42 @@ NON_FINITE = {"nan": (np.nan, True), "inf": (np.inf, True), "-inf": (-np.inf, Tr
 @pytest.mark.parametrize("kind", sorted(NON_FINITE))
 def test_residual_at_non_finite_iterates(name, kind, monkeypatch):
     bad, nan_signs = NON_FINITE[kind]
-    model = MODELS[name](monkeypatch)
-    oracle = Oracle(model)
+    oracle = MODELS[name](monkeypatch)
+    model = oracle.model
     rng = np.random.default_rng(53)
     for _ in range(6):
-        x = random_iterate(model, rng)
+        x = random_iterate(oracle, rng)
         x[rng.choice(x.size, size=max(1, x.size // 20), replace=False)] = bad
-        assert_same_residual(model, oracle, x, nan_signs)
+        assert_same_residual(oracle, x, nan_signs)
     # the pressure and temperature of a single cell, and a single jump
     n = model.n_cells
     for index in (6 * n + n // 2, x.size - 1, 3 * n + 3 * (n // 3)):
-        x = random_iterate(model, rng)
+        x = random_iterate(oracle, rng)
         x[index] = bad
-        assert_same_residual(model, oracle, x, nan_signs)
+        assert_same_residual(oracle, x, nan_signs)
+
+
+def test_the_oracle_keeps_its_own_friction_coefficient(monkeypatch):
+    # The model reads its friction coefficient from the package at evaluation
+    # time, the oracle only from its arguments: an oracle built on the
+    # package's kernels or constants would follow the patch and still agree.
+    oracle = SequentialOracle(preset("single-pm", cells_per_side=5))
+    x = random_iterate(oracle, np.random.default_rng(56))
+    regimes = scalar_oracle.regime(oracle.cells(x), oracle.law, scalar_oracle.CELLS)
+    assert np.any(regimes == scalar_oracle.SLIDING)
+    assert_same_residual(oracle, x)
+    monkeypatch.setattr(fracsolve.contact, "FRICTION_COEFFICIENT", 0.5)
+    contact = slice(3 * oracle.n, 6 * oracle.n)
+    assert np.any(oracle.model.residual(x)[contact] != scalar_oracle.residual(oracle, x)[contact])
 
 
 def test_cached_pattern_survives_evaluations():
     # eliminate_zeros compacts in place; the cached pattern must not change
     model = preset("single-tpm", cells_per_side=4)
     indices, indptr = model._indices.copy(), model._indptr.copy()
-    oracle = Oracle(model)
+    oracle = SequentialOracle(model)
     rng = np.random.default_rng(54)
-    for x in (model.initial_guess(), random_iterate(model, rng), model.initial_guess()):
-        assert_same_jacobian(model, oracle, x)
+    for x in (model.initial_guess(), random_iterate(oracle, rng), model.initial_guess()):
+        assert_same_jacobian(oracle, x)
     assert np.array_equal(model._indices, indices)
     assert np.array_equal(model._indptr, indptr)

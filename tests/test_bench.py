@@ -374,12 +374,44 @@ def test_main_does_not_report_a_solve_fault_as_a_usage_error(tmp_path, capsys, m
     assert not out.exists()
 
 
-def test_an_interrupted_sweep_keeps_a_symlinked_output(tmp_path, monkeypatch):
-    # only a regular file at the output path is removed; a link to one stays
-    def interrupted(spec, workers):
-        raise KeyboardInterrupt
+def _interrupted(spec, workers):
+    raise KeyboardInterrupt
 
-    monkeypatch.setattr(fracsolve.bench, "run_sweep", interrupted)
+
+def test_an_interrupted_sweep_keeps_a_regular_output_file(tmp_path, monkeypatch):
+    # the CSV goes to a new file beside the output, which a failed sweep removes
+    monkeypatch.setattr(fracsolve.bench, "run_sweep", _interrupted)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"an earlier sweep\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
+              "--uc", "0.01", "--out", str(out), "--workers", "1", "--no-table"])
+    assert out.read_bytes() == b"an earlier sweep\n"
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def test_a_symlinked_output_stays_a_link_to_the_new_csv(tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("an earlier sweep\n")
+    os.symlink(target, link)
+    assert main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
+                 "--phi", "0.1", "--uc", "0.01", "--out", str(link), "--workers", "1",
+                 "--no-table"]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert [row.model for row in _read_csv(target)] == ["single-pm"]
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
+
+def test_a_device_output_is_written_in_place(capsys):
+    assert main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
+                 "--phi", "0.1", "--uc", "0.01", "--out", os.devnull, "--workers", "1",
+                 "--no-table"]) == 0
+    assert f"wrote 1 rows to {os.devnull}" in capsys.readouterr().out
+
+
+def test_an_interrupted_sweep_keeps_a_symlinked_output(tmp_path, monkeypatch):
+    # the link and the file it names stay as they were
+    monkeypatch.setattr(fracsolve.bench, "run_sweep", _interrupted)
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     target.write_text("kept\n")
     os.symlink(target, link)
@@ -387,7 +419,7 @@ def test_an_interrupted_sweep_keeps_a_symlinked_output(tmp_path, monkeypatch):
         main(["--model", "single-pm", "--strategy", "none", "--cells", "2",
               "--uc", "0.01", "--out", str(link), "--workers", "1", "--no-table"])
     assert link.is_symlink() and os.readlink(link) == str(target)
-    assert target.exists()
+    assert target.read_text() == "kept\n"
 
 
 def test_all_strategies_constant():

@@ -1,5 +1,8 @@
 """Model problems: assembly, physics couplings, factories, and presets."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -303,6 +306,26 @@ def test_jacobian_stores_no_explicit_zeros(name):
 
 # ---------------------------------------------------------------------------
 # factories and presets
+
+
+def test_the_size_goal_mesh_builds_and_evaluates_without_dense_work():
+    # single-tpm 96x96, 73,728 dofs: a dense copy of its cell-grid operator
+    # alone would take 648 MiB, and a dense definiteness check seconds. Measured
+    # on a 2-core host: a 0.07-0.11 s build and a 58.7 MiB traced peak.
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        model = preset("single-tpm", cells_per_side=96)
+        built = time.perf_counter() - started
+        x = model.initial_guess()
+        model.residual(x)
+        model.jacobian(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.n_dofs == 73_728
+    assert built < 2.0
+    assert peak < 128 * 2**20
 
 
 def test_single_fracture_load_profile():

@@ -15,29 +15,29 @@ import warnings
 import numpy as np
 import pytest
 
-import fracsolve.contact
 import fracsolve.newton
 import scalar_oracle
-from fracsolve.contact import classify_regime, normal_indicator
 from fracsolve.linesearch import Strategy
 from fracsolve.models import PRESET_NAMES, Physics, preset
 from fracsolve.newton import ConvergenceCriterion, CriterionKind, NewtonOptions, solve
+from scalar_oracle import Oracle
 from test_assembly_oracle import hand_built, random_iterate
 
 U_C = (1e-4, 1e-2, 1.0)
 
 
-def _model(name, u_c, monkeypatch):
+def _oracle(name, u_c, monkeypatch):
+    """The oracle of a preset or of a hand-built model."""
     if name == "hand-built-tpm":
-        return hand_built(monkeypatch)
+        return hand_built(monkeypatch, oracle=Oracle)
     if name == "hand-built-pm":
-        return hand_built(monkeypatch, Physics.PORO, seed=1)
-    return preset(name, characteristic_displacement=u_c, cells_per_side=4, seed=1)
+        return hand_built(monkeypatch, Physics.PORO, seed=1, oracle=Oracle)
+    return Oracle(preset(name, characteristic_displacement=u_c, cells_per_side=4, seed=1))
 
 
-def _random_stack(model, rng, k):
+def _random_stack(oracle, rng, k):
     """k random iterates, one per row."""
-    return np.stack([random_iterate(model, rng) for _ in range(k)])
+    return np.stack([random_iterate(oracle, rng) for _ in range(k)])
 
 
 def _layouts(stack):
@@ -51,10 +51,10 @@ def _layouts(stack):
             "row-strided": tall[::2], "fortran": np.asfortranarray(stack)}
 
 
-def assert_rows_equal_oracle(model, stack):
+def assert_rows_equal_oracle(oracle, stack):
     with np.errstate(all="ignore"):
-        got = model.residual(stack)
-        want = [scalar_oracle.residual(model, row) for row in np.array(stack)]
+        got = oracle.model.residual(stack)
+        want = [scalar_oracle.residual(oracle, row) for row in np.array(stack)]
     assert got.shape == stack.shape
     assert got.dtype == np.float64
     for row, expected in zip(got, want, strict=True):
@@ -64,22 +64,23 @@ def assert_rows_equal_oracle(model, stack):
 @pytest.mark.parametrize("u_c", U_C)
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_random_stacks_equal_per_point_residual(name, u_c, monkeypatch):
-    model = _model(name, u_c, monkeypatch)
+    oracle = _oracle(name, u_c, monkeypatch)
     rng = np.random.default_rng(70)
     for k in (1, 2, 5):
-        for stack in _layouts(_random_stack(model, rng, k)).values():
-            assert_rows_equal_oracle(model, stack)
-    assert_rows_equal_oracle(model, _random_stack(model, rng, 5))
+        for stack in _layouts(_random_stack(oracle, rng, k)).values():
+            assert_rows_equal_oracle(oracle, stack)
+    assert_rows_equal_oracle(oracle, _random_stack(oracle, rng, 5))
 
 
 @pytest.mark.parametrize("name", ["single-tpm", "multi4-pm", "hand-built-tpm", "hand-built-pm"])
 def test_one_point_equals_per_point_residual(name, monkeypatch):
-    model = _model(name, 1e-2, monkeypatch)
+    oracle = _oracle(name, 1e-2, monkeypatch)
+    model = oracle.model
     rng = np.random.default_rng(71)
-    for x in (model.initial_guess(), random_iterate(model, rng)):
+    for x in (model.initial_guess(), random_iterate(oracle, rng)):
         got = model.residual(x)
         assert got.shape == x.shape
-        assert got.tobytes() == scalar_oracle.residual(model, x).tobytes()
+        assert got.tobytes() == scalar_oracle.residual(oracle, x).tobytes()
         assert got.tobytes() == model.residual(x[None, :])[0].tobytes()
 
 
@@ -89,27 +90,28 @@ def test_one_point_equals_per_point_residual(name, monkeypatch):
                          ids=["nan", "-nan", "inf", "-inf"])
 @pytest.mark.parametrize("name", ["single-tpm", "multi4-tpm", "hand-built-tpm", "hand-built-pm"])
 def test_non_finite_rows(name, bad, monkeypatch):
-    model = _model(name, 1e-2, monkeypatch)
+    oracle = _oracle(name, 1e-2, monkeypatch)
     rng = np.random.default_rng(72)
-    stack = _random_stack(model, rng, 5)
-    n = model.n_cells
+    stack = _random_stack(oracle, rng, 5)
+    n = oracle.n
     stack[0, rng.choice(stack.shape[1], size=stack.shape[1] // 20, replace=False)] = bad
     stack[2, 6 * n + n // 2] = bad     # one pressure
     stack[3] = bad                     # a whole row
     for layout in _layouts(stack).values():
-        assert_rows_equal_oracle(model, layout)
+        assert_rows_equal_oracle(oracle, layout)
     # finite rows of a stack stay finite next to non-finite ones
     with np.errstate(all="ignore"):
-        assert np.all(np.isfinite(model.residual(stack)[[1, 4]]))
+        assert np.all(np.isfinite(oracle.model.residual(stack)[[1, 4]]))
 
 
 @pytest.mark.parametrize("name", ["single-pm", "multi4-tpm", "hand-built-tpm"])
 def test_branch_ties_and_dirichlet_cells(name, monkeypatch):
-    model = _model(name, 1e-2, monkeypatch)
+    oracle = _oracle(name, 1e-2, monkeypatch)
+    model = oracle.model
     rng = np.random.default_rng(73)
-    friction, weight = fracsolve.contact.FRICTION_COEFFICIENT, model.scales.complementarity_weight
+    friction = oracle.law.friction
     n = model.n_cells
-    stack = _random_stack(model, rng, 5)
+    stack = _random_stack(oracle, rng, 5)
     for row in stack:
         traction = row[0:3 * n].reshape(n, 3)
         jump = row[3 * n:6 * n].reshape(n, 3)
@@ -122,16 +124,15 @@ def test_branch_ties_and_dirichlet_cells(name, monkeypatch):
         traction[tie, 0] = -1.0 / friction
         traction[tie, 1:3] = [0.0, -1.0]
         jump[tie, 1:3] = 0.0
-    assert_rows_equal_oracle(model, stack)
+    assert_rows_equal_oracle(oracle, stack)
 
     # the ties are really on the boundaries, and every regime is present
-    states = model.contact_states(stack)
-    assert np.any(normal_indicator(states) == 0.0)
-    b = -friction * states.normal_traction
-    q_norm = np.linalg.norm(states.tangential_traction + weight * states.tangential_jump, axis=-1)
-    assert np.any((q_norm == b) & (b > 0.0))
-    regimes = np.concatenate([classify_regime(model.contact_states(row)) for row in stack])
-    assert set(regimes.tolist()) == {0, 1, 2}
+    cells, law, layout = oracle.cells(stack), oracle.law, scalar_oracle.CELLS
+    regimes = scalar_oracle.regime(cells, law, layout)
+    assert np.any(scalar_oracle.normal_indicator(cells, law, layout) == 0.0)
+    q_minus_b = scalar_oracle.tangential_indicator(cells, law, layout, True)
+    assert np.any((q_minus_b == 0.0) & (regimes != scalar_oracle.OPEN))
+    assert set(regimes.ravel().tolist()) == {0, 1, 2}
     assert np.any(np.isfinite(model._fixed))
 
 
@@ -145,8 +146,9 @@ FUZZ_SLICE = [(name, geometry, u_c) for name in ("multi8-pm", "multi8-tpm")
 def _residual_solve(name, geometry, u_c, per_point):
     model = preset(name, seed=geometry, characteristic_displacement=u_c)
     if per_point:
-        model.residual = lambda x: (scalar_oracle.residual(model, x) if x.ndim == 1 else
-                                    np.stack([scalar_oracle.residual(model, r) for r in x]))
+        oracle = Oracle(model)
+        model.residual = lambda x: (scalar_oracle.residual(oracle, x) if x.ndim == 1 else
+                                    np.stack([scalar_oracle.residual(oracle, r) for r in x]))
     options = NewtonOptions(line_search=Strategy.RESIDUAL,
                             criterion=ConvergenceCriterion(CriterionKind.RESIDUAL))
     with warnings.catch_warnings():
