@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 from .contact import check_dilation_angle
 from .linesearch import Strategy
-from .models import MULTI_CELLS_PER_SIDE, PRESET_NAMES, preset
+from .models import MULTI_CELLS_PER_SIDE, PRESET_NAMES, CharacteristicScales, preset
 from .newton import ConvergenceCriterion, CriterionKind, NewtonOptions, SolveStatus, solve
-from .scaling import CharacteristicScales
 
 __all__ = [
     "SweepSpec",

@@ -23,6 +23,14 @@ tangential, zero on cells open at the reference iterate), and
 ``transition_values`` turns a sign change along a Newton direction into a
 per-cell damping signal.
 
+A poor characteristic displacement puts the indicators on a wrong magnitude,
+so the adaptive strategy estimates the actual one from the same states:
+``cell_scale_estimate`` gives each cell's scaled traction norm plus its
+weighted jump norm with the gap removed, and ``p_mean_scale`` turns those
+into one scale, their power mean of order ``P_MEAN_EXPONENT`` clamped to
+[``SCALE_FLOOR``, ``SCALE_CEILING``], so large cells dominate without the
+max's discontinuity. The solver freezes that scale during each line search.
+
 Every model solves one implicit step from rest, so a cell's tangential jump is
 also its slip in the step. Sign conventions: a negative normal traction is
 compressive; the tangential jump of a consistently sliding cell is a
@@ -52,11 +60,18 @@ __all__ = [
     "transition_values",
     "reference_mask",
     "evaluate_field",
+    "cell_scale_estimate",
+    "p_mean_scale",
 ]
 
 
 # Coulomb friction coefficient of every fracture cell.
 FRICTION_COEFFICIENT = 1.0
+
+SCALE_FLOOR = 1e-8
+SCALE_CEILING = 1e8
+# Order of the power mean that turns per-cell estimates into one scale.
+P_MEAN_EXPONENT = 5.0
 
 
 def check_dilation_angle(angle: float) -> None:
@@ -263,3 +278,39 @@ def evaluate_field(states: ContactStates, mask: np.ndarray) -> np.ndarray:
     ordering as ``states``.
     """
     return np.stack([normal_indicator(states), tangential_indicator(states, mask)])
+
+
+def cell_scale_estimate(states: ContactStates) -> np.ndarray:
+    """Magnitude contribution of each cell, shape ``(n,)``.
+
+    Sum of the scaled traction norm and the weighted norm of the jump with
+    the dilation gap removed along the normal. Both terms are dimensionless
+    and O(1) when the characteristic displacement is well chosen. A cell
+    past the float range estimates inf, without an overflow warning.
+    """
+    # float_power squares through the C library's pow, exactly like Python's
+    # float ** in the per-cell reference formula; numpy's ** multiplies,
+    # which differs from it in the last bit on ~0.1% of cells.
+    sig_t = states.tangential_traction
+    u_t = states.tangential_jump
+    with np.errstate(over="ignore"):
+        traction_sq = np.float_power(states.normal_traction, 2) + np.vecdot(sig_t, sig_t)
+        g = gap(u_t, states.dilation_angle)
+        jump_sq = np.float_power(states.normal_jump - g, 2) + np.vecdot(u_t, u_t)
+        return np.sqrt(traction_sq) + states.weight * np.sqrt(jump_sq)
+
+
+def p_mean_scale(values) -> float:
+    """Power mean of order ``P_MEAN_EXPONENT`` of per-cell estimates, clamped
+    to [1e-8, 1e8].
+
+    The mean sits between the smallest and largest input and leans toward the
+    maximum, so a few large cells set the scale without a hard max. An
+    infinite estimate, or a power past the float range, gives the ceiling.
+    """
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0 or not np.all(vals >= 0.0):
+        raise ValueError("need one or more cell estimates, each nonnegative and not NaN")
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(vals ** P_MEAN_EXPONENT) ** (1.0 / P_MEAN_EXPONENT))
+    return float(min(max(mean, SCALE_FLOOR), SCALE_CEILING))

@@ -51,10 +51,10 @@ from .contact import (
     normal_complementarity,
     tangential_complementarity,
 )
-from .scaling import DOMAIN_LENGTH, LAME_LAMBDA, SHEAR_MODULUS, CharacteristicScales
 
 __all__ = [
     "Physics",
+    "CharacteristicScales",
     "Fracture",
     "FractureAssembly",
     "transmissibility",
@@ -68,9 +68,13 @@ class Physics(enum.Enum):
     THERMOPORO = "thermoporo"
 
 
-# Material constants for the shipped problems (the elastic moduli and the domain
-# length are in ``scaling``). The flow and thermal constants keep the couplings
-# at comparable magnitude with the contact terms on the reference scaling.
+# Material constants for the shipped problems. The characteristic stress of a
+# displacement guess u_c is E * u_c / L. The flow and thermal constants keep the
+# couplings at comparable magnitude with the contact terms on the reference scaling.
+LAME_LAMBDA = 2.0e6          # Pa
+SHEAR_MODULUS = 2.0e6        # Pa
+YOUNGS_MODULUS = SHEAR_MODULUS * (3.0 * LAME_LAMBDA + 2.0 * SHEAR_MODULUS) / (LAME_LAMBDA + SHEAR_MODULUS)
+DOMAIN_LENGTH = 1.0          # m
 DRAINED_BULK_MODULUS = LAME_LAMBDA + 2.0 * SHEAR_MODULUS / 3.0
 BIOT_COEFFICIENT = 0.8
 FLUID_COMPRESSIBILITY = 1.0e-6   # 1/Pa
@@ -81,6 +85,7 @@ FLUID_THERMAL_EXPANSION = 0.01   # 1/K
 SOLID_THERMAL_EXPANSION = 1.0e-3  # 1/K
 THERMAL_CONDUCTIVITY = 1.0       # W/m/K
 REFERENCE_DISPLACEMENT = 0.01  # m, the loading is sized to produce jumps of this order
+REFERENCE_STRESS = YOUNGS_MODULUS * REFERENCE_DISPLACEMENT / DOMAIN_LENGTH  # Pa
 TIME_STEP = 1.0e6            # s, single implicit step
 
 PRESSURE_SCALE = 1.5e5       # Pa, magnitude of the pressure unknowns
@@ -100,15 +105,15 @@ STIFFNESS_DIAGONAL = 3.0
 STIFFNESS_NEIGHBOR = 0.5
 CROSS_FRACTURE_WEIGHT = 0.05
 
-# Single-fracture loading recipe, in units of the reference stress
-# E * REFERENCE_DISPLACEMENT / L: the external normal traction ramps along the
-# first grid axis while a uniform shear pulls along the first tangent. With
-# the inlet/outlet pressure drive this yields open cells near the inlet,
-# a sliding band, and sticking cells toward the outlet.
+# Single-fracture loading recipe, in units of ``REFERENCE_STRESS``: the
+# external normal traction ramps along the first grid axis while a uniform
+# shear pulls along the first tangent. With the inlet/outlet pressure drive
+# this yields open cells near the inlet, a sliding band, and sticking cells
+# toward the outlet.
 SINGLE_NORMAL_RAMP = (-2.2, -1.0)
 SINGLE_SHEAR_LOAD = 0.75
 
-# Multi-fracture far-field stress in units of the reference stress (negative
+# Multi-fracture far-field stress in units of ``REFERENCE_STRESS`` (negative
 # definite: every orientation starts compressed; wells unclamp their fracture).
 FAR_FIELD_STRESS = np.array([
     [-1.2, -0.35, 0.15],
@@ -135,6 +140,29 @@ def transmissibility(floored_mean):
     the last bit); a NaN mean stays NaN.
     """
     return np.float_power(floored_mean, 3) / (12.0 * FLUID_VISCOSITY)
+
+
+@dataclass(frozen=True)
+class CharacteristicScales:
+    """Scales induced by a characteristic displacement over the domain."""
+
+    displacement: float          # u_c, meters
+
+    def __post_init__(self):
+        with np.errstate(over="ignore"):  # kernels multiply two weight-scaled quantities
+            if not (0.0 < self.displacement < np.inf and np.isfinite(self.stress)
+                    and np.isfinite(self.complementarity_weight * self.complementarity_weight)):
+                raise ValueError("characteristic quantities must be positive and finite, "
+                                 "with a finite stress and a finite squared weight")
+
+    @property
+    def stress(self) -> float:
+        return YOUNGS_MODULUS * self.displacement / DOMAIN_LENGTH
+
+    @property
+    def complementarity_weight(self) -> float:
+        """Weight pairing jumps with scaled tractions, 1 / displacement."""
+        return 1.0 / self.displacement
 
 
 @dataclass
@@ -232,13 +260,13 @@ class FractureAssembly:
         # The balance block, mass then energy rows: Dirichlet values in unit
         # scale (NaN where free), and row scales keeping the rest O(1).
         flux_scale = transmissibility(RESIDUAL_APERTURE)
-        self._mass_scale = flux_scale * PRESSURE_SCALE
+        mass_scale = flux_scale * PRESSURE_SCALE
         advective = FLUID_DENSITY * FLUID_HEAT_CAPACITY * flux_scale * PRESSURE_SCALE
         conductive = THERMAL_CONDUCTIVITY * RESIDUAL_APERTURE
-        self._energy_scale = (conductive + advective) * TEMPERATURE_SCALE
-        blocks = [("dirichlet_pressure", PRESSURE_SCALE, self._mass_scale)]
+        energy_scale = (conductive + advective) * TEMPERATURE_SCALE
+        blocks = [("dirichlet_pressure", PRESSURE_SCALE, mass_scale)]
         if self.has_temperature:
-            blocks.append(("dirichlet_temperature", TEMPERATURE_SCALE, self._energy_scale))
+            blocks.append(("dirichlet_temperature", TEMPERATURE_SCALE, energy_scale))
         self._fixed = np.full(len(blocks) * self.n_cells, np.nan)
         for k, (name, unit, _) in enumerate(blocks):
             for fr, start in zip(fractures, self._starts):
@@ -632,7 +660,6 @@ def _single_fracture(cells_per_side: int) -> list[Fracture]:
         raise ValueError("need at least a 2x2 fracture grid")
     m = cells_per_side
     n = m * m
-    sigma_ref = CharacteristicScales(REFERENCE_DISPLACEMENT).stress
 
     # Cell centers: first grid axis is the flow direction.
     xi = (np.arange(m) + 0.5) / m
@@ -640,8 +667,8 @@ def _single_fracture(cells_per_side: int) -> list[Fracture]:
 
     external = np.zeros((n, 3))
     left, right = SINGLE_NORMAL_RAMP
-    external[:, 0] = sigma_ref * (left + (right - left) * centers_x)
-    external[:, 1] = sigma_ref * SINGLE_SHEAR_LOAD
+    external[:, 0] = REFERENCE_STRESS * (left + (right - left) * centers_x)
+    external[:, 1] = REFERENCE_STRESS * SINGLE_SHEAR_LOAD
 
     edges = _grid_edges((m, m))
 
@@ -675,8 +702,7 @@ def _multi_fracture(n_fractures: int, seed: int) -> list[Fracture]:
     temperature for the thermal variant).
     """
     rng = np.random.default_rng(seed)
-    sigma_ref = CharacteristicScales(REFERENCE_DISPLACEMENT).stress
-    far_field = sigma_ref * FAR_FIELD_STRESS
+    far_field = REFERENCE_STRESS * FAR_FIELD_STRESS
 
     m = MULTI_CELLS_PER_SIDE
     n_local = m * m

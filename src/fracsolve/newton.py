@@ -38,7 +38,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .contact import classify_regime, evaluate_field, reference_mask
+from .contact import cell_scale_estimate, classify_regime, evaluate_field, p_mean_scale, reference_mask
 from .linesearch import (
     Diverged,
     LineSearchOutcome,
@@ -46,7 +46,6 @@ from .linesearch import (
     search_constraint,
     search_residual,
 )
-from .scaling import cell_scale_estimate, p_mean_scale
 
 __all__ = [
     "SolveStatus",
@@ -97,8 +96,10 @@ class NewtonOptions:
     force_unit_scale: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.line_search, Strategy):
-            raise TypeError("line_search must be a Strategy")
+        for name, kind in (("criterion", ConvergenceCriterion), ("line_search", Strategy),
+                           ("force_unit_scale", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise TypeError(f"{name} must be a {kind.__name__}")
 
 
 @dataclass

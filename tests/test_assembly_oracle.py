@@ -37,6 +37,7 @@ from fracsolve.models import (
     TEMPERATURE_SCALE,
     THERMAL_CONDUCTIVITY,
     TIME_STEP,
+    CharacteristicScales,
     Fracture,
     FractureAssembly,
     Physics,
@@ -44,7 +45,6 @@ from fracsolve.models import (
     _pattern,
     preset,
 )
-from fracsolve.scaling import CharacteristicScales
 from scalar_oracle import HEAT_CAPACITY, Oracle, oracle_stiffness, oracle_transmissibility
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ of ``solvebench/run.py`` runs. Each must parse, and each workload and metric
 it names must be one that ``BENCHMARK.json``, ``solvebench/workloads.py`` or
 ``solvebench/tracing.py`` declares, so a renamed or invented figure cannot
 slip into the record. A ``--workload all`` run names each metric
-``<workload>.<metric>`` and must cover every workload.
+``<workload>.<metric>`` and must cover every workload. Every name that
+``solvebench/tracing.py`` rebinds or wraps must exist in fracsolve, so a
+refactor that drops one fails here and not only in the benchmark's own tests.
 """
 
 import importlib.util
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fracsolve.models import preset
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
@@ -71,3 +75,12 @@ def test_record_names_only_declared_workloads_and_metrics(path):
     for workload, summary in record.get("summary", {}).items():
         assert workload in workloads
         assert set(summary["metrics"]) <= metrics
+
+
+def test_traced_names_exist():
+    tracing = _solvebench_module("tracing")
+    for module, name in tracing.ENTRY_POINTS:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+    model = preset("single-pm", cells_per_side=2)
+    for method in tracing.MODEL_METHODS:
+        assert callable(getattr(model, method, None)), method

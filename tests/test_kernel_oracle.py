@@ -17,6 +17,7 @@ import scalar_oracle
 from fracsolve import contact
 from fracsolve.contact import (
     ContactStates,
+    cell_scale_estimate,
     classify_regime,
     contact_generalized_derivative,
     normal_complementarity,
@@ -24,7 +25,6 @@ from fracsolve.contact import (
     tangential_complementarity,
     tangential_indicator,
 )
-from fracsolve.scaling import cell_scale_estimate
 from scalar_oracle import ONE_CELL, Law
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ from fracsolve.models import (
     PRESET_NAMES,
     RESIDUAL_APERTURE,
     SOLID_THERMAL_EXPANSION,
+    YOUNGS_MODULUS,
+    CharacteristicScales,
     Fracture,
     FractureAssembly,
     Physics,
@@ -29,7 +31,6 @@ from fracsolve.models import (
     transmissibility,
 )
 from fracsolve.newton import NewtonOptions, SolveStatus, solve
-from fracsolve.scaling import YOUNGS_MODULUS, CharacteristicScales
 
 NO_EDGES = np.zeros((0, 2), dtype=int)
 

@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 import fracsolve.linesearch
 import fracsolve.newton
-from fracsolve.contact import ContactStates, friction_bound, gap
+from fracsolve.contact import P_MEAN_EXPONENT, SCALE_CEILING, ContactStates, friction_bound, gap
 from fracsolve.linesearch import (
     ALPHA_MIN,
     MAX_TIGHTENINGS,
@@ -35,7 +35,6 @@ from fracsolve.newton import (
     linear_solve,
     solve,
 )
-from fracsolve.scaling import P_MEAN_EXPONENT, SCALE_CEILING
 
 ALL_STRATEGIES = ("none", "residual", "constraint-const", "constraint-adaptive")
 
@@ -601,6 +600,12 @@ def test_options_hold_the_strategy_and_the_parameters_are_the_paper_values():
         assert ConvergenceCriterion(kind=kind).kind is kind
     with pytest.raises(TypeError):
         ConvergenceCriterion(kind="increment")
+    # a kind is not a criterion: solve would fail on its first residual
+    with pytest.raises(TypeError):
+        NewtonOptions(criterion=CriterionKind.RESIDUAL)
+    # a truthy string would pin the adaptive scale at 1
+    with pytest.raises(TypeError):
+        NewtonOptions(force_unit_scale="False")
     assert (TRANSITION_TOLERANCE, TRANSITION_FRACTION, SAMPLE_COUNT, MAX_TIGHTENINGS,
             ALPHA_MIN) == (0.3, 0.2, 5, 10, 1e-3)
     assert DIVERGENCE_FACTOR == 1e10

@@ -3,16 +3,15 @@
 import numpy as np
 import pytest
 
-from fracsolve.contact import ContactStates, gap
-from fracsolve.scaling import (
-    DOMAIN_LENGTH,
+from fracsolve.contact import (
     SCALE_CEILING,
     SCALE_FLOOR,
-    YOUNGS_MODULUS,
-    CharacteristicScales,
+    ContactStates,
     cell_scale_estimate,
+    gap,
     p_mean_scale,
 )
+from fracsolve.models import DOMAIN_LENGTH, YOUNGS_MODULUS, CharacteristicScales
 
 
 def test_stress_scale_from_moduli():
