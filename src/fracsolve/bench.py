@@ -23,15 +23,6 @@ from .linesearch import Strategy
 from .models import MULTI_CELLS_PER_SIDE, PRESET_NAMES, CharacteristicScales, preset
 from .newton import ConvergenceCriterion, CriterionKind, NewtonOptions, SolveStatus, solve
 
-__all__ = [
-    "SweepSpec",
-    "ResultRow",
-    "run_sweep",
-    "emit_csv",
-    "emit_table",
-    "main",
-]
-
 CSV_SCHEMA_COMMENT = "# fracsolve sweep schema v1"
 
 ALL_STRATEGIES = tuple(s.value for s in Strategy)
@@ -57,6 +48,8 @@ class SweepSpec:
                 raise ValueError(f"sweep axis {name} is empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"sweep axis {name} repeats a value")
+        if min(self.seeds) < 0:  # single presets build with the first seed alone
+            raise ValueError(f"sweep axis seeds holds a negative seed, {min(self.seeds)}")
         for s in self.strategies:
             Strategy(s)  # raises on unknown names
         # Before any solve, a build's checks reject a bad name or axis value:

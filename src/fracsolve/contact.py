@@ -44,26 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "FRICTION_COEFFICIENT",
-    "check_dilation_angle",
-    "ContactStates",
-    "ContactRegime",
-    "friction_bound",
-    "gap",
-    "normal_complementarity",
-    "tangential_complementarity",
-    "classify_regime",
-    "contact_generalized_derivative",
-    "normal_indicator",
-    "tangential_indicator",
-    "transition_values",
-    "reference_mask",
-    "evaluate_field",
-    "cell_scale_estimate",
-    "p_mean_scale",
-]
-
 
 # Coulomb friction coefficient of every fracture cell.
 FRICTION_COEFFICIENT = 1.0

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MonotoneCubic", "fit", "evaluate", "find_root", "find_minimum"]
-
 # Absolute and relative abscissa tolerances and iteration cap of the root
 # solve; the relative one is the smallest that brentq accepts.
 XTOL = 1e-12

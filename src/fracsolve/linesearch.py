@@ -30,14 +30,6 @@ import numpy as np
 from .contact import transition_values
 from .interpolation import MonotoneCubic, find_minimum, find_root, fit
 
-__all__ = [
-    "Strategy",
-    "LineSearchOutcome",
-    "Diverged",
-    "search_residual",
-    "search_constraint",
-]
-
 
 class Strategy(enum.Enum):
     """How the Newton step length is chosen."""

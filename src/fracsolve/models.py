@@ -52,16 +52,6 @@ from .contact import (
     tangential_complementarity,
 )
 
-__all__ = [
-    "Physics",
-    "CharacteristicScales",
-    "Fracture",
-    "FractureAssembly",
-    "transmissibility",
-    "preset",
-    "PRESET_NAMES",
-]
-
 
 class Physics(enum.Enum):
     PORO = "poro"
@@ -753,6 +743,8 @@ def preset(name: str, dilation_angle: float = 0.1,
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     head, kind = name.split("-")
     physics = Physics.PORO if kind == "pm" else Physics.THERMOPORO
     if head == "single":

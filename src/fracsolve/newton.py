@@ -47,18 +47,6 @@ from .linesearch import (
     search_residual,
 )
 
-__all__ = [
-    "SolveStatus",
-    "CriterionKind",
-    "ConvergenceCriterion",
-    "NewtonOptions",
-    "IterationRecord",
-    "NewtonReport",
-    "Diverged",
-    "linear_solve",
-    "solve",
-]
-
 
 class SolveStatus(enum.Enum):
     CONVERGED = "Converged"

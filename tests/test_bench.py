@@ -292,6 +292,21 @@ def test_main_rejects_a_repeated_axis_value(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_rejects_a_negative_seed_before_any_solve(tmp_path, capsys, monkeypatch):
+    # a single-only sweep builds and solves with its first seed alone, so the
+    # -1 would reach no build
+    def no_solve(cell):
+        raise AssertionError(f"cell {cell} solved with a negative seed on the sweep")
+
+    monkeypatch.setattr(fracsolve.bench, "solve_cell", no_solve)
+    out = tmp_path / "x.csv"
+    code = main(["--model", "single-pm", "--strategy", "none", "--cells", "2", "--uc", "0.01",
+                 "--seed", "0", "-1", "--out", str(out), "--workers", "1", "--no-table"])
+    assert code == 1
+    assert "error: sweep axis seeds holds a negative seed, -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-5"])
 def test_main_rejects_nonpositive_workers(tmp_path, capsys, workers):
     out = tmp_path / "x.csv"

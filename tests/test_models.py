@@ -426,6 +426,13 @@ def test_factory_validation():
         preset("single-pm", cells_per_side=1)
 
 
+# Only multi-fracture presets read the seed; every preset rejects a negative one.
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_rejects_a_negative_seed(name):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        preset(name, seed=-1)
+
+
 @pytest.mark.parametrize("angle", [-0.1, 0.5 * np.pi, 2.0, np.nan, np.inf])
 @pytest.mark.parametrize("name", ["single-pm", "multi4-tpm"])
 def test_preset_rejects_dilation_angles_outside_the_range(name, angle):
